@@ -1,9 +1,11 @@
-// Stateless 64-bit mixing, used for spatial sampling and consistent hashing.
+// Stateless 64-bit hashing: mixing for spatial sampling and consistent
+// hashing, and FNV-1a for byte-string checksums.
 
 #ifndef MACARON_SRC_COMMON_HASH_H_
 #define MACARON_SRC_COMMON_HASH_H_
 
 #include <cstdint>
+#include <string_view>
 
 namespace macaron {
 
@@ -20,6 +22,18 @@ inline constexpr uint64_t Mix64(uint64_t x) {
 // Combines two 64-bit values into one hash (order-sensitive).
 inline constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
   return Mix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
+}
+
+// 64-bit FNV-1a over a byte string. It checksums every framed file format
+// (MCTR chunks, MCTC chunks and footers, ResultStore blobs) and hashes the
+// strings folded into sweep fingerprints, so its output is part of on-disk
+// bytes and cache keys and must never change.
+inline constexpr uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h = (h ^ c) * 0x100000001b3ull;
+  }
+  return h;
 }
 
 }  // namespace macaron

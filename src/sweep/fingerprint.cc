@@ -30,11 +30,7 @@ void FingerprintHasher::MixF64(double v) {
 void FingerprintHasher::MixStr(std::string_view s) {
   MixU64(s.size());
   // FNV-1a over the bytes, folded into both lanes at the end.
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  MixU64(h);
+  MixU64(Fnv1a(s));
 }
 
 namespace {

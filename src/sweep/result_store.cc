@@ -8,6 +8,7 @@
 #include <string>
 #include <system_error>
 
+#include "src/common/hash.h"
 #include "src/sim/report_io.h"
 
 namespace macaron {
@@ -21,14 +22,6 @@ namespace {
 // file reads as a cache miss (re-execute), never as a bogus result.
 constexpr char kMagic[8] = {'M', 'R', 'S', 'F', '0', '0', '0', '1'};
 constexpr size_t kHeaderBytes = sizeof(kMagic) + 8 + 8;
-
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  return h;
-}
 
 void PutU64Le(uint64_t v, char* out) {
   for (int i = 0; i < 8; ++i) {

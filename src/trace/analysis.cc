@@ -18,9 +18,9 @@ size_t NumBins(const Trace& trace, SimDuration bin) {
   return static_cast<size_t>(trace.end_time() / bin) + 1;
 }
 
-// Sizing heuristic shared with ComputeStats: distinct ids are typically a
-// small fraction of requests; reserving up front avoids rehashing the table
-// several times over a multi-million-request trace.
+// Sizing heuristic for the id sets of the analysis passes below: distinct
+// ids are typically a small fraction of requests; reserving up front avoids
+// rehashing the table several times over a multi-million-request trace.
 size_t ExpectedObjects(const Trace& trace) { return trace.size() / 4 + 16; }
 
 }  // namespace

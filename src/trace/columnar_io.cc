@@ -22,14 +22,6 @@ constexpr size_t kTrailerBytes = 8 + 8 + sizeof(kEndMagic);
 constexpr uint64_t kMaxFooterBytes = 1ull << 32;
 constexpr uint64_t kMaxChunkBytes = 1ull << 32;
 
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : bytes) {
-    h = (h ^ c) * 0x100000001b3ull;
-  }
-  return h;
-}
-
 void AppendU64Le(std::string& out, uint64_t v) {
   char b[8];
   for (int i = 0; i < 8; ++i) {
@@ -167,9 +159,11 @@ void SetError(std::string* error, const std::string& message) {
 }
 
 // Reads and validates the footer payload: header magic/version, trailer
-// magic, size sanity, footer checksum. The caller still owns `f`'s cursor.
+// magic, size sanity, footer checksum. *data_end receives the file offset
+// where the chunk data ends and the footer begins. The caller still owns
+// `f`'s cursor.
 bool LoadFooter(std::FILE* f, const std::string& path, std::string* footer,
-                std::string* error) {
+                uint64_t* data_end, std::string* error) {
   char header[kHeaderBytes];
   if (std::fread(header, 1, kHeaderBytes, f) != kHeaderBytes ||
       std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
@@ -216,6 +210,7 @@ bool LoadFooter(std::FILE* f, const std::string& path, std::string* footer,
     SetError(error, "mctc: " + path + ": footer checksum mismatch");
     return false;
   }
+  *data_end = static_cast<uint64_t>(file_end) - kTrailerBytes - footer_bytes;
   return true;
 }
 
@@ -386,7 +381,8 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
     return nullptr;
   }
   std::string footer;
-  if (!LoadFooter(f, path, &footer, error)) {
+  uint64_t data_end = 0;
+  if (!LoadFooter(f, path, &footer, &data_end, error)) {
     std::fclose(f);
     return nullptr;
   }
@@ -400,10 +396,16 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
     return nullptr;
   };
   uint64_t chunk_count = 0;
-  if (!ReadU64Le(p, end, &chunk_count) || chunk_count > kMaxFooterBytes / 48) {
+  if (!ReadU64Le(p, end, &chunk_count) || chunk_count > static_cast<uint64_t>(end - p) / 48) {
     return fail("bad chunk count");
   }
   src->directory_.reserve(static_cast<size_t>(chunk_count));
+  // The writer lays chunks back to back from the header to the footer, so
+  // the directory must tile exactly that range: each chunk starts where the
+  // previous one ended. Every declared extent, and with it every record
+  // count, is then bounded by the file before anything is sized from it.
+  // `chunk_end` never passes `data_end`, so neither comparison can wrap.
+  uint64_t chunk_end = kHeaderBytes;
   uint64_t total_records = 0;
   for (uint64_t i = 0; i < chunk_count; ++i) {
     ChunkMeta m;
@@ -418,8 +420,15 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
     if (m.bytes > kMaxChunkBytes || m.count == 0 || m.count > m.bytes) {
       return fail("implausible chunk extent");
     }
+    if (m.offset != chunk_end || m.bytes > data_end - chunk_end) {
+      return fail("chunk extent beyond file (chunk " + std::to_string(i) + ")");
+    }
+    chunk_end += m.bytes;
     total_records += m.count;
     src->directory_.push_back(m);
+  }
+  if (chunk_end != data_end) {
+    return fail("chunk extent beyond file (directory stops short of the footer)");
   }
   uint64_t num_requests = 0, start_t = 0, end_t = 0;
   if (!ReadU64Le(p, end, &num_requests) || !ReadU64Le(p, end, &start_t) ||
@@ -521,7 +530,8 @@ bool ColumnarTraceIdentity(const std::string& path, uint64_t identity[2], std::s
     return false;
   }
   std::string footer;
-  const bool ok = LoadFooter(f, path, &footer, error);
+  uint64_t data_end = 0;
+  const bool ok = LoadFooter(f, path, &footer, &data_end, error);
   std::fclose(f);
   if (!ok) {
     return false;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
+
+#include "src/common/check.h"
+#include "src/common/hash.h"
 
 namespace macaron {
 
@@ -33,13 +35,9 @@ namespace {
 
 // Fits the Zipf exponent by least squares on log(frequency) vs log(rank),
 // using objects with at least 2 accesses (singletons flatten the tail and
-// are dominated by compulsory structure, not popularity skew).
-double FitZipfAlpha(const std::unordered_map<ObjectId, uint64_t>& freq) {
-  std::vector<uint64_t> counts;
-  counts.reserve(freq.size());
-  for (const auto& [id, c] : freq) {
-    counts.push_back(c);
-  }
+// are dominated by compulsory structure, not popularity skew). Objects never
+// read carry a count of 0, sort last and fall under the same cut.
+double FitZipfAlpha(std::vector<uint64_t> counts) {
   std::sort(counts.begin(), counts.end(), std::greater<>());
   // Regression over the head of the distribution.
   double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
@@ -68,6 +66,20 @@ double FitZipfAlpha(const std::unordered_map<ObjectId, uint64_t>& freq) {
   return std::max(0.0, -slope);
 }
 
+// Slot of `key` in `index`. A key seen for the first time is given slot
+// `fresh`, the caller's next dense-vector position, and sets *inserted.
+uint32_t FindOrInsert(FlatIndex& index, uint64_t key, size_t fresh, bool* inserted) {
+  const uint64_t hash = Mix64(key);
+  const uint32_t slot = index.FindPrehashed(key, hash);
+  *inserted = slot == FlatIndex::kEmpty;
+  if (!*inserted) {
+    return slot;
+  }
+  MACARON_CHECK(fresh < FlatIndex::kEmpty);
+  index.EmplacePrehashed(key, hash, static_cast<uint32_t>(fresh));
+  return static_cast<uint32_t>(fresh);
+}
+
 }  // namespace
 
 void TraceStatsBuilder::Add(const Request& r) {
@@ -77,28 +89,34 @@ void TraceStatsBuilder::Add(const Request& r) {
   }
   last_time_ = r.time;
   ++s_.num_requests;
-  ++size_counts_[r.size];
+  bool inserted = false;
+  const uint32_t size_slot = FindOrInsert(size_slots_, r.size, size_counts_.size(), &inserted);
+  if (inserted) {
+    size_counts_.emplace_back(r.size, 0);
+  }
+  ++size_counts_[size_slot].second;
   switch (r.op) {
     case Op::kGet: {
       ++s_.num_gets;
       s_.get_bytes += r.size;
-      auto [it, inserted] = sizes_.try_emplace(r.id, r.size);
+      const uint32_t slot = FindOrInsert(object_slots_, r.id, get_counts_.size(), &inserted);
       if (inserted) {
+        get_counts_.push_back(0);
         s_.unique_bytes += r.size;
         s_.unique_get_bytes += r.size;
       }
-      get_freq_[r.id]++;
+      ++get_counts_[slot];
       break;
     }
-    case Op::kPut: {
+    case Op::kPut:
       ++s_.num_puts;
       s_.put_bytes += r.size;
-      auto [it, inserted] = sizes_.try_emplace(r.id, r.size);
+      FindOrInsert(object_slots_, r.id, get_counts_.size(), &inserted);
       if (inserted) {
+        get_counts_.push_back(0);
         s_.unique_bytes += r.size;
       }
       break;
-    }
     case Op::kDelete:
       ++s_.num_deletes;
       break;
@@ -107,21 +125,23 @@ void TraceStatsBuilder::Add(const Request& r) {
 
 TraceStats TraceStatsBuilder::Finish() const {
   TraceStats s = s_;
-  s.unique_objects = sizes_.size();
+  s.unique_objects = get_counts_.size();
   s.compulsory_miss_ratio =
       s.get_bytes == 0 ? 0.0
                        : static_cast<double>(s.unique_get_bytes) / static_cast<double>(s.get_bytes);
-  s.zipf_alpha = FitZipfAlpha(get_freq_);
+  s.zipf_alpha = FitZipfAlpha(get_counts_);
   const SimDuration span = last_time_ - first_time_;
   s.mean_request_rate =
       span <= 0 ? 0.0 : static_cast<double>(s.num_requests) / DurationSeconds(span);
   if (s.num_requests > 0) {
     // The mid-th order statistic of the full size sequence, read off the
-    // ordered size -> count histogram (identical to nth_element on a vector
+    // size-sorted (size, count) pairs (identical to nth_element on a vector
     // of every request's size, without materializing that vector).
+    std::vector<std::pair<uint64_t, uint64_t>> by_size = size_counts_;
+    std::sort(by_size.begin(), by_size.end());
     const uint64_t mid = s.num_requests / 2;
     uint64_t cum = 0;
-    for (const auto& [size, count] : size_counts_) {
+    for (const auto& [size, count] : by_size) {
       cum += count;
       if (cum > mid) {
         s.median_object_bytes = size;

@@ -4,11 +4,11 @@
 #define MACARON_SRC_TRACE_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/cache/flat_index.h"
 #include "src/trace/request.h"
 
 namespace macaron {
@@ -54,9 +54,14 @@ TraceStats ComputeStats(const Trace& trace);
 // TraceStats to ComputeStats over the same request sequence, but never
 // needs the trace materialized — the out-of-core sources (columnar reader,
 // synthetic stream generator) run their stats pre-pass through this.
+//
 // Memory is O(unique objects + distinct sizes), independent of trace
-// length; the median is exact, taken from an ordered size -> count map
-// instead of an all-sizes vector.
+// length, and nothing is allocated per entry: two FlatIndex tables map an
+// object id and a request size to dense slots, one into a per-object GET
+// count (0 for an object only ever PUT) and one into (size, request count)
+// pairs. Finish() sorts copies of both vectors — the counts for the Zipf
+// fit, the pairs by size for the exact median — so the tables' insertion
+// order never reaches the result.
 class TraceStatsBuilder {
  public:
   void Add(const Request& r);
@@ -66,9 +71,10 @@ class TraceStatsBuilder {
 
  private:
   TraceStats s_;
-  std::unordered_map<ObjectId, uint64_t> sizes_;
-  std::unordered_map<ObjectId, uint64_t> get_freq_;
-  std::map<uint64_t, uint64_t> size_counts_;
+  FlatIndex object_slots_;              // GET/PUT object id -> get_counts_ slot
+  std::vector<uint64_t> get_counts_;    // per object, in first-touch order
+  FlatIndex size_slots_;                // request size -> size_counts_ slot
+  std::vector<std::pair<uint64_t, uint64_t>> size_counts_;  // (size, requests)
   SimTime first_time_ = 0;
   SimTime last_time_ = 0;
   bool any_ = false;

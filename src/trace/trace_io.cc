@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <vector>
+
+#include "src/common/hash.h"
 
 namespace macaron {
 
@@ -40,13 +43,10 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-uint64_t Fnv1a(const void* data, size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < len; ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ull;
-  }
-  return h;
+// The packed bytes of the first `n` staged records, as the chunk checksum
+// sees them.
+std::string_view RecordBytes(const std::vector<PackedRecord>& chunk, size_t n) {
+  return {reinterpret_cast<const char*>(chunk.data()), n * sizeof(PackedRecord)};
 }
 
 void SetError(std::string* error, const std::string& message) {
@@ -105,7 +105,7 @@ bool WriteTraceBinary(const Trace& trace, const std::string& path) {
     // v2 chunk frame: record count + checksum of the packed bytes, so a
     // reader can pinpoint the first damaged chunk instead of reading short.
     const uint32_t chunk_count = static_cast<uint32_t>(n);
-    const uint64_t chunk_fnv = Fnv1a(chunk.data(), n * sizeof(PackedRecord));
+    const uint64_t chunk_fnv = Fnv1a(RecordBytes(chunk, n));
     if (std::fwrite(&chunk_count, sizeof(chunk_count), 1, f.get()) != 1 ||
         std::fwrite(&chunk_fnv, sizeof(chunk_fnv), 1, f.get()) != 1 ||
         std::fwrite(chunk.data(), sizeof(PackedRecord), n, f.get()) != n) {
@@ -204,7 +204,7 @@ bool ReadTraceBinary(const std::string& path, Trace* out, std::string* error) {
         SetError(error, "mctr: " + path + ": truncated in chunk " + std::to_string(chunk_index));
         return false;
       }
-      if (Fnv1a(chunk.data(), n * sizeof(PackedRecord)) != framed_fnv) {
+      if (Fnv1a(RecordBytes(chunk, n)) != framed_fnv) {
         SetError(error, "mctr: " + path + ": chunk " + std::to_string(chunk_index) +
                             " checksum mismatch (corrupt data)");
         return false;

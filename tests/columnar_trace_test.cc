@@ -2,8 +2,9 @@
 // round trips (materialized and chunk-by-chunk against the in-memory
 // TraceSource adapter), footer-derived SourceInfo fidelity, the content
 // identity hash, and the rejection paths — foreign files, truncation, a
-// corrupt footer, and a corrupt chunk payload (which must throw at
-// FillNext, never replay silently).
+// corrupt footer, a checksummed footer whose chunk directory does not tile
+// the file, and a corrupt chunk payload (which must throw at FillNext,
+// never replay silently).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/cache/replay_batch.h"
 #include "src/common/hash.h"
@@ -62,6 +64,49 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+void AppendU64(std::string& out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+struct CraftedChunk {
+  uint64_t offset;
+  uint64_t bytes;
+  uint64_t count;
+};
+
+// A structurally valid MCTC file around `data_bytes` bytes of (meaningless)
+// chunk data: correct header, a footer declaring `chunks` with a matching
+// record total, and a trailer whose checksum covers that footer — so Open
+// can only object to the extents themselves.
+std::string CraftMctc(size_t data_bytes, const std::vector<CraftedChunk>& chunks) {
+  std::string file = "MCTC";
+  file.append("\x02\x00\x00\x00", 4);
+  file.append(data_bytes, '\x5a');
+  std::string footer;
+  AppendU64(footer, chunks.size());
+  uint64_t records = 0;
+  for (const CraftedChunk& c : chunks) {
+    for (const uint64_t v : {c.offset, c.bytes, c.count, uint64_t{0}, uint64_t{0}, uint64_t{0}}) {
+      AppendU64(footer, v);
+    }
+    records += c.count;
+  }
+  AppendU64(footer, records);  // num_requests
+  AppendU64(footer, 0);        // start time
+  AppendU64(footer, 0);        // end time
+  for (int i = 0; i < 13; ++i) {
+    AppendU64(footer, 0);  // TraceStats
+  }
+  AppendU64(footer, 0);  // empty name
+  file += footer;
+  AppendU64(file, footer.size());
+  AppendU64(file, Fnv1a(footer));
+  file.append("MCTCEND2", 8);
+  return file;
 }
 
 TEST(ColumnarIoTest, RoundTripMaterializes) {
@@ -267,6 +312,50 @@ TEST(ColumnarIoTest, OpenRejectsCorruptFooter) {
   EXPECT_FALSE(error.empty());
   uint64_t identity[2];
   EXPECT_FALSE(ColumnarTraceIdentity(path, identity, &error));
+  std::remove(path.c_str());
+}
+
+// A footer with a valid checksum may still declare chunks the file does not
+// hold. Open must reject every directory that does not tile the bytes
+// between header and footer exactly, before anything is sized from the
+// declared extents — a 2^32-record chunk in a 244-byte file used to reach
+// requests.reserve(2^32) and throw std::bad_alloc out of ReadTraceColumnar.
+TEST(ColumnarIoTest, OpenRejectsChunkExtentBeyondFile) {
+  constexpr uint64_t kHeader = 8;
+  constexpr uint64_t kData = 20;
+  const std::string path = TempPath("extent.mctc");
+
+  // Control: a directory that tiles the data opens (decoding would fail
+  // the chunk checksum, but Open only validates structure).
+  WriteFileBytes(path, CraftMctc(kData, {{kHeader, kData, 1}}));
+  std::string error;
+  EXPECT_NE(ColumnarTraceSource::Open(path, &error), nullptr) << error;
+
+  const std::vector<std::vector<CraftedChunk>> bad = {
+      {{kHeader, 1ull << 32, 1ull << 32}},      // the 2^32-record chunk
+      {{kHeader + 4, kData, 1}},                // starts past the header
+      {{kHeader, kData + 1, 1}},                // ends inside the footer
+      {{kHeader, kData - 4, 1}},                // stops short of the footer
+      {{kHeader, 12, 1}, {kHeader + 4, 8, 1}},  // overlaps its predecessor
+      {{~0ull - 3, 8, 1}},                      // offset + bytes wraps past 2^64
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const std::string bytes = CraftMctc(kData, bad[i]);
+    if (i == 0) {
+      EXPECT_EQ(bytes.size(), size_t{244});
+    }
+    WriteFileBytes(path, bytes);
+    error.clear();
+    EXPECT_EQ(ColumnarTraceSource::Open(path, &error), nullptr) << "case " << i;
+    EXPECT_NE(error.find("chunk extent beyond file"), std::string::npos)
+        << "case " << i << ": " << error;
+    Trace back;
+    error.clear();
+    EXPECT_FALSE(ReadTraceColumnar(path, &back, &error)) << "case " << i;
+    EXPECT_NE(error.find("chunk extent beyond file"), std::string::npos)
+        << "case " << i << ": " << error;
+    EXPECT_TRUE(back.empty());
+  }
   std::remove(path.c_str());
 }
 
