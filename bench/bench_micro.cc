@@ -295,9 +295,10 @@ BENCHMARK(BM_CacheCoreBankWindowReplay)->Arg(48)->Unit(benchmark::kMillisecond);
 //
 // One iteration = one full analysis window through a bank: sampler
 // admission (hash once), SoA batch buffering, and the policy-templated
-// ReplayMiniSim kernel across every grid point. The BM_MiniSimWindow* group
-// measures each bank's end-to-end window cost; the per-policy MRC variants
-// show the devirtualized kernels previously exclusive to LRU (AsLruCache).
+// ReplayMiniSim kernel across every grid point — or, for LRU (Arg 0), the
+// bank's one-pass timeline over the whole grid. The BM_MiniSimWindow*
+// group measures each bank's end-to-end window cost; the per-policy MRC
+// variants compare the one-pass LRU replay with the per-grid kernels.
 
 const std::vector<Request>& MiniSimWindowStream() {
   static const std::vector<Request>* window = [] {

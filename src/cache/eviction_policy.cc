@@ -112,7 +112,6 @@ class LruPolicy final : public EvictionCache {
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override {
     return ReplayKernel(cache_, batch);
   }
-  LruCache* AsLruCache() override { return &cache_; }
 
  private:
   LruCache cache_;

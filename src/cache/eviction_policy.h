@@ -37,7 +37,6 @@
 
 namespace macaron {
 
-class LruCache;
 struct ReplayBatch;
 
 enum class EvictionPolicyKind {
@@ -106,15 +105,8 @@ class EvictionCache {
   // Replays a sampled batch with mini-sim semantics — Get counts and admits
   // on miss, Put inserts/refreshes, Delete erases — using the batch's
   // precomputed hash column. One virtual call per (grid point, batch); each
-  // policy runs a devirtualized inner loop over the SoA columns (the
-  // analyzer's hottest code), extending the AsLruCache fast path to every
-  // policy.
+  // policy runs a devirtualized inner loop over the SoA columns.
   virtual MiniSimStats ReplayMiniSim(const ReplayBatch& batch) = 0;
-
-  // Returns the underlying LruCache for kLru, nullptr otherwise. Callers
-  // replaying long runs against the default policy can resolve the concrete
-  // cache once and skip per-operation virtual dispatch.
-  virtual LruCache* AsLruCache() { return nullptr; }
 };
 
 // Factory. Capacity in bytes.

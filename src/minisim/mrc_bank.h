@@ -11,28 +11,69 @@
 // (the paper stores it in EFS between serverless invocations).
 //
 // Sampled requests are buffered into fixed-size SoA batches (see
-// replay_batch.h) carrying the sampler's admission hash, and each grid point
-// replays the batch against its own mini-cache through the policy's
-// devirtualized prehashed kernel (EvictionCache::ReplayMiniSim) — each
-// request is hashed exactly once, at Process()/ProcessColumns() time, for
-// all grid points. Grid points share no mutable state, so an optional
-// ThreadPool fans them across cores; parallel and sequential replay produce
-// bit-identical curves.
+// replay_batch.h) carrying the sampler's admission hash; each request is
+// hashed exactly once, at Process()/ProcessColumns() time, for all grid
+// points. How a batch replays depends on the policy.
+//
+// LRU (the default) replays every grid point in one pass over a shared
+// recency timeline. LRU is a stack policy: a GET or PUT leaves the object
+// most recent in every mini-cache that holds it, and every insertion
+// happens at such a touch, so each mini-cache's recency list is a
+// subsequence of one global order — the order of each live object's last
+// GET or PUT. The bank keeps that order as an append-only timeline (a touch
+// kills the object's old slot and appends a new one; one FlatIndex+NodeSlab
+// maps id -> size and slot), and per grid point i only its mini capacity
+// cap_i, its used bytes and an eviction floor_i. The exactness argument:
+//   * Grid point i holds exactly the live timeline entries at or above
+//     floor_i whose size fits cap_i. Its LRU tail is the lowest such entry,
+//     so eviction subtracts it and moves floor_i just past it.
+//   * A miss admits the object at the top where it fits, as LruCache does;
+//     an object larger than cap_i is never admitted, and the fit test keeps
+//     its top slot out of grid point i.
+//   * A PUT that grows a resident object past cap_i empties that grid point
+//     (LruCache::PutPrehashed evicts everything, the object last): used_i
+//     drops to 0 and floor_i moves past the top.
+//   * A DELETE leaves a hole: the slot dies and every grid point holding it
+//     gives back its bytes, but no floor moves, so nothing evicted earlier
+//     comes back. That is why Olken's ReuseDistanceAnalyzer, whose Remove
+//     shortens later distances, is not exact here, and why the hits of one
+//     request need not form an upper range of the grid: hit sets are not
+//     contiguous, so the hit test stays per grid point.
+//   * A GET whose size differs from a resident copy's is the one input a
+//     shared timeline cannot represent: the grid points holding the copy
+//     hit and keep the old size, the others admit the new one. On that GET
+//     the bank rebuilds per-grid LruCaches from the timeline (oldest entry
+//     first, so recency order and used bytes carry over) and replays the
+//     rest of the stream through them.
+// The timeline is compacted whenever its dead slots outnumber its live
+// ones, or its slots below every floor outnumber the rest (a scan kills no
+// slot); entries no grid point holds are dropped then, since a later touch
+// of them behaves exactly like a first touch. A sampled request thus costs
+// one index probe and one short pass over the grid's arrays, where the
+// per-grid replay costs one probe per grid point.
+//
+// FIFO, SLRU and S3-FIFO are not stack policies: each grid point replays
+// the batch against its own mini-cache through the policy's devirtualized
+// prehashed kernel (EvictionCache::ReplayMiniSim). Grid points share no
+// mutable state, so an optional ThreadPool fans them across cores; parallel
+// and sequential replay produce bit-identical curves.
 //
 // With set_async_replay(true) a full batch is swapped into a shadow buffer
-// and its grid fan-out is *submitted* to the pool instead of joined, so
-// replay overlaps whatever the calling thread does next (in the engines:
-// serving shards and decoding the next chunk). At most one batch is in
-// flight — the next flush joins the previous one first — so each grid
-// point still sees batches strictly in stream order, and EndWindow joins
-// before reading window counters; outputs are bit-identical to synchronous
-// replay at any thread count.
+// and its replay — one pool task for the LRU timeline, the grid fan-out
+// otherwise — is *submitted* instead of joined, so replay overlaps whatever
+// the calling thread does next (in the engines: serving shards and
+// decoding the next chunk). At most one batch is in flight — the next flush
+// joins the previous one first — so each grid point still sees batches
+// strictly in stream order, and EndWindow joins before reading window
+// counters; outputs are bit-identical to synchronous replay at any thread
+// count.
 
 #ifndef MACARON_SRC_MINISIM_MRC_BANK_H_
 #define MACARON_SRC_MINISIM_MRC_BANK_H_
 
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -67,10 +108,12 @@ class MrcBank {
   ~MrcBank();
 
   // Fans grid points across `pool` at batch boundaries; nullptr (the
-  // default) replays sequentially. Curves are identical either way.
+  // default) replays sequentially. Curves are identical either way. The
+  // LRU timeline replays in one pass and uses the pool only for async
+  // replay.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
-  // With a pool set, submit batch fan-outs instead of joining them (see
+  // With a pool set, submit batch replays instead of joining them (see
   // file comment). Off by default; curves are identical either way.
   void set_async_replay(bool async) { async_ = async; }
 
@@ -99,16 +142,30 @@ class MrcBank {
   const std::vector<uint64_t>& grid() const { return grid_; }
   double ratio() const { return ratio_; }
 
-  // Total slab slots ever materialized across all mini-caches (live +
-  // freelist). Once the bank reaches steady state this stops growing:
-  // windows reuse slab nodes instead of allocating (see slab_lru.h). The
-  // slab-reuse regression test pins that property.
+  // Total slab slots ever materialized across all mini-caches — or in the
+  // LRU timeline's one slab (live + freelist). Once the bank reaches steady
+  // state this stops growing: windows reuse slab nodes instead of
+  // allocating (see slab_lru.h). The slab-reuse regression test pins that
+  // property.
   size_t allocated_nodes() const;
 
+  // True while an LRU bank replays through the shared timeline, false for
+  // the other policies and once the size-mismatch fallback has rebuilt the
+  // per-grid caches (see file comment). Read between windows: async replay
+  // may switch it while a batch is in flight.
+  bool one_pass() const { return timeline_ != nullptr; }
+
+  // Times the LRU timeline has been compacted (0 without a timeline). Read
+  // between windows.
+  uint64_t timeline_compactions() const;
+
  private:
+  class LruTimeline;
+
   void FlushBatch();
   void JoinPending();
   void ReplayGridPoint(const ReplayBatch& batch, size_t i);
+  void ReplayTimeline(const ReplayBatch& batch);
 
   std::vector<uint64_t> grid_;
   double ratio_;
@@ -122,7 +179,8 @@ class MrcBank {
   // admitted row), reused across chunks.
   std::vector<uint32_t> idx_scratch_;
   std::vector<uint64_t> hash_scratch_;
-  std::vector<std::unique_ptr<EvictionCache>> caches_;
+  std::unique_ptr<LruTimeline> timeline_;  // kLru until the fallback, else null
+  std::vector<std::unique_ptr<EvictionCache>> caches_;  // empty while timeline_ is set
   std::vector<uint64_t> window_misses_;
   std::vector<uint64_t> window_missed_bytes_;
   uint64_t window_gets_ = 0;

@@ -1,11 +1,26 @@
 #include "src/pricing/price_book.h"
 
+#include <algorithm>
+
 namespace macaron {
 
 PriceBook PriceBook::WithEgressScale(double factor) const {
   PriceBook out = *this;
   out.egress_per_gb *= factor;
   out.name += "-egress-x" + std::to_string(factor);
+  return out;
+}
+
+PriceBook ScaledInfraPrices(const PriceBook& prices, double infra_scale) {
+  PriceBook out = prices;
+  out.vm_per_hour *= infra_scale;
+  out.cache_node_per_hour *= infra_scale;
+  out.lambda_per_gb_second *= infra_scale;
+  out.cache_node_usable_bytes = std::max<uint64_t>(
+      1, static_cast<uint64_t>(static_cast<double>(prices.cache_node_usable_bytes) * infra_scale));
+  out.flash_node_per_hour *= infra_scale;
+  out.flash_node_usable_bytes = std::max<uint64_t>(
+      1, static_cast<uint64_t>(static_cast<double>(prices.flash_node_usable_bytes) * infra_scale));
   return out;
 }
 

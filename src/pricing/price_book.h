@@ -93,6 +93,11 @@ struct PriceBook {
   static PriceBook Gcp(DeploymentScenario scenario);
 };
 
+// Returns `prices` with VM/node/Lambda rates and node memory scaled by
+// `infra_scale` (the engines' byte-scale correction; see
+// EngineConfig::infra_scale).
+PriceBook ScaledInfraPrices(const PriceBook& prices, double infra_scale);
+
 }  // namespace macaron
 
 #endif  // MACARON_SRC_PRICING_PRICE_BOOK_H_

@@ -139,10 +139,6 @@ struct EngineConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Returns `prices` with VM/node/Lambda rates and node memory scaled by
-// `infra_scale`.
-PriceBook ScaledInfraPrices(const PriceBook& prices, double infra_scale);
-
 }  // namespace macaron
 
 #endif  // MACARON_SRC_SIM_ENGINE_CONFIG_H_

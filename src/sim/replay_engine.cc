@@ -50,19 +50,6 @@ const char* ApproachName(Approach a) {
   }
 }
 
-PriceBook ScaledInfraPrices(const PriceBook& prices, double infra_scale) {
-  PriceBook out = prices;
-  out.vm_per_hour *= infra_scale;
-  out.cache_node_per_hour *= infra_scale;
-  out.lambda_per_gb_second *= infra_scale;
-  out.cache_node_usable_bytes = std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(prices.cache_node_usable_bytes) * infra_scale));
-  out.flash_node_per_hour *= infra_scale;
-  out.flash_node_usable_bytes = std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(prices.flash_node_usable_bytes) * infra_scale));
-  return out;
-}
-
 std::string RunResult::Summary() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),

@@ -1,5 +1,6 @@
 #include "src/sweep/result_store.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -66,10 +67,14 @@ bool ReadFramed(const std::string& path, std::string* payload) {
   const uint64_t size = GetU64Le(header + sizeof(kMagic));
   const uint64_t checksum = GetU64Le(header + sizeof(kMagic) + 8);
   // Size sanity cap: a RunResult blob is dominated by its latency samples;
-  // even pathological runs stay far under this. Rejecting absurd headers
-  // here avoids attempting a multi-gigabyte allocation on a corrupt file.
+  // even pathological runs stay far under this. The declared size must
+  // also equal the bytes actually left in the file, checked before the
+  // buffer is sized: otherwise a corrupt header on a 24-byte file would
+  // zero-fill up to 4 GiB before the read came up short.
   constexpr uint64_t kMaxPayloadBytes = 1ull << 32;
-  if (size > kMaxPayloadBytes) {
+  struct stat st {};
+  if (size > kMaxPayloadBytes || fstat(fileno(f), &st) != 0 ||
+      static_cast<uint64_t>(st.st_size) != kHeaderBytes + size) {
     std::fclose(f);
     return false;
   }

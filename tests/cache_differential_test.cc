@@ -13,6 +13,9 @@
 // allocated_nodes() stops growing once a cache — or a whole mini-cache
 // bank — reaches its steady-state population, so windowed analysis does no
 // per-request heap allocation.
+//
+// A third group pins MrcBank's one-pass LRU timeline to per-grid LruCache
+// replays of the same sampled stream, window by window and bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include "src/cloudsim/latency.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/common/zipf.h"
 #include "src/minisim/alc_bank.h"
 #include "src/minisim/mrc_bank.h"
@@ -37,6 +41,9 @@
 #include "src/minisim/ttl_bank.h"
 #include "src/trace/request.h"
 #include "src/trace/sampler.h"
+#include "src/trace/splitter.h"
+#include "src/trace/stream_source.h"
+#include "src/trace/synthetic.h"
 
 namespace macaron {
 namespace {
@@ -791,6 +798,341 @@ TEST(ColumnarObserveDifferentialTest, CompactAdmittedMatchesScalarSampler) {
       }
     }
     EXPECT_EQ(m, want) << "n=" << n;
+  }
+}
+
+// --- One-pass LRU timeline vs per-grid LruCache replay ---
+//
+// An LRU MrcBank replays every grid point in one pass over a shared
+// recency timeline; it must reproduce, window by window, the per-grid
+// LruCache replay it replaced. The reference samples with the bank's own
+// sampler, replays each admitted request into one LruCache per grid point
+// with mini-sim semantics, and folds its counters with EndWindow's
+// arithmetic, so the curves compare exactly.
+class PerGridLruReference {
+ public:
+  PerGridLruReference(std::vector<uint64_t> grid, double ratio, uint64_t salt)
+      : grid_(std::move(grid)), ratio_(ratio), sampler_(ratio, salt) {
+    for (const uint64_t capacity : grid_) {
+      caches_.emplace_back(std::max<uint64_t>(
+          1, static_cast<uint64_t>(static_cast<double>(capacity) * ratio_)));
+    }
+    misses_.assign(grid_.size(), 0);
+    missed_bytes_.assign(grid_.size(), 0);
+  }
+
+  void Process(const Request& r) {
+    ++requests_;
+    gets_ += r.op == Op::kGet ? 1 : 0;
+    if (!sampler_.Admit(r.id)) {
+      return;
+    }
+    sampled_gets_ += r.op == Op::kGet ? 1 : 0;
+    for (size_t i = 0; i < caches_.size(); ++i) {
+      LruCache& c = caches_[i];
+      switch (r.op) {
+        case Op::kGet:
+          if (!c.Get(r.id)) {
+            ++misses_[i];
+            missed_bytes_[i] += r.size;
+            c.Put(r.id, r.size);
+          }
+          break;
+        case Op::kPut:
+          c.Put(r.id, r.size);
+          break;
+        case Op::kDelete:
+          c.Erase(r.id);
+          break;
+      }
+    }
+  }
+
+  WindowCurves EndWindow() {
+    const double realized_rate =
+        (gets_ > 0 && sampled_gets_ > 0)
+            ? static_cast<double>(sampled_gets_) / static_cast<double>(gets_)
+            : ratio_;
+    std::vector<double> xs;
+    std::vector<double> mrc;
+    std::vector<double> bmc;
+    for (size_t i = 0; i < grid_.size(); ++i) {
+      xs.push_back(static_cast<double>(grid_[i]));
+      mrc.push_back(sampled_gets_ == 0
+                        ? 0.0
+                        : std::min(1.0, static_cast<double>(misses_[i]) /
+                                            static_cast<double>(sampled_gets_)));
+      bmc.push_back(static_cast<double>(missed_bytes_[i]) / realized_rate);
+    }
+    WindowCurves out;
+    out.mrc = Curve(xs, std::move(mrc));
+    out.bmc = Curve(std::move(xs), std::move(bmc));
+    out.sampled_gets = sampled_gets_;
+    out.window_requests = requests_;
+    std::fill(misses_.begin(), misses_.end(), 0);
+    std::fill(missed_bytes_.begin(), missed_bytes_.end(), 0);
+    requests_ = gets_ = sampled_gets_ = 0;
+    return out;
+  }
+
+ private:
+  std::vector<uint64_t> grid_;
+  double ratio_;
+  SpatialSampler sampler_;
+  std::vector<LruCache> caches_;
+  std::vector<uint64_t> misses_;
+  std::vector<uint64_t> missed_bytes_;
+  uint64_t requests_ = 0;
+  uint64_t gets_ = 0;
+  uint64_t sampled_gets_ = 0;
+};
+
+enum class BankFeed { kRows, kColumns, kAsyncRows };
+
+const char* BankFeedName(BankFeed feed) {
+  switch (feed) {
+    case BankFeed::kRows:
+      return "rows";
+    case BankFeed::kColumns:
+      return "columns";
+    case BankFeed::kAsyncRows:
+      return "async";
+  }
+  return "?";
+}
+
+constexpr BankFeed kAllFeeds[] = {BankFeed::kRows, BankFeed::kColumns, BankFeed::kAsyncRows};
+
+// GET/PUT/DELETE Zipf mix in which PUTs resize objects: most new sizes are
+// small (so a PUT grows or shrinks a resident object), `big_pct` percent
+// are large enough to fit only the larger grid points — or to grow a
+// resident object past a smaller one's capacity. GETs always carry the
+// object's current size, so the timeline never needs its fallback.
+std::vector<std::vector<Request>> ResizingWindows(uint64_t objects, int windows,
+                                                  uint64_t per_window, int put_pct,
+                                                  int delete_pct, int big_pct,
+                                                  uint64_t seed) {
+  Rng rng(seed);
+  ZipfSampler zipf(objects, 0.8);
+  std::vector<uint64_t> size(objects);
+  for (ObjectId id = 0; id < objects; ++id) {
+    size[id] = SizeOfId(id);
+  }
+  std::vector<std::vector<Request>> out(windows);
+  SimTime t = 0;
+  for (auto& window : out) {
+    for (uint64_t i = 0; i < per_window; ++i) {
+      const ObjectId id = zipf.Sample(rng);
+      const int roll = static_cast<int>(rng.NextU64() % 100);
+      Op op = Op::kGet;
+      if (roll < put_pct) {
+        op = Op::kPut;
+        size[id] = rng.NextU64() % 100 < static_cast<uint64_t>(big_pct)
+                       ? 60'000 + rng.NextU64() % 400'000
+                       : 1 + rng.NextU64() % 4096;
+      } else if (roll < put_pct + delete_pct) {
+        op = Op::kDelete;
+      }
+      window.push_back({t += 10, id, size[id], op});
+    }
+  }
+  return out;
+}
+
+// Feeds `windows` to a one-pass LRU bank (through `feed`) and to the
+// per-grid reference, comparing every window's curves exactly. Returns
+// the bank's timeline compaction count.
+uint64_t ExpectTimelineMatchesPerGrid(const std::vector<uint64_t>& grid, double ratio,
+                                      const std::vector<std::vector<Request>>& windows,
+                                      BankFeed feed, bool expect_one_pass = true) {
+  SCOPED_TRACE(BankFeedName(feed));
+  SCOPED_TRACE(ratio);
+  constexpr uint64_t kSalt = 0x5eed;
+  MrcBank bank(grid, ratio, kSalt);
+  PerGridLruReference ref(grid, ratio, kSalt);
+  ThreadPool pool(3);
+  if (feed == BankFeed::kAsyncRows) {
+    bank.set_thread_pool(&pool);
+    bank.set_async_replay(true);
+  }
+  EXPECT_TRUE(bank.one_pass());
+  for (size_t w = 0; w < windows.size(); ++w) {
+    if (feed == BankFeed::kColumns) {
+      FeedColumns(bank, windows[w], kOddChunk);
+    } else {
+      for (const Request& r : windows[w]) {
+        bank.Process(r);
+      }
+    }
+    for (const Request& r : windows[w]) {
+      ref.Process(r);
+    }
+    const WindowCurves got = bank.EndWindow();
+    const WindowCurves want = ref.EndWindow();
+    EXPECT_EQ(got.mrc.xs(), want.mrc.xs()) << "window " << w;
+    EXPECT_EQ(got.mrc.ys(), want.mrc.ys()) << "window " << w;
+    EXPECT_EQ(got.bmc.ys(), want.bmc.ys()) << "window " << w;
+    EXPECT_EQ(got.sampled_gets, want.sampled_gets) << "window " << w;
+    EXPECT_EQ(got.window_requests, want.window_requests) << "window " << w;
+  }
+  EXPECT_EQ(bank.one_pass(), expect_one_pass);
+  return bank.timeline_compactions();
+}
+
+TEST(LruTimelineDifferentialTest, GetPutDeleteMixes) {
+  const auto grid = UniformSizeGrid(20'000, 2'000'000, 16);
+  const auto windows = ResizingWindows(3000, 4, 12'000, /*put_pct=*/20, /*delete_pct=*/10,
+                                       /*big_pct=*/0, 71);
+  for (const BankFeed feed : kAllFeeds) {
+    for (const double ratio : {1.0, 0.5}) {
+      ExpectTimelineMatchesPerGrid(grid, ratio, windows, feed);
+    }
+  }
+}
+
+TEST(LruTimelineDifferentialTest, ResizingPutsAndLargeObjects) {
+  // Big PUTs grow resident objects past the smaller grid points (emptying
+  // them) and admit objects only the larger grid points fit; small PUTs
+  // shrink them again.
+  const auto grid = UniformSizeGrid(50'000, 3'000'000, 12);
+  const auto windows = ResizingWindows(2000, 4, 12'000, /*put_pct=*/30, /*delete_pct=*/5,
+                                       /*big_pct=*/15, 72);
+  for (const BankFeed feed : kAllFeeds) {
+    for (const double ratio : {1.0, 0.5}) {
+      ExpectTimelineMatchesPerGrid(grid, ratio, windows, feed);
+    }
+  }
+}
+
+TEST(LruTimelineDifferentialTest, ScriptedEdgeCases) {
+  // Grid points of 1000, 3000 and 10000 bytes at full sampling.
+  const std::vector<uint64_t> grid = {1000, 3000, 10'000};
+  const auto get = [](ObjectId id, uint64_t size) { return Request{0, id, size, Op::kGet}; };
+  const auto put = [](ObjectId id, uint64_t size) { return Request{0, id, size, Op::kPut}; };
+  const auto del = [](ObjectId id) { return Request{0, id, 0, Op::kDelete}; };
+  const std::vector<std::vector<Request>> windows = {
+      // Fill: 1000 evicts 1, the others hold 1..3.
+      {get(1, 400), get(2, 400), get(3, 400), get(1, 400), get(2, 400)},
+      // Grow resident 2 past 1000 (empties it) but not 3000; shrink it back.
+      {put(2, 2000), get(3, 400), get(2, 2000), put(2, 100), get(2, 100), get(1, 400)},
+      // DELETE leaves a hole that no earlier eviction refills.
+      {get(4, 300), del(3), get(5, 300), get(3, 400), get(2, 100), get(1, 400)},
+      // Objects that fit only 10000; PUT past every capacity on a resident
+      // object; a PUT of an absent object too large for everything.
+      {get(6, 5000), get(6, 5000), put(7, 2500), get(7, 2500), put(6, 20'000), get(6, 20'000),
+       put(8, 50'000), get(8, 50'000), get(7, 2500)},
+      // Zero-byte objects and re-deleting absent ones.
+      {get(9, 0), get(9, 0), del(9), del(9), get(9, 0), put(10, 0), get(1, 400)},
+  };
+  for (const BankFeed feed : kAllFeeds) {
+    ExpectTimelineMatchesPerGrid(grid, 1.0, windows, feed);
+  }
+}
+
+TEST(LruTimelineDifferentialTest, SizeMismatchFallsBackExactly) {
+  // A GET whose size disagrees with a resident copy: the grid points that
+  // hold the copy hit at the old size, the others admit the new one. The
+  // bank must rebuild per-grid caches there and stay exact afterwards.
+  const auto grid = UniformSizeGrid(20'000, 2'000'000, 16);
+  constexpr uint64_t kSalt = 0x5eed;
+  for (const double ratio : {1.0, 0.5}) {
+    auto windows = ResizingWindows(3000, 5, 10'000, 20, 5, 5, 73);
+    // An object the bank samples, made resident, then read at a new size
+    // mid-window.
+    const SpatialSampler sampler(ratio, kSalt);
+    ObjectId id = 0;
+    while (!sampler.Admit(id)) {
+      ++id;
+    }
+    auto& mid = windows[2];
+    mid.insert(mid.begin() + 5000, {Request{0, id, 900, Op::kPut}, Request{0, id, 900, Op::kGet},
+                                    Request{0, id, 901, Op::kGet}});
+    for (const BankFeed feed : kAllFeeds) {
+      ExpectTimelineMatchesPerGrid(grid, ratio, windows, feed, /*expect_one_pass=*/false);
+    }
+  }
+}
+
+TEST(LruTimelineDifferentialTest, LongStreamCompactsTimeline) {
+  // Every re-touch kills a timeline slot, so a long stream over a modest
+  // population compacts the timeline many times (dropping entries no grid
+  // point holds) between and within windows.
+  const auto grid = UniformSizeGrid(10'000, 1'000'000, 8);
+  const auto windows = ResizingWindows(1500, 6, 40'000, 15, 5, 2, 74);
+  for (const BankFeed feed : kAllFeeds) {
+    EXPECT_GT(ExpectTimelineMatchesPerGrid(grid, 1.0, windows, feed), 5u);
+  }
+}
+
+TEST(LruTimelineDifferentialTest, ScanStaysBounded) {
+  // A scan never re-touches an object, so no timeline slot dies; entries
+  // below every floor must still be compacted away, or the bank would keep
+  // one entry per distinct sampled object.
+  const auto grid = UniformSizeGrid(10'000, 1'000'000, 8);
+  std::vector<std::vector<Request>> windows(4);
+  ObjectId next = 0;
+  for (auto& window : windows) {
+    for (int i = 0; i < 50'000; ++i, ++next) {
+      window.push_back({0, next, SizeOfId(next), Op::kGet});
+    }
+  }
+  for (const BankFeed feed : kAllFeeds) {
+    EXPECT_GT(ExpectTimelineMatchesPerGrid(grid, 1.0, windows, feed), 0u);
+  }
+  MrcBank bank(grid, 1.0, 0);
+  for (const auto& window : windows) {
+    for (const Request& r : window) {
+      bank.Process(r);
+    }
+    bank.EndWindow();
+  }
+  // The 1 MB grid point holds ~480 of these ~2.1 KB objects.
+  EXPECT_LT(bank.allocated_nodes(), 4096u);
+}
+
+// The benchmark's inputs — SyntheticStreamSource streams and GenerateTrace
+// + SplitObjects traces — keep one size per object for GETs, so their LRU
+// banks never take the fallback.
+TEST(LruTimelineDifferentialTest, SyntheticInputsNeverFallBack) {
+  StreamProfile stream;
+  stream.num_requests = 400'000;
+  stream.population = 1 << 15;
+  stream.zipf_alpha = 0.9;
+  stream.mean_object_bytes = 1 << 20;
+  stream.put_fraction = 0.25;
+  stream.delete_fraction = 0.05;
+  stream.duration = 3 * kDay;
+  stream.drift_period = 6 * kHour;
+  stream.flash_at = kDay;
+  stream.flash_duration = 2 * kHour;
+  stream.seed = 75;
+  {
+    MrcBank bank(UniformSizeGrid(100'000'000, 40'000'000'000ull, 48), 0.1, 3);
+    SyntheticStreamSource source(stream, 8192);
+    ReplayBatch chunk;
+    int chunks = 0;
+    while (source.FillNext(&chunk)) {
+      bank.ProcessColumns(chunk, 0, chunk.size());
+      if (++chunks % 8 == 0) {
+        bank.EndWindow();
+      }
+    }
+    bank.EndWindow();
+    EXPECT_TRUE(bank.one_pass());
+  }
+  for (const char* name : {"ibm9", "ibm18", "ibm45", "ibm55", "ibm58", "ibm83"}) {
+    SCOPED_TRACE(name);
+    const WorkloadProfile p = ProfileByName(name);
+    const Trace trace = SplitObjects(GenerateTrace(p), p.max_object_bytes);
+    MrcBank bank(UniformSizeGrid(1'000'000, 4'000'000'000ull, 48), 0.05, 5);
+    for (size_t i = 0; i < trace.requests.size(); ++i) {
+      bank.Process(trace.requests[i]);
+      if (i % 20'000 == 19'999) {
+        bank.EndWindow();
+      }
+    }
+    bank.EndWindow();
+    EXPECT_TRUE(bank.one_pass());
   }
 }
 

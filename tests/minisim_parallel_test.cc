@@ -50,47 +50,59 @@ void ExpectCurvesIdentical(const Curve& a, const Curve& b) {
   }
 }
 
+// LRU banks replay through the one-pass timeline (one pool task per batch
+// at most); S3-FIFO banks fan grid points out across the pool. Both must
+// match sequential replay.
+constexpr EvictionPolicyKind kMrcPolicies[] = {EvictionPolicyKind::kLru,
+                                               EvictionPolicyKind::kS3Fifo};
+
 TEST(ParallelDeterminismTest, MrcBankBitIdenticalToSequential) {
   const Trace t = MixedStream(20000, 0.8, 60000, 1, 21);
   const auto grid = UniformSizeGrid(100'000, 10'000'000, 16);
-  MrcBank seq(grid, 0.5, 17);
-  MrcBank par(grid, 0.5, 17);
-  ThreadPool pool(4);
-  par.set_thread_pool(&pool);
-  // Two windows, each with ~15k sampled requests (several batch flushes).
-  for (int w = 0; w < 2; ++w) {
-    for (size_t i = 0; i < 30000; ++i) {
-      const Request& r = t.requests[w * 30000 + i];
-      seq.Process(r);
-      par.Process(r);
+  for (const EvictionPolicyKind kind : kMrcPolicies) {
+    SCOPED_TRACE(EvictionPolicyName(kind));
+    MrcBank seq(grid, 0.5, 17, kind);
+    MrcBank par(grid, 0.5, 17, kind);
+    ThreadPool pool(4);
+    par.set_thread_pool(&pool);
+    // Two windows, each with ~15k sampled requests (several batch flushes).
+    for (int w = 0; w < 2; ++w) {
+      for (size_t i = 0; i < 30000; ++i) {
+        const Request& r = t.requests[w * 30000 + i];
+        seq.Process(r);
+        par.Process(r);
+      }
+      const WindowCurves ws = seq.EndWindow();
+      const WindowCurves wp = par.EndWindow();
+      EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
+      EXPECT_EQ(ws.window_requests, wp.window_requests);
+      ExpectCurvesIdentical(ws.mrc, wp.mrc);
+      ExpectCurvesIdentical(ws.bmc, wp.bmc);
     }
-    const WindowCurves ws = seq.EndWindow();
-    const WindowCurves wp = par.EndWindow();
-    EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
-    EXPECT_EQ(ws.window_requests, wp.window_requests);
-    ExpectCurvesIdentical(ws.mrc, wp.mrc);
-    ExpectCurvesIdentical(ws.bmc, wp.bmc);
   }
 }
 
 TEST(ParallelDeterminismTest, MrcBankInvariantAcrossThreadCounts) {
   const Trace t = MixedStream(5000, 0.7, 20000, 1, 22);
   const auto grid = UniformSizeGrid(50'000, 5'000'000, 12);
-  MrcBank reference(grid, 0.5, 3);
-  for (const Request& r : t.requests) {
-    reference.Process(r);
-  }
-  const WindowCurves ref = reference.EndWindow();
-  for (int threads : {2, 3, 8}) {
-    MrcBank bank(grid, 0.5, 3);
-    ThreadPool pool(threads);
-    bank.set_thread_pool(&pool);
+  for (const EvictionPolicyKind kind : kMrcPolicies) {
+    SCOPED_TRACE(EvictionPolicyName(kind));
+    MrcBank reference(grid, 0.5, 3, kind);
     for (const Request& r : t.requests) {
-      bank.Process(r);
+      reference.Process(r);
     }
-    const WindowCurves w = bank.EndWindow();
-    ExpectCurvesIdentical(ref.mrc, w.mrc);
-    ExpectCurvesIdentical(ref.bmc, w.bmc);
+    const WindowCurves ref = reference.EndWindow();
+    for (int threads : {2, 3, 8}) {
+      MrcBank bank(grid, 0.5, 3, kind);
+      ThreadPool pool(threads);
+      bank.set_thread_pool(&pool);
+      for (const Request& r : t.requests) {
+        bank.Process(r);
+      }
+      const WindowCurves w = bank.EndWindow();
+      ExpectCurvesIdentical(ref.mrc, w.mrc);
+      ExpectCurvesIdentical(ref.bmc, w.bmc);
+    }
   }
 }
 
@@ -160,23 +172,26 @@ TEST(ParallelDeterminismTest, AsyncBankReplayBitIdenticalToSequential) {
   // next batch). EndWindow joins; curves must not drift by a bit.
   const Trace t = MixedStream(20000, 0.8, 60000, 1, 26);
   const auto grid = UniformSizeGrid(100'000, 10'000'000, 16);
-  MrcBank seq(grid, 0.5, 17);
-  MrcBank par(grid, 0.5, 17);
-  ThreadPool pool(4);
-  par.set_thread_pool(&pool);
-  par.set_async_replay(true);
-  for (int w = 0; w < 2; ++w) {
-    for (size_t i = 0; i < 30000; ++i) {
-      const Request& r = t.requests[w * 30000 + i];
-      seq.Process(r);
-      par.Process(r);
+  for (const EvictionPolicyKind kind : kMrcPolicies) {
+    SCOPED_TRACE(EvictionPolicyName(kind));
+    MrcBank seq(grid, 0.5, 17, kind);
+    MrcBank par(grid, 0.5, 17, kind);
+    ThreadPool pool(4);
+    par.set_thread_pool(&pool);
+    par.set_async_replay(true);
+    for (int w = 0; w < 2; ++w) {
+      for (size_t i = 0; i < 30000; ++i) {
+        const Request& r = t.requests[w * 30000 + i];
+        seq.Process(r);
+        par.Process(r);
+      }
+      const WindowCurves ws = seq.EndWindow();
+      const WindowCurves wp = par.EndWindow();
+      EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
+      EXPECT_EQ(ws.window_requests, wp.window_requests);
+      ExpectCurvesIdentical(ws.mrc, wp.mrc);
+      ExpectCurvesIdentical(ws.bmc, wp.bmc);
     }
-    const WindowCurves ws = seq.EndWindow();
-    const WindowCurves wp = par.EndWindow();
-    EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
-    EXPECT_EQ(ws.window_requests, wp.window_requests);
-    ExpectCurvesIdentical(ws.mrc, wp.mrc);
-    ExpectCurvesIdentical(ws.bmc, wp.bmc);
   }
 }
 

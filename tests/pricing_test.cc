@@ -93,6 +93,16 @@ TEST(PriceBookTest, WithEgressScale) {
   EXPECT_NEAR(p.egress_per_gb, 0.009, 1e-12);
 }
 
+TEST(ScaledInfraPricesTest, ScalesInfraOnly) {
+  const PriceBook p = PriceBook::Aws(DeploymentScenario::kCrossCloud);
+  const PriceBook s = ScaledInfraPrices(p, 0.001);
+  EXPECT_NEAR(s.vm_per_hour, p.vm_per_hour * 0.001, 1e-12);
+  EXPECT_NEAR(s.lambda_per_gb_second, p.lambda_per_gb_second * 0.001, 1e-15);
+  EXPECT_EQ(s.cache_node_usable_bytes, p.cache_node_usable_bytes / 1000);
+  EXPECT_DOUBLE_EQ(s.egress_per_gb, p.egress_per_gb);        // data prices untouched
+  EXPECT_DOUBLE_EQ(s.object_storage_per_gb_month, p.object_storage_per_gb_month);
+}
+
 TEST(PriceBookTest, OperationCosts) {
   const PriceBook p = PriceBook::Aws(DeploymentScenario::kCrossCloud);
   EXPECT_NEAR(p.GetCost(1000), 0.0004, 1e-12);

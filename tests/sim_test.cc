@@ -39,16 +39,6 @@ TEST(ApproachNameTest, AllNamed) {
   EXPECT_STREQ(ApproachName(Approach::kStaticTtl), "static-ttl");
 }
 
-TEST(ScaledInfraPricesTest, ScalesInfraOnly) {
-  const PriceBook p = PriceBook::Aws(DeploymentScenario::kCrossCloud);
-  const PriceBook s = ScaledInfraPrices(p, 0.001);
-  EXPECT_NEAR(s.vm_per_hour, p.vm_per_hour * 0.001, 1e-12);
-  EXPECT_NEAR(s.lambda_per_gb_second, p.lambda_per_gb_second * 0.001, 1e-15);
-  EXPECT_EQ(s.cache_node_usable_bytes, p.cache_node_usable_bytes / 1000);
-  EXPECT_DOUBLE_EQ(s.egress_per_gb, p.egress_per_gb);        // data prices untouched
-  EXPECT_DOUBLE_EQ(s.object_storage_per_gb_month, p.object_storage_per_gb_month);
-}
-
 TEST(RemoteTest, EgressEqualsGetBytes) {
   const Trace t = SmallTrace();
   const TraceStats s = ComputeStats(t);

@@ -3,6 +3,7 @@
 // and fingerprint stability/sensitivity.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <filesystem>
@@ -498,6 +499,74 @@ TEST(ResultStoreTest, CorruptFileTriggersReExecution) {
     EXPECT_EQ(SerializeRunResult(sched.Result(id)), first_blob)
         << "re-executed result must match the original run";
     EXPECT_FALSE(sched.Metrics(id).cache_hit) << "corrupt file must not be served";
+    EXPECT_EQ(sched.stats().store_hits, 0u);
+    EXPECT_EQ(sched.stats().executed, 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Peak resident set of this process so far, in KiB (Linux ru_maxrss).
+long PeakRssKib() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(ResultStoreTest, HugeDeclaredSizeIsACheapMiss) {
+  // A bare 24-byte header declaring a 2^32 - 1 byte payload must read as a
+  // miss without sizing a buffer from the header: the declared size is
+  // checked against the file first, so the Load costs no memory, and the
+  // scheduler re-executes the job.
+  const std::string dir = TempStoreDir("store_huge_header");
+  auto trace = std::make_shared<const Trace>(SmallTrace("huge-header", 37));
+  sweep::SweepJobSpec spec;
+  spec.trace = trace;
+  spec.trace_name = trace->name;
+  spec.config = SmallConfig(Approach::kMacaronNoCluster);
+
+  std::string first_blob;
+  {
+    sweep::SweepScheduler::Options opt;
+    opt.threads = 1;
+    opt.store_dir = dir;
+    sweep::SweepScheduler sched(std::move(opt));
+    first_blob = SerializeRunResult(sched.Result(sched.Submit(spec)));
+  }
+
+  std::string header = "MRSF0001";
+  const uint64_t declared = (1ull << 32) - 1;
+  for (int i = 0; i < 8; ++i) {
+    header.push_back(static_cast<char>((declared >> (8 * i)) & 0xff));
+  }
+  header.append(8, '\0');  // checksum
+  ASSERT_EQ(header.size(), 24u);
+  std::vector<std::string> keys;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    keys.push_back(entry.path().stem().string());
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  }
+  ASSERT_FALSE(keys.empty());
+
+  {
+    sweep::ResultStore store(dir);
+    RunResult loaded;
+    const long before_kib = PeakRssKib();
+    for (const std::string& key : keys) {
+      EXPECT_FALSE(store.Load(key, &loaded)) << key;
+    }
+    EXPECT_LT(PeakRssKib() - before_kib, 64 * 1024) << "Load sized a buffer from the header";
+    EXPECT_EQ(store.misses(), keys.size());
+  }
+
+  {
+    sweep::SweepScheduler::Options opt;
+    opt.threads = 1;
+    opt.store_dir = dir;
+    sweep::SweepScheduler sched(std::move(opt));
+    const size_t id = sched.Submit(spec);
+    EXPECT_EQ(SerializeRunResult(sched.Result(id)), first_blob);
+    EXPECT_FALSE(sched.Metrics(id).cache_hit);
     EXPECT_EQ(sched.stats().store_hits, 0u);
     EXPECT_EQ(sched.stats().executed, 1u);
   }
