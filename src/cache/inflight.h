@@ -4,8 +4,10 @@
 // completes, Macaron's cache engine delays the duplicate instead of issuing
 // a second egress-charged fetch (§5.2). The delayed request still
 // experiences remote-access latency. This table tracks outstanding fetch
-// completion times per object; both the engines and the latency mini-caches
-// consult it (the "false positive hit" fix of Fig 5b).
+// completion times per object for the engines; the ALC mini-simulation
+// keeps the same completion times, with the same Pending/Insert/Erase
+// semantics, in its per-slot rows (alc_bank.h) — the "false positive hit"
+// fix of Fig 5b.
 //
 // Coalescing is only correct while the cached object the fill targets still
 // exists: if the object is deleted or evicted before the fetch completes,
@@ -114,9 +116,8 @@ class InflightTable {
     }
   }
 
-  // Attaches coalescing counters; nullptr (the default) detaches. The ALC
-  // mini-sim's per-level tables never register, so their request-path cost
-  // stays a null check.
+  // Attaches coalescing counters; nullptr (the default) detaches, so an
+  // unregistered table's request-path cost stays a null check.
   void RegisterMetrics(obs::MetricsRegistry* registry) {
     if (registry == nullptr) {
       m_inserts_ = nullptr;

@@ -9,8 +9,130 @@ namespace macaron {
 
 namespace {
 constexpr size_t kBatchCapacity = 4096;  // sampled requests per replay fan-out
-constexpr size_t kPrefetchAhead = 8;     // see ReplayKernel (eviction_policy.cc)
+constexpr size_t kPrefetchAhead = 8;     // rows prefetched ahead in the replay loop
+
+// Level indices into a SlotRow's per-level fields.
+constexpr int kCluster = 0;
+constexpr int kOsc = 1;
+
+// Resident size of a slot no level holds; request sizes must stay below it.
+constexpr uint64_t kAbsent = ~0ull;
+// Completion of a slot with no fetch in flight; never later than a request.
+constexpr SimTime kNoFetch = std::numeric_limits<SimTime>::min();
+// SlabNode::stamp of a slot the index maps an id to (0 once freed).
+constexpr uint64_t kLiveSlot = 1;
+
+// One slot's state at one grid point.
+struct SlotRow {
+  uint64_t size[2] = {kAbsent, kAbsent};  // resident bytes per level
+  SimTime completion = kNoFetch;          // in-flight remote fetch
+  uint32_t prev[2] = {kNilNode, kNilNode};
+  uint32_t next[2] = {kNilNode, kNilNode};
+};
+static_assert(sizeof(SlotRow) == 40, "SlotRow should pack into 40 bytes");
+
+// One level's LRU list over a grid point's rows (head = MRU), with the
+// byte accounting of LruCache.
+struct LevelList {
+  uint64_t capacity = 0;
+  uint64_t used = 0;
+  uint32_t head = kNilNode;
+  uint32_t tail = kNilNode;
+};
+
+template <int L>
+void PushFront(SlotRow* rows, LevelList& list, uint32_t s) {
+  rows[s].prev[L] = kNilNode;
+  rows[s].next[L] = list.head;
+  if (list.head != kNilNode) {
+    rows[list.head].prev[L] = s;
+  } else {
+    list.tail = s;
+  }
+  list.head = s;
+}
+
+template <int L>
+void Unlink(SlotRow* rows, LevelList& list, uint32_t s) {
+  const uint32_t prev = rows[s].prev[L];
+  const uint32_t next = rows[s].next[L];
+  if (prev != kNilNode) {
+    rows[prev].next[L] = next;
+  } else {
+    list.head = next;
+  }
+  if (next != kNilNode) {
+    rows[next].prev[L] = prev;
+  } else {
+    list.tail = prev;
+  }
+}
+
+template <int L>
+void MoveToFront(SlotRow* rows, LevelList& list, uint32_t s) {
+  if (list.head != s) {
+    Unlink<L>(rows, list, s);
+    PushFront<L>(rows, list, s);
+  }
+}
+
+// LruCache::EvictToFit: drops LRU entries until `incoming` more bytes fit
+// or the level is empty.
+template <int L>
+void EvictToFit(SlotRow* rows, LevelList& list, uint64_t incoming) {
+  while (list.used + incoming > list.capacity && list.tail != kNilNode) {
+    const uint32_t victim = list.tail;
+    list.used -= rows[victim].size[L];
+    rows[victim].size[L] = kAbsent;
+    Unlink<L>(rows, list, victim);
+  }
+}
+
+// LruCache::PutPrehashed: a resident copy is resized and moved to MRU,
+// evicting down (the object itself last) if it no longer fits; an absent
+// object is admitted only if it fits the capacity.
+template <int L>
+void Put(SlotRow* rows, LevelList& list, uint32_t s, uint64_t size) {
+  SlotRow& row = rows[s];
+  if (row.size[L] != kAbsent) {
+    list.used = list.used - row.size[L] + size;
+    row.size[L] = size;
+    MoveToFront<L>(rows, list, s);
+    if (list.used > list.capacity) {
+      EvictToFit<L>(rows, list, 0);
+    }
+    return;
+  }
+  if (size > list.capacity) {
+    return;
+  }
+  EvictToFit<L>(rows, list, size);
+  PushFront<L>(rows, list, s);
+  row.size[L] = size;
+  list.used += size;
+}
+
+template <int L>
+void Erase(SlotRow* rows, LevelList& list, uint32_t s) {
+  if (rows[s].size[L] != kAbsent) {
+    list.used -= rows[s].size[L];
+    rows[s].size[L] = kAbsent;
+    Unlink<L>(rows, list, s);
+  }
+}
+
+uint64_t MiniCapacity(uint64_t capacity, double ratio) {
+  return std::max<uint64_t>(1, static_cast<uint64_t>(static_cast<double>(capacity) * ratio));
+}
+
 }  // namespace
+
+struct AlcBank::GridPoint {
+  std::vector<SlotRow> rows;  // indexed by slot
+  LevelList level[2];         // kCluster, kOsc
+  double latency_sum_ms = 0.0;
+  AlcLevelCounts counts;
+};
 
 AlcBank::AlcBank(std::vector<uint64_t> cluster_grid, uint64_t osc_capacity, double ratio,
                  uint64_t salt, const LatencySampler* latency, uint64_t seed)
@@ -23,18 +145,16 @@ AlcBank::AlcBank(std::vector<uint64_t> cluster_grid, uint64_t osc_capacity, doub
   MACARON_CHECK(latency_ != nullptr);
   for (PendingBatch* b : {&filling_, &replaying_}) {
     b->batch.Reserve(kBatchCapacity);
+    b->slots.reserve(kBatchCapacity);
     b->lat_cluster.reserve(kBatchCapacity);
     b->lat_osc.reserve(kBatchCapacity);
     b->lat_remote.reserve(kBatchCapacity);
   }
-  const uint64_t mini_osc = std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(osc_capacity) * ratio_));
-  levels_.reserve(grid_.size());
-  for (uint64_t capacity : grid_) {
-    const uint64_t mini_cluster = std::max<uint64_t>(
-        1, static_cast<uint64_t>(static_cast<double>(capacity) * ratio_));
-    levels_.push_back(Level{LruCache(mini_cluster), LruCache(mini_osc), InflightTable{}, 0.0,
-                            AlcLevelCounts{}});
+  const uint64_t mini_osc = MiniCapacity(osc_capacity, ratio_);
+  points_.resize(grid_.size());
+  for (size_t i = 0; i < grid_.size(); ++i) {
+    points_[i].level[kCluster].capacity = MiniCapacity(grid_[i], ratio_);
+    points_[i].level[kOsc].capacity = mini_osc;
   }
 }
 
@@ -45,22 +165,19 @@ AlcBank::~AlcBank() {
 
 void AlcBank::SetOscCapacity(uint64_t osc_capacity) {
   // Resizing applies from this point in the stream: replay what came before
-  // (and wait for it — the in-flight fan-out reads the L2s being resized).
+  // (and wait for it — the in-flight fan-out reads the OSC levels).
   FlushBatch();
   JoinPending();
-  const uint64_t mini_osc = std::max<uint64_t>(
-      1, static_cast<uint64_t>(static_cast<double>(osc_capacity) * ratio_));
-  for (Level& level : levels_) {
-    level.osc.Resize(mini_osc);
+  const uint64_t mini_osc = MiniCapacity(osc_capacity, ratio_);
+  for (GridPoint& g : points_) {
+    g.level[kOsc].capacity = mini_osc;
+    EvictToFit<kOsc>(g.rows.data(), g.level[kOsc], 0);
   }
 }
 
 void AlcBank::Process(const Request& r) {
-  if (r.op == Op::kGet) {
-    ++window_gets_;
-  }
-  // One hash for admission and for both mini-cache levels of every grid
-  // point (SHARDS hash reuse; see sampler.h).
+  // One hash for admission and for the bank's slot index (SHARDS hash
+  // reuse; see sampler.h).
   const uint64_t hash = sampler_.Hash(r.id);
   if (!sampler_.AdmitHashed(hash)) {
     return;
@@ -86,9 +203,6 @@ void AlcBank::ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end)
   const size_t n = end - begin;
   if (n == 0) {
     return;
-  }
-  for (size_t k = begin; k < end; ++k) {
-    window_gets_ += static_cast<uint64_t>(chunk.ops[k] == Op::kGet);
   }
   if (idx_scratch_.size() < n) {
     idx_scratch_.resize(n);
@@ -137,58 +251,71 @@ void AlcBank::ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end)
 }
 
 void AlcBank::ReplayGridPoint(const PendingBatch& b, size_t i) {
-  Level& level = levels_[i];
+  GridPoint& g = points_[i];
+  SlotRow* rows = g.rows.data();
+  // Level lists, counters and the latency sum live in locals for the batch
+  // and are written back once (grid points run on pool threads, and
+  // neighbouring GridPoints share cache lines). The latency sum starts from
+  // the running value, so its additions are the same, in the same order.
+  LevelList cluster = g.level[kCluster];
+  LevelList osc = g.level[kOsc];
+  AlcLevelCounts counts = g.counts;
+  double latency_sum_ms = g.latency_sum_ms;
   const size_t n = b.batch.size();
   for (size_t k = 0; k < n; ++k) {
     if (k + kPrefetchAhead < n) {
-      // Cluster level only: every request probes it, while the OSC level
-      // is reached on cluster misses. Prefetching both indexes here was
-      // measurably slower — the extra stream evicts more than it hides.
-      level.cluster.PrefetchPrehashed(b.batch.hashes[k + kPrefetchAhead]);
+      __builtin_prefetch(rows + b.slots[k + kPrefetchAhead]);
     }
-    const ObjectId id = b.batch.ids[k];
-    const uint64_t hash = b.batch.hashes[k];
+    const uint32_t s = b.slots[k];
+    SlotRow& row = rows[s];
     const uint64_t size = b.batch.sizes[k];
     const SimTime time = b.batch.times[k];
     switch (b.batch.ops[k]) {
       case Op::kGet: {
-        if (auto completion = level.inflight.Pending(id, time)) {
+        if (row.completion > time) {
           // The object was admitted at request time but its fetch is still
           // in flight: the duplicate access waits for that completion (the
           // false-positive-hit correction of Fig 5b).
-          level.latency_sum_ms += static_cast<double>(*completion - time);
-          ++level.counts.delayed_hits;
+          latency_sum_ms += static_cast<double>(row.completion - time);
+          ++counts.delayed_hits;
           break;
         }
-        if (level.cluster.GetPrehashed(id, hash)) {
-          level.latency_sum_ms += b.lat_cluster[k];
-          ++level.counts.cluster_hits;
+        row.completion = kNoFetch;  // an expired fetch is cleared
+        if (row.size[kCluster] != kAbsent) {
+          MoveToFront<kCluster>(rows, cluster, s);
+          latency_sum_ms += b.lat_cluster[k];
+          ++counts.cluster_hits;
           break;
         }
-        if (level.osc.GetPrehashed(id, hash)) {
-          level.latency_sum_ms += b.lat_osc[k];
-          ++level.counts.osc_hits;
-          level.cluster.PutPrehashed(id, hash, size);  // promote
+        if (row.size[kOsc] != kAbsent) {
+          MoveToFront<kOsc>(rows, osc, s);
+          latency_sum_ms += b.lat_osc[k];
+          ++counts.osc_hits;
+          Put<kCluster>(rows, cluster, s, size);  // promote
           break;
         }
-        level.latency_sum_ms += b.lat_remote[k];
-        ++level.counts.remote_misses;
-        level.inflight.Insert(id, time + static_cast<SimTime>(b.lat_remote[k]));
-        level.osc.PutPrehashed(id, hash, size);
-        level.cluster.PutPrehashed(id, hash, size);
+        latency_sum_ms += b.lat_remote[k];
+        ++counts.remote_misses;
+        row.completion = time + static_cast<SimTime>(b.lat_remote[k]);
+        Put<kOsc>(rows, osc, s, size);
+        Put<kCluster>(rows, cluster, s, size);
         break;
       }
       case Op::kPut:
-        level.osc.PutPrehashed(id, hash, size);
-        level.cluster.PutPrehashed(id, hash, size);
+        Put<kOsc>(rows, osc, s, size);
+        Put<kCluster>(rows, cluster, s, size);
         break;
       case Op::kDelete:
-        level.osc.ErasePrehashed(id, hash);
-        level.cluster.ErasePrehashed(id, hash);
-        level.inflight.Erase(id);
+        Erase<kOsc>(rows, osc, s);
+        Erase<kCluster>(rows, cluster, s);
+        row.completion = kNoFetch;
         break;
     }
   }
+  g.level[kCluster] = cluster;
+  g.level[kOsc] = osc;
+  g.counts = counts;
+  g.latency_sum_ms = latency_sum_ms;
 }
 
 void AlcBank::JoinPending() {
@@ -196,6 +323,69 @@ void AlcBank::JoinPending() {
     f.get();
   }
   pending_.clear();
+}
+
+void AlcBank::MaybeReclaimSlots() {
+  if (slab_.live_nodes() < std::max(2 * live_after_scan_, kBatchCapacity)) {
+    return;
+  }
+  // A slot is held while some grid point keeps it resident at either
+  // level or has a fetch for it completing after the newest replayed time
+  // (which no later request predates).
+  const size_t slots = slab_.allocated_nodes();
+  std::vector<uint8_t> held(slots, 0);
+  for (const GridPoint& g : points_) {
+    const SlotRow* rows = g.rows.data();
+    for (size_t s = 0; s < slots; ++s) {
+      held[s] |= static_cast<uint8_t>((rows[s].size[kCluster] != kAbsent) |
+                                      (rows[s].size[kOsc] != kAbsent) |
+                                      (rows[s].completion > newest_time_));
+    }
+  }
+  std::vector<uint32_t> freed;
+  for (uint32_t s = 0; s < slots; ++s) {
+    SlabNode& node = slab_.node(s);
+    if (held[s] == 0 && node.stamp == kLiveSlot) {
+      index_.EraseCell(node.cell, &slab_);
+      node.stamp = 0;
+      slab_.Free(s);
+      freed.push_back(s);
+    }
+  }
+  for (GridPoint& g : points_) {
+    for (const uint32_t s : freed) {
+      g.rows[s] = SlotRow{};
+    }
+  }
+  live_after_scan_ = slab_.live_nodes();
+  scan_time_ = newest_time_;
+}
+
+void AlcBank::ResolveSlots(PendingBatch& b) {
+  const size_t n = b.batch.size();
+  b.slots.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    if (k + kPrefetchAhead < n) {
+      index_.PrefetchPrehashed(b.batch.hashes[k + kPrefetchAhead]);
+    }
+    MACARON_CHECK(b.batch.sizes[k] != kAbsent);
+    MACARON_DCHECK(b.batch.times[k] >= scan_time_);  // reclamation's precondition
+    newest_time_ = std::max(newest_time_, b.batch.times[k]);
+    const ObjectId id = b.batch.ids[k];
+    const uint64_t hash = b.batch.hashes[k];
+    uint32_t s = index_.FindPrehashed(id, hash);
+    if (s == FlatIndex::kEmpty) {
+      s = slab_.Allocate(id, 0, kLiveSlot);
+      index_.EmplacePrehashed(id, hash, s, &slab_);
+    }
+    b.slots[k] = s;
+  }
+  const size_t slots = slab_.allocated_nodes();
+  for (GridPoint& g : points_) {
+    if (g.rows.size() < slots) {
+      g.rows.resize(slots);
+    }
+  }
 }
 
 void AlcBank::FlushBatch() {
@@ -208,10 +398,13 @@ void AlcBank::FlushBatch() {
     m_batches_->Inc();
     m_batch_requests_->Inc(filling_.batch.size());
   }
+  // One batch in flight at most: grid-point state persists across batches,
+  // so batch N+1 must not replay before batch N finishes — and the slot
+  // index and rows change only after that join.
+  JoinPending();
+  MaybeReclaimSlots();
+  ResolveSlots(filling_);
   if (pool_ != nullptr && async_) {
-    // One batch in flight at most: grid-point state persists across
-    // batches, so batch N+1 must not replay before batch N finishes.
-    JoinPending();
     std::swap(filling_, replaying_);
     pool_->ParallelForAsync(
         grid_.size(), [this](size_t i) { ReplayGridPoint(replaying_, i); }, pending_);
@@ -225,17 +418,9 @@ void AlcBank::FlushBatch() {
   filling_.Clear();
 }
 
-size_t AlcBank::allocated_nodes() const {
-  size_t total = 0;
-  for (const Level& level : levels_) {
-    total += level.cluster.allocated_nodes() + level.osc.allocated_nodes();
-  }
-  return total;
-}
-
 AlcWindow AlcBank::EndWindow() {
   FlushBatch();
-  JoinPending();  // level sums/counters below are written by the fan-out tasks
+  JoinPending();  // grid-point sums/counters below are written by the fan-out tasks
   AlcWindow out;
   std::vector<double> xs;
   std::vector<double> ys;
@@ -243,17 +428,16 @@ AlcWindow AlcBank::EndWindow() {
   ys.reserve(grid_.size());
   out.level_counts.reserve(grid_.size());
   for (size_t i = 0; i < grid_.size(); ++i) {
-    Level& level = levels_[i];
-    const uint64_t n = level.counts.total();
+    GridPoint& g = points_[i];
+    const uint64_t n = g.counts.total();
     xs.push_back(static_cast<double>(grid_[i]));
-    ys.push_back(n == 0 ? 0.0 : level.latency_sum_ms / static_cast<double>(n));
-    out.level_counts.push_back(level.counts);
-    level.latency_sum_ms = 0.0;
-    level.counts = AlcLevelCounts{};
+    ys.push_back(n == 0 ? 0.0 : g.latency_sum_ms / static_cast<double>(n));
+    out.level_counts.push_back(g.counts);
+    g.latency_sum_ms = 0.0;
+    g.counts = AlcLevelCounts{};
   }
   out.alc = Curve(std::move(xs), std::move(ys));
   out.sampled_gets = out.level_counts.empty() ? 0 : out.level_counts.front().total();
-  window_gets_ = 0;
   return out;
 }
 

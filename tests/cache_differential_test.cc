@@ -15,7 +15,9 @@
 // per-request heap allocation.
 //
 // A third group pins MrcBank's one-pass LRU timeline to per-grid LruCache
-// replays of the same sampled stream, window by window and bit for bit.
+// replays of the same sampled stream, window by window and bit for bit, and
+// a fourth pins AlcBank's slot-row replay to per-grid LruCache +
+// InflightTable replays.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
+#include "src/cache/inflight.h"
 #include "src/cache/lru_cache.h"
 #include "src/cache/reference_caches.h"
 #include "src/cache/replay_batch.h"
@@ -1133,6 +1136,366 @@ TEST(LruTimelineDifferentialTest, SyntheticInputsNeverFallBack) {
     }
     bank.EndWindow();
     EXPECT_TRUE(bank.one_pass());
+  }
+}
+
+// --- ALC slot rows vs per-grid LruCache + InflightTable replay ---
+//
+// AlcBank replays each grid point over dense slot rows; it must reproduce,
+// window by window and bit for bit, the replay it replaced: per grid point
+// one LruCache per level and one InflightTable. The reference samples with
+// the bank's sampler, draws latencies from its own Rng seeded like the
+// bank's, in stream order, replays each admitted request at once (batching
+// never reorders a grid point's requests) and folds its counters with
+// EndWindow's arithmetic.
+class PerGridAlcReference {
+ public:
+  PerGridAlcReference(const std::vector<uint64_t>& grid, uint64_t osc_capacity, double ratio,
+                      uint64_t salt, const LatencySampler* latency, uint64_t seed)
+      : grid_(grid), ratio_(ratio), sampler_(ratio, salt), latency_(latency), rng_(seed) {
+    for (const uint64_t capacity : grid_) {
+      levels_.push_back(Level{LruCache(Mini(capacity)), LruCache(Mini(osc_capacity)),
+                              InflightTable{}, 0.0, AlcLevelCounts{}});
+    }
+  }
+
+  void SetOscCapacity(uint64_t osc_capacity) {
+    for (Level& level : levels_) {
+      level.osc.Resize(Mini(osc_capacity));
+    }
+  }
+
+  void Process(const Request& r) {
+    if (!sampler_.Admit(r.id)) {
+      return;
+    }
+    double lat_cluster = 0.0;
+    double lat_osc = 0.0;
+    double lat_remote = 0.0;
+    if (r.op == Op::kGet) {
+      lat_cluster = latency_->SampleMs(DataSource::kCacheCluster, r.size, rng_);
+      lat_osc = latency_->SampleMs(DataSource::kOsc, r.size, rng_);
+      lat_remote = latency_->SampleMs(DataSource::kRemoteLake, r.size, rng_);
+    }
+    for (Level& level : levels_) {
+      switch (r.op) {
+        case Op::kGet:
+          if (auto completion = level.inflight.Pending(r.id, r.time)) {
+            level.latency_sum_ms += static_cast<double>(*completion - r.time);
+            ++level.counts.delayed_hits;
+          } else if (level.cluster.Get(r.id)) {
+            level.latency_sum_ms += lat_cluster;
+            ++level.counts.cluster_hits;
+          } else if (level.osc.Get(r.id)) {
+            level.latency_sum_ms += lat_osc;
+            ++level.counts.osc_hits;
+            level.cluster.Put(r.id, r.size);
+          } else {
+            level.latency_sum_ms += lat_remote;
+            ++level.counts.remote_misses;
+            level.inflight.Insert(r.id, r.time + static_cast<SimTime>(lat_remote));
+            level.osc.Put(r.id, r.size);
+            level.cluster.Put(r.id, r.size);
+          }
+          break;
+        case Op::kPut:
+          level.osc.Put(r.id, r.size);
+          level.cluster.Put(r.id, r.size);
+          break;
+        case Op::kDelete:
+          level.osc.Erase(r.id);
+          level.cluster.Erase(r.id);
+          level.inflight.Erase(r.id);
+          break;
+      }
+    }
+  }
+
+  AlcWindow EndWindow() {
+    AlcWindow out;
+    std::vector<double> xs;
+    std::vector<double> ys;
+    for (size_t i = 0; i < grid_.size(); ++i) {
+      Level& level = levels_[i];
+      const uint64_t n = level.counts.total();
+      xs.push_back(static_cast<double>(grid_[i]));
+      ys.push_back(n == 0 ? 0.0 : level.latency_sum_ms / static_cast<double>(n));
+      out.level_counts.push_back(level.counts);
+      level.latency_sum_ms = 0.0;
+      level.counts = AlcLevelCounts{};
+    }
+    out.alc = Curve(std::move(xs), std::move(ys));
+    out.sampled_gets = out.level_counts.front().total();
+    return out;
+  }
+
+ private:
+  struct Level {
+    LruCache cluster;
+    LruCache osc;
+    InflightTable inflight;
+    double latency_sum_ms = 0.0;
+    AlcLevelCounts counts;
+  };
+
+  uint64_t Mini(uint64_t capacity) const {
+    return std::max<uint64_t>(1, static_cast<uint64_t>(static_cast<double>(capacity) * ratio_));
+  }
+
+  std::vector<uint64_t> grid_;
+  double ratio_;
+  SpatialSampler sampler_;
+  const LatencySampler* latency_;
+  Rng rng_;
+  std::vector<Level> levels_;
+};
+
+// A stretch of stream, then an optional OSC resize, then (by default) the
+// window's end.
+struct AlcStep {
+  std::vector<Request> requests;
+  uint64_t osc_capacity = 0;  // SetOscCapacity after the requests when nonzero
+  bool end_window = true;
+};
+
+void ExpectAlcWindowsEqual(const AlcWindow& got, const AlcWindow& want, int window) {
+  SCOPED_TRACE(window);
+  EXPECT_EQ(got.sampled_gets, want.sampled_gets);
+  EXPECT_EQ(got.alc.xs(), want.alc.xs());
+  EXPECT_EQ(got.alc.ys(), want.alc.ys());  // exact: same additions, same order
+  ASSERT_EQ(got.level_counts.size(), want.level_counts.size());
+  for (size_t i = 0; i < got.level_counts.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.level_counts[i].cluster_hits, want.level_counts[i].cluster_hits);
+    EXPECT_EQ(got.level_counts[i].osc_hits, want.level_counts[i].osc_hits);
+    EXPECT_EQ(got.level_counts[i].remote_misses, want.level_counts[i].remote_misses);
+    EXPECT_EQ(got.level_counts[i].delayed_hits, want.level_counts[i].delayed_hits);
+  }
+}
+
+struct AlcRunSummary {
+  size_t allocated_nodes = 0;
+  uint64_t delayed_hits = 0;  // over every window and grid point
+};
+
+// Feeds `steps` to an AlcBank (through `feed`) and to the per-grid
+// reference, comparing every window exactly.
+AlcRunSummary ExpectAlcMatchesPerGrid(const std::vector<uint64_t>& grid, uint64_t osc_capacity,
+                                      double ratio, const LatencySampler& latency,
+                                      const std::vector<AlcStep>& steps, BankFeed feed) {
+  SCOPED_TRACE(BankFeedName(feed));
+  SCOPED_TRACE(ratio);
+  constexpr uint64_t kSalt = 0xa1c5;
+  constexpr uint64_t kSeed = 0xa1c0;
+  ThreadPool pool(3);
+  AlcBank bank(grid, osc_capacity, ratio, kSalt, &latency, kSeed);
+  PerGridAlcReference ref(grid, osc_capacity, ratio, kSalt, &latency, kSeed);
+  if (feed == BankFeed::kAsyncRows) {
+    bank.set_thread_pool(&pool);
+    bank.set_async_replay(true);
+  }
+  AlcRunSummary summary;
+  int window = 0;
+  for (const AlcStep& step : steps) {
+    if (feed == BankFeed::kColumns) {
+      FeedColumns(bank, step.requests, kOddChunk);
+    } else {
+      for (const Request& r : step.requests) {
+        bank.Process(r);
+      }
+    }
+    for (const Request& r : step.requests) {
+      ref.Process(r);
+    }
+    if (step.osc_capacity != 0) {
+      bank.SetOscCapacity(step.osc_capacity);
+      ref.SetOscCapacity(step.osc_capacity);
+    }
+    if (step.end_window) {
+      const AlcWindow got = bank.EndWindow();
+      ExpectAlcWindowsEqual(got, ref.EndWindow(), window++);
+      for (const AlcLevelCounts& c : got.level_counts) {
+        summary.delayed_hits += c.delayed_hits;
+      }
+    }
+  }
+  summary.allocated_nodes = bank.allocated_nodes();
+  return summary;
+}
+
+// Splits each window in two and resizes the OSC between the halves: down
+// to `small` in the second window, back to `restore` in the third.
+std::vector<AlcStep> WithOscResizes(const std::vector<std::vector<Request>>& windows,
+                                    uint64_t small, uint64_t restore) {
+  std::vector<AlcStep> steps;
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const auto mid = windows[w].begin() + static_cast<std::ptrdiff_t>(windows[w].size() / 2);
+    const uint64_t resize = w == 1 ? small : (w == 2 ? restore : 0);
+    steps.push_back({{windows[w].begin(), mid}, resize, /*end_window=*/false});
+    steps.push_back({{mid, windows[w].end()}});
+  }
+  return steps;
+}
+
+// Fixed per-source latencies (ms), so scripted requests can land exactly
+// on a fetch's completion time.
+class FixedLatency : public LatencySampler {
+ public:
+  double SampleMs(DataSource source, uint64_t, Rng&) const override {
+    switch (source) {
+      case DataSource::kCacheCluster:
+        return 1.0;
+      case DataSource::kOsc:
+        return 10.0;
+      default:
+        return 100.0;
+    }
+  }
+};
+
+TEST(AlcRowDifferentialTest, GetPutDeleteMixes) {
+  // Requests 10 ms apart, so hot objects come back while their fetch is in
+  // flight; every 53rd GET carries a size its resident copy does not have.
+  GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
+  FittedLatencyGenerator gen(truth, 200, 5);
+  const auto grid = UniformSizeGrid(20'000, 2'000'000, 16);
+  auto windows = ResizingWindows(3000, 4, 12'000, /*put_pct=*/20, /*delete_pct=*/10,
+                                 /*big_pct=*/0, 81);
+  uint64_t gets = 0;
+  for (auto& window : windows) {
+    for (Request& r : window) {
+      if (r.op == Op::kGet && ++gets % 53 == 0) {
+        r.size = r.size / 2 + 1;
+      }
+    }
+  }
+  const auto steps = WithOscResizes(windows, /*small=*/1, /*restore=*/1'000'000);
+  for (const BankFeed feed : kAllFeeds) {
+    for (const double ratio : {1.0, 0.5}) {
+      EXPECT_GT(ExpectAlcMatchesPerGrid(grid, 1'000'000, ratio, gen, steps, feed).delayed_hits,
+                0u);
+    }
+  }
+}
+
+TEST(AlcRowDifferentialTest, ResizingPutsAndLargeObjects) {
+  // Big PUTs (60–460 KB) grow resident objects past the smaller clusters
+  // and admit objects the OSC fits but the smaller clusters do not; small
+  // PUTs shrink them again.
+  GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
+  FittedLatencyGenerator gen(truth, 200, 6);
+  const auto grid = UniformSizeGrid(50'000, 3'000'000, 12);
+  const auto windows = ResizingWindows(2000, 4, 12'000, /*put_pct=*/30, /*delete_pct=*/5,
+                                       /*big_pct=*/15, 82);
+  const auto steps = WithOscResizes(windows, /*small=*/200'000, /*restore=*/4'000'000);
+  for (const BankFeed feed : kAllFeeds) {
+    for (const double ratio : {1.0, 0.5}) {
+      ExpectAlcMatchesPerGrid(grid, 4'000'000, ratio, gen, steps, feed);
+    }
+  }
+}
+
+TEST(AlcRowDifferentialTest, ScriptedEdgeCases) {
+  // Clusters of 1000, 3000 and 10000 bytes over a 5000-byte OSC at full
+  // sampling; remote fetches take exactly 100 ms.
+  const FixedLatency latency;
+  const std::vector<uint64_t> grid = {1000, 3000, 10'000};
+  const auto get = [](SimTime t, ObjectId id, uint64_t size) {
+    return Request{t, id, size, Op::kGet};
+  };
+  const auto put = [](SimTime t, ObjectId id, uint64_t size) {
+    return Request{t, id, size, Op::kPut};
+  };
+  const auto del = [](SimTime t, ObjectId id) { return Request{t, id, 0, Op::kDelete}; };
+  const std::vector<AlcStep> steps = {
+      // A delayed-hit burst on 1's fetch (completing at 100), a GET exactly
+      // at the completion time (expired: a cluster hit), and a DELETE while
+      // 2's fetch is in flight (the next GET fetches again).
+      {{get(0, 1, 400), get(10, 1, 400), get(20, 1, 400), get(99, 1, 400), get(100, 1, 400),
+        get(110, 2, 400), get(120, 2, 400), del(130, 2), get(140, 2, 400), get(150, 3, 400),
+        get(160, 2, 400), get(239, 2, 400), get(240, 2, 400)}},
+      // A GET at a size the resident copy does not have; a PUT growing
+      // resident 2 past the 1000-byte cluster (evicting it, the object
+      // last) but not past 3000, then shrinking it; an object the OSC and
+      // the largest cluster fit but the smaller clusters do not.
+      {{get(300, 1, 900), get(310, 3, 400), put(320, 2, 2000), get(330, 2, 2000),
+        put(340, 2, 100), get(350, 2, 100), get(360, 4, 4500), get(470, 4, 4500),
+        get(480, 1, 400), put(490, 4, 6000), get(500, 4, 6000)}},
+      // Zero-byte objects, re-deleting absent ones, then the OSC shrinks to
+      // one byte mid-window (only zero-byte objects still fit) ...
+      {{get(600, 9, 0), get(610, 9, 0), get(710, 9, 0), del(720, 9), del(730, 9),
+        get(740, 9, 0), put(750, 10, 0), get(760, 10, 0), get(770, 5, 300)},
+       /*osc_capacity=*/1,
+       /*end_window=*/false},
+      // ... and grows back before the window ends.
+      {{get(900, 5, 300), get(910, 6, 300), get(1020, 9, 0), get(1030, 10, 0),
+        get(1040, 1, 400)},
+       /*osc_capacity=*/5000,
+       /*end_window=*/false},
+      {{get(1200, 5, 300), get(1210, 6, 300), get(1320, 7, 700), get(1330, 1, 400),
+        get(1340, 2, 100), get(1350, 4, 4500)}},
+  };
+  for (const BankFeed feed : kAllFeeds) {
+    EXPECT_GT(ExpectAlcMatchesPerGrid(grid, 5000, 1.0, latency, steps, feed).delayed_hits, 0u);
+  }
+}
+
+TEST(AlcRowDifferentialTest, ScanReclaimsSlotsThenRereads) {
+  // A scan of 30k objects (1 s apart, so every fetch completes before the
+  // next request) frees the slots of objects no cache holds any more; the
+  // next window re-reads some of them, which must behave as first reads.
+  // A last window scans 1 ms apart and re-reads every fourth object 20 ms
+  // later; every fifth object is too large for any level, so while its
+  // fetch is in flight only that fetch holds its slot.
+  GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
+  FittedLatencyGenerator gen(truth, 200, 7);
+  const auto grid = UniformSizeGrid(100'000, 2'000'000, 6);
+  std::vector<AlcStep> steps(4);
+  SimTime t = 0;
+  for (ObjectId id = 0; id < 30'000; ++id) {
+    steps[id < 15'000 ? 0 : 1].requests.push_back({t += kSecond, id, 1000, Op::kGet});
+  }
+  Rng rng(83);
+  for (int i = 0; i < 6000; ++i) {
+    const ObjectId id = rng.NextU64() % 31'000;  // mostly reclaimed ids, some new
+    steps[2].requests.push_back({t += 40, id, 1000, Op::kGet});
+  }
+  const auto size_of = [](ObjectId id) -> uint64_t { return id % 5 == 0 ? 5'000'000 : 1000; };
+  for (ObjectId id = 100'000; id < 140'000; ++id) {
+    steps[3].requests.push_back({t += 1, id, size_of(id), Op::kGet});
+    if (id % 4 == 0) {
+      steps[3].requests.push_back({t += 1, id - 20, size_of(id - 20), Op::kGet});
+    }
+  }
+  for (const BankFeed feed : kAllFeeds) {
+    const AlcRunSummary run = ExpectAlcMatchesPerGrid(grid, 2'000'000, 1.0, gen, steps, feed);
+    EXPECT_LT(run.allocated_nodes, 15'000u);
+    EXPECT_GT(run.delayed_hits, 0u);
+  }
+}
+
+TEST(AlcRowDifferentialTest, ScanKeepsSlotsBounded) {
+  // A 200k-object scan of 1000-byte objects: the largest mini-cluster and
+  // the mini-OSC each hold 4000, and slots must stay below those plus one
+  // 4096-request batch, where one slot per distinct id would be 200k.
+  GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
+  FittedLatencyGenerator gen(truth, 200, 8);
+  const auto grid = UniformSizeGrid(500'000, 4'000'000, 8);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async);
+    ThreadPool pool(3);
+    AlcBank bank(grid, /*osc=*/4'000'000, 1.0, 0, &gen, 23);
+    if (async) {
+      bank.set_thread_pool(&pool);
+      bank.set_async_replay(true);
+    }
+    for (ObjectId id = 0; id < 200'000; ++id) {
+      bank.Process({static_cast<SimTime>(id) * kSecond, id, 1000, Op::kGet});
+      if (id % 50'000 == 49'999) {
+        bank.EndWindow();
+      }
+    }
+    EXPECT_LT(bank.allocated_nodes(), 4000u + 4000u + 4096u);
   }
 }
 

@@ -131,37 +131,45 @@ TEST(ParallelDeterminismTest, TtlBankBitIdenticalToSequential) {
 }
 
 TEST(ParallelDeterminismTest, AlcBankBitIdenticalToSequential) {
-  const Trace t = MixedStream(10000, 0.9, 40000, 10, 24);
+  // Wide enough (about 9k distinct sampled ids) that the bank reclaims
+  // slots mid-stream.
+  const Trace t = MixedStream(40000, 0.7, 40000, 10, 24);
   const auto grid = UniformSizeGrid(20'000, 2'000'000, 10);
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 1);
-  // Same seed: each bank draws its latencies from its own Rng, in stream
-  // order, so the two sequences are identical.
-  AlcBank seq(grid, 2'000'000, 0.5, 31, &gen, 77);
-  AlcBank par(grid, 2'000'000, 0.5, 31, &gen, 77);
-  ThreadPool pool(4);
-  par.set_thread_pool(&pool);
-  for (int w = 0; w < 2; ++w) {
-    for (size_t i = 0; i < 20000; ++i) {
-      const Request& r = t.requests[w * 20000 + i];
-      seq.Process(r);
-      par.Process(r);
-    }
-    if (w == 0) {
-      // Mid-stream reconfiguration flushes pending batches on both sides.
-      seq.SetOscCapacity(1'000'000);
-      par.SetOscCapacity(1'000'000);
-    }
-    const AlcWindow ws = seq.EndWindow();
-    const AlcWindow wp = par.EndWindow();
-    EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
-    ExpectCurvesIdentical(ws.alc, wp.alc);
-    ASSERT_EQ(ws.level_counts.size(), wp.level_counts.size());
-    for (size_t i = 0; i < ws.level_counts.size(); ++i) {
-      EXPECT_EQ(ws.level_counts[i].cluster_hits, wp.level_counts[i].cluster_hits);
-      EXPECT_EQ(ws.level_counts[i].osc_hits, wp.level_counts[i].osc_hits);
-      EXPECT_EQ(ws.level_counts[i].remote_misses, wp.level_counts[i].remote_misses);
-      EXPECT_EQ(ws.level_counts[i].delayed_hits, wp.level_counts[i].delayed_hits);
+  // Synchronous fan-out, then async: slot resolution, row growth and slot
+  // reclamation run on this thread after the join of the batch in flight.
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    // Same seed: each bank draws its latencies from its own Rng, in stream
+    // order, so the two sequences are identical.
+    AlcBank seq(grid, 2'000'000, 0.5, 31, &gen, 77);
+    AlcBank par(grid, 2'000'000, 0.5, 31, &gen, 77);
+    ThreadPool pool(4);
+    par.set_thread_pool(&pool);
+    par.set_async_replay(async);
+    for (int w = 0; w < 2; ++w) {
+      for (size_t i = 0; i < 20000; ++i) {
+        const Request& r = t.requests[w * 20000 + i];
+        seq.Process(r);
+        par.Process(r);
+      }
+      if (w == 0) {
+        // Mid-stream reconfiguration flushes pending batches on both sides.
+        seq.SetOscCapacity(1'000'000);
+        par.SetOscCapacity(1'000'000);
+      }
+      const AlcWindow ws = seq.EndWindow();
+      const AlcWindow wp = par.EndWindow();
+      EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
+      ExpectCurvesIdentical(ws.alc, wp.alc);
+      ASSERT_EQ(ws.level_counts.size(), wp.level_counts.size());
+      for (size_t i = 0; i < ws.level_counts.size(); ++i) {
+        EXPECT_EQ(ws.level_counts[i].cluster_hits, wp.level_counts[i].cluster_hits);
+        EXPECT_EQ(ws.level_counts[i].osc_hits, wp.level_counts[i].osc_hits);
+        EXPECT_EQ(ws.level_counts[i].remote_misses, wp.level_counts[i].remote_misses);
+        EXPECT_EQ(ws.level_counts[i].delayed_hits, wp.level_counts[i].delayed_hits);
+      }
     }
   }
 }
