@@ -1,26 +1,12 @@
 #include "src/sim/event_engine.h"
 
 #include <algorithm>
-#include <future>
 #include <memory>
 #include <vector>
 
-#include "src/cache/inflight.h"
-#include "src/cache/replay_batch.h"
-#include "src/cache/ttl_cache.h"
 #include "src/cloudsim/event_queue.h"
-#include "src/cloudsim/latency.h"
-#include "src/cluster/cache_cluster.h"
 #include "src/common/check.h"
-#include "src/common/hash.h"
-#include "src/common/rng.h"
-#include "src/common/thread_pool.h"
-#include "src/controller/controller.h"
-#include "src/obs/decision_trace.h"
-#include "src/obs/metrics.h"
-#include "src/osc/osc.h"
-#include "src/sim/shard_router.h"
-#include "src/trace/request_source.h"
+#include "src/sim/sharded_runtime.h"
 
 namespace macaron {
 
@@ -29,273 +15,50 @@ namespace {
 // Per-request client -> cache engine hop (consistent-hash routing + RPC).
 constexpr double kClientHopMs = 0.3;
 
-// Prototype-fidelity engine, sharded the same way as the replay engine
-// (see DESIGN.md "Sharded serving"): requests partition across shards by
-// the ingest-time Mix64, each shard owns its serving state plus its own
-// discrete-event queue (deferred admissions and reconfiguration applies
-// are shard-local events), and windows replay shard-parallel while the
-// controller observes on the calling thread. Timeline entries for applied
+// The prototype-fidelity policy on the shared runtime (sharded_runtime.h).
+// Each shard also owns a discrete-event queue: deferred admissions and
+// reconfiguration applies are shard-local events, drained before every
+// request and at every boundary. Timeline entries for applied
 // reconfigurations are recorded at their apply times when the decision is
 // scheduled and stably sorted once at the end, reproducing the single
 // global event queue's apply order bit-for-bit at any thread count.
-class EventRunner {
+class EventRunner final : public ShardedRuntime {
  public:
   EventRunner(const EngineConfig& cfg, RequestSource& source)
-      : cfg_(cfg),
-        source_(source),
-        info_(source.Info()),
-        prices_(ScaledInfraPrices(cfg.prices, cfg.infra_scale)),
-        truth_(cfg.scenario),
-        fitted_(truth_, /*samples_per_bucket=*/400, cfg.seed ^ 0xfeed),
-        num_shards_(std::max(cfg.num_shards, 1)),
-        router_(num_shards_),
-        // One shared pool serves both serving shards and the analyzer's
-        // mini-sim fan-outs, as in the replay engine (see Runner's
-        // constructor for the sizing rationale).
-        pool_(std::max(std::min(std::max(cfg.shard_threads, 1), num_shards_),
-                       std::min(std::max(cfg.analyzer_threads, 1), 1024))) {}
-
-  RunResult Run();
+      : ShardedRuntime(cfg, source), queues_(static_cast<size_t>(num_shards_)) {
+    MACARON_CHECK(cfg_.approach == Approach::kMacaron ||
+                  cfg_.approach == Approach::kMacaronNoCluster ||
+                  cfg_.approach == Approach::kMacaronTtl);
+    result_.approach_name += "-proto";
+  }
 
  private:
-  // One serving shard: caches, coalescer, RNG stream, its own event queue,
-  // and the partial results merged deterministically after the run.
-  struct Shard {
-    std::unique_ptr<ObjectStorageCache> osc;
-    std::unique_ptr<CacheCluster> cluster;
-    std::unique_ptr<TtlCache> ttl_shadow;
-    InflightTable inflight;
-    Rng rng{0};
-    EventQueue queue;
+  void ServeShard(Shard& sh) override {
+    ServeBatch(sh, [this](Shard& s, SimTime time, ObjectId id, uint64_t size, Op op,
+                          uint64_t h) { HandleRequest(s, time, id, size, op, h); });
+  }
+  void MaintainShard(Shard& sh, SimTime t) override {
+    queues_[static_cast<size_t>(sh.index)].RunUntil(t);  // events due by the boundary
+    ShardedRuntime::MaintainShard(sh, t);
+  }
+  void ApplyDecision(SimTime t, const ReconfigDecision& d) override;
+  void FinishRun() override;
 
-    CostMeter costs;
-    uint64_t gets = 0;
-    uint64_t cluster_hits = 0;
-    uint64_t osc_hits = 0;
-    uint64_t remote_fetches = 0;
-    uint64_t delayed_hits = 0;
-    uint64_t egress_bytes = 0;
-    PercentileTracker latency_ms;
-
-    // osc_byte_ms flushes into `costs` at the active rates when a price
-    // shock lands (osc_byte_ms_flushed keeps the lifetime total for
-    // mean_stored_bytes); with no shocks the single flush in Finalize
-    // reproduces the historical accounting bit for bit. node_ms never
-    // flushes: node rates are infra prices, which shocks don't touch.
-    SimTime last_integrate = 0;
-    double osc_byte_ms = 0.0;
-    double node_ms = 0.0;
-    double osc_byte_ms_flushed = 0.0;
-
-    std::unique_ptr<obs::MetricsRegistry> metrics;
-    ReplayBatch batch;
-  };
-
-  void Setup();
-  void ReplaySegment(const ReplayBatch& chunk, size_t begin, size_t end);
-  void ReplayShardBatch(Shard& sh);
   // Request fields arrive as columns straight from the shard batch; no
-  // Request struct is materialized on the replay path (see the replay
-  // engine's ProcessRequest). `h` is the ingest-time Mix64(id).
+  // Request struct is materialized on the replay path. `h` is the
+  // ingest-time Mix64(id).
   void HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h);
-  void WindowBoundary(SimTime t);
-  void Finalize();
-  void Integrate(Shard& sh, SimTime t);
-  void ChargeOscOps(Shard& sh);
-  // Price-shock support, mirroring the replay engine (see Runner for the
-  // flush-at-old-rates and determinism rationale).
-  void FlushDataIntegrals(Shard& sh);
-  void ApplyPriceShocks(SimTime t);
-  double RealizedDataCostUsd() const;
 
-  const EngineConfig& cfg_;
-  RequestSource& source_;
-  const SourceInfo& info_;
-  PriceBook prices_;
-  GroundTruthLatency truth_;
-  FittedLatencyGenerator fitted_;
-  int num_shards_;
-  ShardRouter router_;
-  ThreadPool pool_;
-  RunResult result_;
-
-  std::vector<Shard> shards_;
-  // Declared after pool_: the controller's bank destructors join any
-  // in-flight async fan-out, which needs the pool alive.
-  std::unique_ptr<MacaronController> controller_;
-
-  // ReplaySegment scratch for the count-then-scatter shard partition,
-  // reused across segments.
-  std::vector<uint32_t> shard_of_scratch_;
-  std::vector<size_t> shard_cursor_scratch_;
-
-  // Repricing events, aligned to window boundaries and sorted by time;
-  // prices_ is only mutated at boundaries, when no shard worker runs.
-  std::vector<PriceShock> shocks_;
-  size_t next_shock_ = 0;
+  std::vector<EventQueue> queues_;  // one per shard, indexed by Shard::index
 };
-
-void EventRunner::Setup() {
-  result_.trace_name = info_.name;
-  result_.approach_name = std::string(ApproachName(cfg_.approach)) + "-proto";
-  shocks_ = AlignShocksToWindows(cfg_.price_shocks, cfg_.window);
-  std::stable_sort(shocks_.begin(), shocks_.end(),
-                   [](const PriceShock& a, const PriceShock& b) { return a.at < b.at; });
-  MACARON_CHECK(cfg_.approach == Approach::kMacaron ||
-                cfg_.approach == Approach::kMacaronNoCluster ||
-                cfg_.approach == Approach::kMacaronTtl);
-
-  const TraceStats& stats = info_.stats;
-  result_.dataset_bytes = stats.unique_bytes;
-
-  // Same sampled-object-population floor as the replay engine (see
-  // Runner::Setup): small scaled-down traces need a higher ratio for stable
-  // curves, and the cross-validation of Table 3 assumes both engines feed
-  // their analyzers identically configured samplers.
-  double sampling_ratio = cfg_.sampling_ratio;
-  if (stats.unique_objects > 0) {
-    constexpr double kTargetSampledObjects = 2000.0;
-    const double needed = kTargetSampledObjects / static_cast<double>(stats.unique_objects);
-    sampling_ratio = std::clamp(needed, cfg_.sampling_ratio, 1.0);
-  }
-
-  shards_.resize(static_cast<size_t>(num_shards_));
-  for (int s = 0; s < num_shards_; ++s) {
-    Shard& sh = shards_[static_cast<size_t>(s)];
-    // Shard 0 inherits the historical engine seed (num_shards = 1 must
-    // reproduce the unsharded engine exactly); others fork distinct streams.
-    sh.rng = Rng((cfg_.seed ^ 0x5eed) ^
-                 (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(s)));
-    sh.osc = std::make_unique<ObjectStorageCache>(cfg_.packing);
-    if (cfg_.approach == Approach::kMacaronTtl) {
-      sh.ttl_shadow = std::make_unique<TtlCache>(info_.end_time + 2 * kDay);
-    }
-    if (cfg_.approach == Approach::kMacaron) {
-      sh.cluster = std::make_unique<CacheCluster>(prices_.cache_node_usable_bytes);
-    }
-  }
-  // Coalescer invalidation wiring (see inflight.h): expiring or evicting an
-  // object whose fill is outstanding must cancel the fill's admission, or a
-  // later deferred-admission event would resurrect the dead object.
-  for (Shard& sh : shards_) {
-    Shard* p = &sh;
-    if (sh.ttl_shadow != nullptr) {
-      sh.ttl_shadow->set_evict_callback([p](ObjectId id, uint64_t size) {
-        (void)size;
-        p->osc->Delete(id);
-        p->inflight.Invalidate(id);
-      });
-    }
-    sh.osc->set_evict_observer([p](ObjectId id) { p->inflight.Invalidate(id); });
-  }
-
-  ControllerConfig cc;
-  cc.window = cfg_.window;
-  cc.observation = cfg_.observation;
-  cc.analyzer.sampling_ratio = sampling_ratio;
-  cc.analyzer.num_minicaches = cfg_.num_minicaches;
-  cc.analyzer.min_capacity_bytes = cfg_.min_minicache_bytes;
-  cc.analyzer.max_capacity_bytes =
-      std::max<uint64_t>(stats.unique_bytes, cfg_.min_minicache_bytes * 2);
-  cc.analyzer.decay_per_day = cfg_.decay_per_day;
-  cc.analyzer.seed = cfg_.seed ^ 0xc0;
-  cc.analyzer.threads = cfg_.analyzer_threads;
-  cc.packing_enabled = cfg_.packing.packing_enabled;
-  cc.packing_block_bytes = cfg_.packing.block_bytes;
-  cc.packing_max_objects = cfg_.packing.max_objects_per_block;
-  cc.max_cluster_nodes = cfg_.max_cluster_nodes;
-  cc.cluster_shards = static_cast<size_t>(num_shards_);
-  if (cfg_.approach == Approach::kMacaron) {
-    cc.enable_cluster = true;
-    cc.analyzer.enable_alc = true;
-    cc.cluster_latency_target_ms =
-        fitted_.FittedMeanMs(DataSource::kOsc, stats.median_object_bytes) * 0.95;
-  }
-  if (cfg_.approach == Approach::kMacaronTtl) {
-    cc.mode = OptimizationMode::kTtl;
-    cc.analyzer.enable_ttl = true;
-    cc.analyzer.max_ttl = std::max<SimDuration>(info_.duration(), kDay);
-  }
-  controller_ = std::make_unique<MacaronController>(cc, prices_, &fitted_);
-  // The analyzer's mini-sim banks fan out on the shared engine pool
-  // (sized above to cover analyzer_threads); async overlaps their batch
-  // replays with serving. Either way the outputs are bit-identical.
-  controller_->SetExecution(&pool_, cfg_.async_analyzer);
-
-  // Observability wiring (no-op when both sinks are null — the default).
-  // As in the replay engine, the controller registers into the engine sink
-  // directly and shard components register into per-shard registries folded
-  // in shard order after the run.
-  controller_->SetObservability(cfg_.decision_trace, cfg_.metrics);
-  if (cfg_.metrics != nullptr) {
-    for (Shard& sh : shards_) {
-      sh.metrics = std::make_unique<obs::MetricsRegistry>();
-      sh.osc->RegisterMetrics(sh.metrics.get());
-      if (sh.cluster != nullptr) {
-        sh.cluster->RegisterMetrics(sh.metrics.get());
-      }
-      sh.inflight.RegisterMetrics(sh.metrics.get());
-    }
-  }
-}
-
-void EventRunner::Integrate(Shard& sh, SimTime t) {
-  if (t <= sh.last_integrate) {
-    return;
-  }
-  const double dt = static_cast<double>(t - sh.last_integrate);
-  sh.osc_byte_ms += static_cast<double>(sh.osc->stored_bytes()) * dt;
-  if (sh.cluster != nullptr) {
-    sh.node_ms += static_cast<double>(sh.cluster->num_nodes()) * dt;
-  }
-  sh.last_integrate = t;
-}
-
-void EventRunner::ChargeOscOps(Shard& sh) {
-  const ObjectStorageCache::OpCounts ops = sh.osc->TakeOps();
-  sh.costs.Add(CostCategory::kOperation,
-               prices_.PutCost(ops.puts) + prices_.GetCost(ops.gets + ops.gc_block_reads));
-}
-
-void EventRunner::FlushDataIntegrals(Shard& sh) {
-  // Mirrors Finalize's conversion (same formula, same order) so the
-  // no-shock single-flush path stays bit-identical.
-  const double gb_months = sh.osc_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth);
-  sh.costs.Add(CostCategory::kCapacity, gb_months * prices_.object_storage_per_gb_month);
-  sh.osc_byte_ms_flushed += sh.osc_byte_ms;
-  sh.osc_byte_ms = 0.0;
-}
-
-void EventRunner::ApplyPriceShocks(SimTime t) {
-  if (next_shock_ >= shocks_.size() || shocks_[next_shock_].at > t) {
-    return;
-  }
-  // Bill everything accrued so far — integrals and pending OSC ops — at the
-  // outgoing rates before swapping the book.
-  pool_.ParallelFor(shards_.size(), [&](size_t s) {
-    FlushDataIntegrals(shards_[s]);
-    ChargeOscOps(shards_[s]);
-  });
-  while (next_shock_ < shocks_.size() && shocks_[next_shock_].at <= t) {
-    prices_ = ApplyPriceShock(prices_, shocks_[next_shock_]);
-    ++next_shock_;
-  }
-  controller_->UpdatePrices(prices_);
-}
-
-double EventRunner::RealizedDataCostUsd() const {
-  double total = 0.0;
-  for (const Shard& sh : shards_) {
-    total += sh.costs.Get(CostCategory::kEgress) + sh.costs.Get(CostCategory::kCapacity) +
-             sh.costs.Get(CostCategory::kOperation) +
-             sh.osc_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth) *
-                 prices_.object_storage_per_gb_month;
-  }
-  return total;
-}
 
 void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op,
                                 uint64_t h) {
+  // Shard-local events due by this request's time (deferred admissions,
+  // scheduled reconfiguration applies) fire first, exactly as the single
+  // global event queue interleaved them with the request stream.
+  EventQueue& queue = queues_[static_cast<size_t>(sh.index)];
+  queue.RunUntil(time);
   Integrate(sh, time);
   switch (op) {
     case Op::kGet: {
@@ -344,7 +107,7 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
       // instead of resurrecting a dead object.
       const uint64_t ticket = sh.inflight.Insert(id, completion);
       Shard* p = &sh;
-      sh.queue.Schedule(completion, [this, p, id, h, size, ticket](SimTime now) {
+      queue.Schedule(completion, [this, p, id, h, size, ticket](SimTime now) {
         if (!p->inflight.ClaimTicket(id, ticket)) {
           return;  // superseded: object deleted/evicted/expired mid-flight
         }
@@ -381,178 +144,33 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
   }
 }
 
-void EventRunner::ReplayShardBatch(Shard& sh) {
-  const ReplayBatch& b = sh.batch;
-  // See Runner::ReplayShardBatch (replay_engine.cc) for the prefetch story.
-  constexpr size_t kPrefetchAhead = 8;
-  const size_t n = b.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      const uint64_t ahead = b.hashes[i + kPrefetchAhead];
-      if (sh.osc != nullptr) {
-        sh.osc->PrefetchPrehashed(ahead);
-      }
-      if (sh.ttl_shadow != nullptr) {
-        sh.ttl_shadow->PrefetchPrehashed(ahead);
-      }
-    }
-    // Shard-local events due by this request's time (deferred admissions,
-    // scheduled reconfiguration applies) fire first, exactly as the single
-    // global event queue interleaved them with the request stream.
-    sh.queue.RunUntil(b.times[i]);
-    HandleRequest(sh, b.times[i], b.ids[i], b.sizes[i], b.ops[i], b.hashes[i]);
-  }
-}
-
-void EventRunner::ReplaySegment(const ReplayBatch& chunk, size_t begin, size_t end) {
-  // Hashes were computed once at decode; partition reuses them. Same
-  // count-then-scatter bulk partition as Runner::ReplaySegment.
-  if (num_shards_ == 1) {
-    shards_[0].batch.AppendRange(chunk, begin, end);
-  } else {
-    const size_t n = end - begin;
-    if (shard_of_scratch_.size() < n) {
-      shard_of_scratch_.resize(n);
-    }
-    shard_cursor_scratch_.assign(static_cast<size_t>(num_shards_), 0);
-    for (size_t k = 0; k < n; ++k) {
-      const uint32_t s = static_cast<uint32_t>(router_.ShardOf(chunk.hashes[begin + k]));
-      shard_of_scratch_[k] = s;
-      ++shard_cursor_scratch_[s];
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_cursor_scratch_[s] = shards_[s].batch.GrowBy(shard_cursor_scratch_[s]);
-    }
-    for (size_t k = 0; k < n; ++k) {
-      ReplayBatch& b = shards_[shard_of_scratch_[k]].batch;
-      const size_t w = shard_cursor_scratch_[shard_of_scratch_[k]]++;
-      const size_t src = begin + k;
-      b.ids[w] = chunk.ids[src];
-      b.hashes[w] = chunk.hashes[src];
-      b.sizes[w] = chunk.sizes[src];
-      b.ops[w] = chunk.ops[src];
-      b.times[w] = chunk.times[src];
-    }
-  }
-  // Shard replay overlaps controller observation of the same segment's
-  // columns on this thread; the two touch disjoint state. With
-  // async_analyzer the analyzer's batch fan-outs additionally outlive the
-  // segment, joining at the next window boundary before EndWindow reads
-  // the report.
-  std::vector<std::future<void>> pending;
+void EventRunner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
+  // Reconfiguration is applied only after the pipeline completes; requests
+  // continue to be served meanwhile (§7.7: no downtime). Each shard
+  // schedules its local apply; timeline entries are recorded here at the
+  // apply time and sorted into apply order in FinishRun (sharded queues
+  // have no global "first apply runs first" ordering to piggyback on).
+  const SimTime apply_at = t + static_cast<SimTime>(d.reconfig_seconds * 1000.0);
+  const auto decision = std::make_shared<const ReconfigDecision>(d);
   for (Shard& sh : shards_) {
-    if (sh.batch.empty()) {
-      continue;
-    }
     Shard* p = &sh;
-    pending.push_back(pool_.Submit([this, p] { ReplayShardBatch(*p); }));
+    queues_[static_cast<size_t>(sh.index)].Schedule(
+        apply_at, [this, p, decision](SimTime now) { ApplyShardDecision(*p, now, *decision); });
   }
-  controller_->ObserveColumns(chunk, begin, end);
-  for (std::future<void>& f : pending) {
-    f.get();
+  if (cfg_.approach == Approach::kMacaronTtl) {
+    result_.ttl_timeline.emplace_back(apply_at, d.ttl);
+    return;
   }
-  for (Shard& sh : shards_) {
-    sh.batch.Clear();
-  }
-}
-
-void EventRunner::WindowBoundary(SimTime t) {
-  pool_.ParallelFor(shards_.size(), [&](size_t s) {
-    Shard& sh = shards_[s];
-    sh.queue.RunUntil(t);  // drain events due at or before the boundary
-    Integrate(sh, t);
-    sh.osc->FlushOpenBlock();
-    if (sh.ttl_shadow != nullptr) {
-      sh.ttl_shadow->Expire(t);
-    }
-    sh.osc->RunGc();
-  });
-
-  // Repricing events aligned to this boundary take effect before the
-  // controller optimizes (integrals were just completed through t at the
-  // old rates).
-  ApplyPriceShocks(t);
-
-  uint64_t garbage = 0;
-  for (const Shard& sh : shards_) {
-    garbage += sh.osc->garbage_bytes();
-  }
-  const ReconfigDecision d = controller_->Reconfigure(t, garbage);
-  if (d.optimized) {
-    ++result_.reconfigs;
-    result_.total_reconfig_seconds += d.reconfig_seconds;
-    result_.total_analysis_seconds += d.analysis_seconds;
-    result_.costs.Add(CostCategory::kServerless, prices_.LambdaCost(d.lambda_gb_seconds));
-    // Reconfiguration is applied only after the pipeline completes; requests
-    // continue to be served meanwhile (§7.7: no downtime). Each shard
-    // schedules its local apply; timeline entries are recorded here at the
-    // apply time and sorted into apply order in Finalize (sharded queues
-    // have no global "first apply runs first" ordering to piggyback on).
-    const SimTime apply_at = t + static_cast<SimTime>(d.reconfig_seconds * 1000.0);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Shard* p = &shards_[s];
-      const uint64_t osc_share = ShareOf(d.osc_capacity, num_shards_, static_cast<int>(s));
-      const size_t node_share =
-          static_cast<size_t>(ShareOf(d.cluster_nodes, num_shards_, static_cast<int>(s)));
-      const SimDuration ttl = d.ttl;
-      const Approach approach = cfg_.approach;
-      p->queue.Schedule(apply_at, [this, p, approach, osc_share, node_share,
-                                   ttl](SimTime now) {
-        Integrate(*p, now);
-        switch (approach) {
-          case Approach::kMacaron:
-          case Approach::kMacaronNoCluster: {
-            p->osc->EvictToCapacity(osc_share);
-            if (p->cluster != nullptr) {
-              const std::vector<uint32_t> added = p->cluster->Resize(node_share);
-              const uint64_t primed = p->cluster->Prime(*p->osc, added);
-              p->costs.Add(CostCategory::kOperation, prices_.GetCost(primed));
-            }
-            break;
-          }
-          case Approach::kMacaronTtl:
-            p->ttl_shadow->SetTtl(ttl, now);
-            p->osc->RunGc();
-            break;
-          default:
-            break;
-        }
-      });
-    }
-    switch (cfg_.approach) {
-      case Approach::kMacaron:
-      case Approach::kMacaronNoCluster:
-        result_.osc_capacity_timeline.emplace_back(apply_at, d.osc_capacity);
-        if (shards_[0].cluster != nullptr) {
-          result_.cluster_nodes_timeline.emplace_back(apply_at, d.cluster_nodes);
-        }
-        break;
-      case Approach::kMacaronTtl:
-        result_.ttl_timeline.emplace_back(apply_at, d.ttl);
-        break;
-      default:
-        break;
-    }
-  }
-  pool_.ParallelFor(shards_.size(), [&](size_t s) {
-    Shard& sh = shards_[s];
-    ChargeOscOps(sh);
-    sh.inflight.Sweep(t);
-  });
-  // Amend the record the controller just appended with the engine's actual
-  // cumulative data-path spend through this boundary (after ChargeOscOps so
-  // the window's packing operations are included); calling thread, shards
-  // idle, fixed fold order.
-  if (cfg_.decision_trace != nullptr) {
-    if (obs::DecisionRecord* rec = cfg_.decision_trace->mutable_last()) {
-      rec->realized_cost_usd = RealizedDataCostUsd();
-    }
+  result_.osc_capacity_timeline.emplace_back(apply_at, d.osc_capacity);
+  if (shards_[0].cluster != nullptr) {
+    result_.cluster_nodes_timeline.emplace_back(apply_at, d.cluster_nodes);
   }
 }
 
-void EventRunner::Finalize() {
-  const SimTime end = info_.end_time;
-  const SimDuration span = std::max<SimDuration>(end, 1);
+void EventRunner::FinishRun() {
+  // Late events (admissions, a final scheduled apply) still run, as with the
+  // single global queue.
+  pool_.ParallelFor(queues_.size(), [&](size_t s) { queues_[s].RunAll(); });
 
   // Timeline entries were appended at scheduling time; apply order is time
   // order with scheduling order breaking ties (the global queue's tie rule).
@@ -572,70 +190,6 @@ void EventRunner::Finalize() {
       result_.first_optimized_ttl = static_cast<SimDuration>(ttl);
     }
   }
-
-  double osc_byte_ms_total = 0.0;
-  for (Shard& sh : shards_) {
-    FlushDataIntegrals(sh);
-    osc_byte_ms_total += sh.osc_byte_ms_flushed;
-    if (sh.cluster != nullptr) {
-      sh.costs.Add(CostCategory::kClusterNodes,
-                   sh.node_ms / static_cast<double>(kHour) * prices_.cache_node_per_hour);
-    }
-  }
-
-  // Deterministic merge in shard order (same rules as the replay engine).
-  for (Shard& sh : shards_) {
-    result_.costs.Merge(sh.costs);
-    result_.gets += sh.gets;
-    result_.cluster_hits += sh.cluster_hits;
-    result_.osc_hits += sh.osc_hits;
-    result_.remote_fetches += sh.remote_fetches;
-    result_.delayed_hits += sh.delayed_hits;
-    result_.egress_bytes += sh.egress_bytes;
-    for (double v : sh.latency_ms.samples()) {
-      result_.latency_ms.Add(v);
-    }
-  }
-  result_.mean_stored_bytes = osc_byte_ms_total / static_cast<double>(span);
-  result_.costs.Add(CostCategory::kInfra, prices_.VmCost(span));
-  if (cfg_.metrics != nullptr) {
-    for (const Shard& sh : shards_) {
-      cfg_.metrics->MergeFrom(*sh.metrics);
-    }
-  }
-}
-
-RunResult EventRunner::Run() {
-  Setup();
-  // Shocks at or before t=0 are in force from the very first request.
-  ApplyPriceShocks(0);
-  if (info_.empty()) {
-    return std::move(result_);
-  }
-  ChunkCursor cursor(source_, cfg_.stream_decode_ahead);
-  SimTime next_boundary = cfg_.window;
-  while (const ReplayBatch* chunk = cursor.Next()) {
-    const size_t n = chunk->size();
-    size_t i = 0;
-    while (i < n) {
-      while (chunk->times[i] >= next_boundary) {
-        WindowBoundary(next_boundary);
-        next_boundary += cfg_.window;
-      }
-      size_t j = i;
-      while (j < n && chunk->times[j] < next_boundary) {
-        ++j;
-      }
-      ReplaySegment(*chunk, i, j);
-      i = j;
-    }
-  }
-  WindowBoundary(info_.end_time + 1);
-  // Late events (admissions, a final scheduled apply) still run, as with the
-  // single global queue.
-  pool_.ParallelFor(shards_.size(), [&](size_t s) { shards_[s].queue.RunAll(); });
-  Finalize();
-  return std::move(result_);
 }
 
 }  // namespace

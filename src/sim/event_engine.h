@@ -1,9 +1,9 @@
 // Prototype-fidelity event engine.
 //
 // The paper validates its simulator against the AWS prototype (Table 3,
-// §7.7). We reproduce that methodology with a second, independent execution
-// engine over the same component logic, differing where a real deployment
-// differs from an instantaneous replay:
+// §7.7). We reproduce that methodology with a second execution engine on the
+// same sharded runtime and component logic (sharded_runtime.h), differing
+// where a real deployment differs from an instantaneous replay:
 //
 //   * remote fetches complete asynchronously: cache admission (OSC packing,
 //     cluster insert) happens at fetch *completion*, not at request arrival;

@@ -45,7 +45,10 @@ namespace sweep {
 // recomputes capacity/latency after the max_nodes clamp.
 // v3: in-flight coalescer invalidation on mid-flight evict/expire/delete
 // (stale fills no longer admit or coalesce), sharded serving engine.
-inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v3";
+// v4: the event engine sizes its analyzer grid (1.15x the dataset, honouring
+// dataset_bytes_hint) and policy like the replay engine, and sums realized
+// cost in the same order.
+inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v4";
 
 struct Fingerprint {
   uint64_t hi = 0;

@@ -1,9 +1,11 @@
 // Tests for the extension features: the flash cache tier (§4.1 future
 // work), admission bypass, priming ablation, and non-LRU OSC policies in
-// the full engine.
+// the full engine. The priming case runs both engines.
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+#include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
@@ -127,6 +129,26 @@ TEST(PrimingTest, PrimingImprovesPostScaleOutLatency) {
   // Priming can only add cluster hits (§6.2: low-RPS workloads fill new
   // nodes too slowly on their own).
   EXPECT_GE(rp.cluster_hits, rc.cluster_hits);
+}
+
+template <typename Engine>
+uint64_t PrimedObjects(const Trace& t, bool enable_priming) {
+  EngineConfig cfg = BaseConfig(Approach::kMacaron);
+  cfg.enable_priming = enable_priming;
+  obs::MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  Engine(cfg).Run(t);
+  return metrics.CounterValue("cluster", "primed_objects");
+}
+
+// The cluster scales out on this trace, so new nodes get primed exactly
+// when enable_priming is set, whichever engine applies the decision.
+TEST(PrimingTest, EnablePrimingGatesPrimingInBothEngines) {
+  const Trace t = SmallTrace();
+  EXPECT_GT(PrimedObjects<ReplayEngine>(t, true), 0u);
+  EXPECT_EQ(PrimedObjects<ReplayEngine>(t, false), 0u);
+  EXPECT_GT(PrimedObjects<EventEngine>(t, true), 0u);
+  EXPECT_EQ(PrimedObjects<EventEngine>(t, false), 0u);
 }
 
 // --- Engine with non-LRU OSC policies ---

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "src/obs/decision_trace.h"
 #include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
@@ -239,6 +241,47 @@ TEST_P(EngineCrossValidation, CostAndHitsMatchClosely) {
               0.05);
   // Latency gap: paper saw 4-7.6%; allow 10%.
   EXPECT_NEAR(proto.MeanLatencyMs() / sim.MeanLatencyMs(), 1.0, 0.10);
+}
+
+// Both engines feed their analyzers the same request stream through the
+// same controller configuration, so every window's curves and workload
+// expectations must agree exactly; only serving differs between them.
+TEST_P(EngineCrossValidation, AnalyzerCurvesAgreeInEveryWindow) {
+  const Trace t = SmallTrace();
+  std::vector<EvictionPolicyKind> policies = {EvictionPolicyKind::kLru};
+  if (GetParam() == Approach::kMacaronNoCluster) {
+    policies.push_back(EvictionPolicyKind::kS3Fifo);
+  }
+  for (EvictionPolicyKind policy : policies) {
+    EngineConfig cfg = BaseConfig(GetParam());
+    cfg.measure_latency = false;
+    cfg.packing.policy = policy;
+    obs::DecisionTrace sim_trace;
+    obs::DecisionTrace proto_trace;
+    cfg.decision_trace = &sim_trace;
+    ReplayEngine(cfg).Run(t);
+    cfg.decision_trace = &proto_trace;
+    EventEngine(cfg).Run(t);
+    const std::vector<obs::DecisionRecord>& sim = sim_trace.records();
+    const std::vector<obs::DecisionRecord>& proto = proto_trace.records();
+    ASSERT_EQ(sim.size(), proto.size());
+    ASSERT_FALSE(sim.empty());
+    for (size_t w = 0; w < sim.size(); ++w) {
+      SCOPED_TRACE(testing::Message() << EvictionPolicyName(policy) << " window " << w);
+      EXPECT_EQ(sim[w].expected_window_reads, proto[w].expected_window_reads);
+      EXPECT_EQ(sim[w].expected_window_writes, proto[w].expected_window_writes);
+      EXPECT_EQ(sim[w].expected_window_get_bytes, proto[w].expected_window_get_bytes);
+      for (const auto curve : {&obs::DecisionRecord::mrc, &obs::DecisionRecord::bmc}) {
+        const obs::CurveSummary& a = sim[w].*curve;
+        const obs::CurveSummary& b = proto[w].*curve;
+        EXPECT_EQ(a.points, b.points);
+        EXPECT_EQ(a.x_min, b.x_min);
+        EXPECT_EQ(a.x_max, b.x_max);
+        EXPECT_EQ(a.y_min, b.y_min);
+        EXPECT_EQ(a.y_max, b.y_max);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Approaches, EngineCrossValidation,

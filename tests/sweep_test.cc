@@ -393,8 +393,11 @@ TEST(HashOncePipelineTest, BothEnginesByteStableAcrossRuns) {
 // v1 -> v2 was: the analyzer now excludes deletes from mean_object_bytes and
 // the cluster sizer recomputes capacity/latency after the max_nodes clamp —
 // both change simulated results, so cached v1 entries had to be retired.
+// v3 -> v4 was: the event engine's analyzer grid, analyzer policy and
+// realized-cost sum now match the replay engine's, which moves event engine
+// results.
 TEST(HashOncePipelineTest, SweepVersionSaltDeliberate) {
-  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v3");
+  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v4");
 }
 
 TEST(ResultStoreTest, DisabledStoreIsInert) {
