@@ -6,32 +6,44 @@
 // Usage:
 //   simulate [--trace=NAME|FILE.csv] [--approach=A] [--scenario=S] [...]
 //
-// Flags (defaults in brackets):
+// Flags (defaults first, valid range in brackets):
 //   --trace=ibm55           workload profile name, or a CSV trace file
 //   --approach=macaron      remote | replicated | ecpc | flash-ecpc |
 //                           macaron | macaron+cc | macaron-ttl |
 //                           static-capacity | static-ttl
 //   --scenario=cross-cloud  cross-cloud | cross-region
-//   --egress-scale=1.0      multiply the egress price (Fig 12a)
-//   --window-min=15         optimization window (minutes)
-//   --observation-hours=24  observation period (hours)
-//   --decay=0.2             knowledge decay per day (1.0 = none)
+//   --egress-scale=1.0      multiply the egress price (Fig 12a) [>= 0]
+//   --window-min=15         optimization window, minutes [>= 1 ms]
+//   --observation-hours=24  observation period, hours [>= 0]
+//   --decay=0.2             knowledge decay per day, 1.0 = none [0, 1]
 //   --policy=lru            OSC replacement: lru | fifo | slru | s3fifo
-//   --dark=0.7              dark-data fraction (replicated baseline)
-//   --static-capacity-gb=N  capacity for static-capacity
-//   --static-ttl-hours=N    TTL for static-ttl
+//   --dark=0.7              dark-data fraction, replicated baseline [0, 1]
+//   --static-capacity-gb=N  capacity for static-capacity [1e-9, 1e9]
+//   --static-ttl-hours=N    TTL for static-ttl [>= 1 ms]
 //   --no-packing            disable object packing (§7.4 ablation)
 //   --admission-bypass      enable the admission-bypass extension
 //   --no-latency            skip latency sampling (cost-only, faster)
-//   --seed=7                root RNG seed
-//   --analyzer-threads=1    mini-sim fan-out threads (same curves any value)
-//   --num-shards=1          serving shards (structural: changes the deployment)
-//   --shard-threads=1       shard worker threads (same output any value)
+//   --seed=7                root RNG seed [unsigned 64-bit integer]
+//   --analyzer-threads=1    mini-sim fan-out threads, same curves any value
+//                           [1, 1024]
+//   --num-shards=1          serving shards, structural: changes the
+//                           deployment [1, 1024]
+//   --shard-threads=1       shard worker threads, same output any value
+//                           [1, 1024]
 //   --verbose               print reconfiguration timelines
+//
+// Numeric values are parsed strictly: a value that is not a finite number
+// in its range, or that has trailing characters, exits with status 2 and a
+// message naming the flag.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/sim/replay_engine.h"
@@ -50,6 +62,55 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
+}
+
+[[noreturn]] void BadValue(const char* flag, const std::string& v, const char* expected) {
+  std::fprintf(stderr, "invalid value '%s' for %s: expected %s\n", v.c_str(), flag, expected);
+  std::exit(2);
+}
+
+// A finite number in [lo, hi] spanning the whole of `v`.
+double ParseReal(const char* flag, const std::string& v, double lo, double hi,
+                 const char* expected) {
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) != 0 ||
+      end != v.c_str() + v.size() || errno == ERANGE || !std::isfinite(x) || x < lo || x > hi) {
+    BadValue(flag, v, expected);
+  }
+  return x;
+}
+
+// A decimal integer in [lo, hi] spanning the whole of `v` (digits only).
+uint64_t ParseUnsigned(const char* flag, const std::string& v, uint64_t lo, uint64_t hi,
+                       const char* expected) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+  if (v.empty() || std::isdigit(static_cast<unsigned char>(v[0])) == 0 ||
+      end != v.c_str() + v.size() || errno == ERANGE || x < lo || x > hi) {
+    BadValue(flag, v, expected);
+  }
+  return x;
+}
+
+// A duration given in `unit`s that must come to at least `min` once
+// truncated to milliseconds (a zero window would never advance the run).
+SimDuration ParseDuration(const char* flag, const std::string& v, SimDuration unit,
+                          SimDuration min, const char* expected) {
+  const double max_units =
+      static_cast<double>(std::numeric_limits<SimDuration>::max() / 2) / static_cast<double>(unit);
+  const SimDuration d = static_cast<SimDuration>(
+      ParseReal(flag, v, 0.0, max_units, expected) * static_cast<double>(unit));
+  if (d < min) {
+    BadValue(flag, v, expected);
+  }
+  return d;
+}
+
+int ParseCount(const char* flag, const std::string& v) {
+  return static_cast<int>(ParseUnsigned(flag, v, 1, 1024, "an integer in [1, 1024]"));
 }
 
 Approach ParseApproach(const std::string& s) {
@@ -119,29 +180,39 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (FlagValue(argv[i], "--egress-scale", &v)) {
-      egress_scale = std::atof(v.c_str());
+      egress_scale = ParseReal("--egress-scale", v, 0.0, std::numeric_limits<double>::max(),
+                               "a finite number >= 0");
     } else if (FlagValue(argv[i], "--window-min", &v)) {
-      cfg.window = static_cast<SimDuration>(std::atof(v.c_str()) * kMinute);
+      cfg.window = ParseDuration("--window-min", v, kMinute, kMillisecond,
+                                 "a number of minutes of at least 1 ms");
     } else if (FlagValue(argv[i], "--observation-hours", &v)) {
-      cfg.observation = static_cast<SimDuration>(std::atof(v.c_str()) * kHour);
+      cfg.observation =
+          ParseDuration("--observation-hours", v, kHour, 0, "a number of hours >= 0");
     } else if (FlagValue(argv[i], "--decay", &v)) {
-      cfg.decay_per_day = std::atof(v.c_str());
+      cfg.decay_per_day = ParseReal("--decay", v, 0.0, 1.0, "a number in [0, 1]");
     } else if (FlagValue(argv[i], "--policy", &v)) {
       cfg.packing.policy = ParsePolicy(v);
     } else if (FlagValue(argv[i], "--dark", &v)) {
-      cfg.dark_data_fraction = std::atof(v.c_str());
+      cfg.dark_data_fraction = ParseReal("--dark", v, 0.0, 1.0, "a number in [0, 1]");
     } else if (FlagValue(argv[i], "--static-capacity-gb", &v)) {
-      cfg.static_capacity_bytes = static_cast<uint64_t>(std::atof(v.c_str()) * 1e9);
+      constexpr const char* kExpected = "a number of GB in [1e-9, 1e9]";
+      const double gb = ParseReal("--static-capacity-gb", v, 0.0, 1e9, kExpected);
+      cfg.static_capacity_bytes = static_cast<uint64_t>(gb * 1e9);
+      if (cfg.static_capacity_bytes == 0) {
+        BadValue("--static-capacity-gb", v, kExpected);
+      }
     } else if (FlagValue(argv[i], "--static-ttl-hours", &v)) {
-      cfg.static_ttl = static_cast<SimDuration>(std::atof(v.c_str()) * kHour);
+      cfg.static_ttl = ParseDuration("--static-ttl-hours", v, kHour, kMillisecond,
+                                     "a number of hours of at least 1 ms");
     } else if (FlagValue(argv[i], "--seed", &v)) {
-      cfg.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      cfg.seed = ParseUnsigned("--seed", v, 0, std::numeric_limits<uint64_t>::max(),
+                               "an unsigned 64-bit integer");
     } else if (FlagValue(argv[i], "--analyzer-threads", &v)) {
-      cfg.analyzer_threads = std::atoi(v.c_str());
+      cfg.analyzer_threads = ParseCount("--analyzer-threads", v);
     } else if (FlagValue(argv[i], "--num-shards", &v)) {
-      cfg.num_shards = std::atoi(v.c_str());
+      cfg.num_shards = ParseCount("--num-shards", v);
     } else if (FlagValue(argv[i], "--shard-threads", &v)) {
-      cfg.shard_threads = std::atoi(v.c_str());
+      cfg.shard_threads = ParseCount("--shard-threads", v);
     } else if (std::strcmp(argv[i], "--no-packing") == 0) {
       cfg.packing.packing_enabled = false;
     } else if (std::strcmp(argv[i], "--admission-bypass") == 0) {

@@ -29,6 +29,9 @@ const char* EvictionPolicyName(EvictionPolicyKind kind) {
 
 namespace {
 
+// SlotOfPrehashed returns index lookups as they are: a miss is kNoSlot.
+static_assert(FlatIndex::kEmpty == EvictionCache::kNoSlot);
+
 // All policies share the slab cache core (slab_lru.h): entries are NodeSlab
 // slots threaded onto IntrusiveLists, looked up through a FlatIndex. The
 // policies reproduce the exact semantics (eviction order, callback
@@ -94,6 +97,9 @@ class LruPolicy final : public EvictionCache {
   }
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
     return cache_.ErasePrehashed(id, hash);
+  }
+  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
+    return cache_.SlotOfPrehashed(id, hash);
   }
   void PrefetchPrehashed(uint64_t hash) const override {
     cache_.PrefetchPrehashed(hash);
@@ -162,6 +168,10 @@ class FifoPolicy final : public EvictionCache {
     return true;
   }
 
+  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
+    return index_.FindPrehashed(id, hash);
+  }
+
   void PrefetchPrehashed(uint64_t hash) const override {
     index_.PrefetchPrehashed(hash);
   }
@@ -199,7 +209,7 @@ class FifoPolicy final : public EvictionCache {
       slab_.Free(victim);
       used_ -= victim_size;
       if (evict_cb_) {
-        evict_cb_(victim_id, victim_size);
+        evict_cb_(victim_id, victim_size, victim);
       }
     }
   }
@@ -272,6 +282,10 @@ class SlruPolicy final : public EvictionCache {
     index_.EraseCell(e.cell, &slab_);
     slab_.Free(n);
     return true;
+  }
+
+  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
+    return index_.FindPrehashed(id, hash);
   }
 
   void PrefetchPrehashed(uint64_t hash) const override {
@@ -373,7 +387,7 @@ class SlruPolicy final : public EvictionCache {
     index_.EraseCell(slab_.node(victim).cell, &slab_);
     slab_.Free(victim);
     if (evict_cb_) {
-      evict_cb_(victim_id, victim_size);
+      evict_cb_(victim_id, victim_size, victim);
     }
   }
 
@@ -453,6 +467,10 @@ class S3FifoPolicy final : public EvictionCache {
     index_.EraseCell(e.cell, &slab_);
     slab_.Free(n);
     return true;
+  }
+
+  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
+    return index_.FindPrehashed(id, hash);
   }
 
   // Main index only: every request probes it, while the ghost table is
@@ -549,7 +567,7 @@ class S3FifoPolicy final : public EvictionCache {
       slab_.Free(n);
       GhostInsert(victim_id, victim_hash32);
       if (evict_cb_) {
-        evict_cb_(victim_id, victim_size);
+        evict_cb_(victim_id, victim_size, n);
       }
     }
   }
@@ -572,7 +590,7 @@ class S3FifoPolicy final : public EvictionCache {
       index_.EraseCell(e.cell, &slab_);
       slab_.Free(n);
       if (evict_cb_) {
-        evict_cb_(victim_id, victim_size);
+        evict_cb_(victim_id, victim_size, n);
       }
       return;
     }

@@ -53,8 +53,12 @@ const char* EvictionPolicyName(EvictionPolicyKind kind);
 // objects larger than the capacity are not admitted.
 class EvictionCache {
  public:
-  using EvictCallback = std::function<void(ObjectId, uint64_t size)>;
+  // Eviction callbacks also receive the victim's slab slot, already freed
+  // (see SlotOfPrehashed); slot-less implementations pass kNoSlot.
+  using EvictCallback = std::function<void(ObjectId, uint64_t size, uint32_t slot)>;
   using VisitFn = std::function<bool(ObjectId, uint64_t size)>;
+
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
 
   virtual ~EvictionCache() = default;
 
@@ -70,6 +74,13 @@ class EvictionCache {
   virtual void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) = 0;
   virtual bool ErasePrehashed(ObjectId id, uint64_t hash) = 0;
   virtual void Resize(uint64_t capacity_bytes) = 0;
+
+  // The slab slot holding `id`, or kNoSlot if absent; no touch, no op
+  // accounting. A slot stays the same for as long as its entry is resident
+  // (promotion, demotion and second chances move links, not nodes), is
+  // freed only by Erase or eviction, and is reused only by a later Put, so
+  // an owner can keep per-entry rows in a dense array indexed by slot.
+  virtual uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const = 0;
 
   // Hints the CPU to pull the key's index lines (tag metadata + cell) into
   // cache ahead of an operation on the same hash. Purely advisory — never

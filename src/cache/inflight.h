@@ -27,13 +27,25 @@
 // partitioned by object id (shard_router.h), a given object only ever lands
 // in one shard's table: the per-shard tables jointly behave as a single
 // global coalescer.
+//
+// Layout: a FlatIndex maps each id to a row of a dense {id, completion,
+// ticket} vector; erased rows go on a free list and are reused, so a table
+// that stopped growing allocates nothing per request. The Prehashed forms
+// take the engines' ingest-time h, which must be exactly Mix64(id): the
+// plain forms hash with Mix64, and Sweep recomputes it for the rows it
+// erases. Sweep walks the rows in slot order; since it only erases, that
+// order never reaches an output.
 
 #ifndef MACARON_SRC_CACHE_INFLIGHT_H_
 #define MACARON_SRC_CACHE_INFLIGHT_H_
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
+#include "src/cache/flat_index.h"
+#include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/sim_time.h"
 #include "src/obs/metrics.h"
 #include "src/trace/request.h"
@@ -45,41 +57,56 @@ class InflightTable {
   // Records a fetch for `id` completing at `completion`; returns the fill
   // ticket identifying this fetch.
   uint64_t Insert(ObjectId id, SimTime completion) {
+    return InsertPrehashed(id, Mix64(id), completion);
+  }
+  uint64_t InsertPrehashed(ObjectId id, uint64_t h, SimTime completion) {
+    MACARON_DCHECK(h == Mix64(id));
     const uint64_t ticket = next_ticket_++;
-    auto [it, inserted] = pending_.try_emplace(id, Entry{completion, ticket});
-    if (!inserted && completion > it->second.completion) {
-      it->second = {completion, ticket};
+    uint32_t r = index_.FindPrehashed(id, h);
+    if (r == FlatIndex::kEmpty) {
+      r = AllocateRow();
+      rows_[r] = Row{id, completion, ticket};
+      index_.EmplacePrehashed(id, h, r);
+    } else if (completion > rows_[r].completion) {
+      rows_[r].completion = completion;
+      rows_[r].ticket = ticket;
     }
     if (m_inserts_ != nullptr) {
       m_inserts_->Inc();
     }
-    return it->second.ticket;
+    return rows_[r].ticket;
   }
 
   // If a fetch for `id` is still outstanding at `now`, returns its
   // completion time; otherwise clears any stale entry and returns nullopt.
   std::optional<SimTime> Pending(ObjectId id, SimTime now) {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) {
+    return PendingPrehashed(id, Mix64(id), now);
+  }
+  std::optional<SimTime> PendingPrehashed(ObjectId id, uint64_t h, SimTime now) {
+    MACARON_DCHECK(h == Mix64(id));
+    const uint32_t r = index_.FindPrehashed(id, h);
+    if (r == FlatIndex::kEmpty) {
       return std::nullopt;
     }
-    if (it->second.completion <= now) {
-      pending_.erase(it);
+    if (rows_[r].completion <= now) {
+      EraseRow(r, h);
       return std::nullopt;
     }
     if (m_coalesced_ != nullptr) {
       m_coalesced_->Inc();
     }
-    return it->second.completion;
+    return rows_[r].completion;
   }
 
-  void Erase(ObjectId id) { pending_.erase(id); }
+  void Erase(ObjectId id) { ErasePrehashed(id, Mix64(id)); }
+  void ErasePrehashed(ObjectId id, uint64_t h) { Remove(id, h); }
 
   // Drops the entry because the object it was filling no longer exists
   // (deleted, evicted, or TTL-expired mid-flight). Returns true if an entry
   // was actually outstanding.
-  bool Invalidate(ObjectId id) {
-    const bool removed = pending_.erase(id) > 0;
+  bool Invalidate(ObjectId id) { return InvalidatePrehashed(id, Mix64(id)); }
+  bool InvalidatePrehashed(ObjectId id, uint64_t h) {
+    const bool removed = Remove(id, h);
     if (removed && m_invalidated_ != nullptr) {
       m_invalidated_->Inc();
     }
@@ -89,26 +116,28 @@ class InflightTable {
   // Consumes the entry for `id` iff it still carries `ticket` (i.e. no
   // delete/invalidation/newer fetch superseded it since Insert).
   bool ClaimTicket(ObjectId id, uint64_t ticket) {
-    const auto it = pending_.find(id);
-    if (it == pending_.end() || it->second.ticket != ticket) {
+    return ClaimTicketPrehashed(id, Mix64(id), ticket);
+  }
+  bool ClaimTicketPrehashed(ObjectId id, uint64_t h, uint64_t ticket) {
+    MACARON_DCHECK(h == Mix64(id));
+    const uint32_t r = index_.FindPrehashed(id, h);
+    if (r == FlatIndex::kEmpty || rows_[r].ticket != ticket) {
       return false;
     }
-    pending_.erase(it);
+    EraseRow(r, h);
     return true;
   }
 
-  size_t size() const { return pending_.size(); }
+  size_t size() const { return index_.size(); }
 
   // Drops entries completed before `now` (periodic housekeeping so the table
   // does not grow with trace length).
   void Sweep(SimTime now) {
     size_t removed = 0;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.completion <= now) {
-        it = pending_.erase(it);
+    for (uint32_t r = 0; r < rows_.size(); ++r) {
+      if (rows_[r].ticket != kFreeRow && rows_[r].completion <= now) {
+        EraseRow(r, Mix64(rows_[r].id));
         ++removed;
-      } else {
-        ++it;
       }
     }
     if (m_swept_ != nullptr) {
@@ -133,12 +162,44 @@ class InflightTable {
   }
 
  private:
-  struct Entry {
+  struct Row {
+    ObjectId id;
     SimTime completion;
-    uint64_t ticket;
+    uint64_t ticket;  // kFreeRow while the row is on the free list
   };
+  static constexpr uint64_t kFreeRow = 0;  // tickets start at 1
 
-  std::unordered_map<ObjectId, Entry> pending_;
+  uint32_t AllocateRow() {
+    if (!free_rows_.empty()) {
+      const uint32_t r = free_rows_.back();
+      free_rows_.pop_back();
+      return r;
+    }
+    MACARON_CHECK(rows_.size() < FlatIndex::kEmpty);
+    rows_.emplace_back();
+    return static_cast<uint32_t>(rows_.size() - 1);
+  }
+
+  // Removes `r`, which the index maps `rows_[r].id` (hash `h`) to.
+  void EraseRow(uint32_t r, uint64_t h) {
+    index_.ErasePrehashed(rows_[r].id, h);
+    rows_[r].ticket = kFreeRow;
+    free_rows_.push_back(r);
+  }
+
+  bool Remove(ObjectId id, uint64_t h) {
+    MACARON_DCHECK(h == Mix64(id));
+    const uint32_t r = index_.FindPrehashed(id, h);
+    if (r == FlatIndex::kEmpty) {
+      return false;
+    }
+    EraseRow(r, h);
+    return true;
+  }
+
+  FlatIndex index_;  // id -> row
+  std::vector<Row> rows_;
+  std::vector<uint32_t> free_rows_;
   uint64_t next_ticket_ = 1;
   obs::Counter* m_inserts_ = nullptr;
   obs::Counter* m_coalesced_ = nullptr;

@@ -73,7 +73,7 @@ void LruCache::EvictToFit(uint64_t incoming) {
     slab_.Free(victim);
     used_ -= victim_size;
     if (evict_cb_) {
-      evict_cb_(victim_id, victim_size);
+      evict_cb_(victim_id, victim_size, victim);
     }
   }
   MACARON_CHECK(used_ + incoming <= capacity_ || lru_.empty());

@@ -25,7 +25,8 @@ namespace macaron {
 
 class LruCache {
  public:
-  using EvictCallback = std::function<void(ObjectId, uint64_t size)>;
+  // Receives the victim's id, size and (already freed) slab slot.
+  using EvictCallback = std::function<void(ObjectId, uint64_t size, uint32_t slot)>;
 
   explicit LruCache(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
@@ -55,6 +56,10 @@ class LruCache {
     return index_.FindPrehashed(id, hash) != FlatIndex::kEmpty;
   }
   void PrefetchPrehashed(uint64_t hash) const { index_.PrefetchPrehashed(hash); }
+  // The slab slot holding `id` (stable while resident), or FlatIndex::kEmpty.
+  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const {
+    return index_.FindPrehashed(id, hash);
+  }
 
   // Changes capacity; evicts immediately if shrinking.
   void Resize(uint64_t capacity_bytes);

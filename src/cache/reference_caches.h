@@ -11,6 +11,9 @@
 // Nothing in the simulator proper uses these classes. Do not "fix" or
 // optimize them: their value is being a faithful copy of the seed
 // semantics, allocation behavior included.
+//
+// The policies have no slab slots: SlotOfPrehashed and their eviction
+// callbacks report EvictionCache::kNoSlot.
 
 #ifndef MACARON_SRC_CACHE_REFERENCE_CACHES_H_
 #define MACARON_SRC_CACHE_REFERENCE_CACHES_H_
@@ -263,6 +266,7 @@ class RefLruPolicy : public EvictionCache {
 
   bool GetPrehashed(ObjectId id, uint64_t) override { return cache_.Get(id); }
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return cache_.Contains(id); }
+  uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override { cache_.Put(id, size); }
   bool ErasePrehashed(ObjectId id, uint64_t) override { return cache_.Erase(id); }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
@@ -272,7 +276,12 @@ class RefLruPolicy : public EvictionCache {
   size_t num_entries() const override { return cache_.num_entries(); }
   size_t allocated_nodes() const override { return 0; }
   void set_evict_callback(EvictCallback cb) override {
-    cache_.set_evict_callback(std::move(cb));
+    if (!cb) {
+      cache_.set_evict_callback(nullptr);
+      return;
+    }
+    cache_.set_evict_callback(
+        [cb = std::move(cb)](ObjectId id, uint64_t size) { cb(id, size, kNoSlot); });
   }
   void ForEachEvictOrder(const VisitFn& fn) const override { cache_.ForEachLruToMru(fn); }
   void ForEachHotOrder(const VisitFn& fn) const override { cache_.ForEachMruToLru(fn); }
@@ -288,6 +297,7 @@ class RefFifoPolicy : public EvictionCache {
 
   bool GetPrehashed(ObjectId id, uint64_t) override { return index_.count(id) != 0; }
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
+  uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -359,7 +369,7 @@ class RefFifoPolicy : public EvictionCache {
       index_.erase(victim.id);
       used_ -= victim.size;
       if (evict_cb_) {
-        evict_cb_(victim.id, victim.size);
+        evict_cb_(victim.id, victim.size, kNoSlot);
       }
     }
   }
@@ -396,6 +406,7 @@ class RefSlruPolicy : public EvictionCache {
   }
 
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
+  uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -509,7 +520,7 @@ class RefSlruPolicy : public EvictionCache {
       probation_bytes_ -= victim.size;
       index_.erase(victim.id);
       if (evict_cb_) {
-        evict_cb_(victim.id, victim.size);
+        evict_cb_(victim.id, victim.size, kNoSlot);
       }
     }
     // Degenerate case: everything sits in protected and still over budget.
@@ -519,7 +530,7 @@ class RefSlruPolicy : public EvictionCache {
       protected_bytes_ -= victim.size;
       index_.erase(victim.id);
       if (evict_cb_) {
-        evict_cb_(victim.id, victim.size);
+        evict_cb_(victim.id, victim.size, kNoSlot);
       }
     }
   }
@@ -550,6 +561,7 @@ class RefS3FifoPolicy : public EvictionCache {
   }
 
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
+  uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -669,7 +681,7 @@ class RefS3FifoPolicy : public EvictionCache {
     } else {
       GhostInsert(e.id);
       if (evict_cb_) {
-        evict_cb_(e.id, e.size);
+        evict_cb_(e.id, e.size, kNoSlot);
       }
     }
   }
@@ -689,7 +701,7 @@ class RefS3FifoPolicy : public EvictionCache {
       main_bytes_ -= e.size;
       index_.erase(e.id);
       if (evict_cb_) {
-        evict_cb_(e.id, e.size);
+        evict_cb_(e.id, e.size, kNoSlot);
       }
       return;
     }

@@ -1,6 +1,8 @@
 #include "src/osc/osc.h"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/obs/metrics.h"
@@ -16,23 +18,17 @@ ObjectStorageCache::ObjectStorageCache(const PackingConfig& config)
 }
 
 bool ObjectStorageCache::LookupPrehashed(ObjectId id, uint64_t h) {
-  const auto it = objects_.find(id);
-  if (it == objects_.end() || !it->second.live) {
+  MACARON_DCHECK(h == Mix64(id));
+  if (!order_->GetPrehashed(id, h)) {  // touch per policy
     return false;
   }
-  order_->GetPrehashed(id, h);  // touch per policy
-  ++ops_.gets;   // byte-range fetch from the containing block
+  ++ops_.gets;  // byte-range fetch from the containing block
   return true;
 }
 
-bool ObjectStorageCache::Contains(ObjectId id) const {
-  const auto it = objects_.find(id);
-  return it != objects_.end() && it->second.live;
-}
+bool ObjectStorageCache::Contains(ObjectId id) const { return order_->Contains(id); }
 
-void ObjectStorageCache::AdmitInternal(ObjectId id, uint64_t h, uint64_t size,
-                                       bool promote_lru) {
-  // Place into the open packing block.
+uint64_t ObjectStorageCache::PlaceCopy(ObjectId id, uint64_t size) {
   if (!config_.packing_enabled) {
     // One object per block: write immediately.
     const uint64_t block_id = next_block_++;
@@ -41,72 +37,69 @@ void ObjectStorageCache::AdmitInternal(ObjectId id, uint64_t h, uint64_t size,
     block.bytes = size;
     block.objects = 1;
     block.members.push_back(id);
-    objects_[id] = ObjectMeta{block_id, size, true};
     ++ops_.puts;
     if (m_block_flushes_ != nullptr) {
       m_block_flushes_->Inc();
     }
-    if (promote_lru) {
-      order_->PutPrehashed(id, h, size);
-      live_bytes_ += size;
-    }
-    return;
+    return block_id;
   }
   if (open_block_ == 0) {
     open_block_ = next_block_++;
     blocks_[open_block_].open = true;
   }
-  BlockMeta& block = blocks_[open_block_];
+  const uint64_t block_id = open_block_;
+  BlockMeta& block = blocks_[block_id];
   block.members.push_back(id);
   block.bytes += size;
   ++block.objects;
-  objects_[id] = ObjectMeta{open_block_, size, true};
-  if (promote_lru) {
-    order_->PutPrehashed(id, h, size);
-    live_bytes_ += size;
-  }
   if (block.objects >= config_.max_objects_per_block || block.bytes >= config_.block_bytes) {
     FlushOpenBlock();
   }
+  return block_id;
 }
 
 void ObjectStorageCache::AdmitPrehashed(ObjectId id, uint64_t h, uint64_t size) {
-  const auto it = objects_.find(id);
-  if (it != objects_.end() && it->second.live) {
-    order_->GetPrehashed(id, h);  // immutable data: refresh recency only
-    return;
+  MACARON_DCHECK(h == Mix64(id));
+  if (order_->GetPrehashed(id, h)) {
+    return;  // live; immutable data: refresh recency only
   }
   // A dead prior copy (Evicted then re-fetched) stays garbage in its old
   // block; the new copy goes into the open block.
   if (m_admits_ != nullptr) {
     m_admits_->Inc();
   }
-  AdmitInternal(id, h, size, /*promote_lru=*/true);
+  order_->PutPrehashed(id, h, size);
+  live_bytes_ += size;
+  const uint32_t slot = order_->SlotOfPrehashed(id, h);
+  MACARON_CHECK(slot != EvictionCache::kNoSlot);
+  if (slot >= rows_.size()) {
+    rows_.resize(static_cast<size_t>(slot) + 1);
+  }
+  rows_[slot] = ObjectRow{PlaceCopy(id, size), size};
 }
 
 void ObjectStorageCache::DeletePrehashed(ObjectId id, uint64_t h) {
-  const auto it = objects_.find(id);
-  if (it == objects_.end() || !it->second.live) {
+  MACARON_DCHECK(h == Mix64(id));
+  const uint32_t slot = order_->SlotOfPrehashed(id, h);
+  if (slot == EvictionCache::kNoSlot) {
     return;
   }
+  const ObjectRow row = rows_[slot];
   order_->ErasePrehashed(id, h);
-  live_bytes_ -= it->second.size;
+  live_bytes_ -= row.size;
   if (m_deletes_ != nullptr) {
     m_deletes_->Inc();
   }
-  MarkDead(id);
+  MarkDead(row);
 }
 
-void ObjectStorageCache::MarkDead(ObjectId id) {
-  ObjectMeta& meta = objects_.at(id);
-  MACARON_CHECK(meta.live);
-  meta.live = false;
-  garbage_bytes_ += meta.size;
-  const auto bit = blocks_.find(meta.block);
+void ObjectStorageCache::MarkDead(const ObjectRow& row) {
+  garbage_bytes_ += row.size;
+  const auto bit = blocks_.find(row.block);
   MACARON_CHECK(bit != blocks_.end());
-  bit->second.dead_bytes += meta.size;
+  bit->second.dead_bytes += row.size;
   ++bit->second.dead_objects;
-  MaybeScheduleGc(meta.block);
+  MaybeScheduleGc(row.block);
 }
 
 void ObjectStorageCache::MaybeScheduleGc(uint64_t block_id) {
@@ -144,23 +137,22 @@ void ObjectStorageCache::EvictToCapacity(uint64_t target_bytes) {
   if (live_bytes_ > target_bytes) {
     // Let the policy itself choose the victims (a temporary resize), so the
     // OSC evicts exactly what the policy's mini-cache model predicts, then
-    // return the ordering structure to its unbounded lazy state.
-    std::vector<ObjectId> victims;
-    order_->set_evict_callback(
-        [&victims](ObjectId id, uint64_t size) {
-          (void)size;
-          victims.push_back(id);
-        });
+    // return the ordering structure to its unbounded lazy state. Resize
+    // only frees slots, so every victim's row is intact when read below.
+    std::vector<std::pair<ObjectId, uint32_t>> victims;
+    order_->set_evict_callback([&victims](ObjectId id, uint64_t, uint32_t slot) {
+      victims.emplace_back(id, slot);
+    });
     order_->Resize(target_bytes);
     order_->Resize(std::numeric_limits<uint64_t>::max() / 2);
     order_->set_evict_callback(nullptr);
     if (m_evictions_ != nullptr) {
       m_evictions_->Inc(victims.size());
     }
-    for (ObjectId id : victims) {
-      const ObjectMeta& meta = objects_.at(id);
-      live_bytes_ -= meta.size;
-      MarkDead(id);
+    for (const auto& [id, slot] : victims) {
+      const ObjectRow& row = rows_[slot];
+      live_bytes_ -= row.size;
+      MarkDead(row);
       if (evict_observer_) {
         evict_observer_(id);
       }
@@ -189,23 +181,45 @@ void ObjectStorageCache::RunGc() {
       std::vector<ObjectId> members = std::move(it->second.members);
       blocks_.erase(it);
       for (ObjectId id : members) {
-        const auto oit = objects_.find(id);
-        if (oit == objects_.end()) {
+        // A member survives iff it is live and its live copy is this one:
+        // a dead copy has no slot, and a re-admitted object's row points
+        // at a newer block.
+        const uint32_t slot = order_->SlotOfPrehashed(id, Mix64(id));
+        if (slot == EvictionCache::kNoSlot || rows_[slot].block != block_id) {
           continue;
         }
-        if (oit->second.block != block_id) {
-          continue;  // re-admitted into a newer block
-        }
-        if (oit->second.live) {
-          // Survivor: repack into the open block without touching recency
-          // (hash unused when promote_lru is false).
-          AdmitInternal(id, 0, oit->second.size, /*promote_lru=*/false);
-        } else {
-          objects_.erase(oit);
-        }
+        // Survivor: repack into the open block without touching recency.
+        rows_[slot].block = PlaceCopy(id, rows_[slot].size);
       }
     }
   }
+}
+
+void ObjectStorageCache::CheckConsistent() const {
+  uint64_t order_bytes = 0;
+  order_->ForEachHotOrder([&](ObjectId id, uint64_t size) {
+    const uint32_t slot = order_->SlotOfPrehashed(id, Mix64(id));
+    MACARON_CHECK(slot < rows_.size());
+    const ObjectRow& row = rows_[slot];
+    MACARON_CHECK(row.size == size);
+    const auto it = blocks_.find(row.block);
+    MACARON_CHECK(it != blocks_.end());
+    const std::vector<ObjectId>& members = it->second.members;
+    MACARON_CHECK(std::find(members.begin(), members.end(), id) != members.end());
+    order_bytes += size;
+    return true;
+  });
+  uint64_t block_live_bytes = 0;
+  uint64_t block_dead_bytes = 0;
+  for (const auto& [block_id, block] : blocks_) {
+    MACARON_CHECK(block.dead_bytes <= block.bytes);
+    block_live_bytes += block.bytes - block.dead_bytes;
+    block_dead_bytes += block.dead_bytes;
+  }
+  MACARON_CHECK(block_live_bytes == live_bytes_);
+  MACARON_CHECK(order_bytes == live_bytes_);
+  MACARON_CHECK(order_->used_bytes() == live_bytes_);
+  MACARON_CHECK(block_dead_bytes == garbage_bytes_);
 }
 
 std::vector<ObjectStorageCache::BlockDebug> ObjectStorageCache::DebugBlocks() const {

@@ -8,6 +8,13 @@
 // and garbage-collects blocks once at least half their bytes are dead,
 // rewriting the survivors into fresh blocks. Billed capacity is live bytes
 // plus the garbage that packing leaves behind.
+//
+// One index serves the metadata: the replacement order (an EvictionCache
+// that never evicts on its own) holds exactly the live objects, so its
+// FlatIndex answers "is this object live?", and each live object's
+// {block, size} row sits in a dense vector indexed by the order's slab slot.
+// A hit is one probe of that index; a dead copy exists only in its block's
+// member list and dead counters until GC rewrites the block.
 
 #ifndef MACARON_SRC_OSC_OSC_H_
 #define MACARON_SRC_OSC_OSC_H_
@@ -48,8 +55,9 @@ class ObjectStorageCache {
   //
   // The Prehashed variants take h = Mix64(id) from a caller that already
   // hashed the request (the engines hash once at ingest); the plain forms
-  // hash internally. `h` feeds the replacement-order index only — metadata
-  // lives in std::unordered_map and is unaffected.
+  // hash internally. `h` must be exactly Mix64(id), not any per-id hash:
+  // GC and eviction reach objects by id alone and recompute Mix64 to find
+  // their rows (debug builds check it).
 
   // True if `id` is Active; touches it in the replacement order. Counts one
   // GET.
@@ -66,8 +74,8 @@ class ObjectStorageCache {
   void DeletePrehashed(ObjectId id, uint64_t h);
   // Hints the CPU to pull `h`'s replacement-order index lines; the engines'
   // batch loops call this for an upcoming request while processing the
-  // current one. Advisory only (the unordered_map metadata is not covered —
-  // its buckets aren't addressable without hashing `id` again).
+  // current one. Advisory only. That index is the only hash probe a hit
+  // makes, so the prefetch covers the whole hit path's lookup.
   void PrefetchPrehashed(uint64_t h) const { order_->PrefetchPrehashed(h); }
 
   // --- Maintenance (off the request path) ---
@@ -119,6 +127,14 @@ class ObjectStorageCache {
 
   const PackingConfig& config() const { return config_; }
 
+  // Aborts unless the metadata agrees with itself: every object in the
+  // replacement order has a row whose block exists and lists it, per-block
+  // live bytes (bytes - dead bytes) sum to live_bytes() and to the order's
+  // used bytes, and per-block dead bytes sum to garbage_bytes(). O(live
+  // objects x objects per block + blocks); for tests, like
+  // IntrusiveList::CheckConsistent.
+  void CheckConsistent() const;
+
   // Attaches packing/GC counters ("osc" component); nullptr (the default)
   // detaches, leaving a null-check per site.
   void RegisterMetrics(obs::MetricsRegistry* registry);
@@ -134,10 +150,10 @@ class ObjectStorageCache {
   }
 
  private:
-  struct ObjectMeta {
+  // A live object's metadata, indexed by its slot in order_.
+  struct ObjectRow {
     uint64_t block = 0;
     uint64_t size = 0;
-    bool live = false;  // false = Evicted or Deleted (garbage until GC)
   };
 
   struct BlockMeta {
@@ -149,16 +165,20 @@ class ObjectStorageCache {
     std::vector<ObjectId> members;
   };
 
-  // `h` is consumed only when promote_lru is true (GC repack passes 0).
-  void AdmitInternal(ObjectId id, uint64_t h, uint64_t size, bool promote_lru);
-  void MarkDead(ObjectId id);
+  // Appends a copy of `id` to the open block (or to a block of its own when
+  // packing is off), flushing the block once full; returns the block's id.
+  uint64_t PlaceCopy(ObjectId id, uint64_t size);
+  // Turns a copy that just left the order into garbage in its block.
+  void MarkDead(const ObjectRow& row);
   void MaybeScheduleGc(uint64_t block_id);
 
   PackingConfig config_;
-  std::unordered_map<ObjectId, ObjectMeta> objects_;
+  std::vector<ObjectRow> rows_;  // by order_ slot; valid while the slot is live
   std::unordered_map<uint64_t, BlockMeta> blocks_;
   std::unordered_set<uint64_t> gc_list_;
-  std::unique_ptr<EvictionCache> order_;  // replacement ordering (never evicts itself)
+  // Replacement ordering, holding exactly the live objects; it never evicts
+  // on its own (EvictToCapacity shrinks it temporarily).
+  std::unique_ptr<EvictionCache> order_;
   uint64_t open_block_ = 0;
   uint64_t next_block_ = 1;
   uint64_t live_bytes_ = 0;

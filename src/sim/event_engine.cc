@@ -85,7 +85,7 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
         }
         return;
       }
-      if (auto completion = sh.inflight.Pending(id, time)) {
+      if (auto completion = sh.inflight.PendingPrehashed(id, h, time)) {
         ++sh.delayed_hits;
         if (cfg_.measure_latency) {
           sh.latency_ms.Add(kClientHopMs + static_cast<double>(*completion - time));
@@ -105,10 +105,10 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
       // hash so completion does not rehash, and the fill ticket so a DELETE
       // or mid-flight eviction between now and then cancels the admission
       // instead of resurrecting a dead object.
-      const uint64_t ticket = sh.inflight.Insert(id, completion);
+      const uint64_t ticket = sh.inflight.InsertPrehashed(id, h, completion);
       Shard* p = &sh;
       queue.Schedule(completion, [this, p, id, h, size, ticket](SimTime now) {
-        if (!p->inflight.ClaimTicket(id, ticket)) {
+        if (!p->inflight.ClaimTicketPrehashed(id, h, ticket)) {
           return;  // superseded: object deleted/evicted/expired mid-flight
         }
         Integrate(*p, now);
@@ -139,7 +139,7 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
       if (sh.cluster != nullptr) {
         sh.cluster->DeleteHashed(id, h);
       }
-      sh.inflight.Erase(id);
+      sh.inflight.ErasePrehashed(id, h);
       return;
   }
 }

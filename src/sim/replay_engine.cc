@@ -136,7 +136,7 @@ void Runner::GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uin
   // A fetch still in flight means the object is not yet actually available,
   // even though it was admitted to cache metadata at request time: the
   // duplicate access is delayed until the fetch completes (§5.2).
-  if (auto completion = sh.inflight.Pending(id, time)) {
+  if (auto completion = sh.inflight.PendingPrehashed(id, h, time)) {
     ++sh.delayed_hits;
     if (cfg_.measure_latency) {
       sh.latency_ms.Add(static_cast<double>(*completion - time));
@@ -167,7 +167,7 @@ void Runner::GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uin
   if (cfg_.measure_latency) {
     sh.latency_ms.Add(lat);
   }
-  sh.inflight.Insert(id, time + static_cast<SimTime>(lat) + 1);
+  sh.inflight.InsertPrehashed(id, h, time + static_cast<SimTime>(lat) + 1);
   if (!admission_bypass_) {
     sh.osc->AdmitPrehashed(id, h, size);
     if (sh.ttl_shadow != nullptr) {
@@ -259,7 +259,7 @@ void Runner::ProcessRequest(Shard& sh, SimTime time, ObjectId id, uint64_t size,
           if (sh.cluster != nullptr) {
             sh.cluster->DeleteHashed(id, h);
           }
-          sh.inflight.Erase(id);
+          sh.inflight.ErasePrehashed(id, h);
           break;
       }
       break;

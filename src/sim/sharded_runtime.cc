@@ -25,6 +25,9 @@ ShardedRuntime::ShardedRuntime(const EngineConfig& cfg, RequestSource& source)
                      std::min(std::max(cfg.analyzer_threads, 1), 1024))),
       source_(source),
       router_(num_shards_) {
+  // Run advances its window boundary by cfg.window per step; a window of
+  // zero would never pass the first request.
+  MACARON_CHECK(cfg.window > 0);
   result_.trace_name = info_.name;
   result_.approach_name = ApproachName(cfg_.approach);
 }

@@ -90,9 +90,9 @@ void RunPolicyDifferential(EvictionPolicyKind kind, uint64_t seed, uint64_t ops)
   EventLog flat_evicted;
   EventLog ref_evicted;
   flat->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { flat_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { flat_evicted.emplace_back(id, size); });
   ref->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { ref_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { ref_evicted.emplace_back(id, size); });
 
   Rng rng(seed);
   ZipfSampler zipf(kObjects, 0.8);
@@ -167,7 +167,7 @@ TEST(CacheDifferentialTest, LruCacheWithChangingSizes) {
   EventLog flat_evicted;
   EventLog ref_evicted;
   flat.set_evict_callback(
-      [&](ObjectId id, uint64_t size) { flat_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { flat_evicted.emplace_back(id, size); });
   ref.set_evict_callback(
       [&](ObjectId id, uint64_t size) { ref_evicted.emplace_back(id, size); });
 
@@ -279,9 +279,9 @@ void RunHashDomainDifferential(EvictionPolicyKind kind, uint64_t salt, uint64_t 
   EventLog plain_evicted;
   EventLog salted_evicted;
   plain->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { plain_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { plain_evicted.emplace_back(id, size); });
   salted->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { salted_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { salted_evicted.emplace_back(id, size); });
 
   Rng rng(salt * 2 + 1);
   ZipfSampler zipf(kObjects, 0.8);
@@ -348,11 +348,11 @@ void RunReplayKernelDifferential(EvictionPolicyKind kind, uint64_t seed) {
   EventLog scalar_evicted;
   EventLog ref_evicted;
   kernel->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { kernel_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { kernel_evicted.emplace_back(id, size); });
   scalar->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { scalar_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { scalar_evicted.emplace_back(id, size); });
   ref->set_evict_callback(
-      [&](ObjectId id, uint64_t size) { ref_evicted.emplace_back(id, size); });
+      [&](ObjectId id, uint64_t size, uint32_t) { ref_evicted.emplace_back(id, size); });
 
   Rng rng(seed);
   ZipfSampler zipf(kObjects, 0.8);

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cache/inflight.h"
 #include "src/cache/lru_cache.h"
 #include "src/cache/ttl_cache.h"
+#include "src/common/hash.h"
+#include "src/common/rng.h"
 #include "src/common/sim_time.h"
+#include "src/common/zipf.h"
+#include "src/obs/metrics.h"
 
 namespace macaron {
 namespace {
@@ -98,7 +106,7 @@ TEST(LruCacheTest, ResizeShrinkEvicts) {
 TEST(LruCacheTest, EvictCallbackFires) {
   LruCache c(20);
   std::vector<ObjectId> evicted;
-  c.set_evict_callback([&](ObjectId id, uint64_t) { evicted.push_back(id); });
+  c.set_evict_callback([&](ObjectId id, uint64_t, uint32_t) { evicted.push_back(id); });
   c.Put(1, 10);
   c.Put(2, 10);
   c.Put(3, 10);
@@ -304,6 +312,131 @@ TEST(InflightTest, DeleteThenRefetchInvalidatesTheOldTicket) {
   EXPECT_NE(new_ticket, old_ticket);
   EXPECT_FALSE(t.ClaimTicket(1, old_ticket)) << "stale fill must not admit";
   EXPECT_TRUE(t.ClaimTicket(1, new_ticket));
+}
+
+// The map-based InflightTable the FlatIndex rows replaced, kept as the
+// reference its replacement must match call for call.
+class MapInflightTable {
+ public:
+  uint64_t Insert(ObjectId id, SimTime completion) {
+    const uint64_t ticket = next_ticket_++;
+    ++inserts;
+    auto [it, inserted] = pending_.try_emplace(id, Entry{completion, ticket});
+    if (!inserted && completion > it->second.completion) {
+      it->second = {completion, ticket};
+    }
+    return it->second.ticket;
+  }
+  std::optional<SimTime> Pending(ObjectId id, SimTime now) {
+    const auto it = pending_.find(id);
+    if (it == pending_.end()) {
+      return std::nullopt;
+    }
+    if (it->second.completion <= now) {
+      pending_.erase(it);
+      return std::nullopt;
+    }
+    ++coalesced;
+    return it->second.completion;
+  }
+  void Erase(ObjectId id) { pending_.erase(id); }
+  bool Invalidate(ObjectId id) {
+    const bool removed = pending_.erase(id) > 0;
+    invalidated += removed ? 1 : 0;
+    return removed;
+  }
+  bool ClaimTicket(ObjectId id, uint64_t ticket) {
+    const auto it = pending_.find(id);
+    if (it == pending_.end() || it->second.ticket != ticket) {
+      return false;
+    }
+    pending_.erase(it);
+    return true;
+  }
+  size_t size() const { return pending_.size(); }
+  void Sweep(SimTime now) {
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (it->second.completion <= now) {
+        it = pending_.erase(it);
+        ++swept;
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  uint64_t inserts = 0;
+  uint64_t coalesced = 0;
+  uint64_t swept = 0;
+  uint64_t invalidated = 0;
+
+ private:
+  struct Entry {
+    SimTime completion;
+    uint64_t ticket;
+  };
+  std::unordered_map<ObjectId, Entry> pending_;
+  uint64_t next_ticket_ = 1;
+};
+
+TEST(InflightTest, MatchesMapBasedTableOnRandomStreams) {
+  for (const uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    obs::MetricsRegistry registry;
+    InflightTable t;
+    t.RegisterMetrics(&registry);
+    MapInflightTable ref;
+    Rng rng(seed);
+    ZipfSampler zipf(500, 0.7);
+    std::vector<std::pair<ObjectId, uint64_t>> tickets;  // recent fills
+    SimTime now = 0;
+    for (int step = 0; step < 20'000; ++step) {
+      now += static_cast<SimTime>(rng.NextBounded(4));
+      const ObjectId id = zipf.Sample(rng);
+      const uint64_t h = Mix64(id);
+      const bool prehashed = (step & 1) != 0;
+      const uint64_t roll = rng.NextBounded(100);
+      if (roll < 35) {
+        const SimTime completion = now + 1 + static_cast<SimTime>(rng.NextBounded(200));
+        const uint64_t got =
+            prehashed ? t.InsertPrehashed(id, h, completion) : t.Insert(id, completion);
+        ASSERT_EQ(got, ref.Insert(id, completion)) << "step " << step;
+        tickets.emplace_back(id, got);
+      } else if (roll < 75) {
+        const auto got = prehashed ? t.PendingPrehashed(id, h, now) : t.Pending(id, now);
+        ASSERT_EQ(got, ref.Pending(id, now)) << "step " << step;
+      } else if (roll < 82) {
+        if (prehashed) {
+          t.ErasePrehashed(id, h);
+        } else {
+          t.Erase(id);
+        }
+        ref.Erase(id);
+      } else if (roll < 89) {
+        const bool got = prehashed ? t.InvalidatePrehashed(id, h) : t.Invalidate(id);
+        ASSERT_EQ(got, ref.Invalidate(id)) << "step " << step;
+      } else if (roll < 98) {
+        if (!tickets.empty()) {
+          // Recent tickets, stale ones included.
+          const auto [claim_id, ticket] =
+              tickets[tickets.size() - 1 - rng.NextBounded(std::min<size_t>(tickets.size(), 8))];
+          const bool got = prehashed ? t.ClaimTicketPrehashed(claim_id, Mix64(claim_id), ticket)
+                                     : t.ClaimTicket(claim_id, ticket);
+          ASSERT_EQ(got, ref.ClaimTicket(claim_id, ticket)) << "step " << step;
+        }
+      } else {
+        t.Sweep(now);
+        ref.Sweep(now);
+      }
+      ASSERT_EQ(t.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(registry.CounterValue("inflight", "inserts"), ref.inserts);
+      ASSERT_EQ(registry.CounterValue("inflight", "coalesced"), ref.coalesced);
+      ASSERT_EQ(registry.CounterValue("inflight", "swept"), ref.swept);
+      ASSERT_EQ(registry.CounterValue("inflight", "invalidated"), ref.invalidated);
+    }
+    EXPECT_GT(ref.swept, 0u);
+    EXPECT_GT(ref.coalesced, 0u);
+  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/osc/osc.h"
@@ -73,7 +75,7 @@ TEST_P(PolicyContractTest, ResizeShrinkEvicts) {
 TEST_P(PolicyContractTest, EvictCallbackAccountsEveryEvictedByte) {
   auto cache = MakeEvictionCache(GetParam(), 500);
   uint64_t evicted_bytes = 0;
-  cache->set_evict_callback([&](ObjectId, uint64_t size) { evicted_bytes += size; });
+  cache->set_evict_callback([&](ObjectId, uint64_t size, uint32_t) { evicted_bytes += size; });
   uint64_t put_bytes = 0;
   for (ObjectId id = 0; id < 50; ++id) {
     cache->Put(id, 50);
@@ -117,7 +119,7 @@ TEST_P(PolicyContractTest, EvictOrderMatchesActualEvictions) {
     return predicted.size() < 5;
   });
   std::vector<ObjectId> actual;
-  cache->set_evict_callback([&](ObjectId id, uint64_t) { actual.push_back(id); });
+  cache->set_evict_callback([&](ObjectId id, uint64_t, uint32_t) { actual.push_back(id); });
   cache->Resize(1500);  // force 5 evictions of 100 bytes each
   ASSERT_GE(actual.size(), 5u);
   if (GetParam() == EvictionPolicyKind::kS3Fifo) {
@@ -140,6 +142,58 @@ TEST_P(PolicyContractTest, KindAndNameRoundTrip) {
   auto cache = MakeEvictionCache(GetParam(), 10);
   EXPECT_EQ(cache->kind(), GetParam());
   EXPECT_NE(std::string(EvictionPolicyName(GetParam())), "unknown");
+}
+
+// Owners key per-entry rows by slot (the OSC does): a resident entry's slot
+// never changes, an absent id has none, and the eviction callback reports
+// the slot the victim held.
+TEST_P(PolicyContractTest, SlotStableWhileResidentAndReportedOnEviction) {
+  auto cache = MakeEvictionCache(GetParam(), 4000);
+  std::unordered_map<ObjectId, uint32_t> slots;  // resident id -> slot at admission
+  uint64_t evictions = 0;
+  cache->set_evict_callback([&](ObjectId id, uint64_t, uint32_t slot) {
+    const auto it = slots.find(id);
+    ASSERT_NE(it, slots.end()) << "evicted " << id << " was not resident";
+    EXPECT_EQ(slot, it->second) << "victim " << id;
+    slots.erase(it);
+    ++evictions;
+  });
+  Rng rng(17);
+  ZipfSampler zipf(300, 0.8);
+  for (int step = 0; step < 20'000; ++step) {
+    const ObjectId id = zipf.Sample(rng);
+    const uint64_t h = Mix64(id);
+    const uint64_t roll = rng.NextBounded(100);
+    if (roll < 50) {
+      if (!cache->GetPrehashed(id, h)) {
+        cache->PutPrehashed(id, h, 20 + rng.NextBounded(200));
+        if (cache->ContainsPrehashed(id, h)) {
+          slots[id] = cache->SlotOfPrehashed(id, h);
+        }
+      }
+    } else if (roll < 80) {
+      const bool resident = cache->ContainsPrehashed(id, h);
+      cache->PutPrehashed(id, h, 20 + rng.NextBounded(200));
+      if (!resident && cache->ContainsPrehashed(id, h)) {
+        slots[id] = cache->SlotOfPrehashed(id, h);
+      }
+    } else if (roll < 95) {
+      if (cache->ErasePrehashed(id, h)) {
+        slots.erase(id);
+      }
+    } else {
+      cache->Resize(1000 + rng.NextBounded(4000));
+    }
+    ASSERT_EQ(cache->num_entries(), slots.size()) << "step " << step;
+    if (step % 97 == 0) {
+      for (const auto& [resident, slot] : slots) {
+        ASSERT_EQ(cache->SlotOfPrehashed(resident, Mix64(resident)), slot) << resident;
+      }
+    }
+    ASSERT_EQ(cache->SlotOfPrehashed(id, h),
+              slots.count(id) != 0 ? slots[id] : EvictionCache::kNoSlot);
+  }
+  EXPECT_GT(evictions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyContractTest, testing::ValuesIn(kAllPolicies),
@@ -178,7 +232,7 @@ TEST(SlruPolicyTest, OneHitWondersEvictFirst) {
     cache->Get(id);
   }
   std::vector<ObjectId> evicted;
-  cache->set_evict_callback([&](ObjectId id, uint64_t) { evicted.push_back(id); });
+  cache->set_evict_callback([&](ObjectId id, uint64_t, uint32_t) { evicted.push_back(id); });
   for (ObjectId id = 100; id < 120; ++id) {
     cache->Put(id, 100);  // scan
   }

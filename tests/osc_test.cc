@@ -244,9 +244,9 @@ TEST(OscTest, NumLiveObjectsAndBlocks) {
 
 // --- Dead-copy re-admission (evict → re-fetch → delete) ---
 //
-// When an Evicted object is re-fetched, objects_[id] is repointed at the
-// open block while the stale copy keeps its dead_bytes/dead_objects in the
-// old block. These regressions pin down that the global garbage counter,
+// When an Evicted object is re-fetched, its new row points at the open
+// block while the stale copy keeps its dead_bytes/dead_objects in the old
+// block. These regressions pin down that the global garbage counter,
 // the per-block dead counters, and GC scheduling all count each physical
 // copy exactly once through the full evict → re-fetch → delete → GC cycle.
 

@@ -211,5 +211,21 @@ TEST(InflightLifetimeTest, EventEngineUndisturbedFillStillAdmits) {
   EXPECT_EQ(r.osc_hits, 1u);
 }
 
+// A zero window would stall Run's boundary loop forever; the runtime
+// rejects it at construction for every approach, the remote baseline
+// included, which builds no controller to check it.
+TEST(ShardedRuntimeDeathTest, ZeroWindowIsRejectedAtConstruction) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Trace trace = ZipfTrace();
+  for (const Approach a : {Approach::kRemote, Approach::kMacaron}) {
+    EngineConfig cfg = Config(a);
+    cfg.window = 0;
+    EXPECT_DEATH(ReplayEngine(cfg).Run(trace), "cfg.window > 0");
+  }
+  EngineConfig cfg = Config(Approach::kMacaron);
+  cfg.window = 0;
+  EXPECT_DEATH(EventEngine(cfg).Run(trace), "cfg.window > 0");
+}
+
 }  // namespace
 }  // namespace macaron
