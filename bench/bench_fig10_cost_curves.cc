@@ -6,6 +6,7 @@
 
 #include "bench/harness.h"
 #include "src/controller/controller.h"
+#include "src/trace/request_source.h"
 
 using namespace macaron;
 
@@ -22,18 +23,18 @@ ReconfigDecision FinalDecision(const Trace& t) {
   cc.analyzer.min_capacity_bytes = 50'000'000;
   cc.analyzer.max_capacity_bytes = static_cast<uint64_t>(stats.unique_bytes * 1.15);
   MacaronController controller(cc, prices, nullptr);
-  SimTime boundary = cc.window;
   ReconfigDecision last;
-  for (const Request& r : t.requests) {
-    while (r.time >= boundary) {
-      ReconfigDecision d = controller.Reconfigure(boundary, 0);
-      if (d.optimized) {
-        last = std::move(d);
-      }
-      boundary += cc.window;
-    }
-    controller.Observe(r);
-  }
+  const ReplayBatch chunk = ToChunk(t.requests);
+  SimTime next_boundary = cc.window;
+  ForEachWindowSegment(
+      chunk, cc.window, &next_boundary,
+      [&](SimTime boundary) {
+        ReconfigDecision d = controller.Reconfigure(boundary, 0);
+        if (d.optimized) {
+          last = std::move(d);
+        }
+      },
+      [&](size_t begin, size_t end) { controller.ObserveColumns(chunk, begin, end); });
   return last;
 }
 

@@ -3,10 +3,12 @@
 // (b) the predicted average latency curve over cache cluster capacity (with
 // the capacity meeting the latency target).
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/harness.h"
 #include "src/controller/controller.h"
+#include "src/trace/request_source.h"
 
 using namespace macaron;
 
@@ -31,21 +33,23 @@ int RunFig4Curves() {
   MacaronController controller(cc, prices, &fitted);
 
   // Drive the first three days through the controller.
-  SimTime next_boundary = cc.window;
+  const size_t three_days = static_cast<size_t>(
+      std::find_if(t.requests.begin(), t.requests.end(),
+                   [](const Request& r) { return r.time > 3 * kDay; }) -
+      t.requests.begin());
+  ReplayBatch chunk;
+  AppendRequests(t.requests.data(), three_days, &chunk);
   ReconfigDecision last;
-  for (const Request& r : t.requests) {
-    if (r.time > 3 * kDay) {
-      break;
-    }
-    while (r.time >= next_boundary) {
-      ReconfigDecision d = controller.Reconfigure(next_boundary, 0);
-      if (d.optimized) {
-        last = std::move(d);
-      }
-      next_boundary += cc.window;
-    }
-    controller.Observe(r);
-  }
+  SimTime next_boundary = cc.window;
+  ForEachWindowSegment(
+      chunk, cc.window, &next_boundary,
+      [&](SimTime boundary) {
+        ReconfigDecision d = controller.Reconfigure(boundary, 0);
+        if (d.optimized) {
+          last = std::move(d);
+        }
+      },
+      [&](size_t begin, size_t end) { controller.ObserveColumns(chunk, begin, end); });
 
   std::printf("\n(a) Expected cost curve (dollars per 15-min window)\n");
   std::printf("%14s %14s\n", "capacityGB", "expected$");

@@ -18,6 +18,7 @@
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/minisim/alc_bank.h"
+#include "src/trace/request_source.h"
 
 using namespace macaron;
 
@@ -89,8 +90,6 @@ Errors RunCase(const Trace& trace, const char* label, double mean_bytes_at_start
   uint64_t exact_n = 0;
   double window_bytes = 0.0;
   uint64_t window_reqs = 0;
-  SimTime boundary = kWin;
-  size_t i = 0;
   auto flush_window = [&](int w) {
     const AlcWindow aw = bank.EndWindow();
     const AlcLevelCounts& c = aw.level_counts[0];
@@ -127,18 +126,20 @@ Errors RunCase(const Trace& trace, const char* label, double mean_bytes_at_start
     window_reqs = 0;
   };
   int w = 0;
-  for (const Request& r : trace.requests) {
-    while (r.time >= boundary) {
-      flush_window(w++);
-      boundary += kWin;
-    }
-    exact_sum += exact.Access(r);
-    ++exact_n;
-    bank.Process(r);
-    window_bytes += static_cast<double>(r.size);
-    ++window_reqs;
-    (void)i;
-  }
+  const ReplayBatch chunk = ToChunk(trace.requests);
+  SimTime next_boundary = kWin;
+  ForEachWindowSegment(
+      chunk, kWin, &next_boundary, [&](SimTime) { flush_window(w++); },
+      [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          const Request& r = trace.requests[k];
+          exact_sum += exact.Access(r);
+          ++exact_n;
+          window_bytes += static_cast<double>(r.size);
+          ++window_reqs;
+        }
+        bank.ProcessColumns(chunk, begin, end);
+      });
   flush_window(w);
   std::printf("MAPE vs exact: macaron %s, symbiosis %s, symbiosis-recalibrated %s\n",
               bench::Percent(err.macaron / err.windows).c_str(),

@@ -95,16 +95,28 @@ void BM_SpatialSampler(benchmark::State& state) {
 }
 BENCHMARK(BM_SpatialSampler);
 
+// One iteration = one 4096-row segment of a precomputed chunk through a
+// bank (sampling, batching and, every ~80k rows, a batch replay).
 void BM_MrcBankProcess(benchmark::State& state) {
+  static const ReplayBatch* stream = [] {
+    std::vector<Request> reqs;
+    reqs.reserve(1 << 20);
+    Rng rng(4);
+    ZipfSampler zipf(500000, 0.6);
+    for (size_t i = 0; i < (1 << 20); ++i) {
+      reqs.push_back({static_cast<SimTime>(i), zipf.Sample(rng), 100000, Op::kGet});
+    }
+    return new ReplayBatch(ToChunk(reqs));
+  }();
+  constexpr size_t kSegment = 4096;
   MrcBank bank(UniformSizeGrid(50'000'000, 5'000'000'000, static_cast<int>(state.range(0))),
                0.05, 7);
-  Rng rng(4);
-  ZipfSampler zipf(500000, 0.6);
-  SimTime t = 0;
+  size_t begin = 0;
   for (auto _ : state) {
-    bank.Process({t++, zipf.Sample(rng), 100000, Op::kGet});
+    bank.ProcessColumns(*stream, begin, begin + kSegment);
+    begin = (begin + kSegment) % stream->size();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kSegment));
 }
 BENCHMARK(BM_MrcBankProcess)->Arg(48)->Arg(200);
 
@@ -268,22 +280,20 @@ BENCHMARK(BM_FlatIndexProbeEvictErase);
 // request stream. After the first window the slabs are at steady state, so
 // this measures the allocation-free replay path end to end.
 void BM_CacheCoreBankWindowReplay(benchmark::State& state) {
-  static const std::vector<Request>* window = [] {
-    auto* reqs = new std::vector<Request>();
-    reqs->reserve(1 << 18);
+  static const ReplayBatch* window = [] {
+    std::vector<Request> reqs;
+    reqs.reserve(1 << 18);
     Rng rng(12);
     ZipfSampler zipf(500000, 0.6);
     for (size_t i = 0; i < (1 << 18); ++i) {
-      reqs->push_back({static_cast<SimTime>(i), zipf.Sample(rng), 100000, Op::kGet});
+      reqs.push_back({static_cast<SimTime>(i), zipf.Sample(rng), 100000, Op::kGet});
     }
-    return reqs;
+    return new ReplayBatch(ToChunk(reqs));
   }();
   MrcBank bank(UniformSizeGrid(50'000'000, 5'000'000'000, static_cast<int>(state.range(0))),
                0.05, 7);
   for (auto _ : state) {
-    for (const Request& r : *window) {
-      bank.Process(r);
-    }
+    bank.ProcessColumns(*window, 0, window->size());
     bank.EndWindow();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(window->size()));
@@ -300,16 +310,16 @@ BENCHMARK(BM_CacheCoreBankWindowReplay)->Arg(48)->Unit(benchmark::kMillisecond);
 // group measures each bank's end-to-end window cost; the per-policy MRC
 // variants compare the one-pass LRU replay with the per-grid kernels.
 
-const std::vector<Request>& MiniSimWindowStream() {
-  static const std::vector<Request>* window = [] {
-    auto* reqs = new std::vector<Request>();
-    reqs->reserve(1 << 17);
+const ReplayBatch& MiniSimWindowStream() {
+  static const ReplayBatch* window = [] {
+    std::vector<Request> reqs;
+    reqs.reserve(1 << 17);
     Rng rng(13);
     ZipfSampler zipf(300000, 0.7);
     for (size_t i = 0; i < (1 << 17); ++i) {
-      reqs->push_back({static_cast<SimTime>(i * 8), zipf.Sample(rng), 100000, Op::kGet});
+      reqs.push_back({static_cast<SimTime>(i * 8), zipf.Sample(rng), 100000, Op::kGet});
     }
-    return reqs;
+    return new ReplayBatch(ToChunk(reqs));
   }();
   return *window;
 }
@@ -318,9 +328,7 @@ void BM_MiniSimWindowMrc(benchmark::State& state) {
   const auto kind = static_cast<EvictionPolicyKind>(state.range(0));
   MrcBank bank(UniformSizeGrid(50'000'000, 5'000'000'000, 48), 0.05, 7, kind);
   for (auto _ : state) {
-    for (const Request& r : MiniSimWindowStream()) {
-      bank.Process(r);
-    }
+    bank.ProcessColumns(MiniSimWindowStream(), 0, MiniSimWindowStream().size());
     bank.EndWindow();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -332,9 +340,7 @@ BENCHMARK(BM_MiniSimWindowMrc)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::
 void BM_MiniSimWindowTtl(benchmark::State& state) {
   TtlBank bank(StandardTtlGrid(7 * kDay), 0.05, 7);
   for (auto _ : state) {
-    for (const Request& r : MiniSimWindowStream()) {
-      bank.Process(r);
-    }
+    bank.ProcessColumns(MiniSimWindowStream(), 0, MiniSimWindowStream().size());
     bank.EndWindow(15 * kMinute);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -345,13 +351,10 @@ BENCHMARK(BM_MiniSimWindowTtl)->Unit(benchmark::kMillisecond);
 // --- Columnar observe path (the engines' ObserveColumns hot path) ---
 //
 // One iteration = one full analysis window through a three-bank analyzer
-// (MRC + ALC + TTL), fed the way the engines feed it: SoA chunks with
-// ingest-domain hashes. Arg 0 replays the chunks per row through
-// Observe/Process (the old critical path); Arg 1 feeds whole chunks through
-// ProcessColumns (salted rehash + branch-free compaction + bulk append).
-// The spread is what the columnar observe path saves per request.
+// (MRC + ALC + TTL), fed the way the engines feed it: whole SoA chunks with
+// ingest-domain hashes through ProcessColumns (salted rehash, branch-free
+// compaction, bulk append, batch replay).
 void BM_ObserveColumns(benchmark::State& state) {
-  const bool columnar = state.range(0) != 0;
   static const std::vector<ReplayBatch>* chunks = [] {
     auto* c = new std::vector<ReplayBatch>();
     Rng rng(14);
@@ -388,21 +391,14 @@ void BM_ObserveColumns(benchmark::State& state) {
   int64_t requests = 0;
   for (auto _ : state) {
     for (const ReplayBatch& chunk : *chunks) {
-      if (columnar) {
-        analyzer.ProcessColumns(chunk, 0, chunk.size());
-      } else {
-        for (size_t i = 0; i < chunk.size(); ++i) {
-          analyzer.Process(chunk.RowAt(i));
-        }
-      }
+      analyzer.ProcessColumns(chunk, 0, chunk.size());
       requests += static_cast<int64_t>(chunk.size());
     }
     analyzer.EndWindow(15 * kMinute);
   }
   state.SetItemsProcessed(requests);
-  state.SetLabel(columnar ? "columns" : "per_row");
 }
-BENCHMARK(BM_ObserveColumns)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ObserveColumns)->Unit(benchmark::kMillisecond);
 
 void BM_MiniSimWindowAlc(benchmark::State& state) {
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
@@ -410,9 +406,7 @@ void BM_MiniSimWindowAlc(benchmark::State& state) {
   const auto grid = UniformSizeGrid(50'000'000, 5'000'000'000, 48);
   AlcBank bank(grid, /*osc_capacity=*/grid.back(), 0.05, 7, &gen, 15);
   for (auto _ : state) {
-    for (const Request& r : MiniSimWindowStream()) {
-      bank.Process(r);
-    }
+    bank.ProcessColumns(MiniSimWindowStream(), 0, MiniSimWindowStream().size());
     bank.EndWindow();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -906,15 +900,16 @@ BENCHMARK(BM_SweepDedupLookup);
 
 // Like BENCHMARK_MAIN(), plus provenance in the report's custom context.
 // A JSON report is written only when asked for with
-// --benchmark_out=<file> (JSON is google-benchmark's default out format),
-// so an exploratory run never overwrites the tracked BENCH_micro.json;
-// recording a baseline is always an explicit step.
+// --benchmark_out=<file> (JSON is google-benchmark's default out format).
+// No micro-benchmark baseline is tracked: the repository benchmark is
+// BENCHMARK.json (perfbench/), and a micro comparison is made by running
+// the same filter on both builds.
 //
 // The report's "library_build_type" describes the preinstalled
 // google-benchmark library, NOT this binary — a Release build of ours still
 // reports "debug" there. "macaron_build_type" in the custom context is the
 // authoritative field; a non-optimized build additionally warns on stderr
-// (numbers from it are meaningless for the recorded baselines).
+// (numbers from it are meaningless).
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("macaron_build_type",
                               macaron::bench::OptimizedBuild() ? "optimized" : "unoptimized");

@@ -21,6 +21,7 @@
 #include "src/minisim/alc_bank.h"
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/size_grid.h"
+#include "src/trace/request_source.h"
 
 using namespace macaron;
 
@@ -38,11 +39,9 @@ Trace MakeTrace(uint64_t objects, uint64_t count) {
 }
 
 template <typename Bank, typename Window>
-double RunWindowMs(Bank& bank, const Trace& t, Window& out) {
+double RunWindowMs(Bank& bank, const ReplayBatch& chunk, Window& out) {
   const auto start = std::chrono::steady_clock::now();
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  bank.ProcessColumns(chunk, 0, chunk.size());
   out = bank.EndWindow();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(end - start).count();
@@ -55,7 +54,7 @@ int main() {
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u\n\n", cores);
 
-  const Trace t = MakeTrace(200'000, 2'000'000);
+  const ReplayBatch stream = ToChunk(MakeTrace(200'000, 2'000'000).requests);
   const auto grid = UniformSizeGrid(1'000'000, 400'000'000, 16);
   constexpr double kRatio = 0.2;
   constexpr int kWorkers = 4;
@@ -64,22 +63,22 @@ int main() {
   {
     MrcBank bank(grid, kRatio, 5, EvictionPolicyKind::kLru);
     WindowCurves curves;
-    const double ms = RunWindowMs(bank, t, curves);
+    const double ms = RunWindowMs(bank, stream, curves);
     std::printf("%-22s %12.1f %12s\n", "lru one-pass", ms, "-");
   }
   WindowCurves seq_curves;
   double seq_ms = 0.0;
   {
     MrcBank bank(grid, kRatio, 5, EvictionPolicyKind::kS3Fifo);
-    seq_ms = RunWindowMs(bank, t, seq_curves);
+    seq_ms = RunWindowMs(bank, stream, seq_curves);
     std::printf("%-22s %12.1f %12s\n", "s3fifo sequential", seq_ms, "1.00x");
   }
   WindowCurves par_curves;
   {
     MrcBank bank(grid, kRatio, 5, EvictionPolicyKind::kS3Fifo);
     ThreadPool pool(kWorkers);
-    bank.set_thread_pool(&pool);
-    const double par_ms = RunWindowMs(bank, t, par_curves);
+    bank.SetExecution(&pool, /*async=*/false);
+    const double par_ms = RunWindowMs(bank, stream, par_curves);
     std::printf("%-22s %12.1f %11.2fx\n", "s3fifo 4 workers", par_ms,
                 par_ms > 0.0 ? seq_ms / par_ms : 0.0);
   }
@@ -92,15 +91,15 @@ int main() {
   double alc_seq_ms = 0.0;
   {
     AlcBank bank(grid, grid.back(), kRatio, 5, &gen, 15);
-    alc_seq_ms = RunWindowMs(bank, t, alc_seq);
+    alc_seq_ms = RunWindowMs(bank, stream, alc_seq);
     std::printf("%-22s %12.1f %12s\n", "alc sequential", alc_seq_ms, "1.00x");
   }
   AlcWindow alc_par;
   {
     AlcBank bank(grid, grid.back(), kRatio, 5, &gen, 15);
     ThreadPool pool(kWorkers);
-    bank.set_thread_pool(&pool);
-    const double par_ms = RunWindowMs(bank, t, alc_par);
+    bank.SetExecution(&pool, /*async=*/false);
+    const double par_ms = RunWindowMs(bank, stream, alc_par);
     std::printf("%-22s %12.1f %11.2fx\n", "alc 4 workers", par_ms,
                 par_ms > 0.0 ? alc_seq_ms / par_ms : 0.0);
   }

@@ -9,6 +9,7 @@
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/reuse_distance.h"
 #include "src/minisim/size_grid.h"
+#include "src/trace/request_source.h"
 
 using namespace macaron;
 
@@ -30,7 +31,6 @@ int RunSec52MinisimAccuracy() {
     // the paper's; compare over 6-hour windows so each window holds enough
     // accesses for the ratio statistics to be meaningful, and skip nearly
     // empty windows.
-    SimTime boundary = 6 * kHour;
     double mae_sum = 0.0;
     double mape_sum = 0.0;
     uint64_t mae_n = 0;
@@ -48,14 +48,14 @@ int RunSec52MinisimAccuracy() {
         ++mae_n;
       }
     };
-    for (const Request& r : t.requests) {
-      while (r.time >= boundary) {
-        flush();
-        boundary += 6 * kHour;
-      }
-      full.Process(r);
-      mini.Process(r);
-    }
+    const ReplayBatch chunk = ToChunk(t.requests);
+    SimTime next_boundary = 6 * kHour;
+    ForEachWindowSegment(
+        chunk, 6 * kHour, &next_boundary, [&](SimTime) { flush(); },
+        [&](size_t begin, size_t end) {
+          full.ProcessColumns(chunk, begin, end);
+          mini.ProcessColumns(chunk, begin, end);
+        });
     flush();
     const double mae = mae_sum / static_cast<double>(std::max<uint64_t>(1, mae_n));
     const double mape = mape_sum / static_cast<double>(std::max<uint64_t>(1, mae_n));
@@ -79,8 +79,9 @@ int RunSec52MinisimAccuracy() {
     MrcBank full(grid, 1.0, 0);
     ReuseDistanceAnalyzer exact;
     exact.ReserveObjects(stats.unique_objects, stats.num_gets);
+    const ReplayBatch chunk = ToChunk(t.requests);
+    full.ProcessColumns(chunk, 0, chunk.size());
     for (const Request& r : t.requests) {
-      full.Process(r);
       exact.Process(r);
     }
     const WindowCurves wf = full.EndWindow();

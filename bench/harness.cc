@@ -360,8 +360,8 @@ void WarnIfUnoptimizedBuild(const char* binary) {
   std::fprintf(stderr,
                "================================================================\n"
                "WARNING: %s was built WITHOUT optimization (no -O / NDEBUG).\n"
-               "Timings from this build are meaningless; BENCH_micro.json and\n"
-               "BENCH_sweep.json baselines are recorded from Release builds only.\n"
+               "Timings from this build are meaningless; BENCH_sweep.json and\n"
+               "perfbench (BENCHMARK.json) measure Release builds only.\n"
                "Rebuild with:  cmake --preset release && cmake --build build-release -j\n"
                "================================================================\n",
                binary);

@@ -145,8 +145,8 @@ std::string Percent(double frac);
 
 // True when this translation unit was compiled with optimization (and with
 // NDEBUG, so MACARON_CHECKs and assert()s compile to nothing). Benchmark
-// numbers from a non-optimized build are meaningless against the recorded
-// baselines: BENCH_micro.json / BENCH_sweep.json are Release-only.
+// numbers from a non-optimized build are meaningless: BENCH_sweep.json and
+// the repository benchmark (BENCHMARK.json, perfbench/) are Release-only.
 constexpr bool OptimizedBuild() {
 #if defined(__OPTIMIZE__) && defined(NDEBUG)
   return true;

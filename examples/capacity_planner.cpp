@@ -13,6 +13,7 @@
 #include "src/controller/optimizer.h"
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/size_grid.h"
+#include "src/trace/request_source.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace_io.h"
@@ -42,9 +43,8 @@ int main(int argc, char** argv) {
       UniformSizeGrid(stats.unique_bytes / 50 + 1,
                       static_cast<uint64_t>(stats.unique_bytes * 1.15), 40);
   MrcBank bank(grid, ratio, 42);
-  for (const Request& r : trace.requests) {
-    bank.Process(r);
-  }
+  const ReplayBatch chunk = ToChunk(trace.requests);
+  bank.ProcessColumns(chunk, 0, chunk.size());
   const WindowCurves curves = bank.EndWindow();
   const SimDuration span = std::max<SimDuration>(trace.duration(), kDay);
 

@@ -18,8 +18,9 @@
 //   --decay=0.2             knowledge decay per day, 1.0 = none [0, 1]
 //   --policy=lru            OSC replacement: lru | fifo | slru | s3fifo
 //   --dark=0.7              dark-data fraction, replicated baseline [0, 1]
-//   --static-capacity-gb=N  capacity for static-capacity [1e-9, 1e9]
-//   --static-ttl-hours=N    TTL for static-ttl [>= 1 ms]
+//   --static-capacity-gb=N  capacity for static-capacity, required by it
+//                           [1e-9, 1e9]
+//   --static-ttl-hours=N    TTL for static-ttl, required by it [>= 1 ms]
 //   --no-packing            disable object packing (§7.4 ablation)
 //   --admission-bypass      enable the admission-bypass extension
 //   --no-latency            skip latency sampling (cost-only, faster)
@@ -34,7 +35,8 @@
 //
 // Numeric values are parsed strictly: a value that is not a finite number
 // in its range, or that has trailing characters, exits with status 2 and a
-// message naming the flag.
+// message naming the flag. So does a static approach given without its
+// parameter.
 
 #include <cctype>
 #include <cerrno>
@@ -225,6 +227,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       return 2;
     }
+  }
+  // The static approaches have no default for their one parameter.
+  if (cfg.approach == Approach::kStaticCapacity && cfg.static_capacity_bytes == 0) {
+    std::fprintf(stderr, "missing --static-capacity-gb: --approach=static-capacity needs it\n");
+    return 2;
+  }
+  if (cfg.approach == Approach::kStaticTtl && cfg.static_ttl == 0) {
+    std::fprintf(stderr, "missing --static-ttl-hours: --approach=static-ttl needs it\n");
+    return 2;
   }
   cfg.prices = PriceBook::Aws(scenario).WithEgressScale(egress_scale);
   cfg.scenario = scenario == DeploymentScenario::kCrossCloud ? LatencyScenario::kCrossCloudUs

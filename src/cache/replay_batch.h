@@ -5,8 +5,8 @@
 // times. Column (structure-of-arrays) layout keeps those replay loops on
 // dense, homogeneous arrays — the id/hash columns the inner loop always
 // touches are not interleaved with the times column only the TTL/ALC banks
-// read — and carries the per-request hash computed once at Process() time
-// (the sampler's admission hash, SHARDS-style), so no replay path rehashes.
+// read — and carries the per-request hash computed once at ingest (the
+// sampler's admission hash, SHARDS-style), so no replay path rehashes.
 //
 // The hash column is the *bank's* hash domain (Mix64(id ^ bank_salt)); it
 // must only be fed to caches that see that same domain exclusively. Index

@@ -44,45 +44,12 @@ WorkloadAnalyzer::WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySa
 }
 
 void WorkloadAnalyzer::SetExecution(ThreadPool* pool, bool async) {
-  mrc_bank_.set_thread_pool(pool);
-  mrc_bank_.set_async_replay(async);
+  mrc_bank_.SetExecution(pool, async);
   if (alc_bank_ != nullptr) {
-    alc_bank_->set_thread_pool(pool);
-    alc_bank_->set_async_replay(async);
+    alc_bank_->SetExecution(pool, async);
   }
   if (ttl_bank_ != nullptr) {
-    ttl_bank_->set_thread_pool(pool);
-    ttl_bank_->set_async_replay(async);
-  }
-}
-
-void WorkloadAnalyzer::Process(const Request& r) {
-  mrc_bank_.Process(r);
-  if (alc_bank_ != nullptr) {
-    alc_bank_->Process(r);
-  }
-  if (ttl_bank_ != nullptr) {
-    ttl_bank_->Process(r);
-  }
-  switch (r.op) {
-    case Op::kGet:
-      ++window_reads_;
-      window_get_bytes_ += r.size;
-      window_bytes_ += r.size;
-      ++window_ops_with_bytes_;
-      break;
-    case Op::kPut:
-      ++window_writes_;
-      window_bytes_ += r.size;
-      ++window_ops_with_bytes_;
-      break;
-    case Op::kDelete:
-      // Deletes carry no payload; folding them in deflates mean_object_bytes
-      // and with it the operation-cost estimate (objects per block).
-      break;
-  }
-  if (requests_counter_ != nullptr) {
-    requests_counter_->Inc();
+    ttl_bank_->SetExecution(pool, async);
   }
 }
 
@@ -97,8 +64,9 @@ void WorkloadAnalyzer::ProcessColumns(const ReplayBatch& chunk, size_t begin, si
   if (ttl_bank_ != nullptr) {
     ttl_bank_->ProcessColumns(chunk, begin, end);
   }
-  // Window scalars fold from the columns in one pass (same per-op rules as
-  // Process; deletes carry no payload and stay out of the byte averages).
+  // Window scalars fold from the columns in one pass. Deletes carry no
+  // payload: folding them in would deflate mean_object_bytes and with it
+  // the operation-cost estimate (objects per block).
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t bytes = 0;

@@ -25,7 +25,6 @@
 #include "src/minisim/alc_bank.h"
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/ttl_bank.h"
-#include "src/trace/request.h"
 
 namespace macaron {
 
@@ -108,17 +107,15 @@ class WorkloadAnalyzer {
   // Wires the shared execution context: the banks fan batch replays across
   // `pool` (nullptr reverts to sequential), and with `async` they submit
   // those fan-outs instead of joining, overlapping replay with whatever the
-  // ingest thread does next (see mrc_bank.h). EndWindow always joins before
-  // aggregating, so the report — and every output derived from it — is
-  // bit-identical for any pool size, sync or async.
+  // ingest thread does next (see sampled_batch_pipeline.h). EndWindow
+  // always joins before aggregating, so the report — and every output
+  // derived from it — is bit-identical for any pool size, sync or async.
   void SetExecution(ThreadPool* pool, bool async);
 
-  // Feeds one request (full stream; sampling happens inside the banks).
-  void Process(const Request& r);
-
-  // Columnar equivalent of calling Process on rows [begin, end) of `chunk`
-  // in order: each bank samples and compacts straight from the columns, and
-  // the window scalars fold from the op/size columns in one pass.
+  // Feeds rows [begin, end) of `chunk` (full stream; sampling happens
+  // inside the banks): each bank samples and compacts straight from the
+  // columns, and the window scalars fold from the op/size columns in one
+  // pass.
   void ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end);
 
   // Ends the window: runs aggregation and returns the report.
@@ -133,7 +130,6 @@ class WorkloadAnalyzer {
   // disabled mode costs one predictable branch at most.
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
-  const std::vector<uint64_t>& capacity_grid() const { return mrc_bank_.grid(); }
   const AnalyzerConfig& config() const { return config_; }
 
  private:

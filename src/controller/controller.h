@@ -80,12 +80,8 @@ class MacaronController {
   MacaronController(const ControllerConfig& config, const PriceBook& prices,
                     const LatencySampler* latency);
 
-  // Feeds one request into the analyzer.
-  void Observe(const Request& r) { analyzer_.Process(r); }
-
-  // Columnar Observe: feeds rows [begin, end) of a decoded SoA chunk
-  // straight into the analyzer (the engines' hot path; see
-  // WorkloadAnalyzer::ProcessColumns).
+  // Feeds rows [begin, end) of a decoded SoA chunk straight into the
+  // analyzer (see WorkloadAnalyzer::ProcessColumns).
   void ObserveColumns(const ReplayBatch& chunk, size_t begin, size_t end) {
     analyzer_.ProcessColumns(chunk, begin, end);
   }

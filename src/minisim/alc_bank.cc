@@ -3,13 +3,11 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/obs/metrics.h"
 
 namespace macaron {
 
 namespace {
-constexpr size_t kBatchCapacity = 4096;  // sampled requests per replay fan-out
-constexpr size_t kPrefetchAhead = 8;     // rows prefetched ahead in the replay loop
+constexpr size_t kPrefetchAhead = 8;  // rows prefetched ahead in the replay loop
 
 // Level indices into a SlotRow's per-level fields.
 constexpr int kCluster = 0;
@@ -137,120 +135,35 @@ struct AlcBank::GridPoint {
 AlcBank::AlcBank(std::vector<uint64_t> cluster_grid, uint64_t osc_capacity, double ratio,
                  uint64_t salt, const LatencySampler* latency, uint64_t seed)
     : grid_(std::move(cluster_grid)),
-      ratio_(ratio),
-      sampler_(ratio, salt),
       latency_(latency),
-      rng_(seed) {
+      rng_(seed),
+      pipeline_(
+          ratio, salt, [this](const ReplayBatch& batch) { return PrepareBatch(batch); },
+          [this](const ReplayBatch& batch, size_t i) { ReplayGridPoint(batch, i); }) {
   MACARON_CHECK(!grid_.empty());
   MACARON_CHECK(latency_ != nullptr);
-  for (PendingBatch* b : {&filling_, &replaying_}) {
-    b->batch.Reserve(kBatchCapacity);
-    b->slots.reserve(kBatchCapacity);
-    b->lat_cluster.reserve(kBatchCapacity);
-    b->lat_osc.reserve(kBatchCapacity);
-    b->lat_remote.reserve(kBatchCapacity);
-  }
-  const uint64_t mini_osc = MiniCapacity(osc_capacity, ratio_);
+  const uint64_t mini_osc = MiniCapacity(osc_capacity, ratio);
   points_.resize(grid_.size());
   for (size_t i = 0; i < grid_.size(); ++i) {
-    points_[i].level[kCluster].capacity = MiniCapacity(grid_[i], ratio_);
+    points_[i].level[kCluster].capacity = MiniCapacity(grid_[i], ratio);
     points_[i].level[kOsc].capacity = mini_osc;
   }
 }
 
-AlcBank::~AlcBank() {
-  // Async fan-out tasks reference this bank; never let it die before them.
-  JoinPending();
-}
+AlcBank::~AlcBank() = default;
 
 void AlcBank::SetOscCapacity(uint64_t osc_capacity) {
   // Resizing applies from this point in the stream: replay what came before
-  // (and wait for it — the in-flight fan-out reads the OSC levels).
-  FlushBatch();
-  JoinPending();
-  const uint64_t mini_osc = MiniCapacity(osc_capacity, ratio_);
+  // (and wait for it — the replay reads the OSC levels).
+  pipeline_.Drain();
+  const uint64_t mini_osc = MiniCapacity(osc_capacity, pipeline_.ratio());
   for (GridPoint& g : points_) {
     g.level[kOsc].capacity = mini_osc;
     EvictToFit<kOsc>(g.rows.data(), g.level[kOsc], 0);
   }
 }
 
-void AlcBank::Process(const Request& r) {
-  // One hash for admission and for the bank's slot index (SHARDS hash
-  // reuse; see sampler.h).
-  const uint64_t hash = sampler_.Hash(r.id);
-  if (!sampler_.AdmitHashed(hash)) {
-    return;
-  }
-  double lat_cluster = 0.0;
-  double lat_osc = 0.0;
-  double lat_remote = 0.0;
-  if (r.op == Op::kGet) {
-    lat_cluster = latency_->SampleMs(DataSource::kCacheCluster, r.size, rng_);
-    lat_osc = latency_->SampleMs(DataSource::kOsc, r.size, rng_);
-    lat_remote = latency_->SampleMs(DataSource::kRemoteLake, r.size, rng_);
-  }
-  filling_.batch.PushBack(r, hash);
-  filling_.lat_cluster.push_back(lat_cluster);
-  filling_.lat_osc.push_back(lat_osc);
-  filling_.lat_remote.push_back(lat_remote);
-  if (filling_.batch.size() >= kBatchCapacity) {
-    FlushBatch();
-  }
-}
-
-void AlcBank::ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end) {
-  const size_t n = end - begin;
-  if (n == 0) {
-    return;
-  }
-  if (idx_scratch_.size() < n) {
-    idx_scratch_.resize(n);
-    hash_scratch_.resize(n);
-  }
-  const size_t m = sampler_.CompactAdmitted(chunk.ids.data() + begin, n,
-                                            idx_scratch_.data(), hash_scratch_.data());
-  // Latency draws for survivors, in stream order — the same RNG consumption
-  // as the per-row path (admitted GETs draw three, everything else draws
-  // none and records zeros).
-  for (auto& lane : lat_scratch_) {
-    lane.resize(m);
-  }
-  for (size_t j = 0; j < m; ++j) {
-    const size_t k = begin + idx_scratch_[j];
-    double lat_cluster = 0.0;
-    double lat_osc = 0.0;
-    double lat_remote = 0.0;
-    if (chunk.ops[k] == Op::kGet) {
-      lat_cluster = latency_->SampleMs(DataSource::kCacheCluster, chunk.sizes[k], rng_);
-      lat_osc = latency_->SampleMs(DataSource::kOsc, chunk.sizes[k], rng_);
-      lat_remote = latency_->SampleMs(DataSource::kRemoteLake, chunk.sizes[k], rng_);
-    }
-    lat_scratch_[0][j] = lat_cluster;
-    lat_scratch_[1][j] = lat_osc;
-    lat_scratch_[2][j] = lat_remote;
-  }
-  // Append survivors in slices bounded by the batch's remaining room so
-  // flushes land at the same stream positions as the per-row path.
-  size_t done = 0;
-  while (done < m) {
-    const size_t take = std::min(kBatchCapacity - filling_.batch.size(), m - done);
-    filling_.batch.AppendGather(chunk, begin, idx_scratch_.data() + done,
-                                hash_scratch_.data() + done, take);
-    filling_.lat_cluster.insert(filling_.lat_cluster.end(), lat_scratch_[0].begin() + done,
-                                lat_scratch_[0].begin() + (done + take));
-    filling_.lat_osc.insert(filling_.lat_osc.end(), lat_scratch_[1].begin() + done,
-                            lat_scratch_[1].begin() + (done + take));
-    filling_.lat_remote.insert(filling_.lat_remote.end(), lat_scratch_[2].begin() + done,
-                               lat_scratch_[2].begin() + (done + take));
-    done += take;
-    if (filling_.batch.size() >= kBatchCapacity) {
-      FlushBatch();
-    }
-  }
-}
-
-void AlcBank::ReplayGridPoint(const PendingBatch& b, size_t i) {
+void AlcBank::ReplayGridPoint(const ReplayBatch& batch, size_t i) {
   GridPoint& g = points_[i];
   SlotRow* rows = g.rows.data();
   // Level lists, counters and the latency sum live in locals for the batch
@@ -261,16 +174,16 @@ void AlcBank::ReplayGridPoint(const PendingBatch& b, size_t i) {
   LevelList osc = g.level[kOsc];
   AlcLevelCounts counts = g.counts;
   double latency_sum_ms = g.latency_sum_ms;
-  const size_t n = b.batch.size();
+  const size_t n = batch.size();
   for (size_t k = 0; k < n; ++k) {
     if (k + kPrefetchAhead < n) {
-      __builtin_prefetch(rows + b.slots[k + kPrefetchAhead]);
+      __builtin_prefetch(rows + slots_[k + kPrefetchAhead]);
     }
-    const uint32_t s = b.slots[k];
+    const uint32_t s = slots_[k];
     SlotRow& row = rows[s];
-    const uint64_t size = b.batch.sizes[k];
-    const SimTime time = b.batch.times[k];
-    switch (b.batch.ops[k]) {
+    const uint64_t size = batch.sizes[k];
+    const SimTime time = batch.times[k];
+    switch (batch.ops[k]) {
       case Op::kGet: {
         if (row.completion > time) {
           // The object was admitted at request time but its fetch is still
@@ -283,20 +196,20 @@ void AlcBank::ReplayGridPoint(const PendingBatch& b, size_t i) {
         row.completion = kNoFetch;  // an expired fetch is cleared
         if (row.size[kCluster] != kAbsent) {
           MoveToFront<kCluster>(rows, cluster, s);
-          latency_sum_ms += b.lat_cluster[k];
+          latency_sum_ms += lat_cluster_[k];
           ++counts.cluster_hits;
           break;
         }
         if (row.size[kOsc] != kAbsent) {
           MoveToFront<kOsc>(rows, osc, s);
-          latency_sum_ms += b.lat_osc[k];
+          latency_sum_ms += lat_osc_[k];
           ++counts.osc_hits;
           Put<kCluster>(rows, cluster, s, size);  // promote
           break;
         }
-        latency_sum_ms += b.lat_remote[k];
+        latency_sum_ms += lat_remote_[k];
         ++counts.remote_misses;
-        row.completion = time + static_cast<SimTime>(b.lat_remote[k]);
+        row.completion = time + static_cast<SimTime>(lat_remote_[k]);
         Put<kOsc>(rows, osc, s, size);
         Put<kCluster>(rows, cluster, s, size);
         break;
@@ -318,15 +231,8 @@ void AlcBank::ReplayGridPoint(const PendingBatch& b, size_t i) {
   g.latency_sum_ms = latency_sum_ms;
 }
 
-void AlcBank::JoinPending() {
-  for (std::future<void>& f : pending_) {
-    f.get();
-  }
-  pending_.clear();
-}
-
 void AlcBank::MaybeReclaimSlots() {
-  if (slab_.live_nodes() < std::max(2 * live_after_scan_, kBatchCapacity)) {
+  if (slab_.live_nodes() < std::max(2 * live_after_scan_, SampledBatchPipeline::kBatchCapacity)) {
     return;
   }
   // A slot is held while some grid point keeps it resident at either
@@ -361,24 +267,39 @@ void AlcBank::MaybeReclaimSlots() {
   scan_time_ = newest_time_;
 }
 
-void AlcBank::ResolveSlots(PendingBatch& b) {
-  const size_t n = b.batch.size();
-  b.slots.resize(n);
+size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
+  MaybeReclaimSlots();
+  // One pass in stream order resolves each row's slot and draws its
+  // latencies: admitted GETs draw one latency per source, everything else
+  // draws none and records zeros.
+  const size_t n = batch.size();
+  slots_.resize(n);
+  lat_cluster_.resize(n);
+  lat_osc_.resize(n);
+  lat_remote_.resize(n);
   for (size_t k = 0; k < n; ++k) {
     if (k + kPrefetchAhead < n) {
-      index_.PrefetchPrehashed(b.batch.hashes[k + kPrefetchAhead]);
+      index_.PrefetchPrehashed(batch.hashes[k + kPrefetchAhead]);
     }
-    MACARON_CHECK(b.batch.sizes[k] != kAbsent);
-    MACARON_DCHECK(b.batch.times[k] >= scan_time_);  // reclamation's precondition
-    newest_time_ = std::max(newest_time_, b.batch.times[k]);
-    const ObjectId id = b.batch.ids[k];
-    const uint64_t hash = b.batch.hashes[k];
+    const uint64_t size = batch.sizes[k];
+    MACARON_CHECK(size != kAbsent);
+    MACARON_DCHECK(batch.times[k] >= scan_time_);  // reclamation's precondition
+    newest_time_ = std::max(newest_time_, batch.times[k]);
+    const ObjectId id = batch.ids[k];
+    const uint64_t hash = batch.hashes[k];
     uint32_t s = index_.FindPrehashed(id, hash);
     if (s == FlatIndex::kEmpty) {
       s = slab_.Allocate(id, 0, kLiveSlot);
       index_.EmplacePrehashed(id, hash, s, &slab_);
     }
-    b.slots[k] = s;
+    slots_[k] = s;
+    if (batch.ops[k] == Op::kGet) {
+      lat_cluster_[k] = latency_->SampleMs(DataSource::kCacheCluster, size, rng_);
+      lat_osc_[k] = latency_->SampleMs(DataSource::kOsc, size, rng_);
+      lat_remote_[k] = latency_->SampleMs(DataSource::kRemoteLake, size, rng_);
+    } else {
+      lat_cluster_[k] = lat_osc_[k] = lat_remote_[k] = 0.0;
+    }
   }
   const size_t slots = slab_.allocated_nodes();
   for (GridPoint& g : points_) {
@@ -386,41 +307,13 @@ void AlcBank::ResolveSlots(PendingBatch& b) {
       g.rows.resize(slots);
     }
   }
-}
-
-void AlcBank::FlushBatch() {
-  if (filling_.batch.empty()) {
-    return;
-  }
-  // Counters are bumped on the calling (ingest) thread at submit time, so
-  // the metrics registry stays single-writer even with async replay.
-  if (m_batches_ != nullptr) {
-    m_batches_->Inc();
-    m_batch_requests_->Inc(filling_.batch.size());
-  }
-  // One batch in flight at most: grid-point state persists across batches,
-  // so batch N+1 must not replay before batch N finishes — and the slot
-  // index and rows change only after that join.
-  JoinPending();
-  MaybeReclaimSlots();
-  ResolveSlots(filling_);
-  if (pool_ != nullptr && async_) {
-    std::swap(filling_, replaying_);
-    pool_->ParallelForAsync(
-        grid_.size(), [this](size_t i) { ReplayGridPoint(replaying_, i); }, pending_);
-  } else if (pool_ != nullptr) {
-    pool_->ParallelFor(grid_.size(), [this](size_t i) { ReplayGridPoint(filling_, i); });
-  } else {
-    for (size_t i = 0; i < grid_.size(); ++i) {
-      ReplayGridPoint(filling_, i);
-    }
-  }
-  filling_.Clear();
+  return grid_.size();
 }
 
 AlcWindow AlcBank::EndWindow() {
-  FlushBatch();
-  JoinPending();  // grid-point sums/counters below are written by the fan-out tasks
+  // Replays and joins everything buffered: the replay tasks write the
+  // grid-point sums and counters read below.
+  const SampledBatchPipeline::Window window = pipeline_.EndWindow();
   AlcWindow out;
   std::vector<double> xs;
   std::vector<double> ys;
@@ -437,7 +330,7 @@ AlcWindow AlcBank::EndWindow() {
     g.counts = AlcLevelCounts{};
   }
   out.alc = Curve(std::move(xs), std::move(ys));
-  out.sampled_gets = out.level_counts.empty() ? 0 : out.level_counts.front().total();
+  out.sampled_gets = window.sampled_gets;
   return out;
 }
 

@@ -11,10 +11,12 @@
 // construct the Symbiosis-style ALC (fixed per-level latencies multiplied by
 // hit ratios) for the accuracy comparison of Fig 5.
 //
-// Sampled requests are buffered into fixed-size SoA batches carrying the
-// sampler's admission hash (see replay_batch.h); the per-source latency
-// draws happen at Process/ProcessColumns time (one RNG pass, in stream
-// order, shared across grid points).
+// The bank consumes the unsampled stream as chunk column ranges through a
+// SampledBatchPipeline (sampled_batch_pipeline.h), which samples and
+// buffers admitted requests into fixed-size SoA batches carrying the
+// sampler's admission hash. The per-source latency draws happen when a
+// batch is prepared for replay, on the calling thread, batch by batch: one
+// RNG pass in stream order, shared across grid points.
 //
 // Why each grid point still replays on its own: neither level is a stack
 // algorithm across the grid, so MrcBank's shared recency timeline does not
@@ -22,9 +24,9 @@
 // points whose fetch is still in flight, and each grid point's OSC sees
 // only its own cluster's misses.
 //
-// What is shared is the id lookup. At flush time, on the calling thread,
-// one bank-wide FlatIndex + NodeSlab maps each sampled id to a dense slot,
-// once per request, and each grid point replays the batch over its own
+// What is shared is the id lookup. When a batch is prepared, one
+// bank-wide FlatIndex + NodeSlab maps each sampled id to a dense slot, once
+// per request, and each grid point replays the batch over its own
 // slot-indexed rows with no hashing. A row (40 bytes) holds, per level
 // (cluster, OSC), the resident size (a marker when absent) and the LRU
 // prev/next slots, plus the completion time of the in-flight remote fetch
@@ -47,19 +49,17 @@
 // bounds the slots by what the caches hold plus recent fetches, instead of
 // one per distinct sampled id.
 //
-// Grid points share no mutable state during a replay, so an optional
-// ThreadPool fans them across cores with bit-identical results.
-// set_async_replay(true) additionally overlaps that fan-out with the
-// calling thread by submitting it instead of joining, double-buffering the
-// batch, its slots and its latency columns; see mrc_bank.h for the
-// in-flight/join discipline. Slot resolution, row growth and reclamation
-// run on the calling thread after that join.
+// Grid points share no mutable state during a replay, so the pipeline fans
+// them across an optional ThreadPool, or submits that fan-out
+// asynchronously, with bit-identical results. Slot resolution, the latency
+// draws, row growth and reclamation all run in the prepare step, after the
+// join of the batch in flight, so the slot and latency columns the replay
+// tasks read need no second buffer.
 
 #ifndef MACARON_SRC_MINISIM_ALC_BANK_H_
 #define MACARON_SRC_MINISIM_ALC_BANK_H_
 
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <vector>
 
@@ -71,14 +71,9 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/common/thread_pool.h"
-#include "src/trace/request.h"
-#include "src/trace/sampler.h"
+#include "src/minisim/sampled_batch_pipeline.h"
 
 namespace macaron {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 // Per-grid-point level hit counters for one window.
 struct AlcLevelCounts {
@@ -101,42 +96,26 @@ class AlcBank {
   // cluster_grid: full-scale cluster capacities (the ALC x axis).
   AlcBank(std::vector<uint64_t> cluster_grid, uint64_t osc_capacity, double ratio, uint64_t salt,
           const LatencySampler* latency, uint64_t seed);
-
   ~AlcBank();
 
-  // Fans grid points across `pool` at batch boundaries; nullptr (the
-  // default) replays sequentially. Curves are identical either way.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  // With a pool set, submit batch fan-outs instead of joining them (see
-  // file comment). Off by default; curves are identical either way.
-  void set_async_replay(bool async) { async_ = async; }
-
-  // Optional counters, bumped only at batch boundaries (never per request,
-  // keeping the Process hot path untouched). Pass both or neither.
+  // Execution and metrics wiring for the bank's pipeline (see
+  // SampledBatchPipeline). Curves are identical for any pool, sync or async.
+  void SetExecution(ThreadPool* pool, bool async) { pipeline_.SetExecution(pool, async); }
   void set_metrics(obs::Counter* batches, obs::Counter* batch_requests) {
-    m_batches_ = batches;
-    m_batch_requests_ = batch_requests;
+    pipeline_.set_metrics(batches, batch_requests);
   }
 
   // Updates the emulated OSC capacity (decided by the controller each
   // window); evicts every grid point's OSC level down to it.
   void SetOscCapacity(uint64_t osc_capacity);
 
-  void Process(const Request& r);
-
-  // Columnar equivalent of calling Process on rows [begin, end) of `chunk`
-  // in order: the admission rehash + compaction run branch-free over the id
-  // column (the chunk's hash column is the engines' ingest domain, not this
-  // bank's salted domain), latency draws happen per admitted GET in stream
-  // order (the exact RNG sequence of the per-row path), and survivors
-  // append to the replay batch in bulk. Batches flush at the exact same
-  // stream positions as the per-row path.
-  void ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end);
+  // Feeds rows [begin, end) of `chunk` (unsampled stream; the bank samples
+  // internally).
+  void ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end) {
+    pipeline_.Append(chunk, begin, end);
+  }
 
   AlcWindow EndWindow();
-
-  const std::vector<uint64_t>& cluster_grid() const { return grid_; }
 
   // Slots the bank ever materialized (live + freelist), one per sampled
   // object it tracks, each with one row per grid point. Reclamation (see
@@ -148,61 +127,34 @@ class AlcBank {
   // Per-grid-point rows and level lists; defined in alc_bank.cc.
   struct GridPoint;
 
-  // The batch, its slots and its parallel latency columns travel together
-  // through the double-buffered flush.
-  struct PendingBatch {
-    ReplayBatch batch;
-    std::vector<uint32_t> slots;  // filled by ResolveSlots at flush time
-    std::vector<double> lat_cluster;
-    std::vector<double> lat_osc;
-    std::vector<double> lat_remote;
-    void Clear() {
-      batch.Clear();
-      slots.clear();
-      lat_cluster.clear();
-      lat_osc.clear();
-      lat_remote.clear();
-    }
-  };
-
-  void FlushBatch();
-  void JoinPending();
+  size_t PrepareBatch(const ReplayBatch& batch);
   void MaybeReclaimSlots();
-  void ResolveSlots(PendingBatch& b);
-  void ReplayGridPoint(const PendingBatch& b, size_t i);
+  void ReplayGridPoint(const ReplayBatch& batch, size_t i);
 
   std::vector<uint64_t> grid_;
-  double ratio_;
-  SpatialSampler sampler_;
   const LatencySampler* latency_;
   Rng rng_;
-  ThreadPool* pool_ = nullptr;
-  bool async_ = false;
-  // Sampled requests (+ admission hashes) awaiting replay, with their
-  // pre-drawn latencies in parallel columns (GETs only; one draw per
-  // source, shared across grid points, so curves differ only through cache
-  // behaviour — lower variance, one RNG pass).
-  PendingBatch filling_;
-  PendingBatch replaying_;  // shadow buffer owned by the in-flight async replay
-  std::vector<std::future<void>> pending_;  // outstanding async fan-out chunks
-  // Survivor scratch for ProcessColumns (position + salted hash + latency
-  // draws per admitted row), reused across chunks.
-  std::vector<uint32_t> idx_scratch_;
-  std::vector<uint64_t> hash_scratch_;
-  std::vector<double> lat_scratch_[3];
-  // id -> slot, in the sampler's hash domain; touched only on the calling
-  // thread between joins.
+  // Per row of the prepared batch: its slot, and its pre-drawn latency per
+  // source (GETs only; one draw per source, shared across grid points, so
+  // curves differ only through cache behaviour — lower variance, one RNG
+  // pass).
+  std::vector<uint32_t> slots_;
+  std::vector<double> lat_cluster_;
+  std::vector<double> lat_osc_;
+  std::vector<double> lat_remote_;
+  // id -> slot, in the sampler's hash domain; touched only by the prepare
+  // step.
   FlatIndex index_;
   NodeSlab slab_;
   std::vector<GridPoint> points_;
   // Reclamation state: live slots after the last scan, the newest request
-  // time resolved so far (all of it replayed by the next join), and the
+  // time prepared so far (all of it replayed by the next join), and the
   // newest time at the last scan.
   size_t live_after_scan_ = 0;
   SimTime newest_time_ = std::numeric_limits<SimTime>::min();
   SimTime scan_time_ = std::numeric_limits<SimTime>::min();
-  obs::Counter* m_batches_ = nullptr;
-  obs::Counter* m_batch_requests_ = nullptr;
+  // Last: its destructor joins the replay in flight, which uses the above.
+  SampledBatchPipeline pipeline_;
 };
 
 }  // namespace macaron

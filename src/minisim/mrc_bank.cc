@@ -6,16 +6,10 @@
 #include "src/cache/flat_index.h"
 #include "src/cache/slab_lru.h"
 #include "src/common/check.h"
-#include "src/obs/metrics.h"
 
 namespace macaron {
 
 namespace {
-// Sampled requests buffered before a replay fan-out. Bounds batch memory
-// while keeping per-grid-point replay runs long enough to amortize the
-// fan-out; at the default 5% sampling this is ~80k raw requests.
-constexpr size_t kBatchCapacity = 4096;
-
 // How far ahead the timeline replay prefetches index lines, as in the
 // per-grid ReplayKernel (eviction_policy.cc).
 constexpr size_t kPrefetchAhead = 8;
@@ -274,17 +268,25 @@ class MrcBank::LruTimeline {
 
 MrcBank::MrcBank(std::vector<uint64_t> grid, double ratio, uint64_t salt,
                  EvictionPolicyKind policy)
-    : grid_(std::move(grid)), ratio_(ratio), sampler_(ratio, salt) {
+    : grid_(std::move(grid)),
+      pipeline_(
+          ratio, salt,
+          // The timeline is one task; the per-grid caches one per grid point.
+          [this](const ReplayBatch&) { return timeline_ != nullptr ? size_t{1} : grid_.size(); },
+          [this](const ReplayBatch& batch, size_t i) {
+            if (timeline_ != nullptr) {
+              ReplayTimeline(batch);
+            } else {
+              ReplayGridPoint(batch, i);
+            }
+          }) {
   MACARON_CHECK(!grid_.empty());
   MACARON_CHECK(std::is_sorted(grid_.begin(), grid_.end()));
-  MACARON_CHECK(ratio_ > 0.0 && ratio_ <= 1.0);
-  batch_.Reserve(kBatchCapacity);
-  replaying_.Reserve(kBatchCapacity);
   std::vector<uint64_t> caps;
   caps.reserve(grid_.size());
   for (uint64_t capacity : grid_) {
     caps.push_back(std::max<uint64_t>(
-        1, static_cast<uint64_t>(static_cast<double>(capacity) * ratio_)));
+        1, static_cast<uint64_t>(static_cast<double>(capacity) * ratio)));
   }
   if (policy == EvictionPolicyKind::kLru) {
     timeline_ = std::make_unique<LruTimeline>(caps);
@@ -298,65 +300,7 @@ MrcBank::MrcBank(std::vector<uint64_t> grid, double ratio, uint64_t salt,
   window_missed_bytes_.assign(grid_.size(), 0);
 }
 
-MrcBank::~MrcBank() {
-  // Async fan-out tasks reference this bank; never let it die before them.
-  JoinPending();
-}
-
-void MrcBank::Process(const Request& r) {
-  ++window_requests_;
-  if (r.op == Op::kGet) {
-    ++window_gets_;
-  }
-  // One hash serves the admission test and, for admitted requests, every
-  // grid point's mini-cache index (SHARDS hash reuse; see sampler.h).
-  const uint64_t hash = sampler_.Hash(r.id);
-  if (!sampler_.AdmitHashed(hash)) {
-    return;
-  }
-  if (r.op == Op::kGet) {
-    ++window_sampled_gets_;
-  }
-  batch_.PushBack(r, hash);
-  if (batch_.size() >= kBatchCapacity) {
-    FlushBatch();
-  }
-}
-
-void MrcBank::ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end) {
-  const size_t n = end - begin;
-  if (n == 0) {
-    return;
-  }
-  window_requests_ += n;
-  uint64_t gets = 0;
-  for (size_t k = begin; k < end; ++k) {
-    gets += static_cast<uint64_t>(chunk.ops[k] == Op::kGet);
-  }
-  window_gets_ += gets;
-  if (idx_scratch_.size() < n) {
-    idx_scratch_.resize(n);
-    hash_scratch_.resize(n);
-  }
-  const size_t m = sampler_.CompactAdmitted(chunk.ids.data() + begin, n,
-                                            idx_scratch_.data(), hash_scratch_.data());
-  for (size_t j = 0; j < m; ++j) {
-    window_sampled_gets_ +=
-        static_cast<uint64_t>(chunk.ops[begin + idx_scratch_[j]] == Op::kGet);
-  }
-  // Append survivors in slices bounded by the batch's remaining room so
-  // flushes land at the same stream positions as the per-row path.
-  size_t done = 0;
-  while (done < m) {
-    const size_t take = std::min(kBatchCapacity - batch_.size(), m - done);
-    batch_.AppendGather(chunk, begin, idx_scratch_.data() + done,
-                        hash_scratch_.data() + done, take);
-    done += take;
-    if (batch_.size() >= kBatchCapacity) {
-      FlushBatch();
-    }
-  }
-}
+MrcBank::~MrcBank() = default;
 
 void MrcBank::ReplayGridPoint(const ReplayBatch& batch, size_t i) {
   // The policy's prehashed SoA kernel (one virtual call per batch, then a
@@ -377,53 +321,13 @@ void MrcBank::ReplayTimeline(const ReplayBatch& batch) {
   // Size-mismatch fallback: per-grid LRU caches from here on. The rest of
   // this batch replays sequentially (this may already run on a pool task);
   // later batches fan out as for the other policies.
-  caches_ = timeline_->ToCaches(sampler_);
+  caches_ = timeline_->ToCaches(pipeline_.sampler());
   timeline_.reset();
   ReplayBatch rest;
   rest.AppendRange(batch, stop, batch.size());
   for (size_t i = 0; i < grid_.size(); ++i) {
     ReplayGridPoint(rest, i);
   }
-}
-
-void MrcBank::JoinPending() {
-  for (std::future<void>& f : pending_) {
-    f.get();
-  }
-  pending_.clear();
-}
-
-void MrcBank::FlushBatch() {
-  if (batch_.empty()) {
-    return;
-  }
-  // Counters are bumped on the calling (ingest) thread at submit time, so
-  // the metrics registry stays single-writer even with async replay.
-  if (m_batches_ != nullptr) {
-    m_batches_->Inc();
-    m_batch_requests_->Inc(batch_.size());
-  }
-  if (pool_ != nullptr && async_) {
-    // One batch in flight at most: grid-point state persists across
-    // batches, so batch N+1 must not replay before batch N finishes.
-    JoinPending();
-    std::swap(batch_, replaying_);
-    if (timeline_ != nullptr) {
-      pending_.push_back(pool_->Submit([this] { ReplayTimeline(replaying_); }));
-    } else {
-      pool_->ParallelForAsync(
-          grid_.size(), [this](size_t i) { ReplayGridPoint(replaying_, i); }, pending_);
-    }
-  } else if (timeline_ != nullptr) {
-    ReplayTimeline(batch_);
-  } else if (pool_ != nullptr) {
-    pool_->ParallelFor(grid_.size(), [this](size_t i) { ReplayGridPoint(batch_, i); });
-  } else {
-    for (size_t i = 0; i < grid_.size(); ++i) {
-      ReplayGridPoint(batch_, i);
-    }
-  }
-  batch_.Clear();
 }
 
 size_t MrcBank::allocated_nodes() const {
@@ -442,8 +346,13 @@ uint64_t MrcBank::timeline_compactions() const {
 }
 
 WindowCurves MrcBank::EndWindow() {
-  FlushBatch();
-  JoinPending();  // window counters below are written by the fan-out tasks
+  // The window counters and the realized admission rate come from the
+  // pipeline, after it has replayed (and joined) everything buffered. One
+  // rate normalizes both curves: the sampler admits ~ratio of objects, but
+  // on small windows the realized fraction drifts, and normalizing the MRC
+  // by the realized sampled-GET count while scaling the BMC by the nominal
+  // 1/ratio would bias the egress estimate in ExpectedCostCurve.
+  const SampledBatchPipeline::Window window = pipeline_.EndWindow();
   WindowCurves out;
   std::vector<double> xs;
   std::vector<double> mrc_ys;
@@ -451,34 +360,20 @@ WindowCurves MrcBank::EndWindow() {
   xs.reserve(grid_.size());
   mrc_ys.reserve(grid_.size());
   bmc_ys.reserve(grid_.size());
-  // One realized admission rate normalizes both curves: the sampler admits
-  // ~ratio_ of objects, but on small windows the realized fraction drifts,
-  // and normalizing the MRC by the realized sampled-GET count while scaling
-  // the BMC by the nominal 1/ratio_ would bias the egress estimate in
-  // ExpectedCostCurve. With no (sampled) GETs the rate falls back to the
-  // nominal ratio, which keeps the curves at exact zero without dividing by
-  // zero.
-  const double realized_rate =
-      (window_gets_ > 0 && window_sampled_gets_ > 0)
-          ? static_cast<double>(window_sampled_gets_) / static_cast<double>(window_gets_)
-          : ratio_;
-  const double sampled_gets = static_cast<double>(window_sampled_gets_);
+  const double sampled_gets = static_cast<double>(window.sampled_gets);
   for (size_t i = 0; i < grid_.size(); ++i) {
     xs.push_back(static_cast<double>(grid_[i]));
     const double mr =
         sampled_gets <= 0.0 ? 0.0 : static_cast<double>(window_misses_[i]) / sampled_gets;
     mrc_ys.push_back(std::min(1.0, mr));
-    bmc_ys.push_back(static_cast<double>(window_missed_bytes_[i]) / realized_rate);
+    bmc_ys.push_back(static_cast<double>(window_missed_bytes_[i]) / window.realized_rate);
   }
   out.mrc = Curve(xs, std::move(mrc_ys));
   out.bmc = Curve(std::move(xs), std::move(bmc_ys));
-  out.sampled_gets = window_sampled_gets_;
-  out.window_requests = window_requests_;
+  out.sampled_gets = window.sampled_gets;
+  out.window_requests = window.requests;
   std::fill(window_misses_.begin(), window_misses_.end(), 0);
   std::fill(window_missed_bytes_.begin(), window_missed_bytes_.end(), 0);
-  window_gets_ = 0;
-  window_sampled_gets_ = 0;
-  window_requests_ = 0;
   return out;
 }
 

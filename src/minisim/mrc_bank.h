@@ -10,11 +10,12 @@
 // over-admits on a small window. Mini-cache state persists across windows
 // (the paper stores it in EFS between serverless invocations).
 //
-// Sampled requests are buffered into fixed-size SoA batches (see
-// replay_batch.h) carrying the sampler's admission hash; each request is
-// hashed exactly once, at Process()/ProcessColumns() time, for all grid
-// points. How a batch replays depends on the policy.
-//
+// The bank consumes the unsampled stream as chunk column ranges through a
+// SampledBatchPipeline (sampled_batch_pipeline.h), which samples, counts
+// the window and buffers admitted requests into fixed-size SoA batches
+// carrying the sampler's admission hash; each request is hashed exactly
+// once, for all grid points. How a batch replays depends on the policy.
+
 // LRU (the default) replays every grid point in one pass over a shared
 // recency timeline. LRU is a stack policy: a GET or PUT leaves the object
 // most recent in every mini-cache that holds it, and every insertion
@@ -58,21 +59,15 @@
 // mutable state, so an optional ThreadPool fans them across cores; parallel
 // and sequential replay produce bit-identical curves.
 //
-// With set_async_replay(true) a full batch is swapped into a shadow buffer
-// and its replay — one pool task for the LRU timeline, the grid fan-out
-// otherwise — is *submitted* instead of joined, so replay overlaps whatever
-// the calling thread does next (in the engines: serving shards and
-// decoding the next chunk). At most one batch is in flight — the next flush
-// joins the previous one first — so each grid point still sees batches
-// strictly in stream order, and EndWindow joins before reading window
-// counters; outputs are bit-identical to synchronous replay at any thread
-// count.
+// The LRU timeline is one replay task per batch, which async replay (see
+// the pipeline) submits to the pool; the other policies fan out one task
+// per grid point. Outputs are bit-identical at any thread count, sync or
+// async.
 
 #ifndef MACARON_SRC_MINISIM_MRC_BANK_H_
 #define MACARON_SRC_MINISIM_MRC_BANK_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -80,14 +75,9 @@
 #include "src/cache/replay_batch.h"
 #include "src/common/curve.h"
 #include "src/common/thread_pool.h"
-#include "src/trace/request.h"
-#include "src/trace/sampler.h"
+#include "src/minisim/sampled_batch_pipeline.h"
 
 namespace macaron {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 // The per-window output of a bank.
 struct WindowCurves {
@@ -107,40 +97,26 @@ class MrcBank {
 
   ~MrcBank();
 
-  // Fans grid points across `pool` at batch boundaries; nullptr (the
-  // default) replays sequentially. Curves are identical either way. The
-  // LRU timeline replays in one pass and uses the pool only for async
-  // replay.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  // With a pool set, submit batch replays instead of joining them (see
-  // file comment). Off by default; curves are identical either way.
-  void set_async_replay(bool async) { async_ = async; }
-
-  // Optional counters, bumped only at batch boundaries (never per request,
-  // keeping the Process hot path untouched). Pass both or neither.
+  // Execution and metrics wiring for the bank's pipeline (see
+  // SampledBatchPipeline). The LRU timeline replays in one pass and uses
+  // the pool only for async replay. Curves are identical for any pool,
+  // sync or async.
+  void SetExecution(ThreadPool* pool, bool async) { pipeline_.SetExecution(pool, async); }
   void set_metrics(obs::Counter* batches, obs::Counter* batch_requests) {
-    m_batches_ = batches;
-    m_batch_requests_ = batch_requests;
+    pipeline_.set_metrics(batches, batch_requests);
   }
 
-  // Feeds one request (unsampled stream; the bank samples internally).
-  void Process(const Request& r);
-
-  // Columnar equivalent of calling Process on rows [begin, end) of `chunk`
-  // in order: window scalars fold from the op column, the admission rehash
-  // + compaction run branch-free over the id column (the chunk's hash
-  // column is the engines' ingest domain, not this bank's salted domain),
-  // and survivors append to the replay batch in bulk. Batches flush at the
-  // exact same stream positions as the per-row path.
-  void ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end);
+  // Feeds rows [begin, end) of `chunk` (unsampled stream; the bank samples
+  // internally).
+  void ProcessColumns(const ReplayBatch& chunk, size_t begin, size_t end) {
+    pipeline_.Append(chunk, begin, end);
+  }
 
   // Returns this window's curves and resets window counters. Cache contents
   // persist.
   WindowCurves EndWindow();
 
   const std::vector<uint64_t>& grid() const { return grid_; }
-  double ratio() const { return ratio_; }
 
   // Total slab slots ever materialized across all mini-caches — or in the
   // LRU timeline's one slab (live + freelist). Once the bank reaches steady
@@ -162,32 +138,16 @@ class MrcBank {
  private:
   class LruTimeline;
 
-  void FlushBatch();
-  void JoinPending();
   void ReplayGridPoint(const ReplayBatch& batch, size_t i);
   void ReplayTimeline(const ReplayBatch& batch);
 
   std::vector<uint64_t> grid_;
-  double ratio_;
-  SpatialSampler sampler_;
-  ThreadPool* pool_ = nullptr;
-  bool async_ = false;
-  ReplayBatch batch_;      // sampled requests (+ admission hashes) being filled
-  ReplayBatch replaying_;  // shadow buffer owned by the in-flight async replay
-  std::vector<std::future<void>> pending_;  // outstanding async fan-out chunks
-  // Survivor scratch for ProcessColumns (position + salted hash per
-  // admitted row), reused across chunks.
-  std::vector<uint32_t> idx_scratch_;
-  std::vector<uint64_t> hash_scratch_;
   std::unique_ptr<LruTimeline> timeline_;  // kLru until the fallback, else null
   std::vector<std::unique_ptr<EvictionCache>> caches_;  // empty while timeline_ is set
   std::vector<uint64_t> window_misses_;
   std::vector<uint64_t> window_missed_bytes_;
-  uint64_t window_gets_ = 0;
-  uint64_t window_sampled_gets_ = 0;
-  uint64_t window_requests_ = 0;
-  obs::Counter* m_batches_ = nullptr;
-  obs::Counter* m_batch_requests_ = nullptr;
+  // Last: its destructor joins the replay in flight, which uses the above.
+  SampledBatchPipeline pipeline_;
 };
 
 }  // namespace macaron

@@ -478,23 +478,12 @@ RunResult ShardedRuntime::Run() {
   ChunkCursor cursor(source_, cfg_.stream_decode_ahead);
   SimTime next_boundary = cfg_.window;
   while (const ReplayBatch* chunk = cursor.Next()) {
-    const size_t n = chunk->size();
-    size_t i = 0;
-    while (i < n) {
-      // Boundaries due before the next request fire first (including the
-      // catch-up over empty windows the sequential engine performed
-      // per-request).
-      while (chunk->times[i] >= next_boundary) {
-        WindowBoundary(next_boundary);
-        next_boundary += cfg_.window;
-      }
-      size_t j = i;
-      while (j < n && chunk->times[j] < next_boundary) {
-        ++j;
-      }
-      ReplaySegment(*chunk, i, j);
-      i = j;
-    }
+    // Boundaries due before the next request fire first (including the
+    // catch-up over empty windows the sequential engine performed
+    // per-request).
+    ForEachWindowSegment(
+        *chunk, cfg_.window, &next_boundary, [this](SimTime t) { WindowBoundary(t); },
+        [this, chunk](size_t begin, size_t end) { ReplaySegment(*chunk, begin, end); });
   }
   WindowBoundary(info_.end_time + 1);
   FinishRun();

@@ -29,12 +29,22 @@ bool TraceSource::FillNext(ReplayBatch* out) {
   }
   const size_t n = std::min(chunk_records_, reqs.size() - pos_);
   out->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Request& r = reqs[pos_ + i];
-    out->PushBack(r, Mix64(r.id));
-  }
+  AppendRequests(reqs.data() + pos_, n, out);
   pos_ += n;
   return true;
+}
+
+void AppendRequests(const Request* reqs, size_t n, ReplayBatch* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out->PushBack(reqs[i], Mix64(reqs[i].id));
+  }
+}
+
+ReplayBatch ToChunk(const std::vector<Request>& reqs) {
+  ReplayBatch chunk;
+  chunk.Reserve(reqs.size());
+  AppendRequests(reqs.data(), reqs.size(), &chunk);
+  return chunk;
 }
 
 ChunkCursor::ChunkCursor(RequestSource& source, bool decode_ahead) : source_(source) {

@@ -89,6 +89,40 @@ class TraceSource : public RequestSource {
 // Computes a SourceInfo from a materialized trace (one stats pass).
 SourceInfo MakeSourceInfo(const Trace& trace);
 
+// Appends reqs[0, n) to `out` as chunk rows carrying the ingest hash
+// Mix64(id), exactly as a RequestSource delivers them. This is the one way
+// from Request structs to the columnar observe path; TraceSource::FillNext
+// uses it too.
+void AppendRequests(const Request* reqs, size_t n, ReplayBatch* out);
+
+// `reqs` as one chunk (see AppendRequests).
+ReplayBatch ToChunk(const std::vector<Request>& reqs);
+
+// Cuts `chunk` at analysis-window boundaries, the engines' way: before the
+// first row at or past `*next_boundary` it calls boundary(*next_boundary)
+// and advances it by `window`, once per boundary crossed (empty windows
+// included), and it hands each run of rows between two boundaries to
+// segment(begin, end). `*next_boundary` carries over to the next chunk;
+// boundaries after the last row are left to the caller.
+template <typename Boundary, typename Segment>
+void ForEachWindowSegment(const ReplayBatch& chunk, SimDuration window, SimTime* next_boundary,
+                          Boundary&& boundary, Segment&& segment) {
+  const size_t n = chunk.size();
+  size_t i = 0;
+  while (i < n) {
+    while (chunk.times[i] >= *next_boundary) {
+      boundary(*next_boundary);
+      *next_boundary += window;
+    }
+    size_t j = i;
+    while (j < n && chunk.times[j] < *next_boundary) {
+      ++j;
+    }
+    segment(i, j);
+    i = j;
+  }
+}
+
 // Double-buffered decode-ahead over a RequestSource.
 //
 // With `decode_ahead`, the cursor keeps one FillNext outstanding on its own

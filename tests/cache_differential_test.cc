@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,15 +39,18 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/zipf.h"
+#include "src/controller/analyzer.h"
 #include "src/minisim/alc_bank.h"
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/size_grid.h"
 #include "src/minisim/ttl_bank.h"
 #include "src/trace/request.h"
+#include "src/trace/request_source.h"
 #include "src/trace/sampler.h"
 #include "src/trace/splitter.h"
 #include "src/trace/stream_source.h"
 #include "src/trace/synthetic.h"
+#include "tests/feed_columns.h"
 
 namespace macaron {
 namespace {
@@ -432,10 +436,9 @@ TEST(HashOnceDifferentialTest, MrcBankCurvesIndependentOfSalt) {
     MrcBank a(grid, 1.0, /*salt=*/0, kind);
     MrcBank b(grid, 1.0, /*salt=*/0xdecafbadull, kind);
     for (int w = 0; w < 3; ++w) {
-      for (const Request& r : ZipfWindow(3000, 20'000, 31 + w)) {
-        a.Process(r);
-        b.Process(r);
-      }
+      const auto reqs = ZipfWindow(3000, 20'000, 31 + w);
+      FeedColumns(a, reqs);
+      FeedColumns(b, reqs);
       const WindowCurves ca = a.EndWindow();
       const WindowCurves cb = b.EndWindow();
       EXPECT_EQ(ca.mrc.ys(), cb.mrc.ys()) << "window " << w;
@@ -449,10 +452,9 @@ TEST(HashOnceDifferentialTest, TtlBankCurvesIndependentOfSalt) {
   TtlBank a({50'000, 200'000, 800'000}, 1.0, /*salt=*/0);
   TtlBank b({50'000, 200'000, 800'000}, 1.0, /*salt=*/0xfeedf00dull);
   for (int w = 0; w < 3; ++w) {
-    for (const Request& r : ZipfWindow(2000, 15'000, 47 + w)) {
-      a.Process(r);
-      b.Process(r);
-    }
+    const auto reqs = ZipfWindow(2000, 15'000, 47 + w);
+    FeedColumns(a, reqs);
+    FeedColumns(b, reqs);
     const TtlWindowCurves ca = a.EndWindow(300'000);
     const TtlWindowCurves cb = b.EndWindow(300'000);
     EXPECT_EQ(ca.mrc.ys(), cb.mrc.ys()) << "window " << w;
@@ -491,8 +493,8 @@ TEST(SimdScalarDifferentialTest, MrcBankCurvesMatchProbeFreeReference) {
       const auto reqs = ZipfWindow(3000, 20'000, 131 + w);
       std::vector<uint64_t> misses(grid.size(), 0);
       std::vector<uint64_t> missed_bytes(grid.size(), 0);
+      FeedColumns(bank, reqs);
       for (const Request& r : reqs) {
-        bank.Process(r);
         for (size_t i = 0; i < grid.size(); ++i) {
           if (!refs[i]->Get(r.id)) {
             ++misses[i];
@@ -544,8 +546,8 @@ TEST(SimdScalarDifferentialTest, TtlBankCurvesMatchProbeFreeReference) {
   SimTime window_start = 0;
   for (int w = 0; w < 3; ++w) {
     const auto reqs = ZipfWindow(2000, 15'000, 247 + w);
+    FeedColumns(bank, reqs);
     for (const Request& r : reqs) {
-      bank.Process(r);
       for (RefEntry& e : refs) {
         advance(e, r.time);
         if (!e.cache.Get(r.id, r.time)) {
@@ -612,17 +614,13 @@ template <typename Bank>
 void ExpectSteadyStateAllocations(Bank& bank, const std::vector<Request>& window,
                                   const std::function<void()>& end_window) {
   for (int w = 0; w < 2; ++w) {
-    for (const Request& r : window) {
-      bank.Process(r);
-    }
+    FeedColumns(bank, window);
     end_window();
   }
   const size_t steady = bank.allocated_nodes();
   EXPECT_GT(steady, 0u);
   for (int w = 0; w < 3; ++w) {
-    for (const Request& r : window) {
-      bank.Process(r);
-    }
+    FeedColumns(bank, window);
     end_window();
     EXPECT_EQ(bank.allocated_nodes(), steady) << "window " << w;
   }
@@ -653,16 +651,17 @@ TEST(SlabReuseTest, AlcBankWindowsReuseSlabs) {
                                [&] { bank.EndWindow(); });
 }
 
-// --- Columnar observe path (ProcessColumns vs scalar Process) ---
+// --- Chunking invariance of the one observe path ---
 //
-// The engines feed the banks whole SoA chunk segments (ObserveColumns);
-// the banks rehash the id column into their salted admission domain,
-// compact survivors branch-free, and bulk-append them. Feeding one bank
-// per-row and a second bank the same stream as column segments at an odd
-// chunk size (so segment boundaries never align with the 4096-row batch
-// capacity) must produce bit-identical window curves — including AlcBank,
-// whose per-admitted-GET latency draws must come out in the exact stream
-// order of the per-row path.
+// The banks and the analyzer take the stream only as chunk column ranges
+// (ProcessColumns). Their pipeline rehashes the id column into the bank's
+// salted admission domain, compacts survivors branch-free and appends them
+// in slices bounded by the batch's remaining room, so batches close at the
+// same stream positions however the stream is chunked. Each test feeds one
+// stream three ways (see BankFeed) and requires bit-identical windows,
+// including AlcBank, whose latency draws happen batch by batch when a
+// batch is prepared and must come out in stream order under every
+// chunking.
 
 // Mixed GET/PUT/DELETE stream with varied sizes (deletes and puts exercise
 // the op-column folds; varied sizes exercise the byte sums).
@@ -684,94 +683,213 @@ std::vector<Request> MixedWindow(uint64_t objects, uint64_t count, uint64_t seed
   return reqs;
 }
 
-// Feeds `reqs` to `bank` as column segments of `chunk_len` rows, with the
-// hash column in the engines' ingest domain (plain Mix64(id)) — which the
-// bank must ignore in favor of its own salted rehash.
-template <typename Bank>
-void FeedColumns(Bank& bank, const std::vector<Request>& reqs, size_t chunk_len) {
-  size_t i = 0;
-  while (i < reqs.size()) {
-    const size_t n = std::min(chunk_len, reqs.size() - i);
-    ReplayBatch chunk;
-    chunk.Reserve(n);
-    for (size_t k = 0; k < n; ++k) {
-      chunk.PushBack(reqs[i + k], Mix64(reqs[i + k].id));
-    }
-    bank.ProcessColumns(chunk, 0, chunk.size());
-    i += n;
+constexpr size_t kOddChunk = 509;
+
+// The three ways a test feeds one stream to a bank: 1-row chunks (what a
+// per-row observe path would do), 509-row chunks (segment boundaries never
+// align with the 4096-row batch), and each window as one chunk with replay
+// submitted asynchronously to a 3-worker pool.
+enum class BankFeed { kRows, kColumns, kAsyncWhole };
+
+constexpr BankFeed kAllFeeds[] = {BankFeed::kRows, BankFeed::kColumns, BankFeed::kAsyncWhole};
+
+const char* BankFeedName(BankFeed feed) {
+  switch (feed) {
+    case BankFeed::kRows:
+      return "1-row chunks";
+    case BankFeed::kColumns:
+      return "509-row chunks";
+    case BankFeed::kAsyncWhole:
+      return "whole windows, async";
+  }
+  return "?";
+}
+
+size_t FeedChunkRows(BankFeed feed) {
+  switch (feed) {
+    case BankFeed::kRows:
+      return 1;
+    case BankFeed::kColumns:
+      return kOddChunk;
+    case BankFeed::kAsyncWhole:
+      break;
+  }
+  return SIZE_MAX;
+}
+
+// Wires `sink` (a bank or an analyzer) for `feed`: async replay on `pool`
+// for kAsyncWhole, inline replay otherwise.
+template <typename Sink>
+void WireFeed(Sink& sink, BankFeed feed, ThreadPool& pool) {
+  if (feed == BankFeed::kAsyncWhole) {
+    sink.SetExecution(&pool, /*async=*/true);
   }
 }
 
-constexpr size_t kOddChunk = 509;
+void ExpectCurvesEqual(const Curve& got, const Curve& want) {
+  EXPECT_EQ(got.xs(), want.xs());
+  EXPECT_EQ(got.ys(), want.ys());
+}
 
-TEST(ColumnarObserveDifferentialTest, MrcBankColumnsMatchScalar) {
+TEST(ColumnarObserveDifferentialTest, MrcBankChunkingInvariant) {
   const auto grid = UniformSizeGrid(50'000, 2'000'000, 8);
+  ThreadPool pool(3);
   for (const EvictionPolicyKind kind :
        {EvictionPolicyKind::kLru, EvictionPolicyKind::kS3Fifo}) {
     SCOPED_TRACE(EvictionPolicyName(kind));
-    MrcBank scalar(grid, 0.5, /*salt=*/29, kind);
-    MrcBank columnar(grid, 0.5, /*salt=*/29, kind);
+    std::vector<std::unique_ptr<MrcBank>> banks;
+    for (const BankFeed feed : kAllFeeds) {
+      banks.push_back(std::make_unique<MrcBank>(grid, 0.5, /*salt=*/29, kind));
+      WireFeed(*banks.back(), feed, pool);
+    }
     for (int w = 0; w < 3; ++w) {
+      SCOPED_TRACE(w);
       const auto reqs = MixedWindow(3000, 20'000, 61 + w);
-      for (const Request& r : reqs) {
-        scalar.Process(r);
+      std::vector<WindowCurves> got;
+      for (size_t f = 0; f < banks.size(); ++f) {
+        FeedColumns(*banks[f], reqs, FeedChunkRows(kAllFeeds[f]));
+        got.push_back(banks[f]->EndWindow());
       }
-      FeedColumns(columnar, reqs, kOddChunk);
-      const WindowCurves cs = scalar.EndWindow();
-      const WindowCurves cc = columnar.EndWindow();
-      EXPECT_EQ(cs.mrc.ys(), cc.mrc.ys()) << "window " << w;
-      EXPECT_EQ(cs.bmc.ys(), cc.bmc.ys()) << "window " << w;
-      EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
-      EXPECT_EQ(cs.window_requests, cc.window_requests) << "window " << w;
+      for (size_t f = 1; f < got.size(); ++f) {
+        SCOPED_TRACE(BankFeedName(kAllFeeds[f]));
+        ExpectCurvesEqual(got[f].mrc, got[0].mrc);
+        ExpectCurvesEqual(got[f].bmc, got[0].bmc);
+        EXPECT_EQ(got[f].sampled_gets, got[0].sampled_gets);
+        EXPECT_EQ(got[f].window_requests, got[0].window_requests);
+      }
     }
   }
 }
 
-TEST(ColumnarObserveDifferentialTest, TtlBankColumnsMatchScalar) {
-  TtlBank scalar({50'000, 200'000, 800'000}, 0.5, /*salt=*/43);
-  TtlBank columnar({50'000, 200'000, 800'000}, 0.5, /*salt=*/43);
+TEST(ColumnarObserveDifferentialTest, TtlBankChunkingInvariant) {
+  ThreadPool pool(3);
+  std::vector<std::unique_ptr<TtlBank>> banks;
+  for (const BankFeed feed : kAllFeeds) {
+    banks.push_back(std::make_unique<TtlBank>(std::vector<SimDuration>{50'000, 200'000, 800'000},
+                                              0.5, /*salt=*/43));
+    WireFeed(*banks.back(), feed, pool);
+  }
   for (int w = 0; w < 3; ++w) {
+    SCOPED_TRACE(w);
     const auto reqs = MixedWindow(2000, 15'000, 67 + w);
-    for (const Request& r : reqs) {
-      scalar.Process(r);
+    std::vector<TtlWindowCurves> got;
+    for (size_t f = 0; f < banks.size(); ++f) {
+      FeedColumns(*banks[f], reqs, FeedChunkRows(kAllFeeds[f]));
+      got.push_back(banks[f]->EndWindow(300'000));
     }
-    FeedColumns(columnar, reqs, kOddChunk);
-    const TtlWindowCurves cs = scalar.EndWindow(300'000);
-    const TtlWindowCurves cc = columnar.EndWindow(300'000);
-    EXPECT_EQ(cs.mrc.ys(), cc.mrc.ys()) << "window " << w;
-    EXPECT_EQ(cs.bmc.ys(), cc.bmc.ys()) << "window " << w;
-    EXPECT_EQ(cs.capacity.ys(), cc.capacity.ys()) << "window " << w;
-    EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
+    for (size_t f = 1; f < got.size(); ++f) {
+      SCOPED_TRACE(BankFeedName(kAllFeeds[f]));
+      ExpectCurvesEqual(got[f].mrc, got[0].mrc);
+      ExpectCurvesEqual(got[f].bmc, got[0].bmc);
+      ExpectCurvesEqual(got[f].capacity, got[0].capacity);
+      EXPECT_EQ(got[f].sampled_gets, got[0].sampled_gets);
+      EXPECT_EQ(got[f].window_requests, got[0].window_requests);
+    }
   }
 }
 
-TEST(ColumnarObserveDifferentialTest, AlcBankColumnsMatchScalar) {
+void ExpectAlcWindowsEqual(const AlcWindow& got, const AlcWindow& want) {
+  EXPECT_EQ(got.sampled_gets, want.sampled_gets);
+  ExpectCurvesEqual(got.alc, want.alc);  // exact: same additions, same order
+  ASSERT_EQ(got.level_counts.size(), want.level_counts.size());
+  for (size_t i = 0; i < got.level_counts.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.level_counts[i].cluster_hits, want.level_counts[i].cluster_hits);
+    EXPECT_EQ(got.level_counts[i].osc_hits, want.level_counts[i].osc_hits);
+    EXPECT_EQ(got.level_counts[i].remote_misses, want.level_counts[i].remote_misses);
+    EXPECT_EQ(got.level_counts[i].delayed_hits, want.level_counts[i].delayed_hits);
+  }
+}
+
+TEST(ColumnarObserveDifferentialTest, AlcBankChunkingInvariant) {
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 3);
   const auto grid = UniformSizeGrid(100'000, 1'000'000, 6);
-  AlcBank scalar(grid, /*osc=*/2'000'000, 0.5, /*salt=*/53, &gen, 91);
-  AlcBank columnar(grid, /*osc=*/2'000'000, 0.5, /*salt=*/53, &gen, 91);
+  ThreadPool pool(3);
+  std::vector<std::unique_ptr<AlcBank>> banks;
+  for (const BankFeed feed : kAllFeeds) {
+    banks.push_back(
+        std::make_unique<AlcBank>(grid, /*osc=*/2'000'000, 0.5, /*salt=*/53, &gen, 91));
+    WireFeed(*banks.back(), feed, pool);
+  }
   for (int w = 0; w < 3; ++w) {
+    SCOPED_TRACE(w);
     const auto reqs = MixedWindow(3000, 20'000, 71 + w);
-    for (const Request& r : reqs) {
-      scalar.Process(r);
+    std::vector<AlcWindow> got;
+    for (size_t f = 0; f < banks.size(); ++f) {
+      FeedColumns(*banks[f], reqs, FeedChunkRows(kAllFeeds[f]));
+      if (w == 1) {
+        // Mid-stream reconfiguration drains every bank at the same point.
+        banks[f]->SetOscCapacity(1'000'000);
+      }
+      got.push_back(banks[f]->EndWindow());
     }
-    FeedColumns(columnar, reqs, kOddChunk);
-    if (w == 1) {
-      // Mid-stream reconfiguration flushes both sides at the same point.
-      scalar.SetOscCapacity(1'000'000);
-      columnar.SetOscCapacity(1'000'000);
+    for (size_t f = 1; f < got.size(); ++f) {
+      SCOPED_TRACE(BankFeedName(kAllFeeds[f]));
+      ExpectAlcWindowsEqual(got[f], got[0]);
     }
-    const AlcWindow cs = scalar.EndWindow();
-    const AlcWindow cc = columnar.EndWindow();
-    EXPECT_EQ(cs.sampled_gets, cc.sampled_gets) << "window " << w;
-    EXPECT_EQ(cs.alc.ys(), cc.alc.ys()) << "window " << w;  // exact: same RNG order
-    ASSERT_EQ(cs.level_counts.size(), cc.level_counts.size());
-    for (size_t i = 0; i < cs.level_counts.size(); ++i) {
-      EXPECT_EQ(cs.level_counts[i].cluster_hits, cc.level_counts[i].cluster_hits);
-      EXPECT_EQ(cs.level_counts[i].osc_hits, cc.level_counts[i].osc_hits);
-      EXPECT_EQ(cs.level_counts[i].remote_misses, cc.level_counts[i].remote_misses);
-      EXPECT_EQ(cs.level_counts[i].delayed_hits, cc.level_counts[i].delayed_hits);
+  }
+}
+
+void ExpectOptionalCurvesEqual(const std::optional<Curve>& got, const std::optional<Curve>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (got.has_value()) {
+    ExpectCurvesEqual(*got, *want);
+  }
+}
+
+TEST(ColumnarObserveDifferentialTest, AnalyzerChunkingInvariant) {
+  GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
+  FittedLatencyGenerator gen(truth, 200, 4);
+  AnalyzerConfig cfg;
+  cfg.sampling_ratio = 0.5;
+  cfg.num_minicaches = 8;
+  cfg.min_capacity_bytes = 50'000;
+  cfg.max_capacity_bytes = 2'000'000;
+  cfg.enable_alc = true;
+  cfg.enable_ttl = true;
+  cfg.max_ttl = 2 * kDay;
+  ThreadPool pool(3);
+  std::vector<std::unique_ptr<WorkloadAnalyzer>> analyzers;
+  for (const BankFeed feed : kAllFeeds) {
+    analyzers.push_back(std::make_unique<WorkloadAnalyzer>(cfg, &gen));
+    WireFeed(*analyzers.back(), feed, pool);
+  }
+  for (int w = 0; w < 3; ++w) {
+    SCOPED_TRACE(w);
+    const auto reqs = MixedWindow(3000, 20'000, 83 + w);
+    std::vector<AnalyzerReport> got;
+    for (size_t f = 0; f < analyzers.size(); ++f) {
+      FeedColumns(*analyzers[f], reqs, FeedChunkRows(kAllFeeds[f]));
+      if (w == 1) {
+        analyzers[f]->SetOscCapacity(1'000'000);
+      }
+      got.push_back(analyzers[f]->EndWindow(15 * kMinute));
+    }
+    for (size_t f = 1; f < got.size(); ++f) {
+      SCOPED_TRACE(BankFeedName(kAllFeeds[f]));
+      const AnalyzerReport& a = got[f];
+      const AnalyzerReport& b = got[0];
+      ExpectCurvesEqual(a.aggregated_mrc, b.aggregated_mrc);
+      ExpectCurvesEqual(a.aggregated_bmc, b.aggregated_bmc);
+      ExpectOptionalCurvesEqual(a.latest_alc, b.latest_alc);
+      ASSERT_TRUE(a.ttl_curves_latest.has_value());
+      ASSERT_TRUE(b.ttl_curves_latest.has_value());
+      ExpectCurvesEqual(a.ttl_curves_latest->mrc, b.ttl_curves_latest->mrc);
+      ExpectCurvesEqual(a.ttl_curves_latest->bmc, b.ttl_curves_latest->bmc);
+      ExpectCurvesEqual(a.ttl_curves_latest->capacity, b.ttl_curves_latest->capacity);
+      EXPECT_EQ(a.ttl_curves_latest->sampled_gets, b.ttl_curves_latest->sampled_gets);
+      EXPECT_EQ(a.ttl_curves_latest->window_requests, b.ttl_curves_latest->window_requests);
+      ExpectOptionalCurvesEqual(a.aggregated_ttl_mrc, b.aggregated_ttl_mrc);
+      ExpectOptionalCurvesEqual(a.aggregated_ttl_bmc, b.aggregated_ttl_bmc);
+      ExpectOptionalCurvesEqual(a.aggregated_ttl_capacity, b.aggregated_ttl_capacity);
+      EXPECT_EQ(a.expected_window_reads, b.expected_window_reads);
+      EXPECT_EQ(a.expected_window_writes, b.expected_window_writes);
+      EXPECT_EQ(a.expected_window_get_bytes, b.expected_window_get_bytes);
+      EXPECT_EQ(a.mean_object_bytes, b.mean_object_bytes);
+      EXPECT_EQ(a.lambda_gb_seconds, b.lambda_gb_seconds);
+      EXPECT_EQ(a.analysis_seconds, b.analysis_seconds);
+      EXPECT_EQ(a.window_requests, b.window_requests);
     }
   }
 }
@@ -890,22 +1008,6 @@ class PerGridLruReference {
   uint64_t sampled_gets_ = 0;
 };
 
-enum class BankFeed { kRows, kColumns, kAsyncRows };
-
-const char* BankFeedName(BankFeed feed) {
-  switch (feed) {
-    case BankFeed::kRows:
-      return "rows";
-    case BankFeed::kColumns:
-      return "columns";
-    case BankFeed::kAsyncRows:
-      return "async";
-  }
-  return "?";
-}
-
-constexpr BankFeed kAllFeeds[] = {BankFeed::kRows, BankFeed::kColumns, BankFeed::kAsyncRows};
-
 // GET/PUT/DELETE Zipf mix in which PUTs resize objects: most new sizes are
 // small (so a PUT grows or shrinks a resident object), `big_pct` percent
 // are large enough to fit only the larger grid points — or to grow a
@@ -954,19 +1056,10 @@ uint64_t ExpectTimelineMatchesPerGrid(const std::vector<uint64_t>& grid, double 
   MrcBank bank(grid, ratio, kSalt);
   PerGridLruReference ref(grid, ratio, kSalt);
   ThreadPool pool(3);
-  if (feed == BankFeed::kAsyncRows) {
-    bank.set_thread_pool(&pool);
-    bank.set_async_replay(true);
-  }
+  WireFeed(bank, feed, pool);
   EXPECT_TRUE(bank.one_pass());
   for (size_t w = 0; w < windows.size(); ++w) {
-    if (feed == BankFeed::kColumns) {
-      FeedColumns(bank, windows[w], kOddChunk);
-    } else {
-      for (const Request& r : windows[w]) {
-        bank.Process(r);
-      }
-    }
+    FeedColumns(bank, windows[w], FeedChunkRows(feed));
     for (const Request& r : windows[w]) {
       ref.Process(r);
     }
@@ -1084,9 +1177,7 @@ TEST(LruTimelineDifferentialTest, ScanStaysBounded) {
   }
   MrcBank bank(grid, 1.0, 0);
   for (const auto& window : windows) {
-    for (const Request& r : window) {
-      bank.Process(r);
-    }
+    FeedColumns(bank, window);
     bank.EndWindow();
   }
   // The 1 MB grid point holds ~480 of these ~2.1 KB objects.
@@ -1128,13 +1219,11 @@ TEST(LruTimelineDifferentialTest, SyntheticInputsNeverFallBack) {
     const WorkloadProfile p = ProfileByName(name);
     const Trace trace = SplitObjects(GenerateTrace(p), p.max_object_bytes);
     MrcBank bank(UniformSizeGrid(1'000'000, 4'000'000'000ull, 48), 0.05, 5);
-    for (size_t i = 0; i < trace.requests.size(); ++i) {
-      bank.Process(trace.requests[i]);
-      if (i % 20'000 == 19'999) {
-        bank.EndWindow();
-      }
+    const ReplayBatch chunk = ToChunk(trace.requests);
+    for (size_t begin = 0; begin < chunk.size(); begin += 20'000) {
+      bank.ProcessColumns(chunk, begin, std::min(begin + 20'000, chunk.size()));
+      bank.EndWindow();
     }
-    bank.EndWindow();
     EXPECT_TRUE(bank.one_pass());
   }
 }
@@ -1145,8 +1234,10 @@ TEST(LruTimelineDifferentialTest, SyntheticInputsNeverFallBack) {
 // window by window and bit for bit, the replay it replaced: per grid point
 // one LruCache per level and one InflightTable. The reference samples with
 // the bank's sampler, draws latencies from its own Rng seeded like the
-// bank's, in stream order, replays each admitted request at once (batching
-// never reorders a grid point's requests) and folds its counters with
+// bank's, per admitted GET as it arrives (the bank draws them batch by
+// batch when it prepares a batch, so this also pins that the draws keep
+// the stream order), replays each admitted request at once (batching never
+// reorders a grid point's requests) and folds its counters with
 // EndWindow's arithmetic.
 class PerGridAlcReference {
  public:
@@ -1258,21 +1349,6 @@ struct AlcStep {
   bool end_window = true;
 };
 
-void ExpectAlcWindowsEqual(const AlcWindow& got, const AlcWindow& want, int window) {
-  SCOPED_TRACE(window);
-  EXPECT_EQ(got.sampled_gets, want.sampled_gets);
-  EXPECT_EQ(got.alc.xs(), want.alc.xs());
-  EXPECT_EQ(got.alc.ys(), want.alc.ys());  // exact: same additions, same order
-  ASSERT_EQ(got.level_counts.size(), want.level_counts.size());
-  for (size_t i = 0; i < got.level_counts.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(got.level_counts[i].cluster_hits, want.level_counts[i].cluster_hits);
-    EXPECT_EQ(got.level_counts[i].osc_hits, want.level_counts[i].osc_hits);
-    EXPECT_EQ(got.level_counts[i].remote_misses, want.level_counts[i].remote_misses);
-    EXPECT_EQ(got.level_counts[i].delayed_hits, want.level_counts[i].delayed_hits);
-  }
-}
-
 struct AlcRunSummary {
   size_t allocated_nodes = 0;
   uint64_t delayed_hits = 0;  // over every window and grid point
@@ -1290,20 +1366,11 @@ AlcRunSummary ExpectAlcMatchesPerGrid(const std::vector<uint64_t>& grid, uint64_
   ThreadPool pool(3);
   AlcBank bank(grid, osc_capacity, ratio, kSalt, &latency, kSeed);
   PerGridAlcReference ref(grid, osc_capacity, ratio, kSalt, &latency, kSeed);
-  if (feed == BankFeed::kAsyncRows) {
-    bank.set_thread_pool(&pool);
-    bank.set_async_replay(true);
-  }
+  WireFeed(bank, feed, pool);
   AlcRunSummary summary;
   int window = 0;
   for (const AlcStep& step : steps) {
-    if (feed == BankFeed::kColumns) {
-      FeedColumns(bank, step.requests, kOddChunk);
-    } else {
-      for (const Request& r : step.requests) {
-        bank.Process(r);
-      }
-    }
+    FeedColumns(bank, step.requests, FeedChunkRows(feed));
     for (const Request& r : step.requests) {
       ref.Process(r);
     }
@@ -1313,7 +1380,8 @@ AlcRunSummary ExpectAlcMatchesPerGrid(const std::vector<uint64_t>& grid, uint64_
     }
     if (step.end_window) {
       const AlcWindow got = bank.EndWindow();
-      ExpectAlcWindowsEqual(got, ref.EndWindow(), window++);
+      SCOPED_TRACE(window++);
+      ExpectAlcWindowsEqual(got, ref.EndWindow());
       for (const AlcLevelCounts& c : got.level_counts) {
         summary.delayed_hits += c.delayed_hits;
       }
@@ -1486,14 +1554,16 @@ TEST(AlcRowDifferentialTest, ScanKeepsSlotsBounded) {
     ThreadPool pool(3);
     AlcBank bank(grid, /*osc=*/4'000'000, 1.0, 0, &gen, 23);
     if (async) {
-      bank.set_thread_pool(&pool);
-      bank.set_async_replay(true);
+      bank.SetExecution(&pool, /*async=*/true);
     }
+    std::vector<Request> scan;
     for (ObjectId id = 0; id < 200'000; ++id) {
-      bank.Process({static_cast<SimTime>(id) * kSecond, id, 1000, Op::kGet});
-      if (id % 50'000 == 49'999) {
-        bank.EndWindow();
-      }
+      scan.push_back({static_cast<SimTime>(id) * kSecond, id, 1000, Op::kGet});
+    }
+    const ReplayBatch chunk = ToChunk(scan);
+    for (size_t begin = 0; begin < chunk.size(); begin += 50'000) {
+      bank.ProcessColumns(chunk, begin, begin + 50'000);
+      bank.EndWindow();
     }
     EXPECT_LT(bank.allocated_nodes(), 4000u + 4000u + 4096u);
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/cloudsim/latency.h"
 #include "src/controller/analyzer.h"
@@ -12,7 +13,9 @@
 #include "src/controller/controller.h"
 #include "src/controller/optimizer.h"
 #include "src/controller/ttl_optimizer.h"
+#include "src/trace/request_source.h"
 #include "src/trace/synthetic.h"
+#include "tests/feed_columns.h"
 
 namespace macaron {
 namespace {
@@ -208,10 +211,12 @@ TEST(AnalyzerTest, ReportsAggregatedCurvesAndCounts) {
   cfg.min_capacity_bytes = 1000;
   cfg.max_capacity_bytes = 100000;
   WorkloadAnalyzer analyzer(cfg, nullptr);
+  std::vector<Request> reqs;
   for (int i = 0; i < 100; ++i) {
-    analyzer.Process({i, static_cast<ObjectId>(i % 10), 500, Op::kGet});
+    reqs.push_back({i, static_cast<ObjectId>(i % 10), 500, Op::kGet});
   }
-  analyzer.Process({100, 99, 500, Op::kPut});
+  reqs.push_back({100, 99, 500, Op::kPut});
+  FeedColumns(analyzer, reqs);
   const AnalyzerReport r = analyzer.EndWindow(15 * kMinute);
   EXPECT_EQ(r.window_requests, 101u);
   EXPECT_NEAR(r.expected_window_reads, 100.0, 1e-9);
@@ -231,9 +236,7 @@ TEST(AnalyzerTest, MeanObjectBytesExcludesDeletes) {
   cfg.min_capacity_bytes = 1000;
   cfg.max_capacity_bytes = 100000;
   WorkloadAnalyzer analyzer(cfg, nullptr);
-  analyzer.Process({0, 1, 500, Op::kGet});
-  analyzer.Process({1, 2, 1000, Op::kPut});
-  analyzer.Process({2, 1, 0, Op::kDelete});
+  FeedColumns(analyzer, {{0, 1, 500, Op::kGet}, {1, 2, 1000, Op::kPut}, {2, 1, 0, Op::kDelete}});
   const AnalyzerReport r = analyzer.EndWindow(15 * kMinute);
   EXPECT_EQ(r.window_requests, 2u);  // window_requests = reads + writes
   EXPECT_NEAR(r.mean_object_bytes, 750.0, 1e-9);
@@ -258,7 +261,7 @@ TEST(AnalyzerTest, TtlCurvesWhenEnabled) {
   cfg.enable_ttl = true;
   cfg.max_ttl = 2 * kDay;
   WorkloadAnalyzer analyzer(cfg, nullptr);
-  analyzer.Process({0, 1, 100, Op::kGet});
+  FeedColumns(analyzer, {{0, 1, 100, Op::kGet}});
   const AnalyzerReport r = analyzer.EndWindow(15 * kMinute);
   ASSERT_TRUE(r.aggregated_ttl_mrc.has_value());
   ASSERT_TRUE(r.aggregated_ttl_capacity.has_value());
@@ -310,9 +313,11 @@ TEST(AnalyzerTest, EmptyWindowAfterTrafficKeepsAggregates) {
   cfg.min_capacity_bytes = 1000;
   cfg.max_capacity_bytes = 100000;
   WorkloadAnalyzer analyzer(cfg, nullptr);
+  std::vector<Request> reqs;
   for (int i = 0; i < 100; ++i) {
-    analyzer.Process({i, static_cast<ObjectId>(i % 10), 500, Op::kGet});
+    reqs.push_back({i, static_cast<ObjectId>(i % 10), 500, Op::kGet});
   }
+  FeedColumns(analyzer, reqs);
   const AnalyzerReport busy = analyzer.EndWindow(15 * kMinute);
   const AnalyzerReport idle = analyzer.EndWindow(15 * kMinute);
   EXPECT_EQ(idle.window_requests, 0u);
@@ -328,6 +333,22 @@ TEST(AnalyzerTest, EmptyWindowAfterTrafficKeepsAggregates) {
 
 // --- Controller decisions ---
 
+// Feeds `reqs` to the controller as one chunk, the way the engines do.
+void Observe(MacaronController& ctl, const std::vector<Request>& reqs) {
+  const ReplayBatch chunk = ToChunk(reqs);
+  ctl.ObserveColumns(chunk, 0, chunk.size());
+}
+
+// `count` GETs of 10 KB objects cycling over `objects` ids, from `start`
+// one millisecond apart.
+std::vector<Request> CyclicGets(SimTime start, int count, int objects) {
+  std::vector<Request> reqs;
+  for (int i = 0; i < count; ++i) {
+    reqs.push_back({start + i, static_cast<ObjectId>(i % objects), 10'000, Op::kGet});
+  }
+  return reqs;
+}
+
 ControllerConfig BaseControllerConfig() {
   ControllerConfig cc;
   cc.window = 15 * kMinute;
@@ -342,7 +363,7 @@ ControllerConfig BaseControllerConfig() {
 TEST(ControllerTest, NoOptimizationDuringObservation) {
   MacaronController ctl(BaseControllerConfig(),
                         PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr);
-  ctl.Observe({0, 1, 1000, Op::kGet});
+  Observe(ctl, {{0, 1, 1000, Op::kGet}});
   const ReconfigDecision d = ctl.Reconfigure(15 * kMinute, 0);
   EXPECT_FALSE(d.optimized);
 }
@@ -351,9 +372,7 @@ TEST(ControllerTest, OptimizesAfterObservation) {
   MacaronController ctl(BaseControllerConfig(),
                         PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr);
   for (int w = 0; w < 5; ++w) {
-    for (int i = 0; i < 200; ++i) {
-      ctl.Observe({w * 15 * kMinute + i, static_cast<ObjectId>(i % 50), 10'000, Op::kGet});
-    }
+    Observe(ctl, CyclicGets(w * 15 * kMinute, 200, 50));
     ctl.Reconfigure((w + 1) * 15 * kMinute, 0);
   }
   const ReconfigDecision d = ctl.Reconfigure(2 * kHour, 0);
@@ -369,9 +388,7 @@ TEST(ControllerTest, RepetitiveWorkloadGetsCacheCoveringWorkingSet) {
   MacaronController ctl(BaseControllerConfig(),
                         PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr);
   for (int w = 0; w < 8; ++w) {
-    for (int i = 0; i < 500; ++i) {
-      ctl.Observe({w * 15 * kMinute + i, static_cast<ObjectId>(i % 50), 10'000, Op::kGet});
-    }
+    Observe(ctl, CyclicGets(w * 15 * kMinute, 500, 50));
     ctl.Reconfigure((w + 1) * 15 * kMinute, 0);
   }
   const ReconfigDecision d = ctl.Reconfigure(3 * kHour, 0);
@@ -403,9 +420,7 @@ TEST(ControllerTest, TtlModeProducesTtlDecision) {
   cc.analyzer.max_ttl = 2 * kDay;
   MacaronController ctl(cc, PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr);
   for (int w = 0; w < 6; ++w) {
-    for (int i = 0; i < 100; ++i) {
-      ctl.Observe({w * 15 * kMinute + i, static_cast<ObjectId>(i % 20), 10'000, Op::kGet});
-    }
+    Observe(ctl, CyclicGets(w * 15 * kMinute, 100, 20));
     ctl.Reconfigure((w + 1) * 15 * kMinute, 0);
   }
   const ReconfigDecision d = ctl.Reconfigure(2 * kHour, 0);
@@ -422,9 +437,7 @@ TEST(ControllerTest, ClusterDecisionWithAlc) {
   FittedLatencyGenerator gen(truth, 200, 5);
   MacaronController ctl(cc, PriceBook::Aws(DeploymentScenario::kCrossCloud), &gen);
   for (int w = 0; w < 6; ++w) {
-    for (int i = 0; i < 400; ++i) {
-      ctl.Observe({w * 15 * kMinute + i, static_cast<ObjectId>(i % 30), 10'000, Op::kGet});
-    }
+    Observe(ctl, CyclicGets(w * 15 * kMinute, 400, 30));
     ctl.Reconfigure((w + 1) * 15 * kMinute, 0);
   }
   const ReconfigDecision d = ctl.Reconfigure(2 * kHour, 0);
@@ -442,17 +455,13 @@ TEST(ControllerTest, ReconfigTimeLongerWhenClusterChanges) {
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 6);
   MacaronController ctl(cc, PriceBook::Aws(DeploymentScenario::kCrossCloud), &gen);
-  for (int i = 0; i < 400; ++i) {
-    ctl.Observe({i, static_cast<ObjectId>(i % 30), 10'000, Op::kGet});
-  }
+  Observe(ctl, CyclicGets(0, 400, 30));
   const ReconfigDecision first = ctl.Reconfigure(2 * kHour, 0);
   ASSERT_TRUE(first.optimized);
   ASSERT_TRUE(first.cluster_changed);  // 0 -> N nodes
   EXPECT_GT(first.reconfig_seconds, 100.0);
   // Same workload again: same decision, no cluster change, fast reconfig.
-  for (int i = 0; i < 400; ++i) {
-    ctl.Observe({2 * kHour + i, static_cast<ObjectId>(i % 30), 10'000, Op::kGet});
-  }
+  Observe(ctl, CyclicGets(2 * kHour, 400, 30));
   const ReconfigDecision second = ctl.Reconfigure(2 * kHour + 15 * kMinute, 0);
   if (!second.cluster_changed) {
     EXPECT_LT(second.reconfig_seconds, 60.0);

@@ -2,8 +2,9 @@
 // grid points on a thread pool must produce curves bit-identical to
 // sequential replay, for any thread count, across batch boundaries and
 // multiple windows (the headline guarantee of the batched fan-out design —
-// sampling, window counters, and latency draws all happen at Process time,
-// in stream order, so replay touches only private per-grid-point state).
+// sampling and window counters happen at ingest and latency draws when a
+// batch is prepared, all on the calling thread in stream order, so replay
+// touches only private per-grid-point state).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/minisim/mrc_bank.h"
 #include "src/minisim/size_grid.h"
 #include "src/minisim/ttl_bank.h"
+#include "src/trace/request_source.h"
 #include "src/trace/synthetic.h"
 
 namespace macaron {
@@ -57,21 +59,18 @@ constexpr EvictionPolicyKind kMrcPolicies[] = {EvictionPolicyKind::kLru,
                                                EvictionPolicyKind::kS3Fifo};
 
 TEST(ParallelDeterminismTest, MrcBankBitIdenticalToSequential) {
-  const Trace t = MixedStream(20000, 0.8, 60000, 1, 21);
+  const ReplayBatch chunk = ToChunk(MixedStream(20000, 0.8, 60000, 1, 21).requests);
   const auto grid = UniformSizeGrid(100'000, 10'000'000, 16);
   for (const EvictionPolicyKind kind : kMrcPolicies) {
     SCOPED_TRACE(EvictionPolicyName(kind));
     MrcBank seq(grid, 0.5, 17, kind);
     MrcBank par(grid, 0.5, 17, kind);
     ThreadPool pool(4);
-    par.set_thread_pool(&pool);
+    par.SetExecution(&pool, /*async=*/false);
     // Two windows, each with ~15k sampled requests (several batch flushes).
-    for (int w = 0; w < 2; ++w) {
-      for (size_t i = 0; i < 30000; ++i) {
-        const Request& r = t.requests[w * 30000 + i];
-        seq.Process(r);
-        par.Process(r);
-      }
+    for (size_t w = 0; w < 2; ++w) {
+      seq.ProcessColumns(chunk, w * 30000, (w + 1) * 30000);
+      par.ProcessColumns(chunk, w * 30000, (w + 1) * 30000);
       const WindowCurves ws = seq.EndWindow();
       const WindowCurves wp = par.EndWindow();
       EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
@@ -83,22 +82,18 @@ TEST(ParallelDeterminismTest, MrcBankBitIdenticalToSequential) {
 }
 
 TEST(ParallelDeterminismTest, MrcBankInvariantAcrossThreadCounts) {
-  const Trace t = MixedStream(5000, 0.7, 20000, 1, 22);
+  const ReplayBatch chunk = ToChunk(MixedStream(5000, 0.7, 20000, 1, 22).requests);
   const auto grid = UniformSizeGrid(50'000, 5'000'000, 12);
   for (const EvictionPolicyKind kind : kMrcPolicies) {
     SCOPED_TRACE(EvictionPolicyName(kind));
     MrcBank reference(grid, 0.5, 3, kind);
-    for (const Request& r : t.requests) {
-      reference.Process(r);
-    }
+    reference.ProcessColumns(chunk, 0, chunk.size());
     const WindowCurves ref = reference.EndWindow();
     for (int threads : {2, 3, 8}) {
       MrcBank bank(grid, 0.5, 3, kind);
       ThreadPool pool(threads);
-      bank.set_thread_pool(&pool);
-      for (const Request& r : t.requests) {
-        bank.Process(r);
-      }
+      bank.SetExecution(&pool, /*async=*/false);
+      bank.ProcessColumns(chunk, 0, chunk.size());
       const WindowCurves w = bank.EndWindow();
       ExpectCurvesIdentical(ref.mrc, w.mrc);
       ExpectCurvesIdentical(ref.bmc, w.bmc);
@@ -109,18 +104,15 @@ TEST(ParallelDeterminismTest, MrcBankInvariantAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, TtlBankBitIdenticalToSequential) {
   // Half-minute steps spread the stream over ~8 hours so TTL expiry and the
   // byte-time integral both engage.
-  const Trace t = MixedStream(8000, 0.8, 50000, 30 * kSecond, 23);
+  const ReplayBatch chunk = ToChunk(MixedStream(8000, 0.8, 50000, 30 * kSecond, 23).requests);
   const std::vector<SimDuration> grid{kHour, 6 * kHour, kDay};
   TtlBank seq(grid, 0.5, 9);
   TtlBank par(grid, 0.5, 9);
   ThreadPool pool(4);
-  par.set_thread_pool(&pool);
-  for (int w = 0; w < 2; ++w) {
-    for (size_t i = 0; i < 25000; ++i) {
-      const Request& r = t.requests[w * 25000 + i];
-      seq.Process(r);
-      par.Process(r);
-    }
+  par.SetExecution(&pool, /*async=*/false);
+  for (size_t w = 0; w < 2; ++w) {
+    seq.ProcessColumns(chunk, w * 25000, (w + 1) * 25000);
+    par.ProcessColumns(chunk, w * 25000, (w + 1) * 25000);
     const TtlWindowCurves ws = seq.EndWindow(4 * kHour);
     const TtlWindowCurves wp = par.EndWindow(4 * kHour);
     EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
@@ -133,12 +125,13 @@ TEST(ParallelDeterminismTest, TtlBankBitIdenticalToSequential) {
 TEST(ParallelDeterminismTest, AlcBankBitIdenticalToSequential) {
   // Wide enough (about 9k distinct sampled ids) that the bank reclaims
   // slots mid-stream.
-  const Trace t = MixedStream(40000, 0.7, 40000, 10, 24);
+  const ReplayBatch chunk = ToChunk(MixedStream(40000, 0.7, 40000, 10, 24).requests);
   const auto grid = UniformSizeGrid(20'000, 2'000'000, 10);
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 1);
-  // Synchronous fan-out, then async: slot resolution, row growth and slot
-  // reclamation run on this thread after the join of the batch in flight.
+  // Synchronous fan-out, then async: slot resolution, latency draws, row
+  // growth and slot reclamation run on this thread after the join of the
+  // batch in flight.
   for (const bool async : {false, true}) {
     SCOPED_TRACE(async ? "async" : "sync");
     // Same seed: each bank draws its latencies from its own Rng, in stream
@@ -146,14 +139,10 @@ TEST(ParallelDeterminismTest, AlcBankBitIdenticalToSequential) {
     AlcBank seq(grid, 2'000'000, 0.5, 31, &gen, 77);
     AlcBank par(grid, 2'000'000, 0.5, 31, &gen, 77);
     ThreadPool pool(4);
-    par.set_thread_pool(&pool);
-    par.set_async_replay(async);
-    for (int w = 0; w < 2; ++w) {
-      for (size_t i = 0; i < 20000; ++i) {
-        const Request& r = t.requests[w * 20000 + i];
-        seq.Process(r);
-        par.Process(r);
-      }
+    par.SetExecution(&pool, async);
+    for (size_t w = 0; w < 2; ++w) {
+      seq.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
+      par.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
       if (w == 0) {
         // Mid-stream reconfiguration flushes pending batches on both sides.
         seq.SetOscCapacity(1'000'000);
@@ -175,24 +164,20 @@ TEST(ParallelDeterminismTest, AlcBankBitIdenticalToSequential) {
 }
 
 TEST(ParallelDeterminismTest, AsyncBankReplayBitIdenticalToSequential) {
-  // set_async_replay(true): batch fan-outs are submitted, not joined, so
-  // grid replay overlaps whatever this thread does next (here: filling the
-  // next batch). EndWindow joins; curves must not drift by a bit.
-  const Trace t = MixedStream(20000, 0.8, 60000, 1, 26);
+  // Async execution: batch fan-outs are submitted, not joined, so grid
+  // replay overlaps whatever this thread does next (here: filling the next
+  // batch). EndWindow joins; curves must not drift by a bit.
+  const ReplayBatch chunk = ToChunk(MixedStream(20000, 0.8, 60000, 1, 26).requests);
   const auto grid = UniformSizeGrid(100'000, 10'000'000, 16);
   for (const EvictionPolicyKind kind : kMrcPolicies) {
     SCOPED_TRACE(EvictionPolicyName(kind));
     MrcBank seq(grid, 0.5, 17, kind);
     MrcBank par(grid, 0.5, 17, kind);
     ThreadPool pool(4);
-    par.set_thread_pool(&pool);
-    par.set_async_replay(true);
-    for (int w = 0; w < 2; ++w) {
-      for (size_t i = 0; i < 30000; ++i) {
-        const Request& r = t.requests[w * 30000 + i];
-        seq.Process(r);
-        par.Process(r);
-      }
+    par.SetExecution(&pool, /*async=*/true);
+    for (size_t w = 0; w < 2; ++w) {
+      seq.ProcessColumns(chunk, w * 30000, (w + 1) * 30000);
+      par.ProcessColumns(chunk, w * 30000, (w + 1) * 30000);
       const WindowCurves ws = seq.EndWindow();
       const WindowCurves wp = par.EndWindow();
       EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
@@ -207,7 +192,7 @@ TEST(ParallelDeterminismTest, AnalyzerSharedPoolBitIdentical) {
   // The analyzer owns no threads: SetExecution wires an engine-owned pool
   // through to the banks (sync joins at each flush, async joins at
   // EndWindow). Both must reproduce the sequential analyzer bit for bit.
-  const Trace t = MixedStream(10000, 0.8, 40000, kSecond, 25);
+  const ReplayBatch chunk = ToChunk(MixedStream(10000, 0.8, 40000, kSecond, 25).requests);
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 2);
   AnalyzerConfig cfg;
@@ -222,12 +207,9 @@ TEST(ParallelDeterminismTest, AnalyzerSharedPoolBitIdentical) {
   WorkloadAnalyzer threaded(cfg, &gen);
   ThreadPool pool(4);
   threaded.SetExecution(&pool, /*async=*/true);
-  for (int w = 0; w < 2; ++w) {
-    for (size_t i = 0; i < 20000; ++i) {
-      const Request& r = t.requests[w * 20000 + i];
-      sequential.Process(r);
-      threaded.Process(r);
-    }
+  for (size_t w = 0; w < 2; ++w) {
+    sequential.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
+    threaded.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
     const AnalyzerReport rs = sequential.EndWindow(15 * kMinute);
     const AnalyzerReport rp = threaded.EndWindow(15 * kMinute);
     ExpectCurvesIdentical(rs.aggregated_mrc, rp.aggregated_mrc);

@@ -15,6 +15,7 @@
 #include "src/minisim/size_grid.h"
 #include "src/minisim/ttl_bank.h"
 #include "src/trace/synthetic.h"
+#include "tests/feed_columns.h"
 
 namespace macaron {
 namespace {
@@ -53,9 +54,7 @@ Trace ZipfStream(uint64_t objects, double alpha, uint64_t count, uint64_t seed) 
 TEST(MrcBankTest, MrcIsMonotoneNonIncreasing) {
   const Trace t = ZipfStream(5000, 0.8, 50000, 1);
   MrcBank bank(UniformSizeGrid(10'000, 5'000'000, 20), 1.0, 0);
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  FeedColumns(bank, t.requests);
   const WindowCurves w = bank.EndWindow();
   for (size_t i = 1; i < w.mrc.size(); ++i) {
     EXPECT_LE(w.mrc.y(i), w.mrc.y(i - 1) + 1e-9) << i;
@@ -65,9 +64,7 @@ TEST(MrcBankTest, MrcIsMonotoneNonIncreasing) {
 TEST(MrcBankTest, FullCapacityOnlyCompulsoryMisses) {
   const Trace t = ZipfStream(1000, 0.5, 20000, 2);
   MrcBank bank(UniformSizeGrid(100'000, 2'000'000, 8), 1.0, 0);
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  FeedColumns(bank, t.requests);
   const WindowCurves w = bank.EndWindow();
   // Largest capacity (2x dataset) never evicts: misses = unique objects.
   EXPECT_NEAR(w.mrc.y(w.mrc.size() - 1), 1000.0 / 20000.0, 0.001);
@@ -80,10 +77,8 @@ TEST(MrcBankTest, SampledMrcMatchesFullSimulation) {
   const auto grid = UniformSizeGrid(500'000, 20'000'000, 16);
   MrcBank full(grid, 1.0, 0);
   MrcBank mini(grid, 0.1, 99);
-  for (const Request& r : t.requests) {
-    full.Process(r);
-    mini.Process(r);
-  }
+  FeedColumns(full, t.requests);
+  FeedColumns(mini, t.requests);
   const WindowCurves wf = full.EndWindow();
   const WindowCurves wm = mini.EndWindow();
   double mae = 0.0;
@@ -99,10 +94,8 @@ TEST(MrcBankTest, SampledBmcMatchesFullSimulation) {
   const auto grid = UniformSizeGrid(500'000, 20'000'000, 16);
   MrcBank full(grid, 1.0, 0);
   MrcBank mini(grid, 0.1, 7);
-  for (const Request& r : t.requests) {
-    full.Process(r);
-    mini.Process(r);
-  }
+  FeedColumns(full, t.requests);
+  FeedColumns(mini, t.requests);
   const WindowCurves wf = full.EndWindow();
   const WindowCurves wm = mini.EndWindow();
   double mape = 0.0;
@@ -120,23 +113,21 @@ TEST(MrcBankTest, SampledBmcMatchesFullSimulation) {
 TEST(MrcBankTest, StatePersistsAcrossWindows) {
   const Trace t = ZipfStream(1000, 0.5, 5000, 5);
   MrcBank bank(UniformSizeGrid(100'000, 2'000'000, 4), 1.0, 0);
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  FeedColumns(bank, t.requests);
   bank.EndWindow();
   // Re-run the same stream: the cache is warm, misses should drop sharply.
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  FeedColumns(bank, t.requests);
   const WindowCurves w2 = bank.EndWindow();
   EXPECT_LT(w2.mrc.y(w2.mrc.size() - 1), 0.01);
 }
 
 TEST(MrcBankTest, DeletesEvictFromMiniCaches) {
   MrcBank bank(UniformSizeGrid(1000, 10000, 3), 1.0, 0);
-  bank.Process({0, 1, 100, Op::kPut});
-  bank.Process({1, 1, 100, Op::kDelete});
-  bank.Process({2, 1, 100, Op::kGet});  // must miss everywhere
+  FeedColumns(bank, {
+                        {0, 1, 100, Op::kPut},
+                        {1, 1, 100, Op::kDelete},
+                        {2, 1, 100, Op::kGet},  // must miss everywhere
+                    });
   const WindowCurves w = bank.EndWindow();
   for (size_t i = 0; i < w.mrc.size(); ++i) {
     EXPECT_GT(w.bmc.y(i), 0.0);
@@ -150,9 +141,7 @@ TEST(AlcBankTest, LatencyDecreasesWithClusterCapacity) {
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 1);
   AlcBank bank(UniformSizeGrid(20'000, 2'000'000, 10), /*osc=*/2'000'000, 1.0, 0, &gen, 11);
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  FeedColumns(bank, t.requests);
   const AlcWindow w = bank.EndWindow();
   // More DRAM -> no worse average latency (strictly better for skewed load).
   EXPECT_LT(w.alc.y(w.alc.size() - 1), w.alc.y(0));
@@ -163,9 +152,7 @@ TEST(AlcBankTest, LevelCountsAddUp) {
   GroundTruthLatency truth(LatencyScenario::kCrossRegionUs);
   FittedLatencyGenerator gen(truth, 200, 2);
   AlcBank bank(UniformSizeGrid(10'000, 500'000, 5), 500'000, 1.0, 0, &gen, 12);
-  for (const Request& r : t.requests) {
-    bank.Process(r);
-  }
+  FeedColumns(bank, t.requests);
   const AlcWindow w = bank.EndWindow();
   for (const AlcLevelCounts& c : w.level_counts) {
     EXPECT_EQ(c.total(), 5000u);
@@ -178,9 +165,7 @@ TEST(AlcBankTest, RequestDelayCountsDuplicateBurstsAsDelayed) {
   AlcBank bank({1'000'000}, 1'000'000, 1.0, 0, &gen, 13);
   // Three accesses to the same cold object within 1 ms: the first is a
   // remote miss, the rest coalesce (remote latency, no second fetch).
-  bank.Process({0, 42, 1000, Op::kGet});
-  bank.Process({0, 42, 1000, Op::kGet});
-  bank.Process({1, 42, 1000, Op::kGet});
+  FeedColumns(bank, {{0, 42, 1000, Op::kGet}, {0, 42, 1000, Op::kGet}, {1, 42, 1000, Op::kGet}});
   const AlcWindow w = bank.EndWindow();
   EXPECT_EQ(w.level_counts[0].remote_misses, 1u);
   EXPECT_EQ(w.level_counts[0].delayed_hits, 2u);
@@ -190,13 +175,14 @@ TEST(AlcBankTest, OscCapacityResizeTakesEffect) {
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 4);
   AlcBank bank({1000}, 1'000'000, 1.0, 0, &gen, 14);
-  bank.Process({0, 1, 50000, Op::kGet});
-  bank.Process({1000000, 1, 50000, Op::kGet});  // OSC hit (cluster too small)
+  FeedColumns(bank, {
+                        {0, 1, 50000, Op::kGet},
+                        {1000000, 1, 50000, Op::kGet},  // OSC hit (cluster too small)
+                    });
   AlcWindow w = bank.EndWindow();
   EXPECT_EQ(w.level_counts[0].osc_hits, 1u);
   bank.SetOscCapacity(1);  // shrink: object no longer fits
-  bank.Process({2000000, 2, 50000, Op::kGet});
-  bank.Process({4000000, 2, 50000, Op::kGet});
+  FeedColumns(bank, {{2000000, 2, 50000, Op::kGet}, {4000000, 2, 50000, Op::kGet}});
   w = bank.EndWindow();
   EXPECT_EQ(w.level_counts[0].osc_hits, 0u);
 }
@@ -219,12 +205,14 @@ TEST(TtlBankTest, LongerTtlFewerMisses) {
   TtlBank bank({kHour, kDay}, 1.0, 0);
   // Access each object twice, 2 hours apart: TTL=1h misses the re-read,
   // TTL=1d hits it.
+  std::vector<Request> reqs;
   for (ObjectId id = 0; id < 100; ++id) {
-    bank.Process({static_cast<SimTime>(id), id, 1000, Op::kGet});
+    reqs.push_back({static_cast<SimTime>(id), id, 1000, Op::kGet});
   }
   for (ObjectId id = 0; id < 100; ++id) {
-    bank.Process({2 * kHour + static_cast<SimTime>(id), id, 1000, Op::kGet});
+    reqs.push_back({2 * kHour + static_cast<SimTime>(id), id, 1000, Op::kGet});
   }
+  FeedColumns(bank, reqs);
   const TtlWindowCurves w = bank.EndWindow(3 * kHour);
   EXPECT_GT(w.mrc.y(0), w.mrc.y(1));
   EXPECT_GT(w.bmc.y(0), w.bmc.y(1));
@@ -232,9 +220,11 @@ TEST(TtlBankTest, LongerTtlFewerMisses) {
 
 TEST(TtlBankTest, LongerTtlMoreResidentBytes) {
   TtlBank bank({kHour, kDay}, 1.0, 0);
+  std::vector<Request> reqs;
   for (ObjectId id = 0; id < 100; ++id) {
-    bank.Process({static_cast<SimTime>(id), id, 1000, Op::kGet});
+    reqs.push_back({static_cast<SimTime>(id), id, 1000, Op::kGet});
   }
+  FeedColumns(bank, reqs);
   const TtlWindowCurves w = bank.EndWindow(kDay);
   EXPECT_LT(w.capacity.y(0), w.capacity.y(1));
 }
@@ -266,9 +256,11 @@ TEST(MrcBankTest, EmptyWindowProducesZeroCurves) {
 TEST(MrcBankTest, PutOnlyWindowProducesZeroCurves) {
   // window_gets_ == 0 while requests (and sampled requests) are nonzero.
   MrcBank bank(UniformSizeGrid(1000, 10000, 4), 1.0, 0);
+  std::vector<Request> reqs;
   for (ObjectId id = 0; id < 50; ++id) {
-    bank.Process({static_cast<SimTime>(id), id, 100, Op::kPut});
+    reqs.push_back({static_cast<SimTime>(id), id, 100, Op::kPut});
   }
+  FeedColumns(bank, reqs);
   const WindowCurves w = bank.EndWindow();
   EXPECT_EQ(w.sampled_gets, 0u);
   EXPECT_EQ(w.window_requests, 50u);
@@ -281,9 +273,11 @@ TEST(MrcBankTest, SamplerAdmitsNothingProducesZeroCurves) {
   // (window_sampled_gets_ == 0 with window_gets_ > 0). Ids start above the
   // salt: id == salt hashes to Mix64(0) == 0, which every ratio admits.
   MrcBank bank(UniformSizeGrid(1000, 10000, 4), 1e-9, 1);
+  std::vector<Request> reqs;
   for (ObjectId id = 1000; id < 1200; ++id) {
-    bank.Process({static_cast<SimTime>(id), id, 100, Op::kGet});
+    reqs.push_back({static_cast<SimTime>(id), id, 100, Op::kGet});
   }
+  FeedColumns(bank, reqs);
   const WindowCurves w = bank.EndWindow();
   EXPECT_EQ(w.sampled_gets, 0u);
   ExpectAllFinite(w.mrc, 0.0);
@@ -301,9 +295,11 @@ TEST(TtlBankTest, EmptyWindowProducesZeroCurves) {
 
 TEST(TtlBankTest, PutOnlyWindowHasFiniteCapacityCurve) {
   TtlBank bank({kHour, kDay}, 1.0, 0);
+  std::vector<Request> reqs;
   for (ObjectId id = 0; id < 20; ++id) {
-    bank.Process({static_cast<SimTime>(id), id, 1000, Op::kPut});
+    reqs.push_back({static_cast<SimTime>(id), id, 1000, Op::kPut});
   }
+  FeedColumns(bank, reqs);
   const TtlWindowCurves w = bank.EndWindow(kHour);
   ExpectAllFinite(w.mrc, 0.0);
   ExpectAllFinite(w.bmc, 0.0);
@@ -327,11 +323,12 @@ TEST(AlcBankTest, EmptyWindowProducesZeroLatencyCurve) {
 TEST(TtlBankTest, CapacityScalesBySamplingRatio) {
   TtlBank full({kDay}, 1.0, 0);
   TtlBank half({kDay}, 0.5, 123);
+  std::vector<Request> reqs;
   for (ObjectId id = 0; id < 4000; ++id) {
-    const Request r{static_cast<SimTime>(id), id, 1000, Op::kGet};
-    full.Process(r);
-    half.Process(r);
+    reqs.push_back({static_cast<SimTime>(id), id, 1000, Op::kGet});
   }
+  FeedColumns(full, reqs);
+  FeedColumns(half, reqs);
   const auto wf = full.EndWindow(kHour);
   const auto wh = half.EndWindow(kHour);
   // Scaled-up sampled capacity approximates the full value.

@@ -22,6 +22,7 @@
 #include "src/sweep/fingerprint.h"
 #include "src/sweep/result_store.h"
 #include "src/sweep/scheduler.h"
+#include "src/trace/request_source.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
 
@@ -346,27 +347,25 @@ TEST(HashOncePipelineTest, AnalyzerCurvesIndependentOfHashDomain) {
   WorkloadAnalyzer a(base, /*latency=*/nullptr);
   WorkloadAnalyzer b(alt, /*latency=*/nullptr);
 
-  size_t fed = 0;
+  const ReplayBatch chunk = ToChunk(t.requests);
   int windows = 0;
-  for (const Request& r : t.requests) {
-    a.Process(r);
-    b.Process(r);
-    if (++fed % 200 == 0) {
-      const AnalyzerReport ra = a.EndWindow(15 * kMinute);
-      const AnalyzerReport rb = b.EndWindow(15 * kMinute);
-      ++windows;
-      ASSERT_EQ(ra.aggregated_mrc.ys(), rb.aggregated_mrc.ys()) << "window " << windows;
-      ASSERT_EQ(ra.aggregated_bmc.ys(), rb.aggregated_bmc.ys()) << "window " << windows;
-      ASSERT_TRUE(ra.aggregated_ttl_mrc.has_value());
-      ASSERT_TRUE(rb.aggregated_ttl_mrc.has_value());
-      ASSERT_EQ(ra.aggregated_ttl_mrc->ys(), rb.aggregated_ttl_mrc->ys()) << "window " << windows;
-      ASSERT_EQ(ra.aggregated_ttl_bmc->ys(), rb.aggregated_ttl_bmc->ys()) << "window " << windows;
-      ASSERT_EQ(ra.aggregated_ttl_capacity->ys(), rb.aggregated_ttl_capacity->ys())
-          << "window " << windows;
-      ASSERT_EQ(ra.window_requests, rb.window_requests);
-      ASSERT_EQ(ra.expected_window_reads, rb.expected_window_reads);
-      ASSERT_EQ(ra.expected_window_writes, rb.expected_window_writes);
-    }
+  for (size_t end = 200; end <= chunk.size(); end += 200) {
+    a.ProcessColumns(chunk, end - 200, end);
+    b.ProcessColumns(chunk, end - 200, end);
+    const AnalyzerReport ra = a.EndWindow(15 * kMinute);
+    const AnalyzerReport rb = b.EndWindow(15 * kMinute);
+    ++windows;
+    ASSERT_EQ(ra.aggregated_mrc.ys(), rb.aggregated_mrc.ys()) << "window " << windows;
+    ASSERT_EQ(ra.aggregated_bmc.ys(), rb.aggregated_bmc.ys()) << "window " << windows;
+    ASSERT_TRUE(ra.aggregated_ttl_mrc.has_value());
+    ASSERT_TRUE(rb.aggregated_ttl_mrc.has_value());
+    ASSERT_EQ(ra.aggregated_ttl_mrc->ys(), rb.aggregated_ttl_mrc->ys()) << "window " << windows;
+    ASSERT_EQ(ra.aggregated_ttl_bmc->ys(), rb.aggregated_ttl_bmc->ys()) << "window " << windows;
+    ASSERT_EQ(ra.aggregated_ttl_capacity->ys(), rb.aggregated_ttl_capacity->ys())
+        << "window " << windows;
+    ASSERT_EQ(ra.window_requests, rb.window_requests);
+    ASSERT_EQ(ra.expected_window_reads, rb.expected_window_reads);
+    ASSERT_EQ(ra.expected_window_writes, rb.expected_window_writes);
   }
   EXPECT_GE(windows, 2) << "trace too small to exercise multiple windows";
 }
