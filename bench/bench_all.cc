@@ -18,8 +18,8 @@
 //                    or .macaron-results; "off" disables)
 //   --cold           delete cached .run results first (forces simulation)
 //   --only S         run only figures whose name contains S (repeatable)
-//   --json PATH      per-figure wall-clock + scheduler stats
-//                    (default BENCH_sweep.json; "off" disables)
+//   --json PATH      write per-figure wall-clock + scheduler stats to PATH
+//                    (default: none written; "off" also writes none)
 //   --metrics        write per-job decision traces + metrics registries
 //                    (JSONL/JSON under --metrics-dir; stderr-only reporting,
 //                    figure stdout stays byte-identical)
@@ -27,12 +27,12 @@
 //                    .macaron-metrics; implies --metrics)
 //   --list           print figure names and exit
 //   --compare B      after the run, diff per-figure wall clock and scheduler
-//                    busy-seconds against a BENCH_sweep.json recorded by a
-//                    previous run (the --json output); prints one delta line
-//                    per figure and exits 3 if anything regressed beyond the
-//                    threshold. Meaningful for like-for-like runs (both
-//                    --cold, same --threads); the delta report goes to
-//                    stderr so figure stdout stays byte-identical.
+//                    busy-seconds against the --json report of a previous
+//                    run; prints one delta line per figure and exits 3 if
+//                    anything regressed beyond the threshold. Meaningful
+//                    for like-for-like runs (both --cold, same --threads);
+//                    the delta report goes to stderr so figure stdout
+//                    stays byte-identical.
 //   --compare-threshold PCT
 //                    regression tolerance for --compare, percent (default
 //                    15; small figures additionally get a 50 ms floor so
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   bool list = false;
   bool metrics = false;
   std::string metrics_dir = ".macaron-metrics";
-  std::string json_path = "BENCH_sweep.json";
+  std::string json_path;
   std::string compare_path;
   double compare_threshold = 15.0;
   std::vector<std::string> only;

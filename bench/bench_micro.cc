@@ -14,7 +14,6 @@
 #include "bench/harness.h"
 #include "src/cache/flat_index.h"
 #include "src/cache/lru_cache.h"
-#include "src/cache/reference_caches.h"
 #include "src/cache/simd.h"
 #include "src/cache/slab_lru.h"
 #include "src/cache/ttl_cache.h"
@@ -124,13 +123,10 @@ BENCHMARK(BM_MrcBankProcess)->Arg(48)->Arg(200);
 //
 // The BM_CacheCore* group isolates the cache data structures from request
 // generation: the Zipf stream is precomputed once and replayed from a flat
-// array, so the loop body is Get + (on miss) Put and nothing else. The
-// *SeedReference variants run the identical loop against the seed's
-// list+unordered_map implementation (src/cache/reference_caches.h), so one
-// binary reports the flat-core speedup on the same stream. Capacity selects
-// the hit ratio: the stream draws from 100k objects of 4 KB (~410 MB of
-// distinct data), so 8 MB is miss-heavy and 256 MB hit-heavy; the realized
-// ratio is reported as a counter.
+// array, so the loop body is Get + (on miss) Put and nothing else. Capacity
+// selects the hit ratio: the stream draws from 100k objects of 4 KB
+// (~410 MB of distinct data), so 8 MB is miss-heavy and 256 MB hit-heavy;
+// the realized ratio is reported as a counter.
 
 const std::vector<ObjectId>& CacheCoreStream() {
   static const std::vector<ObjectId>* stream = [] {
@@ -145,8 +141,8 @@ const std::vector<ObjectId>& CacheCoreStream() {
   return *stream;
 }
 
-template <typename Cache>
-void RunCacheCoreGetPut(benchmark::State& state, Cache& cache) {
+void BM_CacheCoreGetPut(benchmark::State& state) {
+  LruCache cache(static_cast<uint64_t>(state.range(0)) * 1024 * 1024);
   const std::vector<ObjectId>& stream = CacheCoreStream();
   const size_t mask = stream.size() - 1;
   size_t i = 0;
@@ -165,18 +161,7 @@ void RunCacheCoreGetPut(benchmark::State& state, Cache& cache) {
           ? 0.0
           : static_cast<double>(hits) / static_cast<double>(state.iterations());
 }
-
-void BM_CacheCoreGetPut(benchmark::State& state) {
-  LruCache cache(static_cast<uint64_t>(state.range(0)) * 1024 * 1024);
-  RunCacheCoreGetPut(state, cache);
-}
 BENCHMARK(BM_CacheCoreGetPut)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_CacheCoreGetPutSeedReference(benchmark::State& state) {
-  RefLruCache cache(static_cast<uint64_t>(state.range(0)) * 1024 * 1024);
-  RunCacheCoreGetPut(state, cache);
-}
-BENCHMARK(BM_CacheCoreGetPutSeedReference)->Arg(8)->Arg(64)->Arg(256);
 
 // --- FlatIndex probe micro-costs ---
 //

@@ -17,59 +17,17 @@ namespace bench {
 
 namespace {
 
-// Bounded trace cache. A generating entry exists with a null trace so
-// concurrent callers for the same name block on one generation (the
-// condition variable replaces the old per-entry once_flag, which could not
-// support regeneration after eviction). Unpinned entries evict LRU when the
-// byte budget is exceeded; callers hold shared_ptrs, so eviction only drops
-// the cache's reference — nothing is freed mid-replay.
+// Trace cache: every generated trace stays for the process lifetime. A
+// generating entry exists with a null trace so concurrent callers for the
+// same name block on one generation.
 struct TraceCache {
-  struct Entry {
-    std::shared_ptr<const Trace> trace;  // null while generating
-    uint64_t bytes = 0;
-    uint64_t last_use = 0;
-  };
   std::mutex mu;
   std::condition_variable cv;
-  std::map<std::string, Entry> entries;
-  uint64_t total_bytes = 0;
-  uint64_t use_counter = 0;
+  std::map<std::string, std::shared_ptr<const Trace>> entries;  // null while generating
 };
 TraceCache* g_trace_cache = new TraceCache();
 
-// Approximate bytes cached per trace (unlimited when unset or 0).
-uint64_t EnvTraceCacheBytes() {
-  const char* s = std::getenv("MACARON_TRACE_CACHE_BYTES");
-  if (s == nullptr || *s == '\0') {
-    return 0;
-  }
-  return std::strtoull(s, nullptr, 10);
-}
-
-// Drops least-recently-used completed entries until the budget holds (the
-// just-inserted `keep` is exempt — evicting it would thrash). Caller holds
-// the cache mutex.
-void EvictTracesLocked(TraceCache& c, uint64_t budget, const std::string& keep) {
-  while (c.total_bytes > budget) {
-    auto victim = c.entries.end();
-    for (auto it = c.entries.begin(); it != c.entries.end(); ++it) {
-      if (it->second.trace == nullptr || it->first == keep) {
-        continue;  // generating entries and the fresh insert stay
-      }
-      if (victim == c.entries.end() || it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim == c.entries.end()) {
-      return;  // nothing evictable left
-    }
-    c.total_bytes -= victim->second.bytes;
-    c.entries.erase(victim);
-  }
-}
-
-}  // namespace
-
+// Backs both GetTrace and the sweep's trace provider.
 std::shared_ptr<const Trace> GetTraceShared(const std::string& name) {
   TraceCache& c = *g_trace_cache;
   std::unique_lock<std::mutex> lock(c.mu);
@@ -78,13 +36,12 @@ std::shared_ptr<const Trace> GetTraceShared(const std::string& name) {
     if (it == c.entries.end()) {
       break;  // this caller generates
     }
-    if (it->second.trace != nullptr) {
-      it->second.last_use = ++c.use_counter;
-      return it->second.trace;
+    if (it->second != nullptr) {
+      return it->second;
     }
     c.cv.wait(lock);  // another caller is generating this name
   }
-  c.entries[name];  // placeholder: trace == nullptr marks "generating"
+  c.entries[name];  // placeholder: a null trace marks "generating"
   lock.unlock();
 
   // Generation runs outside the lock: distinct workloads generate
@@ -92,32 +49,16 @@ std::shared_ptr<const Trace> GetTraceShared(const std::string& name) {
   const WorkloadProfile p = ProfileByName(name);
   auto trace =
       std::make_shared<const Trace>(SplitObjects(GenerateTrace(p), p.max_object_bytes));
-  const uint64_t bytes = trace->requests.size() * sizeof(Request) + sizeof(Trace);
 
   lock.lock();
-  TraceCache::Entry& entry = c.entries[name];
-  entry.trace = trace;
-  entry.bytes = bytes;
-  entry.last_use = ++c.use_counter;
-  c.total_bytes += bytes;
-  const uint64_t budget = EnvTraceCacheBytes();
-  if (budget > 0) {
-    EvictTracesLocked(c, budget, name);
-  }
+  c.entries[name] = trace;
   c.cv.notify_all();
   return trace;
 }
 
-const Trace& GetTrace(const std::string& name) {
-  // Pinning map: holding the shared_ptr forever keeps the returned
-  // reference valid for the process lifetime regardless of cache eviction.
-  static std::mutex pin_mu;
-  static auto* pinned = new std::map<std::string, std::shared_ptr<const Trace>>();
-  std::shared_ptr<const Trace> trace = GetTraceShared(name);
-  std::lock_guard<std::mutex> lock(pin_mu);
-  auto [it, inserted] = pinned->emplace(name, std::move(trace));
-  return *it->second;
-}
+}  // namespace
+
+const Trace& GetTrace(const std::string& name) { return *GetTraceShared(name); }
 
 std::vector<std::string> AllTraceNames() {
   std::vector<std::string> names;
@@ -224,26 +165,6 @@ size_t Submit(Trace trace, const EngineConfig& config, sweep::JobEngine engine) 
   auto owned = std::make_shared<const Trace>(std::move(trace));
   spec.trace_name = owned->name;
   spec.trace = std::move(owned);
-  spec.config = config;
-  spec.engine = engine;
-  return SharedSweep().Submit(std::move(spec));
-}
-
-size_t SubmitColumnar(const std::string& path, const EngineConfig& config,
-                      sweep::JobEngine engine) {
-  sweep::SweepJobSpec spec;
-  spec.trace_path = path;
-  spec.trace_identity = sweep::FingerprintColumnarFile(path);
-  spec.config = config;
-  spec.engine = engine;
-  return SharedSweep().Submit(std::move(spec));
-}
-
-size_t SubmitStream(const StreamProfile& profile, const EngineConfig& config,
-                    sweep::JobEngine engine) {
-  sweep::SweepJobSpec spec;
-  spec.stream = profile;
-  spec.trace_identity = sweep::FingerprintStreamProfile(profile);
   spec.config = config;
   spec.engine = engine;
   return SharedSweep().Submit(std::move(spec));
@@ -360,7 +281,7 @@ void WarnIfUnoptimizedBuild(const char* binary) {
   std::fprintf(stderr,
                "================================================================\n"
                "WARNING: %s was built WITHOUT optimization (no -O / NDEBUG).\n"
-               "Timings from this build are meaningless; BENCH_sweep.json and\n"
+               "Timings from this build are meaningless; bench_all --json and\n"
                "perfbench (BENCHMARK.json) measure Release builds only.\n"
                "Rebuild with:  cmake --preset release && cmake --build build-release -j\n"
                "================================================================\n",

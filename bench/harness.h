@@ -26,6 +26,7 @@
 #include "src/sim/engine_config.h"
 #include "src/sim/run_result.h"
 #include "src/sweep/scheduler.h"
+#include "src/trace/stream_source.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace.h"
 
@@ -34,16 +35,9 @@ namespace bench {
 
 // Generates (and memoizes) the split trace for a workload profile name.
 // Thread-safe: concurrent callers for the same name block on one generation.
-// The returned reference is pinned for the process lifetime (never evicted).
+// Every generated trace is kept for the process lifetime, so the returned
+// reference stays valid.
 const Trace& GetTrace(const std::string& name);
-
-// Shared-ownership form backing the sweep's trace provider. Entries live in
-// a cache bounded by MACARON_TRACE_CACHE_BYTES (approximate request-record
-// bytes; unset or 0 = unbounded): when the budget is exceeded, the
-// least-recently-used unpinned traces are dropped and regenerate on next
-// use. Callers keep their shared_ptr alive across use — eviction can never
-// free a trace someone is still replaying.
-std::shared_ptr<const Trace> GetTraceShared(const std::string& name);
 
 // Names of all 19 workloads / the 15 IBM workloads.
 std::vector<std::string> AllTraceNames();
@@ -78,17 +72,6 @@ size_t Submit(const std::string& trace_name, const EngineConfig& config,
 // value: move in a temporary, or copy a retained trace.
 size_t Submit(Trace trace, const EngineConfig& config,
               sweep::JobEngine engine = sweep::JobEngine::kReplay);
-
-// Submits one job streaming a columnar (MCTC) trace file (keyed by the
-// file's chunk-directory hash). The trace is replayed chunk by chunk in
-// O(chunk) memory; oracle jobs materialize it on the worker.
-size_t SubmitColumnar(const std::string& path, const EngineConfig& config,
-                      sweep::JobEngine engine = sweep::JobEngine::kReplay);
-
-// Submits one job over a streamed synthetic workload (keyed by the profile
-// parameters; see stream_source.h). Bounded memory at any request count.
-size_t SubmitStream(const StreamProfile& profile, const EngineConfig& config,
-                    sweep::JobEngine engine = sweep::JobEngine::kReplay);
 
 // Convenience: named workload under the default config.
 size_t Submit(const std::string& trace_name, Approach a, DeploymentScenario scenario,
@@ -145,8 +128,9 @@ std::string Percent(double frac);
 
 // True when this translation unit was compiled with optimization (and with
 // NDEBUG, so MACARON_CHECKs and assert()s compile to nothing). Benchmark
-// numbers from a non-optimized build are meaningless: BENCH_sweep.json and
-// the repository benchmark (BENCHMARK.json, perfbench/) are Release-only.
+// numbers from a non-optimized build are meaningless: bench_all's --json
+// report and the repository benchmark (BENCHMARK.json, perfbench/) are
+// Release-only.
 constexpr bool OptimizedBuild() {
 #if defined(__OPTIMIZE__) && defined(NDEBUG)
   return true;

@@ -24,8 +24,9 @@ int main(int argc, char** argv) {
   const std::string source = argc > 1 ? argv[1] : "ibm83";
   Trace trace;
   if (source.size() > 4 && source.substr(source.size() - 4) == ".csv") {
-    if (!ReadTraceCsv(source, &trace)) {
-      std::fprintf(stderr, "cannot read %s\n", source.c_str());
+    std::string error;
+    if (!ReadTraceCsv(source, &trace, &error)) {
+      std::fprintf(stderr, "cannot read %s\n", error.c_str());
       return 1;
     }
     trace = SplitObjects(trace, 4'000'000);

@@ -243,8 +243,9 @@ int main(int argc, char** argv) {
 
   Trace trace;
   if (trace_name.size() > 4 && trace_name.substr(trace_name.size() - 4) == ".csv") {
-    if (!ReadTraceCsv(trace_name, &trace)) {
-      std::fprintf(stderr, "cannot read trace file %s\n", trace_name.c_str());
+    std::string error;
+    if (!ReadTraceCsv(trace_name, &trace, &error)) {
+      std::fprintf(stderr, "cannot read trace file %s\n", error.c_str());
       return 1;
     }
     trace.name = trace_name;

@@ -58,11 +58,6 @@ void LruCache::Resize(uint64_t capacity_bytes) {
   EvictToFit(0);
 }
 
-void LruCache::ReserveEntries(size_t n) {
-  slab_.Reserve(n);
-  index_.Reserve(n, &slab_);
-}
-
 void LruCache::EvictToFit(uint64_t incoming) {
   while (used_ + incoming > capacity_ && !lru_.empty()) {
     const uint32_t victim = lru_.tail();

@@ -25,9 +25,9 @@ inline constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
 }
 
 // 64-bit FNV-1a over a byte string. It checksums every framed file format
-// (MCTR chunks, MCTC chunks and footers, ResultStore blobs) and hashes the
-// strings folded into sweep fingerprints, so its output is part of on-disk
-// bytes and cache keys and must never change.
+// (MCTC chunks and footers, ResultStore blobs) and hashes the strings
+// folded into sweep fingerprints, so its output is part of on-disk bytes
+// and cache keys and must never change.
 inline constexpr uint64_t Fnv1a(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (unsigned char c : bytes) {

@@ -6,8 +6,8 @@
 // clamp events), and the §7.7 overhead accounting. The trace is a pure side
 // channel: records never enter RunResult or the sweep result store, so warm
 // cached results stay bit-identical whether or not a trace was attached.
-// Serialization to JSONL lives in src/sim/report_io (next to RunResultJson);
-// the schema is documented in DESIGN.md ("Observability").
+// Serialization to JSONL lives in src/sim/report_io (next to the RunResult
+// blob); the schema is documented in DESIGN.md ("Observability").
 
 #ifndef MACARON_SRC_OBS_DECISION_TRACE_H_
 #define MACARON_SRC_OBS_DECISION_TRACE_H_

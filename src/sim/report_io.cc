@@ -10,113 +10,6 @@ namespace macaron {
 
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
-}
-
-// Escapes a string for JSON (the names we emit are alnum, but be safe).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string RunResultCsvHeader() {
-  return "trace,approach,total_usd,egress_usd,capacity_usd,operation_usd,infra_usd,"
-         "cluster_usd,serverless_usd,gets,cluster_hits,osc_hits,remote_fetches,"
-         "delayed_hits,egress_bytes,mean_latency_ms,p50_ms,p90_ms,p99_ms,"
-         "mean_stored_bytes,dataset_bytes,reconfigs";
-}
-
-std::string RunResultCsvRow(const RunResult& r) {
-  std::string out;
-  AppendF(&out, "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,", r.trace_name.c_str(),
-          r.approach_name.c_str(), r.costs.Total(), r.costs.Get(CostCategory::kEgress),
-          r.costs.Get(CostCategory::kCapacity), r.costs.Get(CostCategory::kOperation),
-          r.costs.Get(CostCategory::kInfra), r.costs.Get(CostCategory::kClusterNodes),
-          r.costs.Get(CostCategory::kServerless));
-  AppendF(&out, "%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",",
-          r.gets, r.cluster_hits, r.osc_hits, r.remote_fetches, r.delayed_hits, r.egress_bytes);
-  AppendF(&out, "%.3f,%.3f,%.3f,%.3f,%.1f,%" PRIu64 ",%d", r.MeanLatencyMs(),
-          r.latency_ms.Quantile(0.5), r.latency_ms.Quantile(0.9), r.latency_ms.Quantile(0.99),
-          r.mean_stored_bytes, r.dataset_bytes, r.reconfigs);
-  return out;
-}
-
-bool WriteRunResultsCsv(const std::vector<RunResult>& results, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(f, "%s\n", RunResultCsvHeader().c_str());
-  for (const RunResult& r : results) {
-    std::fprintf(f, "%s\n", RunResultCsvRow(r).c_str());
-  }
-  std::fclose(f);
-  return true;
-}
-
-std::string RunResultJson(const RunResult& r) {
-  std::string out = "{\n";
-  AppendF(&out, "  \"trace\": \"%s\",\n", JsonEscape(r.trace_name).c_str());
-  AppendF(&out, "  \"approach\": \"%s\",\n", JsonEscape(r.approach_name).c_str());
-  out += "  \"costs_usd\": {\n";
-  for (int i = 0; i < static_cast<int>(CostCategory::kNumCategories); ++i) {
-    AppendF(&out, "    \"%s\": %.6f,\n", CostCategoryName(static_cast<CostCategory>(i)),
-            r.costs.Get(static_cast<CostCategory>(i)));
-  }
-  AppendF(&out, "    \"total\": %.6f\n  },\n", r.costs.Total());
-  AppendF(&out,
-          "  \"gets\": %" PRIu64 ",\n  \"cluster_hits\": %" PRIu64
-          ",\n  \"osc_hits\": %" PRIu64 ",\n  \"remote_fetches\": %" PRIu64
-          ",\n  \"delayed_hits\": %" PRIu64 ",\n  \"egress_bytes\": %" PRIu64 ",\n",
-          r.gets, r.cluster_hits, r.osc_hits, r.remote_fetches, r.delayed_hits, r.egress_bytes);
-  AppendF(&out,
-          "  \"latency_ms\": {\"mean\": %.3f, \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f},\n",
-          r.MeanLatencyMs(), r.latency_ms.Quantile(0.5), r.latency_ms.Quantile(0.9),
-          r.latency_ms.Quantile(0.99));
-  AppendF(&out, "  \"mean_stored_bytes\": %.1f,\n  \"dataset_bytes\": %" PRIu64
-                ",\n  \"reconfigs\": %d,\n",
-          r.mean_stored_bytes, r.dataset_bytes, r.reconfigs);
-  out += "  \"osc_capacity_timeline\": [";
-  for (size_t i = 0; i < r.osc_capacity_timeline.size(); ++i) {
-    AppendF(&out, "%s[%" PRId64 ", %" PRIu64 "]", i == 0 ? "" : ", ",
-            r.osc_capacity_timeline[i].first, r.osc_capacity_timeline[i].second);
-  }
-  out += "],\n";
-  out += "  \"cluster_nodes_timeline\": [";
-  for (size_t i = 0; i < r.cluster_nodes_timeline.size(); ++i) {
-    AppendF(&out, "%s[%" PRId64 ", %zu]", i == 0 ? "" : ", ",
-            r.cluster_nodes_timeline[i].first, r.cluster_nodes_timeline[i].second);
-  }
-  out += "]\n}\n";
-  return out;
-}
-
-namespace {
-
 // Little helpers for the binary blob: native-endian fixed-width fields
 // appended to a string, and a bounds-checked cursor for reading them back.
 // The blob is a local cache artifact, not an interchange format, so native
@@ -322,44 +215,16 @@ bool DeserializeRunResult(std::string_view blob, RunResult* out) {
   return true;
 }
 
-bool WriteRunResultBinary(const RunResult& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string blob = SerializeRunResult(r);
-  const bool ok = std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool ReadRunResultBinary(const std::string& path, RunResult* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string blob;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    blob.append(buf, n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return read_ok && DeserializeRunResult(blob, out);
-}
-
-bool WriteRunResultJson(const RunResult& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string doc = RunResultJson(r);
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  return ok;
-}
-
 namespace {
+
+void AppendF(std::string* out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  *out += buf;
+}
 
 void AppendCurveSummary(std::string* out, const char* key, const obs::CurveSummary& s) {
   AppendF(out, "\"%s\":{\"points\":%" PRIu64 ",", key, s.points);

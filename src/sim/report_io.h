@@ -1,41 +1,25 @@
-// Machine-readable export of run results, for plotting and regression
-// tracking: one-line CSV rows (append-friendly across a sweep), a JSON
-// document per run, and a full-fidelity binary blob used by the sweep
-// result store.
+// What leaves a run: the full-fidelity RunResult blob (the sweep result
+// store's payload and the byte-compare tests' artifact) and the controller
+// decision trace as JSONL.
 
 #ifndef MACARON_SRC_SIM_REPORT_IO_H_
 #define MACARON_SRC_SIM_REPORT_IO_H_
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/obs/decision_trace.h"
 #include "src/sim/run_result.h"
 
 namespace macaron {
 
-// CSV header matching RunResultCsvRow's columns.
-std::string RunResultCsvHeader();
-// One CSV row: trace, approach, per-category dollars, totals, hit counters,
-// latency percentiles, capacity statistics.
-std::string RunResultCsvRow(const RunResult& r);
-// Writes header + one row per result. Returns false on I/O failure.
-bool WriteRunResultsCsv(const std::vector<RunResult>& results, const std::string& path);
-
-// JSON document for one run (costs, hits, latency summary, timelines).
-std::string RunResultJson(const RunResult& r);
-bool WriteRunResultJson(const RunResult& r, const std::string& path);
-
-// Binary round trip (magic "MCRR", versioned). Unlike the CSV/JSON exports
-// this preserves every field bit-exactly — including the raw latency sample
-// vector and all timelines — so a result loaded from the sweep's persistent
-// store prints the same figure rows as the run that produced it.
+// Binary round trip (magic "MCRR", versioned). Preserves every field
+// bit-exactly — including the raw latency sample vector and all timelines —
+// so a result loaded from the sweep's persistent store prints the same
+// figure rows as the run that produced it.
 // DeserializeRunResult rejects truncated, oversized, or foreign blobs.
 std::string SerializeRunResult(const RunResult& r);
 bool DeserializeRunResult(std::string_view blob, RunResult* out);
-bool WriteRunResultBinary(const RunResult& r, const std::string& path);
-bool ReadRunResultBinary(const std::string& path, RunResult* out);
 
 // Controller decision trace (src/obs/decision_trace.h) as JSONL: one
 // self-contained JSON object per controller window, in window order, doubles

@@ -2,9 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <stdexcept>
-
-#include "src/trace/columnar_io.h"
 
 namespace macaron {
 namespace sweep {
@@ -148,45 +145,6 @@ Fingerprint FingerprintTraceContent(const Trace& trace) {
                             Mix64(r.size + 0x517cc1b727220a95ull) ^
                             static_cast<uint64_t>(r.op);
     h.MixU64(folded);
-  }
-  return h.Digest();
-}
-
-Fingerprint FingerprintColumnarFile(const std::string& path) {
-  uint64_t identity[2] = {0, 0};
-  std::string error;
-  if (!ColumnarTraceIdentity(path, identity, &error)) {
-    throw std::runtime_error("sweep: cannot fingerprint columnar trace: " + error);
-  }
-  FingerprintHasher h;
-  h.MixStr("columnar-file");
-  h.MixU64(identity[0]);
-  h.MixU64(identity[1]);
-  return h.Digest();
-}
-
-Fingerprint FingerprintStreamProfile(const StreamProfile& p) {
-  FingerprintHasher h;
-  h.MixStr("stream-profile");
-  h.MixStr(p.name);
-  h.MixU64(p.num_requests);
-  h.MixU64(p.population);
-  h.MixF64(p.zipf_alpha);
-  h.MixI64(p.duration);
-  h.MixU64(p.mean_object_bytes);
-  h.MixF64(p.object_size_sigma);
-  h.MixF64(p.put_fraction);
-  h.MixF64(p.delete_fraction);
-  h.MixI64(p.drift_period);
-  h.MixU64(p.seed);
-  // Flash-crowd parameters are mixed only when the burst is enabled, so
-  // every pre-existing profile keeps its historical fingerprint.
-  if (p.flash_duration > 0) {
-    h.MixStr("flash-crowd");
-    h.MixI64(p.flash_duration);
-    h.MixI64(p.flash_at);
-    h.MixF64(p.flash_fraction);
-    h.MixU64(p.flash_population);
   }
   return h.Digest();
 }

@@ -33,7 +33,6 @@
 
 #include "src/common/hash.h"
 #include "src/sim/engine_config.h"
-#include "src/trace/stream_source.h"
 #include "src/trace/synthetic.h"
 #include "src/trace/trace.h"
 
@@ -95,20 +94,6 @@ Fingerprint FingerprintWorkloadProfile(const WorkloadProfile& profile);
 
 // Identity of an arbitrary in-memory trace: name, length, and every record.
 Fingerprint FingerprintTraceContent(const Trace& trace);
-
-// Identity of an on-disk columnar (MCTC) trace file: a content hash over
-// the file's chunk directory. The directory carries every chunk's FNV-1a
-// checksum, record count, and time range, so it covers the payload bytes
-// transitively without streaming them — O(chunks), not O(requests).
-// Throws std::runtime_error when the file is missing or corrupt (a sweep
-// must not silently key a job off a damaged trace).
-Fingerprint FingerprintColumnarFile(const std::string& path);
-
-// Identity of a streamed synthetic workload: the profile parameters that
-// fully determine the generated stream (see stream_source.h determinism
-// note). Chunk size is deliberately excluded — it only re-slices the same
-// stream.
-Fingerprint FingerprintStreamProfile(const StreamProfile& profile);
 
 // Final result-store key: trace identity + config + engine kind + salt.
 // `engine_kind` disambiguates replay / event / oracular runs of the same

@@ -12,7 +12,6 @@
 #include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/sim/report_io.h"
-#include "src/trace/columnar_io.h"
 
 namespace macaron {
 namespace sweep {
@@ -102,37 +101,20 @@ SweepScheduler::~SweepScheduler() {
 }
 
 size_t SweepScheduler::Submit(SweepJobSpec spec) {
-  const int forms = (spec.trace != nullptr ? 1 : 0) + (!spec.trace_path.empty() ? 1 : 0) +
-                    (spec.stream.has_value() ? 1 : 0) +
-                    (spec.trace == nullptr && !spec.trace_name.empty() ? 1 : 0);
-  if (forms == 0) {
-    throw std::invalid_argument(
-        "sweep: job has no trace (need one of: trace, trace_name, trace_path, stream)");
+  if (spec.trace == nullptr && spec.trace_name.empty()) {
+    throw std::invalid_argument("sweep: job has no trace (need a trace or a trace_name)");
   }
-  if (forms > 1) {
-    throw std::invalid_argument("sweep: job specifies more than one trace form");
-  }
-  if (spec.trace == nullptr && spec.trace_path.empty() && !spec.stream.has_value() &&
-      options_.trace_provider == nullptr) {
+  if (spec.trace == nullptr && options_.trace_provider == nullptr) {
     throw std::invalid_argument("sweep: named job submitted without a trace provider");
-  }
-  if (spec.stream.has_value() && IsOracleEngine(spec.engine)) {
-    throw std::invalid_argument(
-        "sweep: oracle jobs need a materialized trace (streamed profiles are unbounded)");
   }
   Fingerprint trace_identity = spec.trace_identity;
   if (trace_identity.IsZero()) {
-    if (spec.trace != nullptr) {
-      trace_identity = FingerprintTraceContent(*spec.trace);
-    } else if (!spec.trace_path.empty()) {
-      trace_identity = FingerprintColumnarFile(spec.trace_path);  // throws if unreadable
-    } else if (spec.stream.has_value()) {
-      trace_identity = FingerprintStreamProfile(*spec.stream);
-    } else {
+    if (spec.trace == nullptr) {
       throw std::invalid_argument(
           "sweep: named job needs an explicit trace identity (content hashing would force "
           "generation at submit time)");
     }
+    trace_identity = FingerprintTraceContent(*spec.trace);
   }
   const Fingerprint key = JobFingerprint(trace_identity, FingerprintEngineConfig(spec.config),
                                          static_cast<int>(spec.engine));
@@ -175,33 +157,9 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
     if (store_.Load(hex, &exec->result)) {
       exec->metrics.cache_hit = true;
     } else {
-      // Resolve the job's request stream. Materialized forms keep shared
-      // ownership alive for the run (so a provider-side eviction cannot
-      // free a trace mid-replay); streamed forms build a RequestSource and
-      // never hold the full trace in memory.
-      std::shared_ptr<const Trace> held;
-      std::unique_ptr<RequestSource> streamed;
-      if (spec.trace != nullptr) {
-        held = spec.trace;
-      } else if (!spec.trace_path.empty()) {
-        std::string error;
-        if (IsOracleEngine(spec.engine)) {
-          // The oracle needs the whole trace at once; materialize the file.
-          auto materialized = std::make_shared<Trace>();
-          if (!ReadTraceColumnar(spec.trace_path, materialized.get(), &error)) {
-            throw std::runtime_error("sweep: " + error);
-          }
-          held = std::move(materialized);
-        } else {
-          auto opened = ColumnarTraceSource::Open(spec.trace_path, &error);
-          if (opened == nullptr) {
-            throw std::runtime_error("sweep: " + error);
-          }
-          streamed = std::move(opened);
-        }
-      } else if (spec.stream.has_value()) {
-        streamed = std::make_unique<SyntheticStreamSource>(*spec.stream);
-      } else {
+      // The job holds its trace for the whole run.
+      std::shared_ptr<const Trace> held = spec.trace;
+      if (held == nullptr) {
         held = options_.trace_provider(spec.trace_name);
         if (held == nullptr) {
           throw std::runtime_error("sweep: trace provider returned null for " +
@@ -221,12 +179,10 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
       }
       switch (spec.engine) {
         case JobEngine::kReplay:
-          exec->result = streamed != nullptr ? ReplayEngine(cfg).Run(*streamed)
-                                             : ReplayEngine(cfg).Run(*held);
+          exec->result = ReplayEngine(cfg).Run(*held);
           break;
         case JobEngine::kEvent:
-          exec->result = streamed != nullptr ? EventEngine(cfg).Run(*streamed)
-                                             : EventEngine(cfg).Run(*held);
+          exec->result = EventEngine(cfg).Run(*held);
           break;
         case JobEngine::kOracle: {
           const std::string& name = spec.trace_name.empty() ? held->name : spec.trace_name;
@@ -240,8 +196,7 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
           break;
         }
       }
-      exec->metrics.requests =
-          streamed != nullptr ? streamed->Info().num_requests : held->size();
+      exec->metrics.requests = held->size();
       store_.Store(hex, exec->result);
       if (observed) {
         const std::string base = options_.obs_dir + "/" + hex;
@@ -308,22 +263,6 @@ SweepJobMetrics SweepScheduler::Metrics(size_t index) {
   SweepJobMetrics m = exec->metrics;
   m.deduplicated = deduplicated;
   return m;
-}
-
-void SweepScheduler::WaitAll() {
-  size_t n;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n = jobs_.size();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    std::shared_ptr<Execution> exec;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      exec = jobs_[i].exec;
-    }
-    exec->ready.wait();
-  }
 }
 
 SweepStats SweepScheduler::stats() const {

@@ -16,7 +16,8 @@
 //    previous process is loaded from disk instead of simulated.
 //
 // Per-job wall-clock and throughput metrics plus scheduler-wide stats
-// (peak jobs in flight, store hits, busy seconds) feed BENCH_sweep.json.
+// (peak jobs in flight, store hits, busy seconds) feed bench_all's --json
+// report.
 
 #ifndef MACARON_SRC_SWEEP_SCHEDULER_H_
 #define MACARON_SRC_SWEEP_SCHEDULER_H_
@@ -27,7 +28,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,7 +39,6 @@
 #include "src/sim/run_result.h"
 #include "src/sweep/fingerprint.h"
 #include "src/sweep/result_store.h"
-#include "src/trace/stream_source.h"
 #include "src/trace/trace.h"
 
 namespace macaron {
@@ -53,29 +52,22 @@ enum class JobEngine : int {
   kExactOracle = 3,  // dollar-exact offline optimum (src/oracle/exact_oracle.h)
 };
 
-// Oracle-family engines need the whole trace materialized and have no
-// controller/observability to attach.
+// Oracle-family engines have no controller/observability to attach.
 inline bool IsOracleEngine(JobEngine e) { return static_cast<int>(e) >= 2; }
 
 struct SweepJobSpec {
-  // The trace, in exactly one of four forms:
-  //  * an explicit in-memory trace (`trace`; must stay alive until the job
-  //    completes — pass ownership via the shared_ptr if in doubt);
-  //  * a name the scheduler resolves through the trace provider on a worker
-  //    (named resolution lets trace generation itself run concurrently);
-  //  * a columnar (MCTC) file path, streamed chunk by chunk — the trace is
-  //    never materialized, so file-backed jobs run in O(chunk) memory;
-  //  * a streamed synthetic profile (stream_source.h), likewise
-  //    never materialized.
+  // The trace: `trace`, an explicit in-memory trace (must stay alive until
+  // the job completes — pass ownership via the shared_ptr if in doubt), or,
+  // when `trace` is null, `trace_name`, which the scheduler resolves through
+  // the trace provider on a worker (so trace generation itself runs
+  // concurrently). Streamed and file-backed runs call an engine's
+  // Run(RequestSource&) directly.
   std::string trace_name;
   std::shared_ptr<const Trace> trace;
-  std::string trace_path;
-  std::optional<StreamProfile> stream;
 
   // Identity of the trace for the result-store key. Zero means "derive":
-  // content hash of `trace` when set, chunk-directory hash for
-  // `trace_path`, profile hash for `stream` (named-only jobs must supply
-  // one, since hashing would force generation at submit time).
+  // content hash of `trace` (named-only jobs must supply one, since hashing
+  // would force generation at submit time).
   Fingerprint trace_identity;
 
   EngineConfig config;
@@ -107,10 +99,8 @@ class SweepScheduler {
     // Persistent store directory; empty disables persistence.
     std::string store_dir;
     // Resolves trace names for jobs submitted without an explicit trace.
-    // Called from worker threads; must be thread-safe. Returns shared
-    // ownership so a provider may evict its own cache (the bench harness
-    // caps it via MACARON_TRACE_CACHE_BYTES) while jobs still hold the
-    // traces they are replaying.
+    // Called from worker threads; must be thread-safe. The job holds the
+    // returned trace for the length of its run.
     std::function<std::shared_ptr<const Trace>(const std::string&)> trace_provider;
     // Observability output directory; empty (the default) disables. When
     // set, every executed replay/event job runs with a decision trace and
@@ -138,9 +128,6 @@ class SweepScheduler {
 
   // Metrics for a completed job (call after Result).
   SweepJobMetrics Metrics(size_t index);
-
-  // Waits for all currently submitted jobs.
-  void WaitAll();
 
   SweepStats stats() const;
   int threads() const { return options_.threads; }

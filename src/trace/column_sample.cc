@@ -103,13 +103,4 @@ size_t CompactAdmitted(const ObjectId* ids, size_t n, uint64_t salt,
   return CompactAdmittedScalar(ids, n, salt, threshold, idx, hash);
 }
 
-const char* ColumnSampleFeatureString() {
-#if MACARON_COLUMN_SAMPLE_AVX2
-  if (Avx2Supported()) return "avx2 (runtime dispatch)";
-  return "scalar (cpu lacks avx2)";
-#else
-  return "scalar (MACARON_SIMD=OFF or non-x86)";
-#endif
-}
-
 }  // namespace macaron

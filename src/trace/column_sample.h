@@ -36,10 +36,6 @@ namespace macaron {
 size_t CompactAdmitted(const ObjectId* ids, size_t n, uint64_t salt,
                        uint64_t threshold, uint32_t* idx, uint64_t* hash);
 
-// Human-readable description of the rehash path CompactAdmitted dispatches
-// to on this machine (bench context; mirrors SimdFeatureString()).
-const char* ColumnSampleFeatureString();
-
 }  // namespace macaron
 
 #endif  // MACARON_SRC_TRACE_COLUMN_SAMPLE_H_

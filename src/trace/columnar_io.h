@@ -1,8 +1,8 @@
 // MCTC: the chunked columnar on-disk trace format (v2, out-of-core replay).
 //
-// The row format (MCTR, trace_io.h) is a flat record array: fine for
-// interchange, but replay-shaped access wants the ReplayBatch SoA columns,
-// and TB-scale traces want chunked, checksummed, seekable storage. MCTC
+// The repository's one binary trace format; CSV (trace_io.h) stays for
+// interchange. Replay-shaped access wants the ReplayBatch SoA columns, and
+// TB-scale traces want chunked, checksummed, seekable storage. MCTC
 // stores per-chunk columns matching ReplayBatch (times/ids/sizes/ops),
 // compressed per column (monotone time deltas + LEB128 varints), with a
 // footer chunk directory carrying per-chunk offset/bytes/record-count/
@@ -26,8 +26,8 @@
 //
 // The footer doubles as the file's identity: it pins every chunk's checksum
 // and extent plus the whole-trace stats, so a 128-bit hash of the footer
-// payload (ColumnarTraceIdentity) identifies the trace content for sweep
-// memoization without rereading the data — see fingerprint.h.
+// payload (ColumnarTraceIdentity) identifies the trace content without
+// rereading the data.
 
 #ifndef MACARON_SRC_TRACE_COLUMNAR_IO_H_
 #define MACARON_SRC_TRACE_COLUMNAR_IO_H_

@@ -40,8 +40,8 @@
 
 namespace macaron {
 
-// Default records per delivered chunk; matches the row-format I/O staging
-// chunk so one chunk of any trace representation is the same unit of work.
+// Default records per delivered chunk, and per MCTC file chunk, so one
+// chunk of any trace source is the same unit of work.
 inline constexpr size_t kDefaultChunkRecords = 1 << 16;
 
 // Everything the engines' Setup needs before the first request arrives.

@@ -1,5 +1,5 @@
-// Trace serialization: a compact binary format for replay and CSV for
-// interchange with external tooling (the released IBM/Uber traces are CSV).
+// CSV trace files, the interchange format of the released IBM/Uber traces.
+// The binary format the engines replay is MCTC (columnar_io.h).
 
 #ifndef MACARON_SRC_TRACE_TRACE_IO_H_
 #define MACARON_SRC_TRACE_TRACE_IO_H_
@@ -10,20 +10,14 @@
 
 namespace macaron {
 
-// Row binary format: magic "MCTR", u32 version, u64 count, then packed
-// records. The writer emits version 2, which frames every staging chunk
-// with its record count and an FNV-1a checksum (the hardened-ResultStore
-// discipline), so truncation and bit rot are detected chunk by chunk. The
-// reader accepts version 1 (legacy: magic + count-vs-file-size validation
-// only) and version 2 (checksummed). Returns false on failure; when
-// `error` is non-null it receives a clear description instead of the
-// caller guessing from a silent short read.
-bool WriteTraceBinary(const Trace& trace, const std::string& path);
-bool ReadTraceBinary(const std::string& path, Trace* out, std::string* error = nullptr);
-
-// CSV format: header "time_ms,op,object_id,size_bytes", one row per request.
+// Header "time_ms,op,object_id,size_bytes", then one row per request.
 bool WriteTraceCsv(const Trace& trace, const std::string& path);
-bool ReadTraceCsv(const std::string& path, Trace* out);
+
+// Rejects a first line other than the header (a trailing CR is tolerated),
+// a malformed row, and a row whose time is earlier than the previous row's
+// (equal times are legal). Returns false on failure; when `error` is
+// non-null it receives a message naming the offending line.
+bool ReadTraceCsv(const std::string& path, Trace* out, std::string* error = nullptr);
 
 }  // namespace macaron
 

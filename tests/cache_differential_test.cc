@@ -1,5 +1,5 @@
 // Differential tests: the slab/flat-index cache core vs the seed's
-// list+unordered_map reference implementations (src/cache/reference_caches.h).
+// list+unordered_map reference implementations (tests/reference_caches.h).
 //
 // The flat core was required to be behavior-preserving, not just
 // "approximately LRU": identical hit/miss results, identical
@@ -31,7 +31,6 @@
 #include "src/cache/eviction_policy.h"
 #include "src/cache/inflight.h"
 #include "src/cache/lru_cache.h"
-#include "src/cache/reference_caches.h"
 #include "src/cache/replay_batch.h"
 #include "src/cache/ttl_cache.h"
 #include "src/cloudsim/latency.h"
@@ -51,6 +50,7 @@
 #include "src/trace/stream_source.h"
 #include "src/trace/synthetic.h"
 #include "tests/feed_columns.h"
+#include "tests/reference_caches.h"
 
 namespace macaron {
 namespace {

@@ -233,7 +233,7 @@ TEST(RegretAnnotationTest, EndToEndWithShocks) {
   EXPECT_LE(last.realized_cost_usd, data + 1e-9);
 }
 
-TEST(FingerprintScenarioTest, ShockAndFlashSensitivity) {
+TEST(FingerprintScenarioTest, ShockAndEngineKindSensitivity) {
   EngineConfig plain;
   plain.measure_latency = false;
   EngineConfig shocked = plain;
@@ -244,19 +244,6 @@ TEST(FingerprintScenarioTest, ShockAndFlashSensitivity) {
   EngineConfig shocked2 = shocked;
   shocked2.price_shocks[0].egress_scale = 2.0;
   EXPECT_NE(fp_shocked.Hex(), sweep::FingerprintEngineConfig(shocked2).Hex());
-
-  StreamProfile base = BaseProfile();
-  StreamProfile flash = base;
-  flash.flash_duration = kHour;
-  EXPECT_NE(sweep::FingerprintStreamProfile(base).Hex(),
-            sweep::FingerprintStreamProfile(flash).Hex());
-  // Disabled flash knobs are not part of the identity: the stream is
-  // bit-identical, so the fingerprint must be too.
-  StreamProfile disabled = base;
-  disabled.flash_fraction = 0.123;
-  disabled.flash_population = 5;
-  EXPECT_EQ(sweep::FingerprintStreamProfile(base).Hex(),
-            sweep::FingerprintStreamProfile(disabled).Hex());
 
   // Engine kinds key distinct jobs; the oracle-family kinds carry the
   // oracle-v2 accounting salt.

@@ -11,15 +11,13 @@
 // inside windows (and window boundaries inside chunks).
 //
 // Also here: the synthetic stream generator's chunk-size invariance (the
-// delivered request sequence is a pure function of the profile), the
-// stream -> columnar-file capture round trip, and the sweep scheduler's
-// columnar-path dispatch.
+// delivered request sequence is a pure function of the profile) and the
+// stream -> columnar-file capture round trip.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +27,6 @@
 #include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/sim/report_io.h"
-#include "src/sweep/scheduler.h"
 #include "src/trace/columnar_io.h"
 #include "src/trace/request_source.h"
 #include "src/trace/splitter.h"
@@ -244,46 +241,6 @@ TEST(SyntheticStreamTest, ColumnarCaptureReplaysIdentically) {
   ExpectSame(RunStreamed<ReplayEngine>(cfg, *file, 8, 8, true), want,
              "columnar capture of the stream");
   std::remove(path.c_str());
-}
-
-TEST(SweepStreamingTest, ColumnarJobMatchesInMemoryJob) {
-  // Scheduler dispatch: a trace_path job must produce the same RunResult as
-  // the same trace submitted in memory (different trace identities — the
-  // point is the execution path, not dedup).
-  const Trace t = ZipfTrace();
-  const std::string path = TempPath("sweep_job.mctc");
-  ASSERT_TRUE(WriteTraceColumnar(t, path));
-  sweep::SweepScheduler::Options opt;
-  opt.threads = 2;
-  opt.store_dir = "";  // no persistence: both jobs must actually run
-  sweep::SweepScheduler sched(std::move(opt));
-
-  sweep::SweepJobSpec in_memory;
-  in_memory.trace_name = t.name;
-  in_memory.trace = std::make_shared<const Trace>(t);
-  in_memory.config = Config(Approach::kMacaron);
-  const size_t a = sched.Submit(std::move(in_memory));
-
-  sweep::SweepJobSpec from_file;
-  from_file.trace_path = path;
-  from_file.config = Config(Approach::kMacaron);
-  const size_t b = sched.Submit(std::move(from_file));
-
-  EXPECT_EQ(SerializeRunResult(sched.Result(a)), SerializeRunResult(sched.Result(b)));
-  EXPECT_EQ(sched.Metrics(b).requests, t.size());
-  std::remove(path.c_str());
-}
-
-TEST(SweepStreamingTest, StreamedOracleJobIsRejected) {
-  sweep::SweepScheduler::Options opt;
-  opt.threads = 1;
-  opt.store_dir = "";
-  sweep::SweepScheduler sched(std::move(opt));
-  sweep::SweepJobSpec spec;
-  spec.stream = SmokeProfile();
-  spec.config = Config(Approach::kRemote);
-  spec.engine = sweep::JobEngine::kOracle;
-  EXPECT_THROW(sched.Submit(std::move(spec)), std::invalid_argument);
 }
 
 }  // namespace

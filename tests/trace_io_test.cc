@@ -1,13 +1,10 @@
-// Unit tests for the bulk trace I/O paths: chunked binary reads/writes and
-// the from_chars CSV parser (round trips, malformed inputs, corrupt headers).
+// Unit tests for the CSV trace reader and writer: the bulk-flush round
+// trip, and the from_chars parser's rejection of malformed rows, missing
+// headers and rows that run backwards in time.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "src/trace/trace.h"
@@ -38,23 +35,6 @@ void WriteFile(const std::string& path, const std::string& contents) {
   std::fclose(f);
 }
 
-// The binary path stages records through 64K-record chunks; a trace larger
-// than one chunk exercises the partial-final-chunk logic in both directions.
-TEST(TraceIoBulkTest, BinaryRoundTripAcrossChunkBoundary) {
-  const size_t n = (1 << 16) + 1234;
-  const Trace t = MakeBigTrace(n);
-  const std::string path = TempPath("bulk_bin.mctr");
-  ASSERT_TRUE(WriteTraceBinary(t, path));
-  Trace back;
-  ASSERT_TRUE(ReadTraceBinary(path, &back));
-  ASSERT_EQ(back.requests.size(), n);
-  // Spot-check across the chunk boundary plus the ends.
-  for (size_t i : {size_t{0}, size_t{1}, size_t{65535}, size_t{65536}, size_t{65537}, n - 1}) {
-    EXPECT_EQ(back.requests[i], t.requests[i]) << i;
-  }
-  std::remove(path.c_str());
-}
-
 TEST(TraceIoBulkTest, CsvRoundTripAcrossFlushBoundary) {
   // ~40 bytes/row * 40000 rows > the 1 MB flush buffer.
   const size_t n = 40000;
@@ -70,154 +50,11 @@ TEST(TraceIoBulkTest, CsvRoundTripAcrossFlushBoundary) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIoBulkTest, BinaryRejectsOversizedCount) {
-  // Header claims 1e9 records but the file holds one: the reader must fail
-  // without attempting a 32 GB reserve.
-  std::string blob = "MCTR";
-  const uint32_t version = 1;
-  const uint64_t count = 1'000'000'000ull;
-  blob.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  blob.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  blob.append(32, '\0');  // one zeroed record
-  const std::string path = TempPath("oversized.mctr");
-  WriteFile(path, blob);
-  Trace t;
-  EXPECT_FALSE(ReadTraceBinary(path, &t));
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryRejectsBadOp) {
-  Trace t;
-  t.requests.push_back(Request{0, 1, 100, Op::kGet});
-  const std::string path = TempPath("badop.mctr");
-  ASSERT_TRUE(WriteTraceBinary(t, path));
-  // Corrupt the op byte of the first record (offset: 4 magic + 4 version +
-  // 8 count + 24 into the record).
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 4 + 4 + 8 + 24, SEEK_SET), 0);
-  std::fputc(0x7f, f);
-  std::fclose(f);
-  Trace back;
-  EXPECT_FALSE(ReadTraceBinary(path, &back));
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryChecksumCatchesMidFileBitFlip) {
-  // Damage deep inside the second chunk: v1 would read it back silently;
-  // the v2 per-chunk FNV must name the damaged chunk.
-  const Trace t = MakeBigTrace((1 << 16) + 500);
-  const std::string path = TempPath("bitflip.mctr");
-  ASSERT_TRUE(WriteTraceBinary(t, path));
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  // Past the header (16), first chunk frame (12) + records (64K * 32), and
-  // the second chunk's frame (12): inside the second chunk's records.
-  ASSERT_EQ(std::fseek(f, 16 + 12 + (1 << 16) * 32 + 12 + 100, SEEK_SET), 0);
-  const int orig = std::fgetc(f);
-  ASSERT_NE(orig, EOF);
-  ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-  std::fputc(orig ^ 0x10, f);
-  std::fclose(f);
-  Trace back;
-  std::string error;
-  EXPECT_FALSE(ReadTraceBinary(path, &back, &error));
-  EXPECT_NE(error.find("chunk 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryLegacyV1StillReads) {
-  // Hand-built v1 file: unframed packed records straight after the header.
-  const Trace t = MakeBigTrace(100);
-  std::string blob = "MCTR";
-  const uint32_t version = 1;
-  const uint64_t count = t.requests.size();
-  blob.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  blob.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const Request& r : t.requests) {
-    char rec[32] = {};
-    std::memcpy(rec, &r.time, 8);
-    std::memcpy(rec + 8, &r.id, 8);
-    std::memcpy(rec + 16, &r.size, 8);
-    rec[24] = static_cast<char>(r.op);
-    blob.append(rec, sizeof(rec));
-  }
-  const std::string path = TempPath("legacy_v1.mctr");
-  WriteFile(path, blob);
-  Trace back;
-  std::string error;
-  ASSERT_TRUE(ReadTraceBinary(path, &back, &error)) << error;
-  ASSERT_EQ(back.requests.size(), t.requests.size());
-  for (size_t i = 0; i < t.requests.size(); ++i) {
-    ASSERT_EQ(back.requests[i], t.requests[i]) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryRejectsForeignMagic) {
-  const std::string path = TempPath("foreign.mctr");
-  WriteFile(path, "PNG\x89 definitely not a trace file");
-  Trace t;
-  std::string error;
-  EXPECT_FALSE(ReadTraceBinary(path, &t, &error));
-  EXPECT_NE(error.find("magic"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryRejectsUnsupportedVersion) {
-  std::string blob = "MCTR";
-  const uint32_t version = 9;
-  const uint64_t count = 0;
-  blob.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  blob.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  const std::string path = TempPath("badversion.mctr");
-  WriteFile(path, blob);
-  Trace t;
-  std::string error;
-  EXPECT_FALSE(ReadTraceBinary(path, &t, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryRejectsTrailingBytes) {
-  Trace t;
-  t.requests.push_back(Request{0, 1, 100, Op::kGet});
-  const std::string path = TempPath("trailing.mctr");
-  ASSERT_TRUE(WriteTraceBinary(t, path));
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  ASSERT_NE(f, nullptr);
-  std::fputc('x', f);
-  std::fclose(f);
-  Trace back;
-  std::string error;
-  EXPECT_FALSE(ReadTraceBinary(path, &back, &error));
-  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoBulkTest, BinaryRejectsTruncatedTail) {
-  // Chop the final record: the v2 frame claims more records than remain.
-  const Trace t = MakeBigTrace(1000);
-  const std::string path = TempPath("chopped.mctr");
-  ASSERT_TRUE(WriteTraceBinary(t, path));
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), size - 16), 0);
-  Trace back;
-  std::string error;
-  EXPECT_FALSE(ReadTraceBinary(path, &back, &error));
-  EXPECT_FALSE(error.empty());
-  std::remove(path.c_str());
-}
-
 struct CsvCase {
   const char* label;
   const char* body;  // rows after the header
   bool ok;
+  const char* error = ": line ";  // expected in the message of a rejection
 };
 
 TEST(TraceIoBulkTest, CsvMalformedInputs) {
@@ -226,7 +63,7 @@ TEST(TraceIoBulkTest, CsvMalformedInputs) {
       {"valid_crlf", "100,GET,7,2048\r\n", true},
       {"valid_no_trailing_newline", "100,GET,7,2048", true},
       {"negative_time", "-5,GET,7,2048\n", true},
-      {"unknown_op", "100,POST,7,2048\n", false},
+      {"unknown_op", "100,POST,7,2048\n", false, "line 2: malformed row"},
       {"lowercase_op", "100,get,7,2048\n", false},
       {"missing_field", "100,GET,7\n", false},
       {"extra_field", "100,GET,7,2048,9\n", false},
@@ -236,12 +73,21 @@ TEST(TraceIoBulkTest, CsvMalformedInputs) {
       {"negative_size", "100,GET,7,-1\n", false},
       {"size_overflow", "100,GET,7,99999999999999999999999\n", false},
       {"blank_trailing_line", "100,GET,7,2048\n\n", true},
+      // Time may not run backwards: the engines would skip the interval
+      // and under-bill. Equal times are legal (SplitObjects emits them).
+      {"out_of_order", "100,GET,7,2048\n200,GET,8,2048\n150,GET,9,2048\n", false,
+       "line 4: time 150 is earlier than the previous row's 200"},
+      {"equal_times", "100,GET,7,2048\n100,PUT,8,2048\n", true},
   };
   for (const CsvCase& c : cases) {
     const std::string path = TempPath("malformed.csv");
     WriteFile(path, std::string("time_ms,op,object_id,size_bytes\n") + c.body);
     Trace t;
-    EXPECT_EQ(ReadTraceCsv(path, &t), c.ok) << c.label;
+    std::string error;
+    EXPECT_EQ(ReadTraceCsv(path, &t, &error), c.ok) << c.label;
+    if (!c.ok) {
+      EXPECT_NE(error.find(c.error), std::string::npos) << c.label << ": " << error;
+    }
     std::remove(path.c_str());
   }
 }
@@ -251,6 +97,25 @@ TEST(TraceIoBulkTest, CsvEmptyFileFails) {
   WriteFile(path, "");
   Trace t;
   EXPECT_FALSE(ReadTraceCsv(path, &t));  // no header
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoBulkTest, CsvHeaderlessFileFails) {
+  // Read as if it had a header, the file would lose its first request.
+  const std::string path = TempPath("headerless.csv");
+  WriteFile(path, "100,GET,7,2048\n200,GET,8,2048\n");
+  Trace t;
+  std::string error;
+  EXPECT_FALSE(ReadTraceCsv(path, &t, &error));
+  EXPECT_NE(error.find("line 1 is not the header time_ms,op,object_id,size_bytes"),
+            std::string::npos)
+      << error;
+  WriteFile(path, "time,op,id,size\n100,GET,7,2048\n");
+  EXPECT_FALSE(ReadTraceCsv(path, &t));
+  // A CRLF header is the same header.
+  WriteFile(path, "time_ms,op,object_id,size_bytes\r\n100,GET,7,2048\r\n");
+  EXPECT_TRUE(ReadTraceCsv(path, &t));
+  EXPECT_EQ(t.size(), 1u);
   std::remove(path.c_str());
 }
 

@@ -368,19 +368,6 @@ TEST(TraceStatsDifferentialTest, StreamInfoMatchesMaterializedStats) {
 
 // --- I/O round trips ---
 
-TEST(TraceIoTest, BinaryRoundTrip) {
-  const Trace t = MakeTrace();
-  const std::string path = testing::TempDir() + "/trace_bin_test.mctr";
-  ASSERT_TRUE(WriteTraceBinary(t, path));
-  Trace back;
-  ASSERT_TRUE(ReadTraceBinary(path, &back));
-  ASSERT_EQ(back.requests.size(), t.requests.size());
-  for (size_t i = 0; i < t.requests.size(); ++i) {
-    EXPECT_EQ(back.requests[i], t.requests[i]) << i;
-  }
-  std::remove(path.c_str());
-}
-
 TEST(TraceIoTest, CsvRoundTrip) {
   const Trace t = MakeTrace();
   const std::string path = testing::TempDir() + "/trace_csv_test.csv";
@@ -396,19 +383,7 @@ TEST(TraceIoTest, CsvRoundTrip) {
 
 TEST(TraceIoTest, ReadMissingFileFails) {
   Trace t;
-  EXPECT_FALSE(ReadTraceBinary("/nonexistent/path.mctr", &t));
   EXPECT_FALSE(ReadTraceCsv("/nonexistent/path.csv", &t));
-}
-
-TEST(TraceIoTest, BinaryRejectsGarbage) {
-  const std::string path = testing::TempDir() + "/garbage.mctr";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a trace file at all", f);
-  std::fclose(f);
-  Trace t;
-  EXPECT_FALSE(ReadTraceBinary(path, &t));
-  std::remove(path.c_str());
 }
 
 // --- Splitting ---
