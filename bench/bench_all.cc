@@ -13,7 +13,8 @@
 //             [--json PATH] [--metrics] [--metrics-dir DIR] [--list]
 //             [--compare BASELINE.json] [--compare-threshold PCT]
 //
-//   --threads N      worker threads (default: MACARON_SWEEP_THREADS or cores)
+//   --threads N      worker threads, 1 to 1024 (default: MACARON_SWEEP_THREADS
+//                    or cores)
 //   --cache-dir D    persistent result cache (default: MACARON_RESULT_CACHE
 //                    or .macaron-results; "off" disables)
 //   --cold           delete cached .run results first (forces simulation)
@@ -34,9 +35,9 @@
 //                    the delta report goes to stderr so figure stdout
 //                    stays byte-identical.
 //   --compare-threshold PCT
-//                    regression tolerance for --compare, percent (default
-//                    15; small figures additionally get a 50 ms floor so
-//                    scheduler jitter does not trip the gate)
+//                    regression tolerance for --compare, percent >= 0
+//                    (default 15; small figures additionally get a 50 ms
+//                    floor so scheduler jitter does not trip the gate)
 //
 // Only simulated jobs emit traces: a result served from a warm cache ran no
 // controller, so --metrics over a warm store writes nothing. Combine with
@@ -47,6 +48,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 #include <string>
 #include <vector>
@@ -54,7 +56,7 @@
 #include "bench/harness.h"
 #include "bench/suite.h"
 #include "src/cache/simd.h"
-#include "src/common/thread_pool.h"
+#include "src/common/cli.h"
 
 using namespace macaron;
 
@@ -250,7 +252,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      threads = std::atoi(next("--threads").c_str());
+      threads = static_cast<int>(
+          cli::ParseUnsigned("--threads", next("--threads"), 1, 1024, "an integer in [1, 1024]"));
     } else if (arg == "--cache-dir") {
       cache_dir = next("--cache-dir");
       cache_dir_set = true;
@@ -263,7 +266,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--compare") {
       compare_path = next("--compare");
     } else if (arg == "--compare-threshold") {
-      compare_threshold = std::atof(next("--compare-threshold").c_str());
+      compare_threshold =
+          cli::ParseReal("--compare-threshold", next("--compare-threshold"), 0.0,
+                         std::numeric_limits<double>::max(), "a finite number >= 0");
     } else if (arg == "--metrics") {
       metrics = true;
     } else if (arg == "--metrics-dir") {
@@ -276,6 +281,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+
+  // Validated before --list, so a malformed value never goes unnoticed.
+  const int env_threads = bench::SweepThreadsFromEnv();
 
   if (list) {
     for (const bench::SuiteEntry& e : bench::Suite()) {
@@ -293,9 +301,7 @@ int main(int argc, char** argv) {
   }
   if (threads >= 1 || cache_dir_set || metrics) {
     if (threads < 1) {
-      const char* s = std::getenv("MACARON_SWEEP_THREADS");
-      threads = (s != nullptr && std::atoi(s) >= 1) ? std::atoi(s)
-                                                    : ThreadPool::HardwareConcurrency();
+      threads = env_threads;
     }
     bench::ConfigureSweep(threads, dir, metrics ? metrics_dir : "");
   }

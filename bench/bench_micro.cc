@@ -19,6 +19,7 @@
 #include "src/cache/ttl_cache.h"
 #include "src/common/hash.h"
 #include "src/cloudsim/latency.h"
+#include "src/cluster/cache_cluster.h"
 #include "src/cluster/hash_ring.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
@@ -649,9 +650,13 @@ void BM_ComputeStats(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeStats)->Unit(benchmark::kMillisecond);
 
+// One route on a ring of Arg() nodes at 64 virtual replicas: /4 is the size
+// of stream-replay's shard ring, /16 the ring this row always timed, and
+// /256 event-cluster's 256-node DRAM cluster (16,384 entries). Keys are
+// consecutive ids, so their hashes land all over the ring.
 void BM_HashRingRoute(benchmark::State& state) {
   HashRing ring;
-  for (uint32_t n = 1; n <= 16; ++n) {
+  for (uint32_t n = 1; n <= static_cast<uint32_t>(state.range(0)); ++n) {
     ring.AddNode(n);
   }
   ObjectId id = 0;
@@ -660,7 +665,20 @@ void BM_HashRingRoute(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashRingRoute);
+BENCHMARK(BM_HashRingRoute)->Arg(4)->Arg(16)->Arg(256);
+
+// A DRAM cluster scaled from 0 to 256 nodes and back to 0, the largest
+// membership change event-cluster's controller makes: 256 node launches and
+// 256 terminations per iteration (the items), each with its ring entries.
+void BM_ClusterResize(benchmark::State& state) {
+  CacheCluster cluster(26ull * 1000 * 1000 * 1000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cluster.Resize(256).size());
+    cluster.Resize(0);
+  }
+  state.SetItemsProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_ClusterResize)->Unit(benchmark::kMillisecond);
 
 void BM_OscAdmitEvict(benchmark::State& state) {
   PackingConfig cfg;

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "src/common/cli.h"
 #include "src/common/thread_pool.h"
 #include "src/trace/splitter.h"
 #include "src/trace/stream_source.h"
@@ -98,17 +99,6 @@ int g_threads = 0;
 std::string* g_cache_dir = new std::string();
 std::string* g_obs_dir = new std::string();
 
-int EnvThreads() {
-  const char* s = std::getenv("MACARON_SWEEP_THREADS");
-  if (s != nullptr && *s != '\0') {
-    const int v = std::atoi(s);
-    if (v >= 1) {
-      return v;
-    }
-  }
-  return ThreadPool::HardwareConcurrency();
-}
-
 std::string EnvCacheDir() {
   const char* s = std::getenv("MACARON_RESULT_CACHE");
   if (s == nullptr) {
@@ -128,6 +118,15 @@ std::string EnvObsDir() {
 
 }  // namespace
 
+int SweepThreadsFromEnv() {
+  const char* s = std::getenv("MACARON_SWEEP_THREADS");
+  if (s == nullptr || *s == '\0') {
+    return ThreadPool::HardwareConcurrency();
+  }
+  return static_cast<int>(
+      cli::ParseUnsigned("MACARON_SWEEP_THREADS", s, 1, 1024, "an integer in [1, 1024]"));
+}
+
 void ConfigureSweep(int threads, const std::string& cache_dir, const std::string& obs_dir) {
   std::lock_guard<std::mutex> lock(g_sweep_mu);
   g_sweep->reset();  // drains any existing scheduler first
@@ -141,7 +140,7 @@ sweep::SweepScheduler& SharedSweep() {
   std::lock_guard<std::mutex> lock(g_sweep_mu);
   if (*g_sweep == nullptr) {
     sweep::SweepScheduler::Options opt;
-    opt.threads = g_configured ? g_threads : EnvThreads();
+    opt.threads = g_configured ? g_threads : SweepThreadsFromEnv();
     opt.store_dir = g_configured ? *g_cache_dir : EnvCacheDir();
     opt.obs_dir = g_configured ? *g_obs_dir : EnvObsDir();
     opt.trace_provider = [](const std::string& n) { return GetTraceShared(n); };

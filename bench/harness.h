@@ -54,6 +54,11 @@ EngineConfig DefaultConfig(Approach a, DeploymentScenario scenario,
 // output) unless ConfigureSweep ran first.
 sweep::SweepScheduler& SharedSweep();
 
+// The sweep thread count from MACARON_SWEEP_THREADS, an integer in
+// [1, 1024], or the hardware concurrency when it is unset or empty. A
+// malformed value exits with status 2 (src/common/cli.h).
+int SweepThreadsFromEnv();
+
 // Overrides the shared scheduler's thread count, cache directory, and
 // observability output directory (empty disables; MACARON_OBS_DIR is the
 // environment fallback when ConfigureSweep never runs). Call before the

@@ -38,9 +38,6 @@
 // message naming the flag. So does a static approach given without its
 // parameter.
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +45,7 @@
 #include <limits>
 #include <string>
 
+#include "src/common/cli.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
@@ -66,36 +64,9 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-[[noreturn]] void BadValue(const char* flag, const std::string& v, const char* expected) {
-  std::fprintf(stderr, "invalid value '%s' for %s: expected %s\n", v.c_str(), flag, expected);
-  std::exit(2);
-}
-
-// A finite number in [lo, hi] spanning the whole of `v`.
-double ParseReal(const char* flag, const std::string& v, double lo, double hi,
-                 const char* expected) {
-  char* end = nullptr;
-  errno = 0;
-  const double x = std::strtod(v.c_str(), &end);
-  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) != 0 ||
-      end != v.c_str() + v.size() || errno == ERANGE || !std::isfinite(x) || x < lo || x > hi) {
-    BadValue(flag, v, expected);
-  }
-  return x;
-}
-
-// A decimal integer in [lo, hi] spanning the whole of `v` (digits only).
-uint64_t ParseUnsigned(const char* flag, const std::string& v, uint64_t lo, uint64_t hi,
-                       const char* expected) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (v.empty() || std::isdigit(static_cast<unsigned char>(v[0])) == 0 ||
-      end != v.c_str() + v.size() || errno == ERANGE || x < lo || x > hi) {
-    BadValue(flag, v, expected);
-  }
-  return x;
-}
+using cli::BadValue;
+using cli::ParseReal;
+using cli::ParseUnsigned;
 
 // A duration given in `unit`s that must come to at least `min` once
 // truncated to milliseconds (a zero window would never advance the run).

@@ -2,11 +2,14 @@
 //
 // The sharded engines (see DESIGN.md "Sharded serving") partition the object
 // id space across N independent shards with the same HashRing the cache
-// cluster uses for node routing: shard ids 0..N-1 are ring nodes, and
-// ShardOf(h) reuses the prehashed RouteHashed path, so partitioning costs no
-// additional hash beyond the one Mix64(id) the engines already compute at
-// ingest. An object id always maps to the same shard for the lifetime of a
-// run (the shard count never changes mid-run), which is what makes per-shard
+// cluster uses for node routing: shard ids 0..N-1 are ring nodes (64 virtual
+// replicas each, added in one batch), and ShardOf(h) reuses the prehashed
+// RouteHashed path, so partitioning costs no additional hash beyond the one
+// Mix64(id) the engines already compute at ingest. ShardOf runs once per
+// request on the partitioning thread, ahead of every shard worker; the
+// ring's bucket table makes it one table read and a step or two, whatever N
+// is. An object id always maps to the same shard for the lifetime of a run
+// (the shard count never changes mid-run), which is what makes per-shard
 // OSC membership, in-flight coalescing, and the replicated baseline's
 // first-touch set exact partitions of their unsharded equivalents.
 //
@@ -18,6 +21,8 @@
 #define MACARON_SRC_SIM_SHARD_ROUTER_H_
 
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "src/cluster/hash_ring.h"
 #include "src/common/check.h"
@@ -29,9 +34,9 @@ class ShardRouter {
   explicit ShardRouter(int shards) : shards_(shards) {
     MACARON_CHECK(shards >= 1);
     if (shards_ > 1) {
-      for (int s = 0; s < shards_; ++s) {
-        ring_.AddNode(static_cast<uint32_t>(s));
-      }
+      std::vector<uint32_t> ids(static_cast<size_t>(shards_));
+      std::iota(ids.begin(), ids.end(), 0u);
+      ring_.AddNodes(ids);
     }
   }
 
