@@ -39,7 +39,7 @@ int RunFig1TotalCost() {
     replicated += bench::Result(r.replicated).costs.Total();
     ecpc += bench::Result(r.ecpc).costs.Total();
     macaron += bench::Result(r.macaron).costs.Total();
-    oracular += bench::OracleResult(r.oracular).costs.Total();
+    oracular += bench::Result(r.oracular).costs.Total();
     std::fprintf(stderr, "  done %s\n", r.name.c_str());
   }
   std::printf("%-12s %12s %18s\n", "approach", "total", "vs. Macaron");

@@ -45,7 +45,7 @@ void RunScenario(DeploymentScenario scenario, const char* label) {
     const RunResult& repl = macaron::bench::Result(row.repl);
     const RunResult& ecpc = macaron::bench::Result(row.ecpc);
     const RunResult& mac = macaron::bench::Result(row.mac);
-    const OracularResult oracle = macaron::bench::OracleResult(row.oracle);
+    const RunResult& oracle = macaron::bench::Result(row.oracle);
     PrintRow(remote);
     PrintRow(repl);
     PrintRow(ecpc);

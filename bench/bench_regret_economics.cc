@@ -5,9 +5,9 @@
 // Four sections, all scored against the exact per-object DP oracle
 // (src/oracle/exact_oracle.h):
 //  (a) regret table on IBM traces — Macaron/ECPC/Oracular vs the exact
-//      optimum, with the op-free sanity ordering exact <= Oracular (the
-//      paper's Oracular assumes zero operation costs, so the like-for-like
-//      comparison zeroes GET/PUT prices on the oracle side);
+//      optimum, with the op-free sanity check exact == Oracular (the
+//      paper's Oracular assumes zero operation costs, and the sweep runs it
+//      as this same DP with GET/PUT prices zeroed);
 //  (b) price shocks — egress and storage price spikes applied at window
 //      boundaries mid-trace in both the engine and the oracle;
 //  (c) workload drift and a flash crowd from the synthetic stream
@@ -24,10 +24,10 @@
 // request prices zeroed), matching §5.4's "perfect packing" assumption for
 // Oracular: the engines amortize OSC op charges across packed blocks, so a
 // per-object op charge in the oracle is not a lower bound for them. The
-// op-free optimum is: exact <= Oracular <= every engine's data cost, all
-// by construction. The full-price exact optimum (per-object GET/PUT ops
-// charged exactly) is reported alongside as "exact+ops" — the op share it
-// exposes is precisely the packing headroom §7.4 measures.
+// op-free optimum is Oracular, and exact == Oracular <= every engine's data
+// cost, by construction. The full-price exact optimum (per-object GET/PUT
+// ops charged exactly) is reported alongside as "exact+ops" — the op share
+// it exposes is precisely the packing headroom §7.4 measures.
 
 #include <cstdio>
 #include <string>
@@ -46,13 +46,12 @@ double DataCost(const RunResult& r) {
 }
 
 // Regret-reference config: op-free price book (§5.4 perfect-packing
-// assumption), so the DP optimum lower-bounds Oracular and every engine.
-// The oracle only reads prices/window/shocks/seed, but it is submitted
-// through the sweep like any engine job.
+// assumption), so the DP optimum equals Oracular and lower-bounds every
+// engine. The oracle only reads prices/window/shocks/seed, but it is
+// submitted through the sweep like any engine job.
 EngineConfig OracleConfig(DeploymentScenario scenario) {
   EngineConfig cfg = bench::DefaultConfig(Approach::kRemote, scenario);
-  cfg.prices.get_per_request = 0.0;
-  cfg.prices.put_per_request = 0.0;
+  cfg.prices = cfg.prices.OpFree();
   return cfg;
 }
 
@@ -87,7 +86,7 @@ int RunRegretEconomics() {
   std::printf("\n(a) Regret table, cross-cloud (data cost: egress+capacity+ops)\n");
   std::printf("%-8s %10s %10s %10s %12s %12s %12s %8s\n", "trace", "exact",
               "exact+ops", "oracular", "macaron", "ecpc", "regret(mac)", "regret%");
-  int ordered = 0;  // exact <= oracular <= macaron data cost (all must hold)
+  int ordered = 0;  // exact == oracular <= macaron data cost (all must hold)
   for (const RegretRow& r : rows) {
     const double exact = bench::Result(r.exact).costs.Total();
     const double exact_ops = bench::Result(r.exact_ops).costs.Total();
@@ -98,11 +97,11 @@ int RunRegretEconomics() {
     std::printf("%-8s %10.4f %10.4f %10.4f %12.4f %12.4f %12.4f %7.1f%%\n",
                 r.name.c_str(), exact, exact_ops, oracular, mac, ecpc, regret,
                 exact > 0 ? 100.0 * regret / exact : 0.0);
-    if (exact <= oracular + 1e-9 && oracular <= mac + 1e-9) {
+    if (exact == oracular && oracular <= mac + 1e-9) {
       ++ordered;
     }
   }
-  std::printf("\nexact <= Oracular <= macaron data cost on %d/%zu traces "
+  std::printf("\nexact == Oracular <= macaron data cost on %d/%zu traces "
               "(must be all %zu).\n",
               ordered, rows.size(), rows.size());
 
@@ -240,9 +239,7 @@ int RunRegretEconomics() {
     cfg.prices = regions[i].book;
     const size_t mac_idx = bench::Submit(parts[i], cfg);
     EngineConfig oracle_cfg = OracleConfig(regions[i].scenario);
-    oracle_cfg.prices = regions[i].book;
-    oracle_cfg.prices.get_per_request = 0.0;  // keep the op-free reference basket
-    oracle_cfg.prices.put_per_request = 0.0;
+    oracle_cfg.prices = regions[i].book.OpFree();
     const ExactOracleResult exact = bench::RunExact(parts[i], oracle_cfg);
     const double mac = DataCost(bench::Result(mac_idx));
     fan_macaron += mac;

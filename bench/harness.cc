@@ -180,19 +180,9 @@ size_t SubmitOracle(const std::string& trace_name, DeploymentScenario scenario,
                 sweep::JobEngine::kOracle);
 }
 
-size_t SubmitOracle(Trace trace, DeploymentScenario scenario, bool measure_latency) {
-  return Submit(std::move(trace), DefaultConfig(Approach::kRemote, scenario, measure_latency),
-                sweep::JobEngine::kOracle);
-}
-
 size_t SubmitExactOracle(const std::string& trace_name, DeploymentScenario scenario,
                          bool measure_latency) {
   return Submit(trace_name, DefaultConfig(Approach::kRemote, scenario, measure_latency),
-                sweep::JobEngine::kExactOracle);
-}
-
-size_t SubmitExactOracle(Trace trace, DeploymentScenario scenario, bool measure_latency) {
-  return Submit(std::move(trace), DefaultConfig(Approach::kRemote, scenario, measure_latency),
                 sweep::JobEngine::kExactOracle);
 }
 
@@ -221,10 +211,6 @@ Trace MaterializeStream(const StreamProfile& profile) {
 
 const RunResult& Result(size_t index) { return SharedSweep().Result(index); }
 
-OracularResult OracleResult(size_t index) {
-  return sweep::RunResultToOracular(SharedSweep().Result(index));
-}
-
 namespace {
 
 // Non-owning handoff for the synchronous Run* helpers: the caller's trace
@@ -243,16 +229,6 @@ RunResult RunApproach(const Trace& t, Approach a, DeploymentScenario scenario,
   spec.config = DefaultConfig(a, scenario, measure_latency);
   sweep::SweepScheduler& s = SharedSweep();
   return s.Result(s.Submit(std::move(spec)));
-}
-
-OracularResult RunOracle(const Trace& t, DeploymentScenario scenario, bool measure_latency) {
-  sweep::SweepJobSpec spec;
-  spec.trace_name = t.name;
-  spec.trace = Borrow(t);
-  spec.config = DefaultConfig(Approach::kRemote, scenario, measure_latency);
-  spec.engine = sweep::JobEngine::kOracle;
-  sweep::SweepScheduler& s = SharedSweep();
-  return sweep::RunResultToOracular(s.Result(s.Submit(std::move(spec))));
 }
 
 void PrintHeader(const std::string& title, const std::string& paper_ref) {

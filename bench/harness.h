@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/oracle/exact_oracle.h"
-#include "src/oracle/oracular.h"
 #include "src/sim/engine_config.h"
 #include "src/sim/run_result.h"
 #include "src/sweep/scheduler.h"
@@ -69,7 +68,7 @@ void ConfigureSweep(int threads, const std::string& cache_dir,
 
 // Submits one job against a named workload (no trace generation happens at
 // submit time; workers resolve the name through GetTrace). Returns the job
-// index to pass to Result/OracleResult/Metrics.
+// index to pass to Result.
 size_t Submit(const std::string& trace_name, const EngineConfig& config,
               sweep::JobEngine engine = sweep::JobEngine::kReplay);
 
@@ -82,10 +81,9 @@ size_t Submit(Trace trace, const EngineConfig& config,
 size_t Submit(const std::string& trace_name, Approach a, DeploymentScenario scenario,
               bool measure_latency = false);
 
-// Oracular submissions (collect with OracleResult).
+// Oracular submissions: the exact optimum on the op-free price book
+// (collect with Result; the approach prints as "oracular").
 size_t SubmitOracle(const std::string& trace_name, DeploymentScenario scenario,
-                    bool measure_latency = false);
-size_t SubmitOracle(Trace trace, DeploymentScenario scenario,
                     bool measure_latency = false);
 
 // Dollar-exact offline optimum submissions (collect with Result; the
@@ -94,8 +92,6 @@ size_t SubmitOracle(Trace trace, DeploymentScenario scenario,
 // cost timeline for regret annotation, the crossover verdict, the DP total
 // — call RunExact below instead.
 size_t SubmitExactOracle(const std::string& trace_name, DeploymentScenario scenario,
-                         bool measure_latency = false);
-size_t SubmitExactOracle(Trace trace, DeploymentScenario scenario,
                          bool measure_latency = false);
 
 // Runs the exact offline optimum synchronously under `config` (window
@@ -113,16 +109,11 @@ Trace MaterializeStream(const StreamProfile& profile);
 // Blocks until job `index` finishes and returns its result. The reference
 // stays valid for the scheduler's lifetime.
 const RunResult& Result(size_t index);
-OracularResult OracleResult(size_t index);
 
 // Runs one approach over one trace with the default configuration
 // (submit + await through the shared sweep, so results memoize).
 RunResult RunApproach(const Trace& t, Approach a, DeploymentScenario scenario,
                       bool measure_latency = false);
-
-// Runs the Oracular offline optimal.
-OracularResult RunOracle(const Trace& t, DeploymentScenario scenario,
-                         bool measure_latency = false);
 
 // Prints a section header.
 void PrintHeader(const std::string& title, const std::string& paper_ref);

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <string>
 
-#include "src/oracle/oracular.h"
+#include "src/oracle/exact_oracle.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
@@ -42,10 +42,14 @@ int main(int argc, char** argv) {
                 r.latency_ms.Quantile(0.99));
   }
 
-  // The offline optimal, for reference.
+  // The offline optimal (Oracular: the exact optimum with zero operation
+  // costs), for reference.
   GroundTruthLatency truth(base.scenario);
   FittedLatencyGenerator fitted(truth, 400, 99);
-  const OracularResult oracle = RunOracular(trace, base.prices, &fitted, 99);
+  ExactOracleOptions opts;
+  opts.latency = &fitted;
+  opts.seed = 99;
+  const ExactOracleResult oracle = RunExactOracle(trace, base.prices.OpFree(), opts);
   std::printf("%-16s %10.4f %10.4f %10.4f %10s %10s %10s | %9.1f %9.1f\n", "oracular",
               oracle.costs.Total(), oracle.costs.Get(CostCategory::kEgress),
               oracle.costs.Get(CostCategory::kCapacity), "-", "-", "-", oracle.latency_ms.Mean(),

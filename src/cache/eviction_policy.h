@@ -2,9 +2,10 @@
 //
 // Macaron uses LRU for both the OSC and the DRAM cache by default, but the
 // design explicitly allows alternatives (§4.2), and its central claim is
-// that *capacity* selection matters more than replacement refinement (§8,
-// supported by the Oracular comparison). This interface lets the OSC and
-// the miniature simulation swap policies so that claim can be tested:
+// that *capacity* selection matters more than replacement refinement (§8;
+// the paper supports it with Oracular, here the exact offline oracle on
+// op-free prices, src/oracle/exact_oracle.h). This interface lets the OSC
+// and the miniature simulation swap policies so that claim can be tested:
 //
 //   * kLru     — least recently used (the default)
 //   * kFifo    — insertion order, no promotion (It's-time-to-revisit-LRU's

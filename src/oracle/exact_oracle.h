@@ -1,18 +1,22 @@
 // Dollar-exact offline optimum for an elastic cloud cache.
 //
-// Oracular (oracular.h) follows the paper's §5.4 keep rule — per access,
-// keep until the next access iff the gap beats the storage/egress
-// break-even — and assumes operation costs are zero. That rule is only an
-// approximation of the true cost optimum: it ignores GET/PUT request
-// prices, bills residency it later invalidates, and cannot see price
-// changes inside a gap. Following the "Caching for Dollars" formulation,
-// the exact optimum decomposes per object because the cache is elastic
-// (no capacity coupling between objects): for each object, a two-state
-// dynamic program over its access chain — state "stored" vs "not stored"
-// after each event — charges egress, storage (piecewise-exact under a
-// PriceSchedule), and GET/PUT operation costs, and the per-object optima
-// sum to the global optimum. A brute-force enumerator over all per-gap
-// keep choices (tests/oracle_test.cc) pins the DP exact on small traces.
+// The paper's Oracular (§5.4) is this optimum with operation costs taken as
+// zero: run it on `prices.OpFree()` (the sweep's kOracle job does). Without
+// request prices or price shocks, the gaps between an object's consecutive
+// events decouple, and the choice per gap is §5.4's keep rule: store
+// through the gap iff it ends in a GET and is no longer than the
+// storage/egress break-even (ties store). A gap that ends in a PUT or a
+// DELETE is never stored, since the PUT replaces the copy and the DELETE
+// discards it.
+//
+// Following the "Caching for Dollars" formulation, the exact optimum
+// decomposes per object because the cache is elastic (no capacity
+// coupling between objects): for each object, a two-state dynamic program
+// over its access chain — state "stored" vs "not stored" after each event
+// — charges egress, storage (piecewise-exact under a PriceSchedule), and
+// GET/PUT operation costs, and the per-object optima sum to the global
+// optimum. A brute-force enumerator over all per-gap keep choices
+// (tests/oracle_test.cc) pins the DP exact on small traces.
 //
 // The result carries the "never cache" crossover: the cost of serving
 // every GET remotely. Tenants whose exact optimum equals that bound should
@@ -45,14 +49,14 @@ struct ExactOracleOptions {
   SimDuration window = 15 * kMinute;
   std::vector<PriceShock> shocks;
   // Optional per-access latency sampling (hits from the OSC, misses
-  // remote), as in RunOracular.
+  // remote), in trace order from an Rng seeded with `seed`.
   const LatencySampler* latency = nullptr;
   uint64_t seed = 7;
 };
 
 struct ExactOracleResult {
   // Exact-optimum spend: kEgress + kCapacity + kOperation (no infra — the
-  // oracle is an idealized comparator, like Oracular).
+  // oracle is an idealized comparator).
   CostMeter costs;
   uint64_t osc_hits = 0;
   uint64_t remote_fetches = 0;

@@ -165,7 +165,7 @@ void ObjectStorageCache::RunGc() {
   // Rewrites may flush new blocks and, in principle, schedule further GC;
   // loop until the list drains.
   while (!gc_list_.empty()) {
-    std::unordered_set<uint64_t> batch;
+    std::set<uint64_t> batch;
     batch.swap(gc_list_);
     for (uint64_t block_id : batch) {
       const auto it = blocks_.find(block_id);

@@ -21,8 +21,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -175,7 +175,9 @@ class ObjectStorageCache {
   PackingConfig config_;
   std::vector<ObjectRow> rows_;  // by order_ slot; valid while the slot is live
   std::unordered_map<uint64_t, BlockMeta> blocks_;
-  std::unordered_set<uint64_t> gc_list_;
+  // Blocks due for GC, visited in ascending block id so which survivors
+  // repack into which new block never depends on hash-table order.
+  std::set<uint64_t> gc_list_;
   // Replacement ordering, holding exactly the live objects; it never evicts
   // on its own (EvictToCapacity shrinks it temporarily).
   std::unique_ptr<EvictionCache> order_;

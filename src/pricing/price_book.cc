@@ -11,6 +11,13 @@ PriceBook PriceBook::WithEgressScale(double factor) const {
   return out;
 }
 
+PriceBook PriceBook::OpFree() const {
+  PriceBook out = *this;
+  out.get_per_request = 0.0;
+  out.put_per_request = 0.0;
+  return out;
+}
+
 PriceBook ScaledInfraPrices(const PriceBook& prices, double infra_scale) {
   PriceBook out = prices;
   out.vm_per_hour *= infra_scale;

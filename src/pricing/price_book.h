@@ -86,6 +86,10 @@ struct PriceBook {
 
   // A copy with the egress price scaled by `factor` (Fig 12a sensitivity).
   PriceBook WithEgressScale(double factor) const;
+  // A copy with GET and PUT request prices zeroed: §5.4's perfect-packing
+  // basket, the one Oracular is scored on. Price shocks scale request
+  // prices, so they stay zero in every epoch.
+  PriceBook OpFree() const;
 
   // --- Factory functions ---
   static PriceBook Aws(DeploymentScenario scenario);

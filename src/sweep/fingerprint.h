@@ -47,7 +47,10 @@ namespace sweep {
 // v4: the event engine sizes its analyzer grid (1.15x the dataset, honouring
 // dataset_bytes_hint) and policy like the replay engine, and sums realized
 // cost in the same order.
-inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v4";
+// v5: kOracle jobs run the exact DP on the op-free price book (their dollars
+// move in the last bits), and OSC garbage collection visits due blocks in
+// ascending block id.
+inline constexpr std::string_view kSweepVersionSalt = "macaron-sweep-v5";
 
 struct Fingerprint {
   uint64_t hi = 0;
@@ -96,7 +99,7 @@ Fingerprint FingerprintWorkloadProfile(const WorkloadProfile& profile);
 Fingerprint FingerprintTraceContent(const Trace& trace);
 
 // Final result-store key: trace identity + config + engine kind + salt.
-// `engine_kind` disambiguates replay / event / oracular runs of the same
+// `engine_kind` disambiguates replay / event / oracle runs of the same
 // (trace, config) pair.
 Fingerprint JobFingerprint(const Fingerprint& trace_identity,
                            const Fingerprint& config_fingerprint, int engine_kind);

@@ -22,55 +22,22 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+RunResult OracleToRunResult(const std::string& trace_name, const char* approach_name,
+                            const ExactOracleResult& o) {
+  RunResult r;
+  r.trace_name = trace_name;
+  r.approach_name = approach_name;
+  r.costs = o.costs;
+  r.gets = o.osc_hits + o.remote_fetches;
+  r.osc_hits = o.osc_hits;
+  r.remote_fetches = o.remote_fetches;
+  r.egress_bytes = o.egress_bytes;
+  r.mean_stored_bytes = o.mean_stored_bytes;
+  r.latency_ms = o.latency_ms;
+  return r;
+}
+
 }  // namespace
-
-RunResult OracularToRunResult(const std::string& trace_name, const OracularResult& o) {
-  RunResult r;
-  r.trace_name = trace_name;
-  r.approach_name = "oracular";
-  r.costs = o.costs;
-  r.gets = o.osc_hits + o.remote_fetches;
-  r.osc_hits = o.osc_hits;
-  r.remote_fetches = o.remote_fetches;
-  r.egress_bytes = o.egress_bytes;
-  r.mean_stored_bytes = o.mean_stored_bytes;
-  r.latency_ms = o.latency_ms;
-  return r;
-}
-
-OracularResult RunResultToOracular(const RunResult& r) {
-  OracularResult o;
-  o.costs = r.costs;
-  o.osc_hits = r.osc_hits;
-  o.remote_fetches = r.remote_fetches;
-  o.egress_bytes = r.egress_bytes;
-  o.mean_stored_bytes = r.mean_stored_bytes;
-  o.latency_ms = r.latency_ms;
-  return o;
-}
-
-OracularResult RunOracularWithConfig(const Trace& trace, const EngineConfig& config) {
-  if (!config.measure_latency) {
-    return RunOracular(trace, config.prices, nullptr, config.seed);
-  }
-  GroundTruthLatency truth(config.scenario);
-  FittedLatencyGenerator fitted(truth, 400, config.seed ^ 0xfeed);
-  return RunOracular(trace, config.prices, &fitted, config.seed);
-}
-
-RunResult ExactOracleToRunResult(const std::string& trace_name, const ExactOracleResult& o) {
-  RunResult r;
-  r.trace_name = trace_name;
-  r.approach_name = "exact-oracle";
-  r.costs = o.costs;
-  r.gets = o.osc_hits + o.remote_fetches;
-  r.osc_hits = o.osc_hits;
-  r.remote_fetches = o.remote_fetches;
-  r.egress_bytes = o.egress_bytes;
-  r.mean_stored_bytes = o.mean_stored_bytes;
-  r.latency_ms = o.latency_ms;
-  return r;
-}
 
 ExactOracleResult RunExactOracleWithConfig(const Trace& trace, const EngineConfig& config) {
   ExactOracleOptions opts;
@@ -184,15 +151,15 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
         case JobEngine::kEvent:
           exec->result = EventEngine(cfg).Run(*held);
           break;
-        case JobEngine::kOracle: {
-          const std::string& name = spec.trace_name.empty() ? held->name : spec.trace_name;
-          exec->result = OracularToRunResult(name, RunOracularWithConfig(*held, spec.config));
-          break;
-        }
+        case JobEngine::kOracle:
         case JobEngine::kExactOracle: {
+          const bool oracular = spec.engine == JobEngine::kOracle;
+          if (oracular) {
+            cfg.prices = cfg.prices.OpFree();
+          }
           const std::string& name = spec.trace_name.empty() ? held->name : spec.trace_name;
-          exec->result =
-              ExactOracleToRunResult(name, RunExactOracleWithConfig(*held, spec.config));
+          exec->result = OracleToRunResult(name, oracular ? "oracular" : "exact-oracle",
+                                           RunExactOracleWithConfig(*held, cfg));
           break;
         }
       }

@@ -34,7 +34,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/oracle/exact_oracle.h"
-#include "src/oracle/oracular.h"
 #include "src/sim/engine_config.h"
 #include "src/sim/run_result.h"
 #include "src/sweep/fingerprint.h"
@@ -48,7 +47,7 @@ namespace sweep {
 enum class JobEngine : int {
   kReplay = 0,       // ReplayEngine (the paper's simulator; the default)
   kEvent = 1,        // EventEngine (prototype-fidelity, Table 3 validation)
-  kOracle = 2,       // Oracular offline approximation (adapted into a RunResult)
+  kOracle = 2,       // Oracular (§5.4): the exact optimum on the op-free price book
   kExactOracle = 3,  // dollar-exact offline optimum (src/oracle/exact_oracle.h)
 };
 
@@ -169,26 +168,14 @@ class SweepScheduler {
   ThreadPool pool_;
 };
 
-// Adapters between the Oracular comparator's result type and the sweep's
-// uniform RunResult (field-preserving in both directions).
-RunResult OracularToRunResult(const std::string& trace_name, const OracularResult& o);
-OracularResult RunResultToOracular(const RunResult& r);
-
-// Runs the Oracular offline optimal under `config` (prices, seed, and — when
-// measure_latency is set — the fitted latency generator, constructed exactly
-// as the bench harness always has).
-OracularResult RunOracularWithConfig(const Trace& trace, const EngineConfig& config);
-
-// Adapter for the dollar-exact offline optimum (approach name
-// "exact-oracle"). Cost/counter/latency fields are preserved; the
-// oracle-only extras (window timeline, crossover, dp total) do not fit a
-// RunResult — callers needing them (regret annotation, crossover figures)
-// run RunExactOracleWithConfig directly.
-RunResult ExactOracleToRunResult(const std::string& trace_name, const ExactOracleResult& o);
-
 // Runs the exact offline optimum under `config`: same prices, window
 // cadence, price shocks, seed, and (when measure_latency is set) the same
-// fitted latency generator construction as the engines.
+// fitted latency generator construction as the engines. Both oracle jobs
+// run it: kExactOracle on `config.prices`, kOracle on
+// `config.prices.OpFree()`. Their RunResults keep the cost, counter and
+// latency fields; the oracle-only extras (window timeline, crossover, DP
+// total) do not fit a RunResult, so callers needing them (regret
+// annotation, crossover figures) call this directly.
 ExactOracleResult RunExactOracleWithConfig(const Trace& trace, const EngineConfig& config);
 
 }  // namespace sweep

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/oracle/oracular.h"
+#include "src/oracle/exact_oracle.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/concat.h"
 #include "src/trace/splitter.h"
@@ -47,14 +47,17 @@ TEST(IntegrationTest, MacaronBeatsEcpc) {
   EXPECT_LT(mac, ecpc * 0.7);
 }
 
+// Oracular (§5.4): the exact offline optimum with operation costs zeroed.
+ExactOracleResult Oracular(const Trace& t) {
+  return RunExactOracle(t, PriceBook::Aws(DeploymentScenario::kCrossCloud).OpFree());
+}
+
 TEST(IntegrationTest, OracularLowerBoundHolds) {
   // Oracular must not cost more than Macaron (§5.4: idealized benchmark).
   for (const char* name : {"ibm12", "ibm18", "ibm55", "vmware"}) {
     const Trace t = Load(name);
     const double mac = RunApproach(t, Approach::kMacaronNoCluster).costs.Total();
-    const OracularResult o =
-        RunOracular(t, PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr, 1);
-    EXPECT_LE(o.costs.Total(), mac * 1.02) << name;
+    EXPECT_LE(Oracular(t).costs.Total(), mac * 1.02) << name;
   }
 }
 
@@ -64,8 +67,7 @@ TEST(IntegrationTest, MacaronWithinModestFactorOfOracular) {
   // individual traces).
   const Trace t = Load("ibm55");
   const RunResult mac = RunApproach(t, Approach::kMacaronNoCluster);
-  const OracularResult o =
-      RunOracular(t, PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr, 1);
+  const ExactOracleResult o = Oracular(t);
   // Compare data costs (oracle has no infra/ops by definition).
   const double mac_data =
       mac.costs.Get(CostCategory::kEgress) + mac.costs.Get(CostCategory::kCapacity);

@@ -1,7 +1,7 @@
-// Tests for the offline optimal comparators: Oracular (§5.4) and the
-// dollar-exact per-object DP oracle (src/oracle/exact_oracle.h). The DP is
-// pinned exact by a brute-force enumerator over every feasible per-gap keep
-// schedule on fixture-sized traces.
+// Tests for the offline oracle: the dollar-exact per-object DP
+// (src/oracle/exact_oracle.h), and Oracular (§5.4), which is that DP on the
+// op-free price book. The DP is pinned exact by a brute-force enumerator
+// over every feasible per-gap keep schedule on fixture-sized traces.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "src/common/rng.h"
 #include "src/obs/decision_trace.h"
 #include "src/oracle/exact_oracle.h"
-#include "src/oracle/oracular.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/synthetic.h"
 
@@ -21,15 +20,25 @@ namespace {
 
 PriceBook CrossCloud() { return PriceBook::Aws(DeploymentScenario::kCrossCloud); }
 
+// Oracular: the exact DP under §5.4's perfect-packing assumption (GET/PUT
+// prices zeroed), as the sweep's kOracle job runs it.
+ExactOracleResult Oracular(const Trace& t, const PriceBook& book,
+                           const LatencySampler* latency = nullptr, uint64_t seed = 1) {
+  ExactOracleOptions opts;
+  opts.latency = latency;
+  opts.seed = seed;
+  return RunExactOracle(t, book.OpFree(), opts);
+}
+
 TEST(OracularTest, EmptyTrace) {
-  const OracularResult r = RunOracular(Trace{}, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(Trace{}, CrossCloud());
   EXPECT_EQ(r.costs.Total(), 0.0);
 }
 
 TEST(OracularTest, SingleAccessPaysEgressOnly) {
   Trace t;
   t.requests = {{0, 1, 1'000'000'000, Op::kGet}};
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(t, CrossCloud());
   EXPECT_EQ(r.remote_fetches, 1u);
   EXPECT_EQ(r.osc_hits, 0u);
   EXPECT_NEAR(r.costs.Get(CostCategory::kEgress), 0.09, 1e-9);
@@ -39,7 +48,7 @@ TEST(OracularTest, SingleAccessPaysEgressOnly) {
 TEST(OracularTest, QuickReaccessIsStoredAndHits) {
   Trace t;
   t.requests = {{0, 1, 1'000'000'000, Op::kGet}, {kHour, 1, 1'000'000'000, Op::kGet}};
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(t, CrossCloud());
   EXPECT_EQ(r.remote_fetches, 1u);
   EXPECT_EQ(r.osc_hits, 1u);
   // Storage for one hour is far cheaper than a second egress.
@@ -50,7 +59,7 @@ TEST(OracularTest, ReaccessBeyondBreakEvenIsRefetched) {
   const SimDuration far = CrossCloud().StorageEgressBreakEven() + kDay;
   Trace t;
   t.requests = {{0, 1, 1'000'000'000, Op::kGet}, {far, 1, 1'000'000'000, Op::kGet}};
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(t, CrossCloud());
   EXPECT_EQ(r.remote_fetches, 2u);
   EXPECT_EQ(r.costs.Get(CostCategory::kCapacity), 0.0);
 }
@@ -60,9 +69,8 @@ TEST(OracularTest, CrossRegionBreakEvenIsShorter) {
   // but cheaper to refetch cross-region (26d break-even).
   Trace t;
   t.requests = {{0, 1, 1'000'000'000, Op::kGet}, {30 * kDay, 1, 1'000'000'000, Op::kGet}};
-  const OracularResult cc = RunOracular(t, CrossCloud(), nullptr, 1);
-  const OracularResult cr =
-      RunOracular(t, PriceBook::Aws(DeploymentScenario::kCrossRegion), nullptr, 1);
+  const ExactOracleResult cc = Oracular(t, CrossCloud());
+  const ExactOracleResult cr = Oracular(t, PriceBook::Aws(DeploymentScenario::kCrossRegion));
   EXPECT_EQ(cc.remote_fetches, 1u);
   EXPECT_EQ(cr.remote_fetches, 2u);
 }
@@ -70,7 +78,7 @@ TEST(OracularTest, CrossRegionBreakEvenIsShorter) {
 TEST(OracularTest, PutThenReadHitsWithoutEgress) {
   Trace t;
   t.requests = {{0, 1, 1'000'000, Op::kPut}, {kHour, 1, 1'000'000, Op::kGet}};
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(t, CrossCloud());
   EXPECT_EQ(r.remote_fetches, 0u);
   EXPECT_EQ(r.osc_hits, 1u);
   EXPECT_EQ(r.costs.Get(CostCategory::kEgress), 0.0);
@@ -81,7 +89,7 @@ TEST(OracularTest, DeleteBeforeNextGetMeansNoStorage) {
   t.requests = {{0, 1, 1'000'000, Op::kGet},
                 {kHour, 1, 1'000'000, Op::kDelete},
                 {2 * kHour, 1, 1'000'000, Op::kGet}};
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(t, CrossCloud());
   // Both GETs are remote: storing until a deletion has no value, and the
   // post-delete GET sees a fresh object.
   EXPECT_EQ(r.remote_fetches, 2u);
@@ -93,7 +101,7 @@ TEST(OracularTest, NoOperationCosts) {
   for (int i = 0; i < 100; ++i) {
     t.requests.push_back({i * kMinute, static_cast<ObjectId>(i % 5), 1'000'000, Op::kGet});
   }
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 1);
+  const ExactOracleResult r = Oracular(t, CrossCloud());
   EXPECT_EQ(r.costs.Get(CostCategory::kOperation), 0.0);
   EXPECT_EQ(r.costs.Get(CostCategory::kInfra), 0.0);
 }
@@ -103,7 +111,7 @@ TEST(OracularTest, LatencyMeasuredWhenSamplerProvided) {
   FittedLatencyGenerator gen(truth, 200, 2);
   Trace t;
   t.requests = {{0, 1, 1000, Op::kGet}, {kMinute, 1, 1000, Op::kGet}};
-  const OracularResult r = RunOracular(t, CrossCloud(), &gen, 3);
+  const ExactOracleResult r = Oracular(t, CrossCloud(), &gen, 3);
   EXPECT_EQ(r.latency_ms.count(), 2u);
   // Second access (OSC hit) should usually be faster than the remote fetch.
   EXPECT_LT(r.latency_ms.samples()[1], r.latency_ms.samples()[0]);
@@ -113,7 +121,7 @@ TEST(OracularTest, NeverCostsMoreEgressThanRemote) {
   // Property: oracle egress <= total GET bytes (each byte fetched at most
   // once per break-even window).
   const Trace t = GenerateTrace(ProfileByName("ibm18"));
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 4);
+  const ExactOracleResult r = Oracular(t, CrossCloud(), nullptr, 4);
   const TraceStats s = ComputeStats(t);
   EXPECT_LE(r.egress_bytes, s.get_bytes);
   // And at least the compulsory bytes must be fetched.
@@ -122,22 +130,50 @@ TEST(OracularTest, NeverCostsMoreEgressThanRemote) {
 
 TEST(OracularTest, MeanStoredBytesPositiveForReuseHeavyTrace) {
   const Trace t = GenerateTrace(ProfileByName("ibm12"));
-  const OracularResult r = RunOracular(t, CrossCloud(), nullptr, 5);
+  const ExactOracleResult r = Oracular(t, CrossCloud(), nullptr, 5);
   EXPECT_GT(r.mean_stored_bytes, 0.0);
   const TraceStats s = ComputeStats(t);
   EXPECT_LT(r.mean_stored_bytes, static_cast<double>(s.unique_bytes) * 1.01);
 }
 
+TEST(OracularTest, PutReplacesTheCopyWithoutBillingIt) {
+  // GET at 0, PUT at 10 days, GET at 20 days. The PUT makes the first
+  // GET's copy stale, so storing it past the PUT buys nothing: the optimum
+  // pays one egress plus 10 days of storage for the new copy
+  // ($0.0976667), and the second GET hits. The per-gap keep rule kept the
+  // old copy until the second GET and billed 20 days ($0.1053333).
+  const uint64_t size = 1'000'000'000;
+  Trace t;
+  t.requests = {{0, 1, size, Op::kGet},
+                {10 * kDay, 1, size, Op::kPut},
+                {20 * kDay, 1, size, Op::kGet}};
+  const PriceBook book = CrossCloud();
+  const ExactOracleResult r = Oracular(t, book);
+  EXPECT_EQ(r.osc_hits, 1u);
+  EXPECT_EQ(r.remote_fetches, 1u);
+  EXPECT_NEAR(r.costs.Get(CostCategory::kCapacity), book.StorageCost(size, 10 * kDay), 1e-12);
+  EXPECT_NEAR(r.costs.Total(), book.EgressCost(size) + book.StorageCost(size, 10 * kDay),
+              1e-12);
+  EXPECT_NEAR(r.costs.Total(), 0.09 + 0.023 / 3.0, 1e-12);
+}
+
+TEST(OracularTest, BreakEvenTiePrefersTheStoredCopy) {
+  // Egress and storage both 0.5 $/GB, two GETs of 1 GB exactly one billing
+  // month apart: storing and refetching cost the same, and the tie resolves
+  // to the stored path, so the second GET hits. Either way the bill is $1.
+  PriceBook book = CrossCloud();
+  book.egress_per_gb = 0.5;
+  book.object_storage_per_gb_month = 0.5;
+  Trace t;
+  t.requests = {{0, 1, 1'000'000'000, Op::kGet}, {kBillingMonth, 1, 1'000'000'000, Op::kGet}};
+  const ExactOracleResult r = Oracular(t, book);
+  EXPECT_EQ(r.osc_hits, 1u);
+  EXPECT_EQ(r.remote_fetches, 1u);
+  EXPECT_NEAR(r.costs.Total(), 1.0, 1e-12);
+}
+
 // ---------------------------------------------------------------------------
 // Exact oracle (per-object interval DP).
-
-// A PriceBook under §5.4's perfect-packing assumption: operation prices
-// zeroed, so Oracular and the DP bill the same basket.
-PriceBook OpFree(PriceBook book) {
-  book.get_per_request = 0.0;
-  book.put_per_request = 0.0;
-  return book;
-}
 
 // Independent reference: enumerate every feasible storage schedule — one
 // outgoing stored/not-stored bit per event per object, storing after a
@@ -308,11 +344,11 @@ TEST(ExactOracleTest, DeleteAndRecreateAtEqualTimestamps) {
   EXPECT_NEAR(r.costs.Total(), BruteForceOptimum(t, book), 1e-12);
 }
 
-TEST(ExactOracleTest, HandFixtureAgreesWithOracularAndBruteForce) {
+TEST(ExactOracleTest, HandFixtureAgreesWithBruteForce) {
   // Mixed fixture: reuse inside break-even (obj 1), reuse beyond it
   // (obj 2), write-then-read (obj 3), delete-before-read (obj 4). Under an
-  // op-free book with constant prices the per-gap rule is the optimum, so
-  // Oracular, the DP, and the enumerator must agree to the last ulp.
+  // op-free book the DP and the enumerator must agree, and the optimum
+  // serves the reuse of objects 1 and 3 from the cache.
   const SimDuration far = CrossCloud().StorageEgressBreakEven() + kDay;
   Trace t;
   t.requests = {{0, 1, 1'000'000'000, Op::kGet},
@@ -324,13 +360,11 @@ TEST(ExactOracleTest, HandFixtureAgreesWithOracularAndBruteForce) {
                 {2 * kHour, 3, 500'000'000, Op::kGet},
                 {2 * kHour, 4, 250'000'000, Op::kGet},
                 {far, 2, 2'000'000'000, Op::kGet}};
-  const PriceBook book = OpFree(CrossCloud());
+  const PriceBook book = CrossCloud().OpFree();
   const ExactOracleResult exact = RunExactOracle(t, book);
-  const OracularResult oracular = RunOracular(t, book, nullptr, 1);
   EXPECT_NEAR(exact.costs.Total(), BruteForceOptimum(t, book), 1e-12);
-  EXPECT_NEAR(exact.costs.Total(), oracular.costs.Total(), 1e-12);
-  EXPECT_EQ(exact.osc_hits, oracular.osc_hits);
-  EXPECT_EQ(exact.remote_fetches, oracular.remote_fetches);
+  EXPECT_EQ(exact.osc_hits, 2u);
+  EXPECT_EQ(exact.remote_fetches, 5u);
 }
 
 TEST(ExactOracleTest, MatchesBruteForceOnRandomTraces) {
@@ -338,7 +372,7 @@ TEST(ExactOracleTest, MatchesBruteForceOnRandomTraces) {
     const Trace t = RandomSmallTrace(seed, 14, 4);
     for (const PriceBook& book :
          {PriceBook::Aws(DeploymentScenario::kCrossCloud),
-          PriceBook::Aws(DeploymentScenario::kCrossRegion), OpFree(CrossCloud())}) {
+          PriceBook::Aws(DeploymentScenario::kCrossRegion), CrossCloud().OpFree()}) {
       const ExactOracleResult r = RunExactOracle(t, book);
       const double bf = BruteForceOptimum(t, book);
       EXPECT_NEAR(r.costs.Total(), bf, 1e-9) << "seed " << seed << " book " << book.name;
@@ -450,8 +484,8 @@ TEST(ExactOracleTest, DeterministicAcrossRepeatRuns) {
   EXPECT_EQ(a.window_cost_timeline, b.window_cost_timeline);
 }
 
-TEST(ExactOracleTest, OrderingExactLeqOracularLeqEngineData) {
-  // Property: under the op-free basket the DP lower-bounds Oracular, and it
+TEST(ExactOracleTest, OrderingExactEqOracularLeqEngineData) {
+  // Property: under the op-free basket the DP is Oracular, and it
   // lower-bounds every engine's data cost (egress + capacity + operation) —
   // the engine's policy is one feasible schedule. Random delete-heavy
   // skewed traces; gaps capped so engine runs stay fast.
@@ -470,10 +504,12 @@ TEST(ExactOracleTest, OrderingExactLeqOracularLeqEngineData) {
       r.op = p < 7 ? Op::kGet : (p < 9 ? Op::kPut : Op::kDelete);
       t.requests.push_back(r);
     }
-    const PriceBook opfree = OpFree(CrossCloud());
-    const double exact = RunExactOracle(t, opfree).costs.Total();
-    const double oracular = RunOracular(t, CrossCloud(), nullptr, seed).costs.Total();
-    EXPECT_LE(exact, oracular + 1e-9) << "seed " << seed;
+    const ExactOracleResult op_free = RunExactOracle(t, CrossCloud().OpFree());
+    const ExactOracleResult oracular = Oracular(t, CrossCloud(), nullptr, seed);
+    const double exact = op_free.costs.Total();
+    EXPECT_EQ(exact, oracular.costs.Total()) << "seed " << seed;
+    EXPECT_EQ(op_free.osc_hits, oracular.osc_hits) << "seed " << seed;
+    EXPECT_EQ(op_free.mean_stored_bytes, oracular.mean_stored_bytes) << "seed " << seed;
 
     EngineConfig cfg;
     cfg.approach = Approach::kMacaronNoCluster;
@@ -484,7 +520,6 @@ TEST(ExactOracleTest, OrderingExactLeqOracularLeqEngineData) {
                                engine.costs.Get(CostCategory::kCapacity) +
                                engine.costs.Get(CostCategory::kOperation);
     EXPECT_LE(exact, engine_data + 1e-9) << "seed " << seed;
-    EXPECT_LE(oracular, engine_data + 1e-9) << "seed " << seed;
   }
 }
 

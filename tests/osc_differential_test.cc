@@ -11,7 +11,10 @@
 // to random targets, explicit flushes and GC, and re-admission of evicted
 // and deleted ids while their dead copies still sit in open or closed
 // blocks) and compared after every operation, under every replacement
-// policy, with packing on and off and at two block object limits.
+// policy, with packing on and off and at two block object limits. Both GC
+// lists are ordered sets: GC visits due blocks in ascending block id, and a
+// different visiting order repacks survivors differently, so the packed
+// cases also pin that order.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +24,10 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -117,7 +120,7 @@ class MapObjectStorageCache {
 
   void RunGc() {
     while (!gc_list_.empty()) {
-      std::unordered_set<uint64_t> batch;
+      std::set<uint64_t> batch;
       batch.swap(gc_list_);
       for (uint64_t block_id : batch) {
         const auto it = blocks_.find(block_id);
@@ -252,7 +255,7 @@ class MapObjectStorageCache {
   PackingConfig config_;
   std::unordered_map<ObjectId, ObjectMeta> objects_;
   std::unordered_map<uint64_t, BlockMeta> blocks_;
-  std::unordered_set<uint64_t> gc_list_;
+  std::set<uint64_t> gc_list_;
   std::unique_ptr<EvictionCache> order_;
   uint64_t open_block_ = 0;
   uint64_t next_block_ = 1;

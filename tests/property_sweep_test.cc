@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/oracle/oracular.h"
+#include "src/oracle/exact_oracle.h"
 #include "src/sim/replay_engine.h"
 #include "src/trace/splitter.h"
 #include "src/trace/synthetic.h"
@@ -66,8 +66,9 @@ TEST_P(ProfileSweepTest, MacaronNeverWorseThanBothBaselinesTogether) {
 TEST_P(ProfileSweepTest, OracularNeverAboveMacaronDataCost) {
   const Trace t = Load(Shrunk(GetParam()));
   const RunResult mac = RunOne(t, Approach::kMacaronNoCluster);
-  const OracularResult o =
-      RunOracular(t, PriceBook::Aws(DeploymentScenario::kCrossCloud), nullptr, 3);
+  // Oracular (§5.4): the exact offline optimum with operation costs zeroed.
+  const ExactOracleResult o =
+      RunExactOracle(t, PriceBook::Aws(DeploymentScenario::kCrossCloud).OpFree());
   const double mac_data =
       mac.costs.Get(CostCategory::kEgress) + mac.costs.Get(CostCategory::kCapacity);
   EXPECT_LE(o.costs.Total(), mac_data * 1.02) << GetParam().name;

@@ -292,26 +292,48 @@ TEST(SweepSchedulerTest, PersistentStoreServesSecondProcess) {
   std::filesystem::remove_all(dir);
 }
 
+// A kOracle job is Oracular (§5.4): the exact DP on the job's price book
+// with GET/PUT prices zeroed. It must match a direct run on the op-free
+// book, and a kExactOracle job submitted with that book, field by field.
 TEST(SweepSchedulerTest, OracleJobMatchesDirectRun) {
   auto trace = std::make_shared<const Trace>(SmallTrace("oracle", 17));
-  const EngineConfig cfg = SmallConfig(Approach::kRemote);
-  const OracularResult direct = sweep::RunOracularWithConfig(*trace, cfg);
+  EngineConfig cfg = SmallConfig(Approach::kRemote);
+  cfg.measure_latency = true;
+  EngineConfig op_free = cfg;
+  op_free.prices = cfg.prices.OpFree();
+  const ExactOracleResult direct = sweep::RunExactOracleWithConfig(*trace, op_free);
+  ASSERT_GT(direct.osc_hits, 0u);
+  EXPECT_EQ(direct.costs.Get(CostCategory::kOperation), 0.0);
 
   sweep::SweepScheduler::Options opt;
   opt.threads = 1;
   sweep::SweepScheduler sched(std::move(opt));
-  sweep::SweepJobSpec spec;
-  spec.trace = trace;
-  spec.trace_name = trace->name;
-  spec.config = cfg;
-  spec.engine = sweep::JobEngine::kOracle;
-  const size_t id = sched.Submit(std::move(spec));
-  const OracularResult via = sweep::RunResultToOracular(sched.Result(id));
-  EXPECT_EQ(via.costs.Total(), direct.costs.Total());
-  EXPECT_EQ(via.osc_hits, direct.osc_hits);
-  EXPECT_EQ(via.remote_fetches, direct.remote_fetches);
-  EXPECT_EQ(via.egress_bytes, direct.egress_bytes);
-  EXPECT_EQ(via.mean_stored_bytes, direct.mean_stored_bytes);
+  const auto submit = [&](const EngineConfig& config, sweep::JobEngine engine) {
+    sweep::SweepJobSpec spec;
+    spec.trace = trace;
+    spec.trace_name = trace->name;
+    spec.config = config;
+    spec.engine = engine;
+    return sched.Submit(std::move(spec));
+  };
+  const size_t oracle_id = submit(cfg, sweep::JobEngine::kOracle);
+  const size_t exact_id = submit(op_free, sweep::JobEngine::kExactOracle);
+  EXPECT_EQ(sched.Result(oracle_id).approach_name, "oracular");
+  EXPECT_EQ(sched.Result(exact_id).approach_name, "exact-oracle");
+  for (const size_t id : {oracle_id, exact_id}) {
+    const RunResult& via = sched.Result(id);
+    for (int c = 0; c < static_cast<int>(CostCategory::kNumCategories); ++c) {
+      EXPECT_EQ(via.costs.Get(static_cast<CostCategory>(c)),
+                direct.costs.Get(static_cast<CostCategory>(c)))
+          << "job " << id << " category " << c;
+    }
+    EXPECT_EQ(via.gets, direct.osc_hits + direct.remote_fetches);
+    EXPECT_EQ(via.osc_hits, direct.osc_hits);
+    EXPECT_EQ(via.remote_fetches, direct.remote_fetches);
+    EXPECT_EQ(via.egress_bytes, direct.egress_bytes);
+    EXPECT_EQ(via.mean_stored_bytes, direct.mean_stored_bytes);
+    EXPECT_EQ(via.latency_ms.samples(), direct.latency_ms.samples());
+  }
 }
 
 TEST(SweepSchedulerTest, RejectsUnresolvableSpecs) {
@@ -395,8 +417,12 @@ TEST(HashOncePipelineTest, BothEnginesByteStableAcrossRuns) {
 // v3 -> v4 was: the event engine's analyzer grid, analyzer policy and
 // realized-cost sum now match the replay engine's, which moves event engine
 // results.
+// v4 -> v5 was: kOracle jobs run the exact DP on the op-free price book
+// instead of the per-gap keep rule, which moves their dollars in the last
+// bits, and OSC garbage collection visits due blocks in ascending block id,
+// which moves packed-OSC results.
 TEST(HashOncePipelineTest, SweepVersionSaltDeliberate) {
-  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v4");
+  EXPECT_EQ(sweep::kSweepVersionSalt, "macaron-sweep-v5");
 }
 
 TEST(ResultStoreTest, DisabledStoreIsInert) {
