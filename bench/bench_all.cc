@@ -98,9 +98,10 @@ void WriteJson(const std::string& path, int threads, double total_seconds,
                threads, SimdFeatureString(), total_seconds);
   std::fprintf(f,
                "  \"jobs\": {\"submitted\": %zu, \"unique\": %zu, \"executed\": %zu, "
-               "\"store_hits\": %zu, \"peak_in_flight\": %d, \"busy_seconds\": %.3f},\n",
+               "\"store_hits\": %zu, \"peak_in_flight\": %d, \"busy_seconds\": %.3f, "
+               "\"stats_passes\": %zu},\n",
                stats.submitted, stats.unique, stats.executed, stats.store_hits,
-               stats.peak_in_flight, stats.busy_seconds);
+               stats.peak_in_flight, stats.busy_seconds, stats.stats_passes);
   std::fprintf(f, "  \"figures\": [\n");
   for (size_t i = 0; i < timings.size(); ++i) {
     std::fprintf(f, "    {\"name\": \"%s\", \"seconds\": %.3f, \"exit_code\": %d}%s\n",
@@ -346,10 +347,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "\nbench_all: %zu figures in %.2fs | threads %d | jobs: %zu submitted, "
                "%zu unique, %zu simulated, %zu from cache, peak %d in flight, "
-               "%.1fs busy\n",
+               "%.1fs busy, %zu trace stats passes\n",
                timings.size(), total, bench::SharedSweep().threads(), stats.submitted,
                stats.unique, stats.executed, stats.store_hits, stats.peak_in_flight,
-               stats.busy_seconds);
+               stats.busy_seconds, stats.stats_passes);
   if (json_path != "off" && !json_path.empty()) {
     WriteJson(json_path, bench::SharedSweep().threads(), total, timings, stats);
     std::fprintf(stderr, "bench_all: wrote %s\n", json_path.c_str());

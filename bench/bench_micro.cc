@@ -614,7 +614,8 @@ void BM_TraceStreamReplayOverlap(benchmark::State& state) {
 BENCHMARK(BM_TraceStreamReplayOverlap)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The full-trace stats pass (ComputeStats, i.e. TraceStatsBuilder) that every
-// in-memory engine run and every MCTC write repeats before replay. The
+// direct in-memory engine run and every MCTC write repeats before replay (a
+// sweep runs it once per trace for all that trace's engine jobs). The
 // input mirrors the perfbench event-cluster mix at a third of its length:
 // 2^20 requests over 2^18 objects, Zipf alpha 0.9, 25% PUT and 5% DELETE,
 // lognormal sizes (so about as many distinct sizes as objects). It is

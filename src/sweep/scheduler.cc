@@ -12,6 +12,7 @@
 #include "src/sim/event_engine.h"
 #include "src/sim/replay_engine.h"
 #include "src/sim/report_io.h"
+#include "src/trace/request_source.h"
 
 namespace macaron {
 namespace sweep {
@@ -35,6 +36,32 @@ RunResult OracleToRunResult(const std::string& trace_name, const char* approach_
   r.mean_stored_bytes = o.mean_stored_bytes;
   r.latency_ms = o.latency_ms;
   return r;
+}
+
+// Rejects the configs the job's engine would stop the process for with a
+// MACARON_CHECK (sharded_runtime.cc, event_engine.cc, replay_engine.cc,
+// exact_oracle.cc), naming the field.
+void ValidateConfig(const EngineConfig& config, JobEngine engine) {
+  if (config.window <= 0) {
+    throw std::invalid_argument("sweep: config.window must be positive");
+  }
+  if (IsOracleEngine(engine)) {
+    return;  // the oracles read no approach-specific field
+  }
+  const Approach a = config.approach;
+  if (engine == JobEngine::kEvent && a != Approach::kMacaron &&
+      a != Approach::kMacaronNoCluster && a != Approach::kMacaronTtl) {
+    throw std::invalid_argument(std::string("sweep: config.approach ") + ApproachName(a) +
+                                " does not run on the event engine (macaron+cc, macaron or "
+                                "macaron-ttl only)");
+  }
+  if (a == Approach::kStaticTtl && config.static_ttl <= 0) {
+    throw std::invalid_argument("sweep: config.static_ttl must be positive for static-ttl");
+  }
+  if (a == Approach::kStaticCapacity && config.static_capacity_bytes == 0) {
+    throw std::invalid_argument(
+        "sweep: config.static_capacity_bytes must be positive for static-capacity");
+  }
 }
 
 }  // namespace
@@ -74,16 +101,16 @@ size_t SweepScheduler::Submit(SweepJobSpec spec) {
   if (spec.trace == nullptr && options_.trace_provider == nullptr) {
     throw std::invalid_argument("sweep: named job submitted without a trace provider");
   }
-  Fingerprint trace_identity = spec.trace_identity;
-  if (trace_identity.IsZero()) {
+  ValidateConfig(spec.config, spec.engine);
+  if (spec.trace_identity.IsZero()) {
     if (spec.trace == nullptr) {
       throw std::invalid_argument(
           "sweep: named job needs an explicit trace identity (content hashing would force "
           "generation at submit time)");
     }
-    trace_identity = FingerprintTraceContent(*spec.trace);
+    spec.trace_identity = FingerprintTraceContent(*spec.trace);
   }
-  const Fingerprint key = JobFingerprint(trace_identity, FingerprintEngineConfig(spec.config),
+  const Fingerprint key = JobFingerprint(spec.trace_identity, FingerprintEngineConfig(spec.config),
                                          static_cast<int>(spec.engine));
   const std::string hex = key.Hex();
 
@@ -146,11 +173,12 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
       }
       switch (spec.engine) {
         case JobEngine::kReplay:
-          exec->result = ReplayEngine(cfg).Run(*held);
+        case JobEngine::kEvent: {
+          TraceSource source(*held, StatsFor(spec.trace_identity, *held));
+          exec->result = spec.engine == JobEngine::kReplay ? ReplayEngine(cfg).Run(source)
+                                                           : EventEngine(cfg).Run(source);
           break;
-        case JobEngine::kEvent:
-          exec->result = EventEngine(cfg).Run(*held);
-          break;
+        }
         case JobEngine::kOracle:
         case JobEngine::kExactOracle: {
           const bool oracular = spec.engine == JobEngine::kOracle;
@@ -208,6 +236,33 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
   }
 }
 
+TraceStats SweepScheduler::StatsFor(const Fingerprint& trace_identity, const Trace& trace) {
+  std::promise<TraceStats> pass;
+  std::shared_future<TraceStats> stats;
+  bool claimed = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, inserted] = stats_by_trace_.try_emplace(trace_identity.Hex());
+    if (inserted) {
+      it->second = pass.get_future().share();
+      claimed = true;
+      ++stats_passes_;
+    }
+    stats = it->second;
+  }
+  // The claiming job computes without waiting on anything, so a job that
+  // waits here always waits on a job already running (or, with threads <= 1,
+  // already finished).
+  if (claimed) {
+    try {
+      pass.set_value(ComputeStats(trace));
+    } catch (...) {
+      pass.set_exception(std::current_exception());
+    }
+  }
+  return stats.get();
+}
+
 const RunResult& SweepScheduler::Result(size_t index) {
   std::shared_ptr<Execution> exec;
   {
@@ -241,6 +296,7 @@ SweepStats SweepScheduler::stats() const {
   s.store_hits = store_hits_;
   s.peak_in_flight = peak_in_flight_.load(std::memory_order_relaxed);
   s.busy_seconds = busy_seconds_;
+  s.stats_passes = stats_passes_;
   return s;
 }
 

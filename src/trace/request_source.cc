@@ -6,19 +6,24 @@
 
 namespace macaron {
 
-SourceInfo MakeSourceInfo(const Trace& trace) {
+SourceInfo MakeSourceInfo(const Trace& trace) { return MakeSourceInfo(trace, ComputeStats(trace)); }
+
+SourceInfo MakeSourceInfo(const Trace& trace, const TraceStats& stats) {
   SourceInfo info;
   info.name = trace.name;
   info.num_requests = trace.size();
   info.start_time = trace.start_time();
   info.end_time = trace.end_time();
-  info.stats = ComputeStats(trace);
+  info.stats = stats;
   return info;
 }
 
 TraceSource::TraceSource(const Trace& trace, size_t chunk_records)
+    : TraceSource(trace, ComputeStats(trace), chunk_records) {}
+
+TraceSource::TraceSource(const Trace& trace, const TraceStats& stats, size_t chunk_records)
     : trace_(trace),
-      info_(MakeSourceInfo(trace)),
+      info_(MakeSourceInfo(trace, stats)),
       chunk_records_(std::max<size_t>(chunk_records, 1)) {}
 
 bool TraceSource::FillNext(ReplayBatch* out) {

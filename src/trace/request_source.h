@@ -74,6 +74,10 @@ class RequestSource {
 class TraceSource : public RequestSource {
  public:
   explicit TraceSource(const Trace& trace, size_t chunk_records = kDefaultChunkRecords);
+  // Takes `stats` as ComputeStats(trace) instead of running that pass, so
+  // runs over one trace can share a single pass (SweepScheduler does).
+  TraceSource(const Trace& trace, const TraceStats& stats,
+              size_t chunk_records = kDefaultChunkRecords);
 
   const SourceInfo& Info() const override { return info_; }
   void Reset() override { pos_ = 0; }
@@ -88,6 +92,8 @@ class TraceSource : public RequestSource {
 
 // Computes a SourceInfo from a materialized trace (one stats pass).
 SourceInfo MakeSourceInfo(const Trace& trace);
+// The same with `stats` given as ComputeStats(trace) (no stats pass).
+SourceInfo MakeSourceInfo(const Trace& trace, const TraceStats& stats);
 
 // Appends reqs[0, n) to `out` as chunk rows carrying the ingest hash
 // Mix64(id), exactly as a RequestSource delivers them. This is the one way

@@ -1,6 +1,7 @@
 // Unit tests for the MCTC chunked columnar trace format (columnar_io.h):
 // round trips (materialized and chunk-by-chunk against the in-memory
-// TraceSource adapter), footer-derived SourceInfo fidelity, the content
+// TraceSource adapter), footer-derived SourceInfo fidelity, a TraceSource
+// built on precomputed stats matching one that computes its own, the content
 // identity hash, and the rejection paths — foreign files, truncation, a
 // corrupt footer, a checksummed footer whose chunk directory does not tile
 // the file, and a corrupt chunk payload (which must throw at FillNext,
@@ -72,6 +73,54 @@ void AppendU64(std::string& out, uint64_t v) {
   }
 }
 
+// Drains both sources in step; every chunk must match column for column,
+// ingest hashes included. Counts the chunks into *chunks.
+void ExpectSameChunks(RequestSource& got, RequestSource& want, size_t* chunks) {
+  ReplayBatch a;
+  ReplayBatch b;
+  *chunks = 0;
+  for (;;) {
+    const bool got_more = got.FillNext(&a);
+    const bool want_more = want.FillNext(&b);
+    ASSERT_EQ(got_more, want_more) << "sources disagree on stream length";
+    if (!got_more) {
+      return;
+    }
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a.times, b.times) << "chunk " << *chunks;
+    EXPECT_EQ(a.ids, b.ids) << "chunk " << *chunks;
+    EXPECT_EQ(a.sizes, b.sizes) << "chunk " << *chunks;
+    EXPECT_EQ(a.ops, b.ops) << "chunk " << *chunks;
+    EXPECT_EQ(a.hashes, b.hashes) << "chunk " << *chunks;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a.hashes[i], Mix64(a.ids[i])) << "hash-once contract";
+    }
+    ++*chunks;
+  }
+}
+
+void ExpectSameInfo(const SourceInfo& got, const SourceInfo& expected) {
+  EXPECT_EQ(got.name, expected.name);
+  EXPECT_EQ(got.num_requests, expected.num_requests);
+  EXPECT_EQ(got.start_time, expected.start_time);
+  EXPECT_EQ(got.end_time, expected.end_time);
+  EXPECT_EQ(got.stats.num_requests, expected.stats.num_requests);
+  EXPECT_EQ(got.stats.num_gets, expected.stats.num_gets);
+  EXPECT_EQ(got.stats.num_puts, expected.stats.num_puts);
+  EXPECT_EQ(got.stats.num_deletes, expected.stats.num_deletes);
+  EXPECT_EQ(got.stats.get_bytes, expected.stats.get_bytes);
+  EXPECT_EQ(got.stats.put_bytes, expected.stats.put_bytes);
+  EXPECT_EQ(got.stats.unique_objects, expected.stats.unique_objects);
+  EXPECT_EQ(got.stats.unique_bytes, expected.stats.unique_bytes);
+  EXPECT_EQ(got.stats.unique_get_bytes, expected.stats.unique_get_bytes);
+  EXPECT_EQ(got.stats.median_object_bytes, expected.stats.median_object_bytes);
+  // The doubles must be bit-identical (Setup derives configuration from
+  // them; any drift would change engine outputs across sources).
+  EXPECT_EQ(got.stats.compulsory_miss_ratio, expected.stats.compulsory_miss_ratio);
+  EXPECT_EQ(got.stats.zipf_alpha, expected.stats.zipf_alpha);
+  EXPECT_EQ(got.stats.mean_request_rate, expected.stats.mean_request_rate);
+}
+
 struct CraftedChunk {
   uint64_t offset;
   uint64_t bytes;
@@ -135,28 +184,8 @@ TEST(ColumnarIoTest, ChunksMatchTraceSourceByteForByte) {
   auto file_source = ColumnarTraceSource::Open(path);
   ASSERT_NE(file_source, nullptr);
   TraceSource mem_source(t, /*chunk_records=*/1024);
-
-  ReplayBatch from_file;
-  ReplayBatch from_mem;
   size_t chunks = 0;
-  for (;;) {
-    const bool file_more = file_source->FillNext(&from_file);
-    const bool mem_more = mem_source.FillNext(&from_mem);
-    ASSERT_EQ(file_more, mem_more) << "sources disagree on stream length";
-    if (!file_more) {
-      break;
-    }
-    ASSERT_FALSE(from_file.empty());
-    EXPECT_EQ(from_file.times, from_mem.times) << "chunk " << chunks;
-    EXPECT_EQ(from_file.ids, from_mem.ids) << "chunk " << chunks;
-    EXPECT_EQ(from_file.sizes, from_mem.sizes) << "chunk " << chunks;
-    EXPECT_EQ(from_file.ops, from_mem.ops) << "chunk " << chunks;
-    EXPECT_EQ(from_file.hashes, from_mem.hashes) << "chunk " << chunks;
-    for (size_t i = 0; i < from_file.size(); ++i) {
-      ASSERT_EQ(from_file.hashes[i], Mix64(from_file.ids[i])) << "hash-once contract";
-    }
-    ++chunks;
-  }
+  ExpectSameChunks(*file_source, mem_source, &chunks);
   EXPECT_EQ(chunks, (t.size() + 1023) / 1024);
   std::remove(path.c_str());
 }
@@ -167,28 +196,21 @@ TEST(ColumnarIoTest, InfoMatchesMaterializedStats) {
   ASSERT_TRUE(WriteTraceColumnar(t, path));
   auto source = ColumnarTraceSource::Open(path);
   ASSERT_NE(source, nullptr);
-  const SourceInfo expected = MakeSourceInfo(t);
-  const SourceInfo& got = source->Info();
-  EXPECT_EQ(got.name, expected.name);
-  EXPECT_EQ(got.num_requests, expected.num_requests);
-  EXPECT_EQ(got.start_time, expected.start_time);
-  EXPECT_EQ(got.end_time, expected.end_time);
-  EXPECT_EQ(got.stats.num_requests, expected.stats.num_requests);
-  EXPECT_EQ(got.stats.num_gets, expected.stats.num_gets);
-  EXPECT_EQ(got.stats.num_puts, expected.stats.num_puts);
-  EXPECT_EQ(got.stats.num_deletes, expected.stats.num_deletes);
-  EXPECT_EQ(got.stats.get_bytes, expected.stats.get_bytes);
-  EXPECT_EQ(got.stats.put_bytes, expected.stats.put_bytes);
-  EXPECT_EQ(got.stats.unique_objects, expected.stats.unique_objects);
-  EXPECT_EQ(got.stats.unique_bytes, expected.stats.unique_bytes);
-  EXPECT_EQ(got.stats.unique_get_bytes, expected.stats.unique_get_bytes);
-  EXPECT_EQ(got.stats.median_object_bytes, expected.stats.median_object_bytes);
-  // The doubles must be bit-identical (Setup derives configuration from
-  // them; any drift would change engine outputs across sources).
-  EXPECT_EQ(got.stats.compulsory_miss_ratio, expected.stats.compulsory_miss_ratio);
-  EXPECT_EQ(got.stats.zipf_alpha, expected.stats.zipf_alpha);
-  EXPECT_EQ(got.stats.mean_request_rate, expected.stats.mean_request_rate);
+  ExpectSameInfo(source->Info(), MakeSourceInfo(t));
   std::remove(path.c_str());
+}
+
+// The sweep builds every engine job's TraceSource on its trace's one shared
+// stats pass; such a source must be indistinguishable from one that runs
+// the pass itself.
+TEST(TraceSourceTest, GivenStatsMatchOwnPass) {
+  const Trace t = MakeTrace(10000);
+  TraceSource own(t, /*chunk_records=*/1024);
+  TraceSource given(t, ComputeStats(t), /*chunk_records=*/1024);
+  ExpectSameInfo(given.Info(), own.Info());
+  size_t chunks = 0;
+  ExpectSameChunks(given, own, &chunks);
+  EXPECT_EQ(chunks, (t.size() + 1023) / 1024);
 }
 
 TEST(ColumnarIoTest, ResetRewindsToFirstChunk) {

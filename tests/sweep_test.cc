@@ -1,6 +1,7 @@
 // Tests for the sweep scheduler: bit-identical results at any thread count,
-// in-process dedup, the persistent result store, RunResult serialization,
-// and fingerprint stability/sensitivity.
+// in-process dedup, the persistent result store, the per-trace stats memo,
+// config rejection at Submit, RunResult serialization, and fingerprint
+// stability/sensitivity.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -181,35 +183,62 @@ TEST(FingerprintTest, TraceContentAndProfileIdentities) {
   EXPECT_NE(sweep::FingerprintWorkloadProfile(p2), sweep::FingerprintWorkloadProfile(p1));
 }
 
-// The core tentpole guarantee: results collected by submission index are
-// bit-identical to direct serial engine runs at every thread count.
+// The scheduler's core guarantee: results collected by submission index are
+// bit-identical to direct serial engine runs at every thread count. The
+// grid covers both engines and named jobs resolved through the trace
+// provider, over two traces whose unique_bytes differ: every engine job
+// replays on its trace's one shared stats pass, and stats handed to the
+// wrong trace would move its dataset_bytes.
 TEST(SweepSchedulerTest, BitIdenticalAcrossThreadCounts) {
   struct Job {
     std::shared_ptr<const Trace> trace;
     EngineConfig cfg;
+    sweep::JobEngine engine;
+    // Nonzero: submitted by name under this identity and resolved through
+    // the trace provider.
+    sweep::Fingerprint named_identity;
   };
+  std::map<std::string, std::shared_ptr<const Trace>> by_name;
   std::vector<Job> jobs;
   for (uint64_t seed : {1ull, 2ull}) {
-    auto trace = std::make_shared<const Trace>(SmallTrace("det" + std::to_string(seed), seed));
+    const std::string name = "det" + std::to_string(seed);
+    auto trace = std::make_shared<const Trace>(SmallTrace(name, seed));
+    by_name.emplace(name, trace);
     for (Approach a : {Approach::kRemote, Approach::kMacaronNoCluster, Approach::kStaticTtl}) {
-      jobs.push_back({trace, SmallConfig(a)});
+      jobs.push_back({trace, SmallConfig(a), sweep::JobEngine::kReplay, {}});
+    }
+    for (Approach a : {Approach::kMacaronNoCluster, Approach::kMacaronTtl}) {
+      jobs.push_back({trace, SmallConfig(a), sweep::JobEngine::kEvent, {}});
+    }
+    const sweep::Fingerprint identity = sweep::FingerprintWorkloadProfile(SmallProfile(name, seed));
+    for (sweep::JobEngine engine : {sweep::JobEngine::kReplay, sweep::JobEngine::kEvent}) {
+      jobs.push_back({trace, SmallConfig(Approach::kMacaron), engine, identity});
     }
   }
+  ASSERT_NE(ComputeStats(*by_name.at("det1")).unique_bytes,
+            ComputeStats(*by_name.at("det2")).unique_bytes);
   // Serial reference: the engines invoked directly, in order.
   std::vector<std::string> reference;
   for (const Job& j : jobs) {
-    reference.push_back(SerializeRunResult(ReplayEngine(j.cfg).Run(*j.trace)));
+    reference.push_back(SerializeRunResult(j.engine == sweep::JobEngine::kEvent
+                                               ? EventEngine(j.cfg).Run(*j.trace)
+                                               : ReplayEngine(j.cfg).Run(*j.trace)));
   }
   for (int threads : {1, 2, 8}) {
     sweep::SweepScheduler::Options opt;
     opt.threads = threads;
+    opt.trace_provider = [&by_name](const std::string& name) { return by_name.at(name); };
     sweep::SweepScheduler sched(std::move(opt));
     std::vector<size_t> ids;
     for (const Job& j : jobs) {
       sweep::SweepJobSpec spec;
-      spec.trace = j.trace;
       spec.trace_name = j.trace->name;
+      spec.trace_identity = j.named_identity;
+      if (j.named_identity.IsZero()) {
+        spec.trace = j.trace;
+      }
       spec.config = j.cfg;
+      spec.engine = j.engine;
       ids.push_back(sched.Submit(std::move(spec)));
     }
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -345,6 +374,103 @@ TEST(SweepSchedulerTest, RejectsUnresolvableSpecs) {
   sweep::SweepJobSpec named_only;
   named_only.trace_name = "nope";  // no provider configured
   EXPECT_THROW(sched.Submit(named_only), std::invalid_argument);
+}
+
+// The third memo layer: engine jobs on one trace share one ComputeStats
+// pass, and jobs served from the store run none.
+TEST(SweepSchedulerTest, OneStatsPassPerTrace) {
+  std::vector<sweep::SweepJobSpec> specs;
+  for (uint64_t seed : {4ull, 5ull}) {
+    auto trace = std::make_shared<const Trace>(SmallTrace("pass" + std::to_string(seed), seed));
+    const auto add = [&](Approach a, sweep::JobEngine engine) {
+      sweep::SweepJobSpec spec;
+      spec.trace = trace;
+      spec.trace_name = trace->name;
+      spec.config = SmallConfig(a);
+      spec.engine = engine;
+      specs.push_back(std::move(spec));
+    };
+    add(Approach::kRemote, sweep::JobEngine::kReplay);
+    add(Approach::kMacaronNoCluster, sweep::JobEngine::kReplay);
+    add(Approach::kMacaronNoCluster, sweep::JobEngine::kEvent);
+    add(Approach::kRemote, seed == 4 ? sweep::JobEngine::kOracle : sweep::JobEngine::kExactOracle);
+  }
+  for (int threads : {1, 2}) {
+    const std::string dir = TempStoreDir("sweep_stats_pass_test");
+    for (const bool warm : {false, true}) {
+      sweep::SweepScheduler::Options opt;
+      opt.threads = threads;
+      opt.store_dir = dir;
+      sweep::SweepScheduler sched(std::move(opt));
+      std::vector<size_t> ids;
+      for (const sweep::SweepJobSpec& spec : specs) {
+        ids.push_back(sched.Submit(spec));
+      }
+      for (const size_t id : ids) {
+        sched.Result(id);
+      }
+      const sweep::SweepStats stats = sched.stats();
+      EXPECT_EQ(stats.executed, warm ? 0u : specs.size()) << "threads=" << threads;
+      EXPECT_EQ(stats.store_hits, warm ? specs.size() : 0u) << "threads=" << threads;
+      EXPECT_EQ(stats.stats_passes, warm ? 0u : 2u) << "threads=" << threads << " warm=" << warm;
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// Submit rejects a config its engine would stop the whole process for
+// (a MACARON_CHECK on a pool worker) with std::invalid_argument naming the
+// field. Nothing is queued, and the scheduler goes on serving valid jobs.
+void ExpectRejectedAtSubmit(const EngineConfig& cfg, sweep::JobEngine engine,
+                            const std::string& field) {
+  auto trace = std::make_shared<const Trace>(SmallTrace("reject", 21));
+  sweep::SweepScheduler::Options opt;
+  opt.threads = 2;
+  sweep::SweepScheduler sched(std::move(opt));
+  sweep::SweepJobSpec spec;
+  spec.trace = trace;
+  spec.trace_name = trace->name;
+  spec.config = cfg;
+  spec.engine = engine;
+  try {
+    sched.Submit(spec);
+    ADD_FAILURE() << "accepted a config with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(sched.stats().submitted, 0u);
+  spec.config = SmallConfig(Approach::kRemote);
+  spec.engine = sweep::JobEngine::kReplay;
+  EXPECT_EQ(sched.Result(sched.Submit(spec)).approach_name, "remote");
+}
+
+TEST(SweepSchedulerTest, RejectsNonPositiveWindow) {
+  EngineConfig cfg = SmallConfig(Approach::kMacaronNoCluster);
+  cfg.window = 0;
+  ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kReplay, "config.window");
+}
+
+TEST(SweepSchedulerTest, RejectsOracleJobWithNonPositiveWindow) {
+  EngineConfig cfg = SmallConfig(Approach::kRemote);
+  cfg.window = -kMinute;
+  ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kOracle, "config.window");
+}
+
+TEST(SweepSchedulerTest, RejectsEventJobOnUnsupportedApproach) {
+  ExpectRejectedAtSubmit(SmallConfig(Approach::kRemote), sweep::JobEngine::kEvent,
+                         "config.approach");
+}
+
+TEST(SweepSchedulerTest, RejectsStaticTtlWithoutTtl) {
+  EngineConfig cfg = SmallConfig(Approach::kStaticTtl);
+  cfg.static_ttl = 0;
+  ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kReplay, "config.static_ttl");
+}
+
+TEST(SweepSchedulerTest, RejectsStaticCapacityWithoutCapacity) {
+  EngineConfig cfg = SmallConfig(Approach::kStaticCapacity);
+  cfg.static_capacity_bytes = 0;
+  ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kReplay, "config.static_capacity_bytes");
 }
 
 // --- Hash-once pipeline, sweep-level checks ---
