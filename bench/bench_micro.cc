@@ -170,35 +170,35 @@ BENCHMARK(BM_CacheCoreGetPut)->Arg(8)->Arg(64)->Arg(256);
 // churn in the probe loops, just the tag-group scan (or its scalar
 // fallback — the report's "macaron_simd" context records which one this
 // binary compiled). Hit/Miss replay precomputed (id, hash) columns against
-// a table of 64k entries; EvictErase runs the eviction pattern — erase the
-// oldest entry through its slab backlink (backward-shift deletion), then
-// insert a fresh key — at a steady 64k population.
-
-constexpr size_t kProbeTableKeys = 1 << 16;
+// a table of state.range(0) entries; EvictErase runs the eviction pattern —
+// erase the oldest entry through its slab backlink (backward-shift
+// deletion), then insert a fresh key — at a steady population of that
+// size. The sizes bracket the cache hierarchy: 2^14 keys fit in L2, 2^20
+// keys put the table out in DRAM, and 2^16 sits between.
 
 struct ProbeStream {
   std::vector<ObjectId> ids;
   std::vector<uint64_t> hashes;
 };
 
-// 2^20 probes drawn uniformly from [base, base + kProbeTableKeys).
-ProbeStream MakeProbeStream(ObjectId base) {
+// 2^20 probes drawn uniformly from [base, base + keys).
+ProbeStream MakeProbeStream(ObjectId base, size_t keys) {
   ProbeStream stream;
   Rng rng(17 + base);
   stream.ids.resize(1 << 20);
   stream.hashes.resize(1 << 20);
   for (size_t k = 0; k < stream.ids.size(); ++k) {
-    const ObjectId id = base + rng.NextU64() % kProbeTableKeys;
+    const ObjectId id = base + rng.NextU64() % keys;
     stream.ids[k] = id;
     stream.hashes[k] = Mix64(id);
   }
   return stream;
 }
 
-FlatIndex MakeProbeTable() {
+FlatIndex MakeProbeTable(size_t keys) {
   FlatIndex index;
-  index.Reserve(kProbeTableKeys);
-  for (ObjectId id = 0; id < kProbeTableKeys; ++id) {
+  index.Reserve(keys);
+  for (ObjectId id = 0; id < keys; ++id) {
     index.EmplacePrehashed(id, Mix64(id), static_cast<uint32_t>(id));
   }
   return index;
@@ -218,27 +218,29 @@ void RunFlatIndexProbe(benchmark::State& state, const FlatIndex& index,
 }
 
 void BM_FlatIndexProbeHit(benchmark::State& state) {
-  static const ProbeStream* stream = new ProbeStream(MakeProbeStream(0));  // all present
-  const FlatIndex index = MakeProbeTable();
-  RunFlatIndexProbe(state, index, *stream);
+  const size_t keys = static_cast<size_t>(state.range(0));
+  const ProbeStream stream = MakeProbeStream(0, keys);  // all present
+  const FlatIndex index = MakeProbeTable(keys);
+  RunFlatIndexProbe(state, index, stream);
 }
-BENCHMARK(BM_FlatIndexProbeHit);
+BENCHMARK(BM_FlatIndexProbeHit)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_FlatIndexProbeMiss(benchmark::State& state) {
-  static const ProbeStream* stream =
-      new ProbeStream(MakeProbeStream(kProbeTableKeys));  // all absent
-  const FlatIndex index = MakeProbeTable();
-  RunFlatIndexProbe(state, index, *stream);
+  const size_t keys = static_cast<size_t>(state.range(0));
+  const ProbeStream stream = MakeProbeStream(keys, keys);  // all absent
+  const FlatIndex index = MakeProbeTable(keys);
+  RunFlatIndexProbe(state, index, stream);
 }
-BENCHMARK(BM_FlatIndexProbeMiss);
+BENCHMARK(BM_FlatIndexProbeMiss)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
+  const size_t keys = static_cast<size_t>(state.range(0));
   NodeSlab slab;
   FlatIndex index;
-  index.Reserve(kProbeTableKeys);
-  std::vector<uint32_t> ring(kProbeTableKeys);  // slab slot of each live key
+  index.Reserve(keys);
+  std::vector<uint32_t> ring(keys);  // slab slot of each live key
   ObjectId next = 0;
-  for (; next < kProbeTableKeys; ++next) {
+  for (; next < keys; ++next) {
     const uint64_t h = Mix64(next);
     const uint32_t slot = slab.Allocate(next, 1, 0, static_cast<uint32_t>(h));
     index.EmplacePrehashed(next, h, slot, &slab);
@@ -248,7 +250,7 @@ void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
     // One eviction + one admission, as the policies' miss paths do it: the
     // victim is already known (here via the ring, there via the recency
     // list), so the erase is backlink-direct with zero probing.
-    const size_t pos = next % kProbeTableKeys;
+    const size_t pos = next % keys;
     index.EraseCell(slab.node(ring[pos]).cell, &slab);
     slab.Free(ring[pos]);
     const uint64_t h = Mix64(next);
@@ -259,7 +261,7 @@ void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FlatIndexProbeEvictErase);
+BENCHMARK(BM_FlatIndexProbeEvictErase)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
 // One iteration = one full analysis window replayed through a mini-cache
 // bank (sequential, grid of state.range(0) points) from a precomputed

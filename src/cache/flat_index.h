@@ -81,14 +81,16 @@ class FlatIndex {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  // Cells in the table (0 before the first insert or Reserve).
+  size_t capacity() const { return cells_.size(); }
 
   // The power-of-two capacity Reserve(n) grows to: the smallest table
-  // keeping load factor <= 1/4, overflow-guarded (n * 4 could wrap size_t
+  // keeping load factor <= 1/2, overflow-guarded (n * 2 could wrap size_t
   // for huge n) and capped at kMaxCapacity. Exposed so the guard is
   // testable without allocating a table.
   static constexpr size_t CapacityFor(size_t n) {
     const uint64_t need =
-        static_cast<uint64_t>(n) >= kMaxCapacity / 4 ? kMaxCapacity : static_cast<uint64_t>(n) * 4;
+        static_cast<uint64_t>(n) >= kMaxCapacity / 2 ? kMaxCapacity : static_cast<uint64_t>(n) * 2;
     uint64_t cap = kMinCapacity;
     while (cap < need) {
       cap <<= 1;
@@ -97,7 +99,7 @@ class FlatIndex {
   }
 
   // Grows the table so `n` entries fit without rehashing (best effort past
-  // 2^30 entries: capacity caps at kMaxCapacity and the load factor
+  // 2^31 entries: capacity caps at kMaxCapacity and the load factor
   // degrades instead of the size computation wrapping).
   void Reserve(size_t n, NodeSlab* slab = nullptr) {
     const size_t cap = CapacityFor(n);
@@ -232,11 +234,12 @@ class FlatIndex {
     return static_cast<uint8_t>(hash32 >> 25);
   }
 
-  // Max load factor is 1/4, deliberately low: eviction churn runs one
-  // backward-shift erase per miss, and shift cost grows superlinearly with
-  // cluster length. Measured on the evicting-miss microbenchmark, 1/4 load
-  // halved the whole miss path relative to 1/2 load; the table is 16 bytes
-  // (plus one tag byte) per cell, so the extra memory is modest.
+  // Max load factor is 1/2: a live entry holds 34-68 bytes of cells and
+  // tags (17 per cell). A lower load would shorten probe clusters, and so
+  // speed up steady-state probes and backward-shift erases, but at twice
+  // the cells per entry and twice the cells faulted in and moved per
+  // growth; end to end, 1/2 measured better (EXPERIMENTS.md "FlatIndex
+  // load factor").
   static constexpr size_t kMinCapacity = 16;
 
   void SetTag(size_t i, uint8_t t) {
@@ -259,7 +262,7 @@ class FlatIndex {
 #if MACARON_SIMD_SSE2
     if constexpr (kSimd) {
       // Home-slot fast path — the scalar loop's first iteration, resolved
-      // from the cell alone so a home hit (the common case at <=1/4 load)
+      // from the cell alone so a home hit (the common case at <=1/2 load)
       // and a home miss each touch exactly one cache line, like the probe
       // loop this layout replaced. Group-at-a-time tag scanning only pays
       // off once a cluster is actually being walked, so the tag array is
@@ -341,7 +344,7 @@ class FlatIndex {
   template <bool kSimd>
   void EmplaceImpl(ObjectId key, uint64_t hash, uint32_t value, NodeSlab* slab) {
     MACARON_DCHECK(value != kEmpty);
-    if ((size_ + 1) * 4 > cells_.size() && cells_.size() < kMaxCapacity) {
+    if ((size_ + 1) * 2 > cells_.size() && cells_.size() < kMaxCapacity) {
       Rehash(cells_.empty() ? kMinCapacity : cells_.size() * 2, slab);
     }
     MACARON_DCHECK(FindPos<false>(key, hash) == kNpos);  // key must not be present

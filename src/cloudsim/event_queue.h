@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -33,7 +32,7 @@ class EventQueue {
   size_t size() const { return heap_.size(); }
   SimTime now() const { return now_; }
   // Time of the earliest pending event; only valid when !empty().
-  SimTime PeekTime() const { return heap_.top().time; }
+  SimTime PeekTime() const { return heap_.front().time; }
 
  private:
   struct Event {
@@ -48,7 +47,10 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  // A min-heap under std::greater, kept with std::push_heap/pop_heap rather
+  // than std::priority_queue so RunNext can move the popped event out of
+  // back() instead of copying its callback from top().
+  std::vector<Event> heap_;
   uint64_t next_seq_ = 0;
   SimTime now_ = 0;
 };

@@ -75,6 +75,15 @@ double PercentileTracker::Quantile(double q) const {
   return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
+void PercentileTracker::Append(PercentileTracker&& other) {
+  if (samples_.empty()) {
+    samples_.swap(other.samples_);
+  } else {
+    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+  }
+  std::vector<double>().swap(other.samples_);
+}
+
 double PercentileTracker::Mean() const {
   if (samples_.empty()) {
     return 0.0;

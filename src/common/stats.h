@@ -42,6 +42,10 @@ class StreamingStats {
 class PercentileTracker {
  public:
   void Add(double x) { samples_.push_back(x); }
+  // Appends `other`'s samples after this tracker's, in order, and releases
+  // `other`'s buffer. An empty tracker takes the buffer outright instead of
+  // copying it.
+  void Append(PercentileTracker&& other);
 
   uint64_t count() const { return samples_.size(); }
   // Returns the q-quantile (q in [0,1]) by linear interpolation; 0 if empty.

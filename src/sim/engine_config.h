@@ -35,6 +35,25 @@ enum class Approach {
 
 const char* ApproachName(Approach a);
 
+// Macaron's adaptive approaches (macaron+cc, macaron, macaron-ttl): the
+// ones the event engine runs, and the ones whose controller caches
+// everything for config.observation before it first optimizes.
+inline bool IsMacaronController(Approach a) {
+  return a == Approach::kMacaron || a == Approach::kMacaronNoCluster || a == Approach::kMacaronTtl;
+}
+
+// ECPC-style approaches: an elastic cache cluster is the only cache level.
+// Their controller starts optimizing after one window, not after
+// config.observation.
+inline bool IsElasticClusterCache(Approach a) {
+  return a == Approach::kEcpc || a == Approach::kFlashEcpc;
+}
+
+// Every approach that runs a MacaronController.
+inline bool UsesController(Approach a) {
+  return IsMacaronController(a) || IsElasticClusterCache(a);
+}
+
 struct EngineConfig {
   Approach approach = Approach::kMacaronNoCluster;
   PriceBook prices = PriceBook::Aws(DeploymentScenario::kCrossCloud);

@@ -26,9 +26,7 @@ class EventRunner final : public ShardedRuntime {
  public:
   EventRunner(const EngineConfig& cfg, RequestSource& source)
       : ShardedRuntime(cfg, source), queues_(static_cast<size_t>(num_shards_)) {
-    MACARON_CHECK(cfg_.approach == Approach::kMacaron ||
-                  cfg_.approach == Approach::kMacaronNoCluster ||
-                  cfg_.approach == Approach::kMacaronTtl);
+    MACARON_CHECK(IsMacaronController(cfg_.approach));
     result_.approach_name += "-proto";
   }
 

@@ -275,7 +275,7 @@ void Runner::MaintainShard(Shard& sh, SimTime t) {
 }
 
 void Runner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
-  if (IsElasticClusterCache()) {
+  if (IsElasticClusterCache(cfg_.approach)) {
     const size_t want = static_cast<size_t>(std::min<uint64_t>(
         (d.osc_capacity + node_usable_ - 1) / node_usable_, cfg_.max_cluster_nodes));
     const size_t total = RoundNodesToShards(want, static_cast<size_t>(num_shards_),

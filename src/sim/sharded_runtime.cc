@@ -45,11 +45,6 @@ bool ShardedRuntime::IsMacaronFamily() const {
   }
 }
 
-bool ShardedRuntime::UsesController() const {
-  return cfg_.approach == Approach::kMacaron || cfg_.approach == Approach::kMacaronNoCluster ||
-         cfg_.approach == Approach::kMacaronTtl || IsElasticClusterCache();
-}
-
 void ShardedRuntime::Setup() {
   shocks_ = AlignShocksToWindows(cfg_.price_shocks, cfg_.window);
   std::stable_sort(shocks_.begin(), shocks_.end(),
@@ -97,7 +92,7 @@ void ShardedRuntime::Setup() {
       if (cfg_.approach == Approach::kMacaron) {
         sh.cluster = std::make_unique<CacheCluster>(prices_.cache_node_usable_bytes);
       }
-    } else if (IsElasticClusterCache()) {
+    } else if (IsElasticClusterCache(cfg_.approach)) {
       sh.cluster = std::make_unique<CacheCluster>(node_usable_);
     }
   }
@@ -121,7 +116,7 @@ void ShardedRuntime::Setup() {
     }
   }
 
-  if (UsesController()) {
+  if (UsesController(cfg_.approach)) {
     ControllerConfig cc;
     cc.window = cfg_.window;
     cc.observation = cfg_.observation;
@@ -176,7 +171,7 @@ void ShardedRuntime::Setup() {
     // replays with serving. Either way the outputs are bit-identical.
     controller_->SetExecution(&pool_, cfg_.async_analyzer);
   }
-  if (IsElasticClusterCache()) {
+  if (IsElasticClusterCache(cfg_.approach)) {
     for (Shard& sh : shards_) {
       sh.cluster->Resize(1);
     }
@@ -437,7 +432,8 @@ void ShardedRuntime::Finalize() {
   // Deterministic merge, fixed shard order 0..S-1. Counters and per-category
   // costs fold by addition; latency samples concatenate in shard order
   // (PercentileTracker preserves insertion order, so the merged tracker
-  // serializes identically at any thread count).
+  // serializes identically at any thread count). Shard 0 hands its sample
+  // buffer over; later shards append to it and release theirs.
   for (Shard& sh : shards_) {
     result_.costs.Merge(sh.costs);
     result_.gets += sh.gets;
@@ -446,9 +442,7 @@ void ShardedRuntime::Finalize() {
     result_.remote_fetches += sh.remote_fetches;
     result_.delayed_hits += sh.delayed_hits;
     result_.egress_bytes += sh.egress_bytes;
-    for (double v : sh.latency_ms.samples()) {
-      result_.latency_ms.Add(v);
-    }
+    result_.latency_ms.Append(std::move(sh.latency_ms));
   }
   if (shards_[0].osc != nullptr) {
     result_.mean_stored_bytes = osc_byte_ms_total / static_cast<double>(span);
@@ -456,7 +450,7 @@ void ShardedRuntime::Finalize() {
   if (cfg_.approach == Approach::kReplicated) {
     result_.mean_stored_bytes = replica_byte_ms_total / static_cast<double>(span);
   }
-  if (IsMacaronFamily() || IsElasticClusterCache()) {
+  if (IsMacaronFamily() || IsElasticClusterCache(cfg_.approach)) {
     // One r5.xlarge hosting the controller and OSC manager.
     result_.costs.Add(CostCategory::kInfra, prices_.VmCost(span));
   }

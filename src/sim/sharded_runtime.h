@@ -145,11 +145,6 @@ class ShardedRuntime {
   // in TTL mode, set the TTL and collect garbage.
   void ApplyShardDecision(Shard& sh, SimTime now, const ReconfigDecision& d);
 
-  // ECPC-style approaches: an elastic cache cluster is the only cache level.
-  bool IsElasticClusterCache() const {
-    return cfg_.approach == Approach::kEcpc || cfg_.approach == Approach::kFlashEcpc;
-  }
-
   const EngineConfig& cfg_;
   const SourceInfo& info_;
   PriceBook prices_;
@@ -171,7 +166,6 @@ class ShardedRuntime {
 
  private:
   bool IsMacaronFamily() const;
-  bool UsesController() const;
   bool UsesTtlEviction() const {
     return cfg_.approach == Approach::kMacaronTtl || cfg_.approach == Approach::kStaticTtl;
   }

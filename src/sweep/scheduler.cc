@@ -40,7 +40,7 @@ RunResult OracleToRunResult(const std::string& trace_name, const char* approach_
 
 // Rejects the configs the job's engine would stop the process for with a
 // MACARON_CHECK (sharded_runtime.cc, event_engine.cc, replay_engine.cc,
-// exact_oracle.cc), naming the field.
+// controller.cc, exact_oracle.cc), naming the field.
 void ValidateConfig(const EngineConfig& config, JobEngine engine) {
   if (config.window <= 0) {
     throw std::invalid_argument("sweep: config.window must be positive");
@@ -49,8 +49,7 @@ void ValidateConfig(const EngineConfig& config, JobEngine engine) {
     return;  // the oracles read no approach-specific field
   }
   const Approach a = config.approach;
-  if (engine == JobEngine::kEvent && a != Approach::kMacaron &&
-      a != Approach::kMacaronNoCluster && a != Approach::kMacaronTtl) {
+  if (engine == JobEngine::kEvent && !IsMacaronController(a)) {
     throw std::invalid_argument(std::string("sweep: config.approach ") + ApproachName(a) +
                                 " does not run on the event engine (macaron+cc, macaron or "
                                 "macaron-ttl only)");
@@ -61,6 +60,12 @@ void ValidateConfig(const EngineConfig& config, JobEngine engine) {
   if (a == Approach::kStaticCapacity && config.static_capacity_bytes == 0) {
     throw std::invalid_argument(
         "sweep: config.static_capacity_bytes must be positive for static-capacity");
+  }
+  if (IsMacaronController(a) && config.observation < 0) {
+    throw std::invalid_argument("sweep: config.observation must be non-negative");
+  }
+  if (UsesController(a) && (config.analyzer_threads < 0 || config.analyzer_threads > 1024)) {
+    throw std::invalid_argument("sweep: config.analyzer_threads must be in [0, 1024]");
   }
 }
 

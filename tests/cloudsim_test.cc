@@ -169,6 +169,32 @@ TEST(EventQueueTest, RunNextOnEmptyReturnsFalse) {
   EXPECT_TRUE(q.empty());
 }
 
+// A callback that counts its copies (moves are free), standing in for the
+// event engine's fill closure.
+struct CopyCountingCallback {
+  int* copies;
+  int* calls;
+  CopyCountingCallback(int* copies_in, int* calls_in) : copies(copies_in), calls(calls_in) {}
+  CopyCountingCallback(const CopyCountingCallback& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCountingCallback(CopyCountingCallback&&) = default;
+  void operator()(SimTime) const { ++*calls; }
+};
+
+TEST(EventQueueTest, RunNextMovesTheCallbackOut) {
+  EventQueue q;
+  int copies = 0;
+  int calls = 0;
+  q.Schedule(20, CopyCountingCallback(&copies, &calls));
+  q.Schedule(10, CopyCountingCallback(&copies, &calls));  // grows and sifts the heap
+  EXPECT_TRUE(q.RunNext());
+  EXPECT_TRUE(q.RunNext());
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(EventQueueTest, PeekTime) {
   EventQueue q;
   q.Schedule(42, [](SimTime) {});

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/curve.h"
 #include "src/common/gamma.h"
@@ -308,6 +310,32 @@ TEST(PercentileTrackerTest, EmptyReturnsZero) {
   PercentileTracker p;
   EXPECT_EQ(p.Quantile(0.5), 0.0);
   EXPECT_EQ(p.Mean(), 0.0);
+}
+
+TEST(PercentileTrackerTest, AppendKeepsOrderAndEmptiesTheSource) {
+  PercentileTracker dst;
+  dst.Add(3.0);
+  dst.Add(1.0);
+  PercentileTracker src;
+  src.Add(2.0);
+  src.Add(5.0);
+  dst.Append(std::move(src));
+  EXPECT_EQ(dst.samples(), (std::vector<double>{3.0, 1.0, 2.0, 5.0}));
+  EXPECT_EQ(src.count(), 0u);
+  EXPECT_EQ(src.samples().capacity(), 0u);
+  EXPECT_NEAR(dst.Quantile(0.5), 2.5, 1e-12);
+}
+
+TEST(PercentileTrackerTest, AppendToEmptyTakesTheBuffer) {
+  PercentileTracker src;
+  src.Add(4.0);
+  src.Add(6.0);
+  const double* buffer = src.samples().data();
+  PercentileTracker dst;
+  dst.Append(std::move(src));
+  EXPECT_EQ(dst.samples().data(), buffer);
+  EXPECT_EQ(dst.samples(), (std::vector<double>{4.0, 6.0}));
+  EXPECT_EQ(src.count(), 0u);
 }
 
 TEST(HistogramTest, Bucketing) {

@@ -33,34 +33,55 @@ TEST(FlatIndexCapacityTest, CapacityForSmallSizes) {
   EXPECT_EQ(FlatIndex::CapacityFor(0), 16u);
   EXPECT_EQ(FlatIndex::CapacityFor(1), 16u);
   EXPECT_EQ(FlatIndex::CapacityFor(4), 16u);
-  EXPECT_EQ(FlatIndex::CapacityFor(5), 32u);   // 5 * 4 = 20 -> 32
-  EXPECT_EQ(FlatIndex::CapacityFor(64), 256u);
-  EXPECT_EQ(FlatIndex::CapacityFor(1000), 4096u);
+  EXPECT_EQ(FlatIndex::CapacityFor(5), 16u);
+  EXPECT_EQ(FlatIndex::CapacityFor(8), 16u);
+  EXPECT_EQ(FlatIndex::CapacityFor(9), 32u);  // 9 * 2 = 18 -> 32
+  EXPECT_EQ(FlatIndex::CapacityFor(64), 128u);
+  EXPECT_EQ(FlatIndex::CapacityFor(1000), 2048u);
 }
 
-TEST(FlatIndexCapacityTest, CapacityIsAlwaysAPowerOfTwoAtQuarterLoad) {
+TEST(FlatIndexCapacityTest, CapacityIsAlwaysAPowerOfTwoAtHalfLoad) {
   for (size_t n = 0; n < 3000; ++n) {
     const size_t cap = FlatIndex::CapacityFor(n);
     EXPECT_EQ(cap & (cap - 1), 0u) << n;
-    EXPECT_GE(cap, n * 4) << n;
+    EXPECT_GE(cap, n * 2) << n;
+    if (cap > 16) {
+      EXPECT_LT(cap / 2, n * 2) << n;  // and the smallest such table
+    }
   }
 }
 
 TEST(FlatIndexCapacityTest, CapacityForGuardsOverflowAndCapsAtTwoPow32) {
-  // n * 4 would wrap size_t for these; the guard must cap instead of
+  // n * 2 would wrap size_t for these; the guard must cap instead of
   // spinning or rehashing to a bogus size.
   EXPECT_EQ(FlatIndex::CapacityFor(SIZE_MAX), FlatIndex::kMaxCapacity);
   EXPECT_EQ(FlatIndex::CapacityFor(SIZE_MAX / 2), FlatIndex::kMaxCapacity);
   EXPECT_EQ(FlatIndex::CapacityFor(1ull << 62), FlatIndex::kMaxCapacity);
-  // The cap engages exactly where quarter-load would first exceed 2^32.
-  EXPECT_EQ(FlatIndex::CapacityFor((1ull << 30) - 1), 1ull << 32);
-  EXPECT_EQ(FlatIndex::CapacityFor(1ull << 30), FlatIndex::kMaxCapacity);
-  EXPECT_EQ(FlatIndex::CapacityFor((1ull << 30) + 1), FlatIndex::kMaxCapacity);
+  // The cap engages exactly where half load would first exceed 2^32.
+  EXPECT_EQ(FlatIndex::CapacityFor(1ull << 30), 1ull << 31);
+  EXPECT_EQ(FlatIndex::CapacityFor((1ull << 31) - 1), 1ull << 32);
+  EXPECT_EQ(FlatIndex::CapacityFor(1ull << 31), FlatIndex::kMaxCapacity);
+  EXPECT_EQ(FlatIndex::CapacityFor((1ull << 31) + 1), FlatIndex::kMaxCapacity);
+}
+
+TEST(FlatIndexCapacityTest, InsertGrowsOnlyPastHalfLoad) {
+  FlatIndex index;
+  EXPECT_EQ(index.capacity(), 0u);
+  for (ObjectId key = 0; key < 64; ++key) {
+    index.Insert(key, static_cast<uint32_t>(key));
+    // The table doubles when one more entry would pass load 1/2.
+    EXPECT_EQ(index.capacity(), FlatIndex::CapacityFor(index.size())) << key;
+  }
+  EXPECT_EQ(index.capacity(), 128u);  // 64 live: exactly half full
+  index.Insert(64, 64);
+  EXPECT_EQ(index.capacity(), 256u);
+  index.Reserve(100);  // already fits
+  EXPECT_EQ(index.capacity(), 256u);
 }
 
 // --- Crafted probe-cluster shapes ---
 //
-// Reserve(60) fixes the capacity at 256 (mask 255) as long as at most 64
+// Reserve(120) fixes the capacity at 256 (mask 255) as long as at most 128
 // keys are live, so a crafted hash's low 8 bits choose the home slot
 // directly and bits 25..31 choose the tag byte.
 
@@ -75,7 +96,7 @@ struct Crafted {
   std::vector<std::pair<ObjectId, uint64_t>> live;  // (key, hash)
   uint32_t next_value = 1;
 
-  Crafted() { index.Reserve(60); }
+  Crafted() { index.Reserve(120); }
 
   void Insert(ObjectId key, uint64_t home, uint64_t tag) {
     const uint64_t h = CraftHash(home, tag);
@@ -147,6 +168,34 @@ TEST(FlatIndexClusterTest, ClusterWrapsAroundTableEnd) {
   }
   t.Verify();
   EXPECT_TRUE(t.index.empty());
+}
+
+TEST(FlatIndexClusterTest, FullTableAtHalfLoadWithWrappingCluster) {
+  Crafted t;
+  // 40 keys homed at 240 fill slots 240..255 and wrap into 0..23; 88 more,
+  // each homed at its own slot in 24..111, extend the same physical
+  // cluster. 128 live keys is the most 256 cells hold at load 1/2.
+  ObjectId key = 1;
+  for (; key <= 40; ++key) {
+    t.Insert(key, 240, /*tag=*/key % 3);
+  }
+  for (uint64_t home = 24; home < 112; ++home, ++key) {
+    t.Insert(key, home, /*tag=*/key % 4);
+  }
+  ASSERT_EQ(t.index.size(), 128u);
+  EXPECT_EQ(t.index.capacity(), 256u);
+  t.Verify();
+  // Erase from the middle of the run on both sides of the table end (key
+  // 10 sits in slot 249, key 33 in slot 16): each shift walk runs on
+  // through the 88 entries at their homes, which must not move.
+  t.Erase(10);
+  t.Erase(33);
+  t.Verify();
+  t.Erase(1);  // the entry in the home slot itself
+  t.Verify();
+  t.Erase(60);  // a home-slot entry inside the long tail
+  t.Verify();
+  EXPECT_EQ(t.index.capacity(), 256u);
 }
 
 TEST(FlatIndexClusterTest, TagCollisionsNeedKeyCompare) {
@@ -325,14 +374,14 @@ TEST(FlatIndexFuzzTest, MatchesReferenceMapNaturalHashes) {
 }
 
 TEST(FlatIndexFuzzTest, MatchesReferenceMapClusteredHashes) {
-  // Live cap 56 keeps the table at 256 slots (quarter load trips at 64), so
+  // Live cap 112 keeps the table at 256 slots (half load trips at 128), so
   // the crafted bands stay put; Reserve/Clear steps still move it around.
-  FuzzHarness fuzz(/*seed=*/0x5eed0002, ClusteredHash, /*max_live=*/56);
+  FuzzHarness fuzz(/*seed=*/0x5eed0002, ClusteredHash, /*max_live=*/112);
   fuzz.Run(40000);
 }
 
 TEST(FlatIndexFuzzTest, MatchesReferenceMapClusteredHashesSecondSeed) {
-  FuzzHarness fuzz(/*seed=*/0x5eed0003, ClusteredHash, /*max_live=*/56);
+  FuzzHarness fuzz(/*seed=*/0x5eed0003, ClusteredHash, /*max_live=*/112);
   fuzz.Run(40000);
 }
 

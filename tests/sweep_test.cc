@@ -473,6 +473,26 @@ TEST(SweepSchedulerTest, RejectsStaticCapacityWithoutCapacity) {
   ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kReplay, "config.static_capacity_bytes");
 }
 
+TEST(SweepSchedulerTest, RejectsNegativeObservationOnMacaron) {
+  for (const Approach a : {Approach::kMacaron, Approach::kMacaronNoCluster, Approach::kMacaronTtl}) {
+    EngineConfig cfg = SmallConfig(a);
+    cfg.observation = -kHour;
+    ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kReplay, "config.observation");
+    ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kEvent, "config.observation");
+  }
+}
+
+TEST(SweepSchedulerTest, RejectsAnalyzerThreadsOutOfRangeOnControllerApproaches) {
+  for (const Approach a : {Approach::kMacaron, Approach::kMacaronNoCluster, Approach::kMacaronTtl,
+                           Approach::kEcpc, Approach::kFlashEcpc}) {
+    for (const int threads : {-1, 1025}) {
+      EngineConfig cfg = SmallConfig(a);
+      cfg.analyzer_threads = threads;
+      ExpectRejectedAtSubmit(cfg, sweep::JobEngine::kReplay, "config.analyzer_threads");
+    }
+  }
+}
+
 // --- Hash-once pipeline, sweep-level checks ---
 
 // The analyzer seed salts the banks' admission hashes, and since the
