@@ -24,14 +24,20 @@ inline constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
   return Mix64(a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2)));
 }
 
+// FNV-1a's 64-bit offset basis and prime. A caller that checksums bytes
+// as it parses them folds each byte c into h as (h ^ c) * kFnv1aPrime,
+// starting from kFnv1aBasis, and gets Fnv1a of the bytes it folded.
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+inline constexpr uint64_t kFnv1aPrime = 0x100000001b3ull;
+
 // 64-bit FNV-1a over a byte string. It checksums every framed file format
 // (MCTC chunks and footers, ResultStore blobs) and hashes the strings
 // folded into sweep fingerprints, so its output is part of on-disk bytes
 // and cache keys and must never change.
 inline constexpr uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
+  uint64_t h = kFnv1aBasis;
   for (unsigned char c : bytes) {
-    h = (h ^ c) * 0x100000001b3ull;
+    h = (h ^ c) * kFnv1aPrime;
   }
   return h;
 }

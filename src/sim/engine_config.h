@@ -158,6 +158,16 @@ struct EngineConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+// What runs a config: an engine, or an offline oracle (which reads no
+// approach-specific field).
+enum class EngineKind { kReplay, kEvent, kOracle };
+
+// Throws std::invalid_argument naming the field for a config that `engine`
+// would otherwise stop the process for with a MACARON_CHECK (in the sharded
+// runtime, either engine, the controller or the exact oracle). Both
+// engines' Run and SweepScheduler::Submit call it first.
+void ValidateConfig(const EngineConfig& config, EngineKind engine);
+
 }  // namespace macaron
 
 #endif  // MACARON_SRC_SIM_ENGINE_CONFIG_H_

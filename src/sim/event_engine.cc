@@ -193,11 +193,13 @@ void EventRunner::FinishRun() {
 }  // namespace
 
 RunResult EventEngine::Run(const Trace& trace) const {
+  ValidateConfig(config_, EngineKind::kEvent);  // before the source's stats pass
   TraceSource source(trace);
   return Run(source);
 }
 
 RunResult EventEngine::Run(RequestSource& source) const {
+  ValidateConfig(config_, EngineKind::kEvent);
   EventRunner runner(config_, source);
   return runner.Run();
 }

@@ -320,11 +320,13 @@ void Runner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
 }  // namespace
 
 RunResult ReplayEngine::Run(const Trace& trace) const {
+  ValidateConfig(config_, EngineKind::kReplay);  // before the source's stats pass
   TraceSource source(trace);
   return Run(source);
 }
 
 RunResult ReplayEngine::Run(RequestSource& source) const {
+  ValidateConfig(config_, EngineKind::kReplay);
   Runner runner(config_, source);
   return runner.Run();
 }

@@ -38,37 +38,6 @@ RunResult OracleToRunResult(const std::string& trace_name, const char* approach_
   return r;
 }
 
-// Rejects the configs the job's engine would stop the process for with a
-// MACARON_CHECK (sharded_runtime.cc, event_engine.cc, replay_engine.cc,
-// controller.cc, exact_oracle.cc), naming the field.
-void ValidateConfig(const EngineConfig& config, JobEngine engine) {
-  if (config.window <= 0) {
-    throw std::invalid_argument("sweep: config.window must be positive");
-  }
-  if (IsOracleEngine(engine)) {
-    return;  // the oracles read no approach-specific field
-  }
-  const Approach a = config.approach;
-  if (engine == JobEngine::kEvent && !IsMacaronController(a)) {
-    throw std::invalid_argument(std::string("sweep: config.approach ") + ApproachName(a) +
-                                " does not run on the event engine (macaron+cc, macaron or "
-                                "macaron-ttl only)");
-  }
-  if (a == Approach::kStaticTtl && config.static_ttl <= 0) {
-    throw std::invalid_argument("sweep: config.static_ttl must be positive for static-ttl");
-  }
-  if (a == Approach::kStaticCapacity && config.static_capacity_bytes == 0) {
-    throw std::invalid_argument(
-        "sweep: config.static_capacity_bytes must be positive for static-capacity");
-  }
-  if (IsMacaronController(a) && config.observation < 0) {
-    throw std::invalid_argument("sweep: config.observation must be non-negative");
-  }
-  if (UsesController(a) && (config.analyzer_threads < 0 || config.analyzer_threads > 1024)) {
-    throw std::invalid_argument("sweep: config.analyzer_threads must be in [0, 1024]");
-  }
-}
-
 }  // namespace
 
 ExactOracleResult RunExactOracleWithConfig(const Trace& trace, const EngineConfig& config) {
@@ -106,7 +75,10 @@ size_t SweepScheduler::Submit(SweepJobSpec spec) {
   if (spec.trace == nullptr && options_.trace_provider == nullptr) {
     throw std::invalid_argument("sweep: named job submitted without a trace provider");
   }
-  ValidateConfig(spec.config, spec.engine);
+  const EngineKind kind = IsOracleEngine(spec.engine)          ? EngineKind::kOracle
+                          : spec.engine == JobEngine::kEvent ? EngineKind::kEvent
+                                                             : EngineKind::kReplay;
+  ValidateConfig(spec.config, kind);
   if (spec.trace_identity.IsZero()) {
     if (spec.trace == nullptr) {
       throw std::invalid_argument(

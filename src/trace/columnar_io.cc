@@ -55,17 +55,25 @@ void AppendVarint(std::string& out, uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-bool ParseVarint(const char*& p, const char* end, uint64_t* out) {
+// Parses one LEB128 varint and folds every byte it consumes into the
+// running FNV-1a `*fnv`, so a chunk is checksummed in the pass that decodes
+// it. False on a varint cut off by `end` or one whose tenth byte is above 1
+// (bits past 2^64, or an eleventh byte), so every value has one encoding.
+bool ParseVarint(const char*& p, const char* end, uint64_t* out, uint64_t* fnv) {
   uint64_t v = 0;
-  int shift = 0;
-  while (p < end && shift < 64) {
+  uint64_t h = *fnv;
+  for (int shift = 0; p < end; shift += 7) {
     const uint8_t b = static_cast<uint8_t>(*p++);
+    h = (h ^ b) * kFnv1aPrime;
+    if (shift == 63 && b > 1) {
+      return false;
+    }
     v |= static_cast<uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) {
       *out = v;
+      *fnv = h;
       return true;
     }
-    shift += 7;
   }
   return false;
 }
@@ -99,10 +107,12 @@ void EncodeChunk(const std::vector<Request>& reqs, std::string* out) {
 }
 
 // Decodes one chunk payload into ReplayBatch columns, computing the Mix64
-// ingest hash per record. False on any structural violation (short column,
-// trailing bytes, op out of range) — reachable only if a corrupt payload
-// also collides the chunk checksum.
-bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out) {
+// ingest hash per record and the payload's FNV-1a into *fnv. False on any
+// structural violation: a short column, trailing bytes, an op out of range,
+// a non-canonical varint, or a time delta that would carry past INT64_MAX.
+// The payload is not yet verified, so this must be defined on any bytes;
+// *fnv covers the whole payload only when it returns true.
+bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out, uint64_t* fnv) {
   out->Clear();
   if (count == 0) {
     return false;
@@ -111,22 +121,21 @@ bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out) {
   const char* p = payload.data();
   const char* end = p + payload.size();
   uint64_t zz = 0;
-  if (!ParseVarint(p, end, &zz)) {
+  if (!ParseVarint(p, end, &zz, fnv)) {
     return false;
   }
   SimTime t = UnZigZag(zz);
   out->times.push_back(t);
   for (uint64_t i = 1; i < count; ++i) {
     uint64_t delta = 0;
-    if (!ParseVarint(p, end, &delta)) {
+    if (!ParseVarint(p, end, &delta, fnv) || __builtin_add_overflow(t, delta, &t)) {
       return false;
     }
-    t += static_cast<SimTime>(delta);
     out->times.push_back(t);
   }
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id = 0;
-    if (!ParseVarint(p, end, &id)) {
+    if (!ParseVarint(p, end, &id, fnv)) {
       return false;
     }
     out->ids.push_back(id);
@@ -134,7 +143,7 @@ bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out) {
   }
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t size = 0;
-    if (!ParseVarint(p, end, &size)) {
+    if (!ParseVarint(p, end, &size, fnv)) {
       return false;
     }
     out->sizes.push_back(size);
@@ -147,6 +156,7 @@ bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out) {
     if (op > static_cast<uint8_t>(Op::kDelete)) {
       return false;
     }
+    *fnv = (*fnv ^ op) * kFnv1aPrime;
     out->ops.push_back(static_cast<Op>(op));
   }
   return true;
@@ -420,6 +430,12 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
     if (m.bytes > kMaxChunkBytes || m.count == 0 || m.count > m.bytes) {
       return fail("implausible chunk extent");
     }
+    // FillNext holds each chunk to its [min_time, max_time], so ordered
+    // directory times keep the delivered rows in time order across chunks.
+    if (m.min_time > m.max_time ||
+        (!src->directory_.empty() && m.min_time < src->directory_.back().max_time)) {
+      return fail("chunk times step backwards (chunk " + std::to_string(i) + ")");
+    }
     if (m.offset != chunk_end || m.bytes > data_end - chunk_end) {
       return fail("chunk extent beyond file (chunk " + std::to_string(i) + ")");
     }
@@ -437,6 +453,13 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
   }
   if (num_requests != total_records) {
     return fail("record count does not match chunk directory");
+  }
+  // The engines bill storage and close their last window at end_time, so a
+  // forged span would silently move every result.
+  const auto& dir = src->directory_;
+  if (static_cast<SimTime>(start_t) != (dir.empty() ? 0 : dir.front().min_time) ||
+      static_cast<SimTime>(end_t) != (dir.empty() ? 0 : dir.back().max_time)) {
+    return fail("time span does not match chunk directory");
   }
   TraceStats& s = src->info_.stats;
   uint64_t f64 = 0;
@@ -486,13 +509,17 @@ bool ColumnarTraceSource::FillNext(ReplayBatch* out) {
     throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
                              " read failed (truncated file)");
   }
-  if (Fnv1a(payload_) != m.fnv) {
+  // One pass decodes and checksums. A payload that fails to decode is
+  // checksummed whole, so damage the checksum catches is reported as such
+  // whichever check it trips first.
+  uint64_t fnv = kFnv1aBasis;
+  const bool decoded = DecodeChunk(payload_, m.count, out, &fnv) &&
+                       out->times.front() == m.min_time && out->times.back() == m.max_time;
+  if (!decoded || fnv != m.fnv) {
+    out->Clear();
+    const bool checksum_ok = !decoded && Fnv1a(payload_) == m.fnv;
     throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
-                             " checksum mismatch");
-  }
-  if (!DecodeChunk(payload_, m.count, out)) {
-    throw std::runtime_error("mctc: " + path_ + ": chunk " + std::to_string(next_chunk_) +
-                             " decode failed");
+                             (checksum_ok ? " decode failed" : " checksum mismatch"));
   }
   ++next_chunk_;
   return true;

@@ -14,7 +14,8 @@
 //   header   "MCTC" + u32 LE version (2)
 //   chunks   back-to-back per-chunk payloads:
 //              times:  zigzag varint of the first time, then plain varint
-//                      deltas (requests are time-ordered, so deltas >= 0)
+//                      deltas (requests are time-ordered, so deltas >= 0;
+//                      a delta past INT64_MAX is rejected)
 //              ids:    varint per record
 //              sizes:  varint per record
 //              ops:    one raw byte per record
@@ -99,10 +100,15 @@ bool WriteTraceColumnar(const Trace& trace, const std::string& path,
                         std::string* error = nullptr,
                         size_t chunk_records = kDefaultChunkRecords);
 
-// Streaming reader: validates the trailer + footer checksum at Open, then
-// decodes (and Mix64-prehashes) one chunk per FillNext, verifying that
-// chunk's FNV-1a against the directory. A chunk that fails validation
-// throws std::runtime_error — corrupt data must never replay silently.
+// Streaming reader. Open validates the trailer, the footer checksum and the
+// chunk directory, whose extents must tile the file, whose chunk times must
+// not step backwards and must span the footer's start and end times. Each
+// FillNext decodes (and Mix64-prehashes) one chunk in a single pass over
+// its bytes that also computes the FNV-1a the directory pins, and holds the
+// decoded times to the chunk's min_time and max_time. A chunk that fails
+// leaves `out` empty and throws std::runtime_error naming it: "checksum
+// mismatch" when its bytes do not checksum, else "decode failed" — corrupt
+// data must never replay silently.
 class ColumnarTraceSource : public RequestSource {
  public:
   // nullptr + *error when the file is missing, truncated, foreign, or the

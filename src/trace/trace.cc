@@ -66,21 +66,19 @@ double FitZipfAlpha(std::vector<uint64_t> counts) {
   return std::max(0.0, -slope);
 }
 
-// Slot of `key` in `index`. A key seen for the first time is given slot
-// `fresh`, the caller's next dense-vector position, and sets *inserted.
-uint32_t FindOrInsert(FlatIndex& index, uint64_t key, size_t fresh, bool* inserted) {
-  const uint64_t hash = Mix64(key);
-  const uint32_t slot = index.FindPrehashed(key, hash);
-  *inserted = slot == FlatIndex::kEmpty;
-  if (!*inserted) {
-    return slot;
-  }
-  MACARON_CHECK(fresh < FlatIndex::kEmpty);
-  index.EmplacePrehashed(key, hash, static_cast<uint32_t>(fresh));
-  return static_cast<uint32_t>(fresh);
-}
-
 }  // namespace
+
+void TraceStatsBuilder::AddSizeRequests(uint64_t size, uint64_t requests) {
+  const uint64_t hash = Mix64(size);
+  uint32_t slot = size_slots_.FindPrehashed(size, hash);
+  if (slot == FlatIndex::kEmpty) {
+    MACARON_CHECK(size_counts_.size() < FlatIndex::kEmpty);
+    slot = static_cast<uint32_t>(size_counts_.size());
+    size_slots_.EmplacePrehashed(size, hash, slot);
+    size_counts_.emplace_back(size, 0);
+  }
+  size_counts_[slot].second += requests;
+}
 
 void TraceStatsBuilder::Add(const Request& r) {
   if (!any_) {
@@ -89,55 +87,68 @@ void TraceStatsBuilder::Add(const Request& r) {
   }
   last_time_ = r.time;
   ++s_.num_requests;
-  bool inserted = false;
-  const uint32_t size_slot = FindOrInsert(size_slots_, r.size, size_counts_.size(), &inserted);
-  if (inserted) {
-    size_counts_.emplace_back(r.size, 0);
-  }
-  ++size_counts_[size_slot].second;
   switch (r.op) {
-    case Op::kGet: {
+    case Op::kGet:
       ++s_.num_gets;
       s_.get_bytes += r.size;
-      const uint32_t slot = FindOrInsert(object_slots_, r.id, get_counts_.size(), &inserted);
-      if (inserted) {
-        get_counts_.push_back(0);
-        s_.unique_bytes += r.size;
-        s_.unique_get_bytes += r.size;
-      }
-      ++get_counts_[slot];
       break;
-    }
     case Op::kPut:
       ++s_.num_puts;
       s_.put_bytes += r.size;
-      FindOrInsert(object_slots_, r.id, get_counts_.size(), &inserted);
-      if (inserted) {
-        get_counts_.push_back(0);
-        s_.unique_bytes += r.size;
-      }
       break;
     case Op::kDelete:
       ++s_.num_deletes;
       break;
   }
+  const uint64_t hash = Mix64(r.id);
+  uint32_t slot = object_slots_.FindPrehashed(r.id, hash);
+  if (slot == FlatIndex::kEmpty) {
+    if (r.op == Op::kDelete) {
+      AddSizeRequests(r.size, 1);  // an id no GET or PUT has named: no row
+      return;
+    }
+    MACARON_CHECK(rows_.size() < FlatIndex::kEmpty);
+    slot = static_cast<uint32_t>(rows_.size());
+    object_slots_.EmplacePrehashed(r.id, hash, slot);
+    rows_.push_back({0, r.size, 0});
+    s_.unique_bytes += r.size;
+    if (r.op == Op::kGet) {
+      s_.unique_get_bytes += r.size;
+    }
+  }
+  ObjectRow& row = rows_[slot];
+  if (row.size != r.size) {
+    AddSizeRequests(row.size, row.run);
+    row.size = r.size;
+    row.run = 0;
+  }
+  ++row.run;
+  row.gets += r.op == Op::kGet ? 1 : 0;
 }
 
 TraceStats TraceStatsBuilder::Finish() const {
   TraceStats s = s_;
-  s.unique_objects = get_counts_.size();
+  s.unique_objects = rows_.size();
   s.compulsory_miss_ratio =
       s.get_bytes == 0 ? 0.0
                        : static_cast<double>(s.unique_get_bytes) / static_cast<double>(s.get_bytes);
-  s.zipf_alpha = FitZipfAlpha(get_counts_);
+  std::vector<uint64_t> gets(rows_.size());
+  std::vector<std::pair<uint64_t, uint64_t>> by_size;
+  by_size.reserve(size_counts_.size() + rows_.size());
+  by_size.assign(size_counts_.begin(), size_counts_.end());
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    gets[i] = rows_[i].gets;
+    by_size.emplace_back(rows_[i].size, rows_[i].run);
+  }
+  s.zipf_alpha = FitZipfAlpha(std::move(gets));
   const SimDuration span = last_time_ - first_time_;
   s.mean_request_rate =
       span <= 0 ? 0.0 : static_cast<double>(s.num_requests) / DurationSeconds(span);
   if (s.num_requests > 0) {
     // The mid-th order statistic of the full size sequence, read off the
-    // size-sorted (size, count) pairs (identical to nth_element on a vector
-    // of every request's size, without materializing that vector).
-    std::vector<std::pair<uint64_t, uint64_t>> by_size = size_counts_;
+    // size-sorted (size, requests) pairs of the rows and the size table (one
+    // size may head several pairs; the walk still reads what nth_element on
+    // a vector of every request's size would, without that vector).
     std::sort(by_size.begin(), by_size.end());
     const uint64_t mid = s.num_requests / 2;
     uint64_t cum = 0;

@@ -56,12 +56,17 @@ TraceStats ComputeStats(const Trace& trace);
 // synthetic stream generator) run their stats pre-pass through this.
 //
 // Memory is O(unique objects + distinct sizes), independent of trace
-// length, and nothing is allocated per entry: two FlatIndex tables map an
-// object id and a request size to dense slots, one into a per-object GET
-// count (0 for an object only ever PUT) and one into (size, request count)
-// pairs. Finish() sorts copies of both vectors — the counts for the Zipf
-// fit, the pairs by size for the exact median — so the tables' insertion
-// order never reaches the result.
+// length, and nothing is allocated per entry. Each GET/PUT object owns a
+// dense row reached by one FlatIndex probe keyed by its id: its GET count
+// (0 for an object only ever PUT), the size of its latest request and the
+// run of consecutive requests it has made at that size. A request of an
+// object at its current size costs that one probe. A second FlatIndex,
+// keyed by size, sums (size, requests) pairs and is probed only when an
+// object changes size (its finished run is folded in) and for a DELETE of
+// an id no GET or PUT has named. When every request carries a fresh size,
+// each request probes both tables. Finish() sorts the GET counts for the
+// Zipf fit, and the rows' runs together with the size pairs for the exact
+// median, so neither table's order reaches the result.
 class TraceStatsBuilder {
  public:
   void Add(const Request& r);
@@ -70,11 +75,18 @@ class TraceStatsBuilder {
   TraceStats Finish() const;
 
  private:
+  struct ObjectRow {
+    uint64_t gets = 0;
+    uint64_t size = 0;  // of the object's latest request
+    uint64_t run = 0;   // requests at `size` since the last fold
+  };
+  void AddSizeRequests(uint64_t size, uint64_t requests);
+
   TraceStats s_;
-  FlatIndex object_slots_;              // GET/PUT object id -> get_counts_ slot
-  std::vector<uint64_t> get_counts_;    // per object, in first-touch order
-  FlatIndex size_slots_;                // request size -> size_counts_ slot
-  std::vector<std::pair<uint64_t, uint64_t>> size_counts_;  // (size, requests)
+  FlatIndex object_slots_;       // GET/PUT object id -> rows_ slot
+  std::vector<ObjectRow> rows_;  // per object, in first-touch order
+  FlatIndex size_slots_;         // request size -> size_counts_ slot
+  std::vector<std::pair<uint64_t, uint64_t>> size_counts_;  // folded (size, requests)
   SimTime first_time_ = 0;
   SimTime last_time_ = 0;
   bool any_ = false;

@@ -11,10 +11,11 @@
 // Also here: regression tests for the two coalescer lifetime bugs fixed
 // alongside the sharding work (a mid-flight eviction leaving a stale
 // in-flight entry, and the event engine's deferred admission resurrecting a
-// deleted object).
+// deleted object), and the engines' rejection of invalid configs at Run.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -211,20 +212,47 @@ TEST(InflightLifetimeTest, EventEngineUndisturbedFillStillAdmits) {
   EXPECT_EQ(r.osc_hits, 1u);
 }
 
-// A zero window would stall Run's boundary loop forever; the runtime
-// rejects it at construction for every approach, the remote baseline
-// included, which builds no controller to check it.
-TEST(ShardedRuntimeDeathTest, ZeroWindowIsRejectedAtConstruction) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+// Each config an engine would otherwise abort on is rejected by Run with
+// std::invalid_argument naming the field, before any set-up: a direct
+// caller gets the same rules as SweepScheduler::Submit. A zero window
+// would stall Run's boundary loop forever, so it is rejected for every
+// approach, the remote baseline included, which builds no controller.
+TEST(EngineConfigValidationTest, DirectRunThrowsNamingTheField) {
   const Trace trace = ZipfTrace();
+  const auto expect_rejected = [&](const EngineConfig& cfg, EngineKind engine,
+                                   const std::string& field) {
+    try {
+      if (engine == EngineKind::kEvent) {
+        EventEngine(cfg).Run(trace);
+      } else {
+        ReplayEngine(cfg).Run(trace);
+      }
+      ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
   for (const Approach a : {Approach::kRemote, Approach::kMacaron}) {
     EngineConfig cfg = Config(a);
     cfg.window = 0;
-    EXPECT_DEATH(ReplayEngine(cfg).Run(trace), "cfg.window > 0");
+    expect_rejected(cfg, EngineKind::kReplay, "config.window");
   }
   EngineConfig cfg = Config(Approach::kMacaron);
   cfg.window = 0;
-  EXPECT_DEATH(EventEngine(cfg).Run(trace), "cfg.window > 0");
+  expect_rejected(cfg, EngineKind::kEvent, "config.window");
+  expect_rejected(Config(Approach::kRemote), EngineKind::kEvent, "config.approach");
+  cfg = Config(Approach::kStaticCapacity);
+  cfg.static_capacity_bytes = 0;
+  expect_rejected(cfg, EngineKind::kReplay, "config.static_capacity_bytes");
+  cfg = Config(Approach::kStaticTtl);
+  cfg.static_ttl = 0;
+  expect_rejected(cfg, EngineKind::kReplay, "config.static_ttl");
+  cfg = Config(Approach::kMacaron);
+  cfg.observation = -kHour;
+  expect_rejected(cfg, EngineKind::kEvent, "config.observation");
+  cfg = Config(Approach::kEcpc);
+  cfg.analyzer_threads = 1025;
+  expect_rejected(cfg, EngineKind::kReplay, "config.analyzer_threads");
 }
 
 }  // namespace

@@ -329,6 +329,36 @@ TEST(TraceStatsDifferentialTest, MatchesNodeMapBuilderOnEdgeCases) {
                                           {7, 1, 900, Op::kGet},
                                           {7, 2, 50, Op::kDelete},
                                           {7, 3, 70, Op::kPut}}});
+  // One object alternating between two sizes: each change folds the run
+  // it ends into the size table, so both sizes are folded in repeatedly.
+  cases.emplace_back("alternating size", Trace{"", {{0, 1, 100, Op::kGet},
+                                                    {1, 1, 200, Op::kPut},
+                                                    {2, 1, 100, Op::kPut},
+                                                    {3, 1, 200, Op::kGet},
+                                                    {4, 1, 200, Op::kGet},
+                                                    {5, 1, 100, Op::kPut},
+                                                    {6, 2, 150, Op::kGet}}});
+  // A DELETE names a live object at a size its row does not hold.
+  cases.emplace_back("delete resizes", Trace{"", {{0, 1, 100, Op::kGet},
+                                                  {1, 1, 300, Op::kDelete},
+                                                  {2, 1, 100, Op::kPut},
+                                                  {3, 2, 300, Op::kGet}}});
+  // A DELETE of a never-seen id at a size a live row also holds: the same
+  // size is then counted both in a row and in the size table.
+  cases.emplace_back("delete unseen at live size", Trace{"", {{0, 1, 100, Op::kGet},
+                                                              {1, 9, 100, Op::kDelete},
+                                                              {2, 1, 100, Op::kGet},
+                                                              {3, 2, 50, Op::kGet}}});
+  // The median (the 5th of 8 sizes) is 50, which only object 1's folded
+  // run holds by the end: its row has moved on to 500.
+  cases.emplace_back("median on folded pair", Trace{"", {{0, 1, 50, Op::kGet},
+                                                         {1, 1, 50, Op::kGet},
+                                                         {2, 1, 50, Op::kGet},
+                                                         {3, 1, 50, Op::kGet},
+                                                         {4, 1, 50, Op::kGet},
+                                                         {5, 1, 500, Op::kPut},
+                                                         {6, 2, 900, Op::kGet},
+                                                         {7, 2, 900, Op::kGet}}});
   for (const auto& [name, t] : cases) {
     ExpectBitIdentical(ComputeStats(t), ReferenceStats(t), name);
   }
