@@ -170,7 +170,9 @@ BENCHMARK(BM_CacheCoreGetPut)->Arg(8)->Arg(64)->Arg(256);
 // churn in the probe loops, just the tag-group scan (or its scalar
 // fallback — the report's "macaron_simd" context records which one this
 // binary compiled). Hit/Miss replay precomputed (id, hash) columns against
-// a table of state.range(0) entries; EvictErase runs the eviction pattern —
+// a table of state.range(0) entries, whose key source is a value-indexed id
+// column (a hit reads its key there, as callers' rows supply it);
+// EvictErase runs the eviction pattern —
 // erase the oldest entry through its slab backlink (backward-shift
 // deletion), then insert a fresh key — at a steady population of that
 // size. The sizes bracket the cache hierarchy: 2^14 keys fit in L2, 2^20
@@ -195,23 +197,30 @@ ProbeStream MakeProbeStream(ObjectId base, size_t keys) {
   return stream;
 }
 
-FlatIndex MakeProbeTable(size_t keys) {
+struct ProbeTable {
   FlatIndex index;
-  index.Reserve(keys);
+  std::vector<ObjectId> ids;  // value -> key
+};
+
+ProbeTable MakeProbeTable(size_t keys) {
+  ProbeTable t;
+  t.index.Reserve(keys);
   for (ObjectId id = 0; id < keys; ++id) {
-    index.EmplacePrehashed(id, Mix64(id), static_cast<uint32_t>(id));
+    t.ids.push_back(id);
+    t.index.EmplacePrehashed(Mix64(id), static_cast<uint32_t>(id));
   }
-  return index;
+  return t;
 }
 
-void RunFlatIndexProbe(benchmark::State& state, const FlatIndex& index,
+void RunFlatIndexProbe(benchmark::State& state, const ProbeTable& t,
                        const ProbeStream& stream) {
   const size_t mask = stream.ids.size() - 1;
+  const auto key_of = [&t](uint32_t v) { return t.ids[v]; };
   size_t i = 0;
   uint64_t found = 0;
   for (auto _ : state) {
     const size_t k = i++ & mask;
-    found += index.FindPrehashed(stream.ids[k], stream.hashes[k]) != FlatIndex::kEmpty;
+    found += t.index.FindPrehashed(stream.ids[k], stream.hashes[k], key_of) != FlatIndex::kEmpty;
   }
   benchmark::DoNotOptimize(found);
   state.SetItemsProcessed(state.iterations());
@@ -220,16 +229,16 @@ void RunFlatIndexProbe(benchmark::State& state, const FlatIndex& index,
 void BM_FlatIndexProbeHit(benchmark::State& state) {
   const size_t keys = static_cast<size_t>(state.range(0));
   const ProbeStream stream = MakeProbeStream(0, keys);  // all present
-  const FlatIndex index = MakeProbeTable(keys);
-  RunFlatIndexProbe(state, index, stream);
+  const ProbeTable table = MakeProbeTable(keys);
+  RunFlatIndexProbe(state, table, stream);
 }
 BENCHMARK(BM_FlatIndexProbeHit)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_FlatIndexProbeMiss(benchmark::State& state) {
   const size_t keys = static_cast<size_t>(state.range(0));
   const ProbeStream stream = MakeProbeStream(keys, keys);  // all absent
-  const FlatIndex index = MakeProbeTable(keys);
-  RunFlatIndexProbe(state, index, stream);
+  const ProbeTable table = MakeProbeTable(keys);
+  RunFlatIndexProbe(state, table, stream);
 }
 BENCHMARK(BM_FlatIndexProbeMiss)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
@@ -243,7 +252,7 @@ void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
   for (; next < keys; ++next) {
     const uint64_t h = Mix64(next);
     const uint32_t slot = slab.Allocate(next, 1, 0, static_cast<uint32_t>(h));
-    index.EmplacePrehashed(next, h, slot, &slab);
+    index.EmplacePrehashed(h, slot, &slab);
     ring[next] = slot;
   }
   for (auto _ : state) {
@@ -255,7 +264,7 @@ void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
     slab.Free(ring[pos]);
     const uint64_t h = Mix64(next);
     const uint32_t slot = slab.Allocate(next, 1, 0, static_cast<uint32_t>(h));
-    index.EmplacePrehashed(next, h, slot, &slab);
+    index.EmplacePrehashed(h, slot, &slab);
     ring[pos] = slot;
     ++next;
   }

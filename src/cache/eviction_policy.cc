@@ -130,14 +130,14 @@ class FifoPolicy final : public EvictionCache {
   explicit FifoPolicy(uint64_t capacity) : capacity_(capacity) {}
 
   bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    return index_.FindPrehashed(id, hash) != FlatIndex::kEmpty;
+    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
   }
   bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash) != FlatIndex::kEmpty;
+    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
   }
 
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n != FlatIndex::kEmpty) {
       SlabNode& e = slab_.node(n);
       used_ -= e.size;
@@ -152,12 +152,12 @@ class FifoPolicy final : public EvictionCache {
     EvictToFit(size);
     const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
     queue_.PushFront(slab_, fresh);
-    index_.EmplacePrehashed(id, hash, fresh, &slab_);
+    index_.EmplacePrehashed(hash, fresh, &slab_);
     used_ += size;
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n == FlatIndex::kEmpty) {
       return false;
     }
@@ -169,7 +169,7 @@ class FifoPolicy final : public EvictionCache {
   }
 
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash);
+    return index_.FindPrehashed(id, hash, slab_);
   }
 
   void PrefetchPrehashed(uint64_t hash) const override {
@@ -229,7 +229,7 @@ class SlruPolicy final : public EvictionCache {
   explicit SlruPolicy(uint64_t capacity) { SetCapacity(capacity); }
 
   bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n == FlatIndex::kEmpty) {
       return false;
     }
@@ -238,11 +238,11 @@ class SlruPolicy final : public EvictionCache {
   }
 
   bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash) != FlatIndex::kEmpty;
+    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
   }
 
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n != FlatIndex::kEmpty) {
       SlabNode& e = slab_.node(n);
       const uint64_t old_size = e.size;
@@ -263,11 +263,11 @@ class SlruPolicy final : public EvictionCache {
     const uint32_t fresh = slab_.Allocate(id, size, kProbationSeg, static_cast<uint32_t>(hash));
     probation_.PushFront(slab_, fresh);
     probation_bytes_ += size;
-    index_.EmplacePrehashed(id, hash, fresh, &slab_);
+    index_.EmplacePrehashed(hash, fresh, &slab_);
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n == FlatIndex::kEmpty) {
       return false;
     }
@@ -285,7 +285,7 @@ class SlruPolicy final : public EvictionCache {
   }
 
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash);
+    return index_.FindPrehashed(id, hash, slab_);
   }
 
   void PrefetchPrehashed(uint64_t hash) const override {
@@ -409,7 +409,7 @@ class S3FifoPolicy final : public EvictionCache {
   explicit S3FifoPolicy(uint64_t capacity) { SetCapacity(capacity); }
 
   bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n == FlatIndex::kEmpty) {
       return false;
     }
@@ -418,11 +418,11 @@ class S3FifoPolicy final : public EvictionCache {
   }
 
   bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash) != FlatIndex::kEmpty;
+    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
   }
 
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n != FlatIndex::kEmpty) {
       Bump(slab_.node(n));
       return;  // immutable objects: size is stable
@@ -437,22 +437,23 @@ class S3FifoPolicy final : public EvictionCache {
     // The ghost table lives in the same hash domain as the main index (its
     // inserts reuse the victim node's cached low hash bits; the table's
     // capacity cap keeps positions a function of those bits alone).
-    if (ghost_.FindPrehashed(id, hash) != FlatIndex::kEmpty) {
-      ghost_.ErasePrehashed(id, hash);  // stale deque entry ages out later
+    const uint32_t ghost = ghost_.ErasePrehashed(id, hash, GhostKeys{&ghost_ids_});
+    if (ghost != FlatIndex::kEmpty) {
+      ghost_free_.push_back(ghost);  // stale deque entry ages out later
       const uint32_t fresh = slab_.Allocate(id, size, kInMainBit, static_cast<uint32_t>(hash));
       main_.PushFront(slab_, fresh);
       main_bytes_ += size;
-      index_.EmplacePrehashed(id, hash, fresh, &slab_);
+      index_.EmplacePrehashed(hash, fresh, &slab_);
     } else {
       const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
       small_.PushFront(slab_, fresh);
       small_bytes_ += size;
-      index_.EmplacePrehashed(id, hash, fresh, &slab_);
+      index_.EmplacePrehashed(hash, fresh, &slab_);
     }
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash);
+    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n == FlatIndex::kEmpty) {
       return false;
     }
@@ -470,7 +471,7 @@ class S3FifoPolicy final : public EvictionCache {
   }
 
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash);
+    return index_.FindPrehashed(id, hash, slab_);
   }
 
   // Main index only: every request probes it, while the ghost table is
@@ -596,15 +597,35 @@ class S3FifoPolicy final : public EvictionCache {
     }
   }
 
+  // The ghost table's key source: its values name ghost_ids_ slots.
+  struct GhostKeys {
+    const std::vector<ObjectId>* ids;
+    ObjectId operator()(uint32_t slot) const { return (*ids)[slot]; }
+  };
+
   void GhostInsert(ObjectId id, uint32_t hash32) {
-    if (ghost_.FindPrehashed(id, hash32) == FlatIndex::kEmpty) {
-      ghost_.EmplacePrehashed(id, hash32, 0);
+    if (ghost_.FindPrehashed(id, hash32, GhostKeys{&ghost_ids_}) == FlatIndex::kEmpty) {
+      uint32_t slot;
+      if (ghost_free_.empty()) {
+        slot = static_cast<uint32_t>(ghost_ids_.size());
+        ghost_ids_.push_back(id);
+      } else {
+        slot = ghost_free_.back();
+        ghost_free_.pop_back();
+        ghost_ids_[slot] = id;
+      }
+      ghost_.EmplacePrehashed(hash32, slot);
       ghost_order_.emplace_back(id, hash32);
     }
     const size_t ghost_cap = std::max<size_t>(num_entries(), 1024);
     while (ghost_order_.size() > ghost_cap) {
+      // A stale entry (its id readmitted since) erases the id's newer ghost
+      // if it has one, as the id-keyed table always has.
       const auto& [old_id, old_hash32] = ghost_order_.front();
-      ghost_.ErasePrehashed(old_id, old_hash32);
+      const uint32_t slot = ghost_.ErasePrehashed(old_id, old_hash32, GhostKeys{&ghost_ids_});
+      if (slot != FlatIndex::kEmpty) {
+        ghost_free_.push_back(slot);
+      }
       ghost_order_.pop_front();
     }
   }
@@ -617,7 +638,9 @@ class S3FifoPolicy final : public EvictionCache {
   IntrusiveList small_;  // front = newest
   IntrusiveList main_;
   FlatIndex index_;
-  FlatIndex ghost_;  // membership only (value unused)
+  FlatIndex ghost_;                   // ghost id -> ghost_ids_ slot
+  std::vector<ObjectId> ghost_ids_;   // the ghost ids, keyed by ghost_ values
+  std::vector<uint32_t> ghost_free_;  // ghost_ids_ slots no ghost holds
   std::deque<std::pair<ObjectId, uint32_t>> ghost_order_;  // (id, low hash bits)
   EvictCallback evict_cb_;
 };

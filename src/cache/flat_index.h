@@ -5,9 +5,20 @@
 // std::unordered_map's node-based buckets do. FlatIndex is a two-level
 // Swiss-table-style layout over one probe sequence:
 //
-//   * a contiguous array of 16-byte (key, value, hash32) cells, and
+//   * a contiguous array of 8-byte (value, hash32) cells, and
 //   * a cache-line-dense tag-byte metadata array: one byte per cell holding
 //     a 7-bit tag of the cell's hash (kEmptyTag marks an unoccupied cell).
+//
+// A cell holds no key. Every value names a row its caller already keeps
+// with the key in it (a slab node's id, an in-flight row's id, a stats
+// row's id), so a probe that must compare keys takes the caller's *key
+// source*: any callable `ObjectId(uint32_t value)`, or the NodeSlab the
+// values index (its node's id). A candidate's cached hash32 is compared
+// first and the key source is read only when all 32 bits match, so a miss
+// reads no row, a hit reads the one row its caller reads next anyway, and
+// two keys whose hashes share the low 32 bits are still told apart by key.
+// Insertion, rehash and backward-shift erase compare no keys: they read
+// cells only.
 //
 // Probing is plain linear probing over a power-of-two table hashed with
 // Mix64 — the probe *sequence* is the classic one-cell-at-a-time walk, and
@@ -17,28 +28,26 @@
 // (compare + movemask; see simd.h for the scalar fallback toggle) and only
 // touch a cell when its tag matches, so a miss probe usually costs one
 // metadata load from a line shared by 64 neighboring slots instead of a
-// dependent chain of random 16-byte cell loads, and the per-cell
-// data-random branch of the scalar walk disappears. Deletion backward-
-// shifts the following cluster instead of leaving tombstones; the shift
-// walk finds the cluster end through the tag array the same way. Because
-// SIMD accelerates scanning only, hit/miss/eviction semantics and the cell
-// layout are bit-identical between the SIMD and scalar builds — the
-// differential suite and the scalar CI lane (-DMACARON_SIMD=OFF) pin this.
-// Slab slots never move while an entry is live, so stored values stay
-// valid until Erase.
+// dependent chain of random cell loads, and the per-cell data-random branch
+// of the scalar walk disappears. Deletion backward-shifts the following
+// cluster instead of leaving tombstones; the shift walk finds the cluster
+// end through the tag array the same way. Because SIMD accelerates scanning
+// only, hit/miss/eviction semantics and the cell layout are bit-identical
+// between the SIMD and scalar builds — the differential suite and the
+// scalar CI lane (-DMACARON_SIMD=OFF) pin this. Slab slots never move while
+// an entry is live, so stored values stay valid until erased.
 //
-// Every operation exists in two forms: a plain one that hashes the key
-// itself, and a *Prehashed one that takes a caller-supplied 64-bit hash.
-// The pipeline computes each request's hash exactly once (SHARDS-style:
-// the sampler's admission hash doubles as the index hash), so the hot
-// replay loops use the prehashed entry points. The hash only chooses table
+// Every operation takes a caller-supplied 64-bit hash (the *Prehashed
+// forms). The pipeline computes each request's hash exactly once
+// (SHARDS-style: the sampler's admission hash doubles as the index hash),
+// so the hot replay loops never rehash. The hash only chooses table
 // positions — it never affects hit/miss/eviction semantics — so any
 // fixed-per-key 64-bit value works, as long as one index instance sees the
-// same hash for the same key on every call. The low 32 bits are cached in
-// each cell (capacity is capped at 2^32, so the table position depends on
-// those bits alone); the tag byte is the top 7 of those bits, and the
-// backward-shift and rehash loops read the cached bits instead of
-// recomputing Mix64 per scanned cell.
+// same hash for the same key on every call (callers without one pass
+// Mix64(key)). The low 32 bits are cached in each cell (capacity is capped
+// at 2^32, so the table position depends on those bits alone); the tag
+// byte is the top 7 of those bits, and the backward-shift and rehash loops
+// read the cached bits instead of recomputing Mix64 per scanned cell.
 //
 // Mutating calls optionally take the NodeSlab the values point into; when
 // given, the index writes each entry's cell position back into its node
@@ -48,8 +57,8 @@
 // it, so the erase needs no second hash walk. Profiling the miss path
 // showed that victim-chain re-probe was the single largest cost of an
 // evicting Put. An index must be used consistently: either every mutating
-// call passes the same slab, or none does (e.g. S3-FIFO's ghost table,
-// whose values are not slab slots). The slab is a parameter, not a bound
+// call passes the same slab, or none does (e.g. the in-flight table, whose
+// values are rows of its own). The slab is a parameter, not a bound
 // member, so caches holding both stay trivially movable.
 
 #ifndef MACARON_SRC_CACHE_FLAT_INDEX_H_
@@ -63,7 +72,6 @@
 #include "src/cache/simd.h"
 #include "src/cache/slab_lru.h"
 #include "src/common/check.h"
-#include "src/common/hash.h"
 #include "src/trace/request.h"
 
 namespace macaron {
@@ -74,7 +82,7 @@ class FlatIndex {
 
   // Hard capacity cap: cells cache only the low 32 hash bits, and slot
   // values are uint32 with kEmpty reserved, so the table never grows past
-  // 2^32 cells (64 GiB of cells — far beyond any simulated population).
+  // 2^32 cells (32 GiB of cells — far beyond any simulated population).
   static constexpr uint64_t kMaxCapacity = 1ull << 32;
 
   FlatIndex() = default;
@@ -108,27 +116,21 @@ class FlatIndex {
     }
   }
 
-  // Returns the value stored for `key`, or kEmpty if absent.
-  uint32_t Find(ObjectId key) const { return FindPrehashed(key, Mix64(key)); }
-
-  // Same, with the key's hash supplied by the caller.
-  uint32_t FindPrehashed(ObjectId key, uint64_t hash) const {
-    if (cells_.empty()) {
-      return kEmpty;
-    }
-    const size_t pos = FindPos<kSimdDefault>(key, hash);
-    return pos == kNpos ? kEmpty : cells_[pos].value;
+  // Returns the value stored for `key`, or kEmpty if absent. `key_of`
+  // names the key each stored value belongs to (see the header comment).
+  template <typename KeyOf>
+  uint32_t FindPrehashed(ObjectId key, uint64_t hash, const KeyOf& key_of) const {
+    return FindImpl<kSimdDefault>(key, hash, key_of);
+  }
+  uint32_t FindPrehashed(ObjectId key, uint64_t hash, const NodeSlab& slab) const {
+    return FindPrehashed(key, hash, SlabKeys{&slab});
   }
 
-  bool Contains(ObjectId key) const { return Find(key) != kEmpty; }
-
-  // Hints the CPU to pull `key`'s home metadata and cell lines into cache.
+  // Hints the CPU to pull `hash`'s home metadata and cell lines into cache.
   // A table touch is up to two random (usually cold) loads, so callers that
   // know a key early — the mini-cache banks replay each request against
   // dozens of per-grid-point caches, and the engines' batch loops know the
   // stream ahead of time — can overlap that latency with other work.
-  void Prefetch(ObjectId key) const { PrefetchPrehashed(Mix64(key)); }
-
   void PrefetchPrehashed(uint64_t hash) const {
     if (!cells_.empty()) {
       const size_t i = hash & mask_;
@@ -137,23 +139,17 @@ class FlatIndex {
     }
   }
 
-  // Inserts `key` -> `value`. `key` must not be present.
-  void Insert(ObjectId key, uint32_t value, NodeSlab* slab = nullptr) {
-    EmplacePrehashed(key, Mix64(key), value, slab);
+  // Inserts `value` for the key whose hash is `hash`. That key must not be
+  // present, and `value` must name it in every later probe's key source.
+  void EmplacePrehashed(uint64_t hash, uint32_t value, NodeSlab* slab = nullptr) {
+    EmplaceImpl<kSimdDefault>(hash, value, slab);
   }
 
-  void EmplacePrehashed(ObjectId key, uint64_t hash, uint32_t value,
-                        NodeSlab* slab = nullptr) {
-    EmplaceImpl<kSimdDefault>(key, hash, value, slab);
-  }
-
-  // Removes `key`; returns false if absent.
-  bool Erase(ObjectId key, NodeSlab* slab = nullptr) {
-    return ErasePrehashed(key, Mix64(key), slab);
-  }
-
-  bool ErasePrehashed(ObjectId key, uint64_t hash, NodeSlab* slab = nullptr) {
-    return EraseImpl<kSimdDefault>(key, hash, slab);
+  // Removes `key`; returns the value it held, or kEmpty if absent.
+  template <typename KeyOf>
+  uint32_t ErasePrehashed(ObjectId key, uint64_t hash, const KeyOf& key_of,
+                          NodeSlab* slab = nullptr) {
+    return EraseImpl<kSimdDefault>(key, hash, key_of, slab);
   }
 
   // Removes the entry at `cell` (a node's backlink; requires that every
@@ -174,19 +170,17 @@ class FlatIndex {
   // operation streams to pin SIMD == scalar in the SIMD build; in the
   // scalar build both paths are literally the same code. Not for
   // production callers.
-  uint32_t FindPrehashedScalar(ObjectId key, uint64_t hash) const {
-    if (cells_.empty()) {
-      return kEmpty;
-    }
-    const size_t pos = FindPos<false>(key, hash);
-    return pos == kNpos ? kEmpty : cells_[pos].value;
+  template <typename KeyOf>
+  uint32_t FindPrehashedScalar(ObjectId key, uint64_t hash, const KeyOf& key_of) const {
+    return FindImpl<false>(key, hash, key_of);
   }
-  void EmplacePrehashedScalar(ObjectId key, uint64_t hash, uint32_t value,
-                              NodeSlab* slab = nullptr) {
-    EmplaceImpl<false>(key, hash, value, slab);
+  void EmplacePrehashedScalar(uint64_t hash, uint32_t value, NodeSlab* slab = nullptr) {
+    EmplaceImpl<false>(hash, value, slab);
   }
-  bool ErasePrehashedScalar(ObjectId key, uint64_t hash, NodeSlab* slab = nullptr) {
-    return EraseImpl<false>(key, hash, slab);
+  template <typename KeyOf>
+  uint32_t ErasePrehashedScalar(ObjectId key, uint64_t hash, const KeyOf& key_of,
+                                NodeSlab* slab = nullptr) {
+    return EraseImpl<false>(key, hash, key_of, slab);
   }
   void EraseCellScalar(uint32_t cell, NodeSlab* slab) {
     MACARON_DCHECK(slab != nullptr);
@@ -208,13 +202,20 @@ class FlatIndex {
 
  private:
   struct Cell {
-    ObjectId key;
     uint32_t value;   // kEmpty marks an unoccupied cell
     uint32_t hash32;  // low hash bits: home slot is hash32 & mask_ and the
                       // tag byte is TagOf(hash32), so the shift and rehash
-                      // loops never recompute Mix64
+                      // loops never recompute Mix64; probes compare it
+                      // before asking the key source for the key
   };
-  static_assert(sizeof(Cell) == 16, "Cell should fill its padding exactly");
+  static_assert(sizeof(Cell) == 8, "a cell is its value and hash bits, no key");
+
+  // The key source of slab-backed indexes: a value is a slab slot, and its
+  // node carries the id.
+  struct SlabKeys {
+    const NodeSlab* slab;
+    ObjectId operator()(uint32_t value) const { return slab->node(value).id; }
+  };
 
   // Tag-group geometry: one SSE2 register scans kGroupWidth tag bytes. The
   // tag array is sized capacity + kGroupWidth with the first
@@ -234,8 +235,8 @@ class FlatIndex {
     return static_cast<uint8_t>(hash32 >> 25);
   }
 
-  // Max load factor is 1/2: a live entry holds 34-68 bytes of cells and
-  // tags (17 per cell). A lower load would shorten probe clusters, and so
+  // Max load factor is 1/2: a live entry holds 18-36 bytes of cells and
+  // tags (9 per cell). A lower load would shorten probe clusters, and so
   // speed up steady-state probes and backward-shift erases, but at twice
   // the cells per entry and twice the cells faulted in and moved per
   // growth; end to end, 1/2 measured better (EXPERIMENTS.md "FlatIndex
@@ -249,31 +250,43 @@ class FlatIndex {
     }
   }
 
+  template <bool kSimd, typename KeyOf>
+  uint32_t FindImpl(ObjectId key, uint64_t hash, const KeyOf& key_of) const {
+    if (cells_.empty()) {
+      return kEmpty;
+    }
+    const size_t pos = FindPos<kSimd>(key, hash, key_of);
+    return pos == kNpos ? kEmpty : cells_[pos].value;
+  }
+
   // Position of `key` in the probe sequence, or kNpos if the cluster ends
-  // (first empty tag) without a key match. The SIMD and scalar loops scan
-  // the same linear-probe sequence; the SIMD loop checks a group's
-  // tag-matching candidates in ascending (= probe) order and only those
-  // strictly before the group's first empty, which is exactly the set the
-  // scalar walk would reach.
-  template <bool kSimd>
-  size_t FindPos(ObjectId key, uint64_t hash) const {
+  // (first empty tag) without a key match. A candidate matches when its
+  // cached hash32 equals the probe's and `key_of` names `key` for its
+  // value; the key source is read only after all 32 bits agree. The SIMD
+  // and scalar loops scan the same linear-probe sequence; the SIMD loop
+  // checks a group's tag-matching candidates in ascending (= probe) order
+  // and only those strictly before the group's first empty, which is
+  // exactly the set the scalar walk would reach.
+  template <bool kSimd, typename KeyOf>
+  size_t FindPos(ObjectId key, uint64_t hash, const KeyOf& key_of) const {
+    const uint32_t h32 = static_cast<uint32_t>(hash);
     size_t i = hash & mask_;
-    const uint8_t tag = TagOf(static_cast<uint32_t>(hash));
+    const uint8_t tag = TagOf(h32);
 #if MACARON_SIMD_SSE2
     if constexpr (kSimd) {
       // Home-slot fast path — the scalar loop's first iteration, resolved
-      // from the cell alone so a home hit (the common case at <=1/2 load)
-      // and a home miss each touch exactly one cache line, like the probe
-      // loop this layout replaced. Group-at-a-time tag scanning only pays
+      // from the cell alone, so a home miss touches exactly one cell line
+      // and a home hit (the common case at <=1/2 load) that line plus the
+      // row its caller reads next. Group-at-a-time tag scanning only pays
       // off once a cluster is actually being walked, so the tag array is
-      // consulted on fallthrough only. Erased cells keep stale key bytes
-      // but get value == kEmpty, so a hit requires both checks.
+      // consulted on fallthrough only. Erased cells keep stale hash bits
+      // but get value == kEmpty, so the value is tested first.
       const Cell& c0 = cells_[i];
-      if (c0.key == key && c0.value != kEmpty) {
-        return i;
-      }
       if (c0.value == kEmpty) {
         return kNpos;
+      }
+      if (c0.hash32 == h32 && key_of(c0.value) == key) {
+        return i;
       }
       const __m128i vtag = _mm_set1_epi8(static_cast<char>(tag));
       const __m128i vemp = _mm_set1_epi8(static_cast<char>(kEmptyTag));
@@ -289,7 +302,7 @@ class FlatIndex {
         }
         while (eq != 0) {
           const size_t j = (i + static_cast<size_t>(std::countr_zero(eq))) & mask_;
-          if (cells_[j].key == key) {
+          if (cells_[j].hash32 == h32 && key_of(cells_[j].value) == key) {
             return j;
           }
           eq &= eq - 1;
@@ -306,7 +319,7 @@ class FlatIndex {
       if (t == kEmptyTag) {
         return kNpos;
       }
-      if (t == tag && cells_[i].key == key) {
+      if (t == tag && cells_[i].hash32 == h32 && key_of(cells_[i].value) == key) {
         return i;
       }
       i = (i + 1) & mask_;
@@ -342,14 +355,16 @@ class FlatIndex {
   }
 
   template <bool kSimd>
-  void EmplaceImpl(ObjectId key, uint64_t hash, uint32_t value, NodeSlab* slab) {
+  void EmplaceImpl(uint64_t hash, uint32_t value, NodeSlab* slab) {
     MACARON_DCHECK(value != kEmpty);
     if ((size_ + 1) * 2 > cells_.size() && cells_.size() < kMaxCapacity) {
       Rehash(cells_.empty() ? kMinCapacity : cells_.size() * 2, slab);
     }
-    MACARON_DCHECK(FindPos<false>(key, hash) == kNpos);  // key must not be present
+    // The key must not be present; a slab names it, so check it there.
+    MACARON_DCHECK(slab == nullptr ||
+                   FindPos<false>(slab->node(value).id, hash, SlabKeys{slab}) == kNpos);
     const size_t i = FirstEmptyFrom<kSimd>(hash & mask_);
-    cells_[i] = Cell{key, value, static_cast<uint32_t>(hash)};
+    cells_[i] = Cell{value, static_cast<uint32_t>(hash)};
     SetTag(i, TagOf(static_cast<uint32_t>(hash)));
     if (slab != nullptr) {
       slab->node(value).cell = static_cast<uint32_t>(i);
@@ -357,24 +372,25 @@ class FlatIndex {
     ++size_;
   }
 
-  template <bool kSimd>
-  bool EraseImpl(ObjectId key, uint64_t hash, NodeSlab* slab) {
+  template <bool kSimd, typename KeyOf>
+  uint32_t EraseImpl(ObjectId key, uint64_t hash, const KeyOf& key_of, NodeSlab* slab) {
     if (cells_.empty()) {
-      return false;
+      return kEmpty;
     }
-    const size_t pos = FindPos<kSimd>(key, hash);
+    const size_t pos = FindPos<kSimd>(key, hash, key_of);
     if (pos == kNpos) {
-      return false;
+      return kEmpty;
     }
+    const uint32_t value = cells_[pos].value;
     EraseAt<kSimd>(pos, slab);
-    return true;
+    return value;
   }
 
   void Rehash(size_t new_capacity, NodeSlab* slab) {
     // mask_ < 2^32, so positions depend only on the cached low hash bits.
     MACARON_CHECK(new_capacity <= kMaxCapacity);
     std::vector<Cell> old = std::move(cells_);
-    cells_.assign(new_capacity, Cell{0, kEmpty, 0});
+    cells_.assign(new_capacity, Cell{kEmpty, 0});
     tags_.assign(new_capacity + kGroupWidth, kEmptyTag);
     mask_ = new_capacity - 1;
     for (const Cell& c : old) {

@@ -29,8 +29,9 @@
 // global coalescer.
 //
 // Layout: a FlatIndex maps each id to a row of a dense {id, completion,
-// ticket} vector; erased rows go on a free list and are reused, so a table
-// that stopped growing allocates nothing per request. The Prehashed forms
+// ticket} vector, and reads the row's id as the key it compares; erased
+// rows go on a free list and are reused, so a table that stopped growing
+// allocates nothing per request. The Prehashed forms
 // take the engines' ingest-time h, which must be exactly Mix64(id): the
 // plain forms hash with Mix64, and Sweep recomputes it for the rows it
 // erases. Sweep walks the rows in slot order; since it only erases, that
@@ -62,11 +63,11 @@ class InflightTable {
   uint64_t InsertPrehashed(ObjectId id, uint64_t h, SimTime completion) {
     MACARON_DCHECK(h == Mix64(id));
     const uint64_t ticket = next_ticket_++;
-    uint32_t r = index_.FindPrehashed(id, h);
+    uint32_t r = index_.FindPrehashed(id, h, RowKeys{&rows_});
     if (r == FlatIndex::kEmpty) {
       r = AllocateRow();
       rows_[r] = Row{id, completion, ticket};
-      index_.EmplacePrehashed(id, h, r);
+      index_.EmplacePrehashed(h, r);
     } else if (completion > rows_[r].completion) {
       rows_[r].completion = completion;
       rows_[r].ticket = ticket;
@@ -84,7 +85,7 @@ class InflightTable {
   }
   std::optional<SimTime> PendingPrehashed(ObjectId id, uint64_t h, SimTime now) {
     MACARON_DCHECK(h == Mix64(id));
-    const uint32_t r = index_.FindPrehashed(id, h);
+    const uint32_t r = index_.FindPrehashed(id, h, RowKeys{&rows_});
     if (r == FlatIndex::kEmpty) {
       return std::nullopt;
     }
@@ -120,7 +121,7 @@ class InflightTable {
   }
   bool ClaimTicketPrehashed(ObjectId id, uint64_t h, uint64_t ticket) {
     MACARON_DCHECK(h == Mix64(id));
-    const uint32_t r = index_.FindPrehashed(id, h);
+    const uint32_t r = index_.FindPrehashed(id, h, RowKeys{&rows_});
     if (r == FlatIndex::kEmpty || rows_[r].ticket != ticket) {
       return false;
     }
@@ -169,6 +170,12 @@ class InflightTable {
   };
   static constexpr uint64_t kFreeRow = 0;  // tickets start at 1
 
+  // The index's key source: its values are rows, and a row holds its id.
+  struct RowKeys {
+    const std::vector<Row>* rows;
+    ObjectId operator()(uint32_t r) const { return (*rows)[r].id; }
+  };
+
   uint32_t AllocateRow() {
     if (!free_rows_.empty()) {
       const uint32_t r = free_rows_.back();
@@ -182,14 +189,14 @@ class InflightTable {
 
   // Removes `r`, which the index maps `rows_[r].id` (hash `h`) to.
   void EraseRow(uint32_t r, uint64_t h) {
-    index_.ErasePrehashed(rows_[r].id, h);
+    index_.ErasePrehashed(rows_[r].id, h, RowKeys{&rows_});
     rows_[r].ticket = kFreeRow;
     free_rows_.push_back(r);
   }
 
   bool Remove(ObjectId id, uint64_t h) {
     MACARON_DCHECK(h == Mix64(id));
-    const uint32_t r = index_.FindPrehashed(id, h);
+    const uint32_t r = index_.FindPrehashed(id, h, RowKeys{&rows_});
     if (r == FlatIndex::kEmpty) {
       return false;
     }

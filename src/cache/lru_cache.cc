@@ -5,7 +5,7 @@
 namespace macaron {
 
 bool LruCache::GetPrehashed(ObjectId id, uint64_t hash) {
-  const uint32_t n = index_.FindPrehashed(id, hash);
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
   if (n == FlatIndex::kEmpty) {
     return false;
   }
@@ -14,12 +14,12 @@ bool LruCache::GetPrehashed(ObjectId id, uint64_t hash) {
 }
 
 uint64_t LruCache::SizeOf(ObjectId id) const {
-  const uint32_t n = index_.Find(id);
+  const uint32_t n = index_.FindPrehashed(id, Mix64(id), slab_);
   return n == FlatIndex::kEmpty ? 0 : slab_.node(n).size;
 }
 
 void LruCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) {
-  const uint32_t n = index_.FindPrehashed(id, hash);
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
   if (n != FlatIndex::kEmpty) {
     SlabNode& e = slab_.node(n);
     used_ -= e.size;
@@ -37,12 +37,12 @@ void LruCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) {
   EvictToFit(size);
   const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
   lru_.PushFront(slab_, fresh);
-  index_.EmplacePrehashed(id, hash, fresh, &slab_);
+  index_.EmplacePrehashed(hash, fresh, &slab_);
   used_ += size;
 }
 
 bool LruCache::ErasePrehashed(ObjectId id, uint64_t hash) {
-  const uint32_t n = index_.FindPrehashed(id, hash);
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
   if (n == FlatIndex::kEmpty) {
     return false;
   }

@@ -19,6 +19,7 @@
 
 #include "src/cache/flat_index.h"
 #include "src/cache/slab_lru.h"
+#include "src/common/hash.h"
 #include "src/trace/request.h"
 
 namespace macaron {
@@ -33,9 +34,9 @@ class LruCache {
   // Looks up `id`, promoting it to MRU on hit. Returns true on hit.
   bool Get(ObjectId id) { return GetPrehashed(id, Mix64(id)); }
   // Looks up without promoting (for inspection).
-  bool Contains(ObjectId id) const { return index_.Contains(id); }
-  // Hints the CPU to load `id`'s index lines; see FlatIndex::Prefetch.
-  void Prefetch(ObjectId id) const { index_.Prefetch(id); }
+  bool Contains(ObjectId id) const { return ContainsPrehashed(id, Mix64(id)); }
+  // Hints the CPU to load `id`'s index lines; see FlatIndex::PrefetchPrehashed.
+  void Prefetch(ObjectId id) const { index_.PrefetchPrehashed(Mix64(id)); }
   // Returns the stored size of `id`, or 0 if absent.
   uint64_t SizeOf(ObjectId id) const;
 
@@ -53,12 +54,12 @@ class LruCache {
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size);
   bool ErasePrehashed(ObjectId id, uint64_t hash);
   bool ContainsPrehashed(ObjectId id, uint64_t hash) const {
-    return index_.FindPrehashed(id, hash) != FlatIndex::kEmpty;
+    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
   }
   void PrefetchPrehashed(uint64_t hash) const { index_.PrefetchPrehashed(hash); }
   // The slab slot holding `id` (stable while resident), or FlatIndex::kEmpty.
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const {
-    return index_.FindPrehashed(id, hash);
+    return index_.FindPrehashed(id, hash, slab_);
   }
 
   // Changes capacity; evicts immediately if shrinking.

@@ -6,7 +6,7 @@ namespace macaron {
 
 bool TtlCache::GetPrehashed(ObjectId id, uint64_t hash, SimTime now) {
   Expire(now);
-  const uint32_t n = index_.FindPrehashed(id, hash);
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
   if (n == FlatIndex::kEmpty) {
     return false;
   }
@@ -17,7 +17,7 @@ bool TtlCache::GetPrehashed(ObjectId id, uint64_t hash, SimTime now) {
 
 void TtlCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size, SimTime now) {
   Expire(now);
-  const uint32_t n = index_.FindPrehashed(id, hash);
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
   if (n != FlatIndex::kEmpty) {
     SlabNode& e = slab_.node(n);
     used_ -= e.size;
@@ -30,12 +30,12 @@ void TtlCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size, SimTime n
   const uint32_t fresh =
       slab_.Allocate(id, size, static_cast<uint64_t>(now), static_cast<uint32_t>(hash));
   order_.PushFront(slab_, fresh);
-  index_.EmplacePrehashed(id, hash, fresh, &slab_);
+  index_.EmplacePrehashed(hash, fresh, &slab_);
   used_ += size;
 }
 
 bool TtlCache::ErasePrehashed(ObjectId id, uint64_t hash) {
-  const uint32_t n = index_.FindPrehashed(id, hash);
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
   if (n == FlatIndex::kEmpty) {
     return false;
   }

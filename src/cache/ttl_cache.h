@@ -19,6 +19,7 @@
 
 #include "src/cache/flat_index.h"
 #include "src/cache/slab_lru.h"
+#include "src/common/hash.h"
 #include "src/common/sim_time.h"
 #include "src/trace/request.h"
 

@@ -42,6 +42,9 @@ class StreamingStats {
 class PercentileTracker {
  public:
   void Add(double x) { samples_.push_back(x); }
+  // Sizes the buffer for `n` samples, so a caller that knows its sample
+  // count up front never grows the buffer by doubling.
+  void Reserve(size_t n) { samples_.reserve(n); }
   // Appends `other`'s samples after this tracker's, in order, and releases
   // `other`'s buffer. An empty tracker takes the buffer outright instead of
   // copying it.

@@ -287,10 +287,10 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
     newest_time_ = std::max(newest_time_, batch.times[k]);
     const ObjectId id = batch.ids[k];
     const uint64_t hash = batch.hashes[k];
-    uint32_t s = index_.FindPrehashed(id, hash);
+    uint32_t s = index_.FindPrehashed(id, hash, slab_);
     if (s == FlatIndex::kEmpty) {
       s = slab_.Allocate(id, 0, kLiveSlot);
-      index_.EmplacePrehashed(id, hash, s, &slab_);
+      index_.EmplacePrehashed(hash, s, &slab_);
     }
     slots_[k] = s;
     if (batch.ops[k] == Op::kGet) {

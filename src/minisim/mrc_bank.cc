@@ -107,7 +107,7 @@ class MrcBank::LruTimeline {
   // change) for a GET the timeline cannot represent.
   bool Apply(ObjectId id, uint64_t hash, uint64_t size, Op op, uint64_t* misses,
              uint64_t* missed_bytes) {
-    uint32_t node = index_.FindPrehashed(id, hash);
+    uint32_t node = index_.FindPrehashed(id, hash, slab_);
     const bool live = node != FlatIndex::kEmpty;
     const uint64_t old_slot = live ? slab_.node(node).stamp : 0;
     const uint64_t old_size = live ? slab_.node(node).size : kDeadSize;
@@ -141,7 +141,7 @@ class MrcBank::LruTimeline {
       slab_.node(node).stamp = new_slot;
     } else {
       node = slab_.Allocate(id, size, new_slot);
-      index_.EmplacePrehashed(id, hash, node, &slab_);
+      index_.EmplacePrehashed(hash, node, &slab_);
     }
     slot_size_.push_back(size);
     slot_node_.push_back(node);

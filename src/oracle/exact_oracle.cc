@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
+#include "src/cache/flat_index.h"
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/obs/decision_trace.h"
 
@@ -34,16 +35,25 @@ ExactOracleResult RunExactOracle(const Trace& trace, const PriceBook& prices,
   const PriceSchedule sched(prices, AlignShocksToWindows(options.shocks, options.window));
 
   // --- Pass 1: per-object event chains, CSR layout in first-appearance
-  // order (deterministic — never iterates an unordered_map).
-  std::unordered_map<ObjectId, uint32_t> index;
-  index.reserve(n);
+  // order (deterministic — the index is only probed, never iterated). The
+  // index reads each object number's key from first_ids.
+  FlatIndex index;
+  std::vector<ObjectId> first_ids;  // object number -> id
+  const auto id_of = [&first_ids](uint32_t o) { return first_ids[o]; };
   std::vector<uint32_t> obj_of(n);
   for (size_t i = 0; i < n; ++i) {
-    const auto [it, inserted] =
-        index.try_emplace(trace.requests[i].id, static_cast<uint32_t>(index.size()));
-    obj_of[i] = it->second;
+    const ObjectId id = trace.requests[i].id;
+    const uint64_t hash = Mix64(id);
+    uint32_t o = index.FindPrehashed(id, hash, id_of);
+    if (o == FlatIndex::kEmpty) {
+      MACARON_CHECK(first_ids.size() < FlatIndex::kEmpty);
+      o = static_cast<uint32_t>(first_ids.size());
+      first_ids.push_back(id);
+      index.EmplacePrehashed(hash, o);
+    }
+    obj_of[i] = o;
   }
-  const size_t num_objects = index.size();
+  const size_t num_objects = first_ids.size();
   std::vector<uint32_t> counts(num_objects, 0);
   for (size_t i = 0; i < n; ++i) {
     ++counts[obj_of[i]];

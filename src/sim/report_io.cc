@@ -158,6 +158,7 @@ bool DeserializeRunResult(std::string_view blob, RunResult* out) {
   if (!rd.Count(sizeof(double), &n)) {
     return false;
   }
+  r.latency_ms.Reserve(static_cast<size_t>(n));  // Count bounded n by the bytes left
   for (uint64_t i = 0; i < n; ++i) {
     double s = 0;
     if (!rd.F64(&s)) {

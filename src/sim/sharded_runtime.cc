@@ -72,9 +72,17 @@ void ShardedRuntime::Setup() {
   }
 
   shards_.resize(static_cast<size_t>(num_shards_));
+  // Both engines add exactly one latency sample per GET (a cluster, OSC or
+  // delayed hit, or a remote fetch), so each shard's buffer is sized once
+  // for its even share of the trace's GETs instead of growing by doubling.
+  const uint64_t latency_share =
+      cfg_.measure_latency ? (stats.num_gets + static_cast<uint64_t>(num_shards_) - 1) /
+                                 static_cast<uint64_t>(num_shards_)
+                           : 0;
   for (int s = 0; s < num_shards_; ++s) {
     Shard& sh = shards_[static_cast<size_t>(s)];
     sh.index = s;
+    sh.latency_ms.Reserve(static_cast<size_t>(latency_share));
     // Shard 0 inherits the historical engine seed so num_shards = 1
     // reproduces the unsharded engine's latency draws exactly; other
     // shards fork deterministic independent streams.

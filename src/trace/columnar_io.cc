@@ -109,7 +109,8 @@ void EncodeChunk(const std::vector<Request>& reqs, std::string* out) {
 // Decodes one chunk payload into ReplayBatch columns, computing the Mix64
 // ingest hash per record and the payload's FNV-1a into *fnv. False on any
 // structural violation: a short column, trailing bytes, an op out of range,
-// a non-canonical varint, or a time delta that would carry past INT64_MAX.
+// a non-canonical varint, a time delta that would carry past INT64_MAX, or a
+// size past kMaxRequestBytes (a Request could not hold it).
 // The payload is not yet verified, so this must be defined on any bytes;
 // *fnv covers the whole payload only when it returns true.
 bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out, uint64_t* fnv) {
@@ -143,7 +144,7 @@ bool DecodeChunk(std::string_view payload, uint64_t count, ReplayBatch* out, uin
   }
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t size = 0;
-    if (!ParseVarint(p, end, &size, fnv)) {
+    if (!ParseVarint(p, end, &size, fnv) || size > kMaxRequestBytes) {
       return false;
     }
     out->sizes.push_back(size);

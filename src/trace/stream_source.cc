@@ -79,6 +79,11 @@ uint64_t SyntheticStreamSource::SizeForId(ObjectId id) const {
   if (!(v >= 1.0)) {
     return 1;
   }
+  // kMaxRequestBytes rounds up to 2^56 as a double, and every double below
+  // 2^56 truncates to at most kMaxRequestBytes.
+  if (v >= static_cast<double>(kMaxRequestBytes)) {
+    return kMaxRequestBytes;
+  }
   return static_cast<uint64_t>(v);
 }
 

@@ -70,12 +70,13 @@ double FitZipfAlpha(std::vector<uint64_t> counts) {
 
 void TraceStatsBuilder::AddSizeRequests(uint64_t size, uint64_t requests) {
   const uint64_t hash = Mix64(size);
-  uint32_t slot = size_slots_.FindPrehashed(size, hash);
+  uint32_t slot = size_slots_.FindPrehashed(
+      size, hash, [this](uint32_t v) { return size_counts_[v].first; });
   if (slot == FlatIndex::kEmpty) {
     MACARON_CHECK(size_counts_.size() < FlatIndex::kEmpty);
     slot = static_cast<uint32_t>(size_counts_.size());
-    size_slots_.EmplacePrehashed(size, hash, slot);
     size_counts_.emplace_back(size, 0);
+    size_slots_.EmplacePrehashed(hash, slot);
   }
   size_counts_[slot].second += requests;
 }
@@ -101,7 +102,8 @@ void TraceStatsBuilder::Add(const Request& r) {
       break;
   }
   const uint64_t hash = Mix64(r.id);
-  uint32_t slot = object_slots_.FindPrehashed(r.id, hash);
+  uint32_t slot =
+      object_slots_.FindPrehashed(r.id, hash, [this](uint32_t v) { return rows_[v].id; });
   if (slot == FlatIndex::kEmpty) {
     if (r.op == Op::kDelete) {
       AddSizeRequests(r.size, 1);  // an id no GET or PUT has named: no row
@@ -109,8 +111,8 @@ void TraceStatsBuilder::Add(const Request& r) {
     }
     MACARON_CHECK(rows_.size() < FlatIndex::kEmpty);
     slot = static_cast<uint32_t>(rows_.size());
-    object_slots_.EmplacePrehashed(r.id, hash, slot);
-    rows_.push_back({0, r.size, 0});
+    rows_.push_back({r.id, 0, r.size, 0});
+    object_slots_.EmplacePrehashed(hash, slot);
     s_.unique_bytes += r.size;
     if (r.op == Op::kGet) {
       s_.unique_get_bytes += r.size;

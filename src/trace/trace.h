@@ -1,4 +1,9 @@
 // In-memory trace container and derived statistics.
+//
+// A Trace holds every request in one vector of 24-byte Requests
+// (request.h), so 3 M requests take 69 MiB; the streaming sources (the
+// columnar reader, the synthetic stream generator) replay a long trace
+// without that vector.
 
 #ifndef MACARON_SRC_TRACE_TRACE_H_
 #define MACARON_SRC_TRACE_TRACE_H_
@@ -55,18 +60,19 @@ TraceStats ComputeStats(const Trace& trace);
 // needs the trace materialized — the out-of-core sources (columnar reader,
 // synthetic stream generator) run their stats pre-pass through this.
 //
-// Memory is O(unique objects + distinct sizes), independent of trace
-// length, and nothing is allocated per entry. Each GET/PUT object owns a
-// dense row reached by one FlatIndex probe keyed by its id: its GET count
-// (0 for an object only ever PUT), the size of its latest request and the
-// run of consecutive requests it has made at that size. A request of an
-// object at its current size costs that one probe. A second FlatIndex,
-// keyed by size, sums (size, requests) pairs and is probed only when an
-// object changes size (its finished run is folded in) and for a DELETE of
-// an id no GET or PUT has named. When every request carries a fresh size,
-// each request probes both tables. Finish() sorts the GET counts for the
-// Zipf fit, and the rows' runs together with the size pairs for the exact
-// median, so neither table's order reaches the result.
+// Memory is O(unique objects + distinct sizes), independent of trace length,
+// and nothing is allocated per entry. Each GET/PUT object owns a dense row
+// reached by one FlatIndex probe keyed by its id: the id itself (the key the
+// probe compares; index cells hold none), its GET count (0 for an object
+// only ever PUT), the size of its latest request and the run of consecutive
+// requests it has made at that size. A request of an object at its current
+// size costs that one probe. A second FlatIndex, keyed by size (read from
+// the pair it names), sums (size, requests) pairs and is probed only when an
+// object changes size (its finished run is folded in) and for a DELETE of an
+// id no GET or PUT has named. When every request carries a fresh size, each
+// request probes both tables. Finish() sorts the GET counts for the Zipf
+// fit, and the rows' runs together with the size pairs for the exact median,
+// so neither table's order reaches the result.
 class TraceStatsBuilder {
  public:
   void Add(const Request& r);
@@ -76,6 +82,7 @@ class TraceStatsBuilder {
 
  private:
   struct ObjectRow {
+    ObjectId id = 0;  // the key object_slots_ compares
     uint64_t gets = 0;
     uint64_t size = 0;  // of the object's latest request
     uint64_t run = 0;   // requests at `size` since the last fold

@@ -76,8 +76,13 @@ bool ParseCsvRow(const char* p, const char* end, Request* r) {
     return false;
   }
   p = comma + 1;
-  return ParseIntField(p, end, ',', &r->id) && ParseIntField(p, end, '\0', &r->size) &&
-         p == end;
+  uint64_t size = 0;
+  if (!ParseIntField(p, end, ',', &r->id) || !ParseIntField(p, end, '\0', &size) || p != end ||
+      size > kMaxRequestBytes) {
+    return false;
+  }
+  r->size = size;
+  return true;
 }
 
 }  // namespace

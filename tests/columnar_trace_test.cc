@@ -574,6 +574,25 @@ TEST(ColumnarIoTest, DecodeRejectsOverlongVarint) {
   std::remove(path.c_str());
 }
 
+// A Request holds a 56-bit size. A chunk whose size varint is 2^56, its
+// checksum and the footer resealed, must fail by name instead of reaching
+// the engines as a truncated size; 2^56 - 1 is the largest size that
+// decodes.
+TEST(ColumnarIoTest, DecodeRejectsSizePastRequestBound) {
+  const std::string path = TempPath("bigsize.mctc");
+  const auto file_with_size = [](uint64_t size) {
+    return CraftOneChunk(ChunkPayload(5, {}, {7}, {size}, std::string(1, '\0')), 1, 5, 5);
+  };
+  Trace back;
+  const std::string error = ReadError(path, file_with_size(1ull << 56), &back);
+  EXPECT_NE(error.find("chunk 0 decode failed"), std::string::npos) << error;
+  // Control: the bound itself decodes, whole.
+  EXPECT_EQ(ReadError(path, file_with_size(kMaxRequestBytes), &back), "");
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back.requests[0].size, kMaxRequestBytes);
+  std::remove(path.c_str());
+}
+
 // Each chunk's first and last times must be its directory's min_time and
 // max_time, and the directory's times must not step backwards; together
 // they keep rows in time order across chunk boundaries.

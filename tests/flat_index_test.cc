@@ -4,7 +4,9 @@
 // exactly like its own scalar fallback) through arbitrary operation mixes,
 // including the shapes that stress the two-level layout: probe clusters
 // crossing 16-byte group boundaries, clusters wrapping past the end of the
-// table (the tag mirror region), tag collisions between distinct keys, and
+// table (the tag mirror region), tag collisions between distinct keys,
+// distinct keys whose hashes share all 32 cached bits (the cells hold no
+// key, so only the caller's key source tells them apart), and
 // backward-shift deletion inside all of those. Crafted-hash tests pin each
 // shape deterministically; the fuzz tests then drive randomized
 // Insert/Erase/Find/Reserve/Clear mixes against a reference
@@ -26,6 +28,13 @@
 
 namespace macaron {
 namespace {
+
+// Key source over a value -> key table, the way the index's callers keep
+// each key in the row its value names.
+struct TableKeys {
+  const std::vector<ObjectId>* keys;
+  ObjectId operator()(uint32_t value) const { return (*keys)[value]; }
+};
 
 // --- Reserve / capacity guard ---
 
@@ -68,12 +77,12 @@ TEST(FlatIndexCapacityTest, InsertGrowsOnlyPastHalfLoad) {
   FlatIndex index;
   EXPECT_EQ(index.capacity(), 0u);
   for (ObjectId key = 0; key < 64; ++key) {
-    index.Insert(key, static_cast<uint32_t>(key));
+    index.EmplacePrehashed(Mix64(key), static_cast<uint32_t>(key));
     // The table doubles when one more entry would pass load 1/2.
     EXPECT_EQ(index.capacity(), FlatIndex::CapacityFor(index.size())) << key;
   }
   EXPECT_EQ(index.capacity(), 128u);  // 64 live: exactly half full
-  index.Insert(64, 64);
+  index.EmplacePrehashed(Mix64(64), 64);
   EXPECT_EQ(index.capacity(), 256u);
   index.Reserve(100);  // already fits
   EXPECT_EQ(index.capacity(), 256u);
@@ -94,20 +103,24 @@ uint64_t CraftHash(uint64_t home, uint64_t tag) {
 struct Crafted {
   FlatIndex index;
   std::vector<std::pair<ObjectId, uint64_t>> live;  // (key, hash)
+  std::vector<ObjectId> key_of_value{0};            // values start at 1
   uint32_t next_value = 1;
 
   Crafted() { index.Reserve(120); }
 
+  TableKeys Keys() const { return TableKeys{&key_of_value}; }
+
   void Insert(ObjectId key, uint64_t home, uint64_t tag) {
     const uint64_t h = CraftHash(home, tag);
-    index.EmplacePrehashed(key, h, next_value++);
+    key_of_value.push_back(key);
+    index.EmplacePrehashed(h, next_value++);
     live.emplace_back(key, h);
   }
 
   void Erase(ObjectId key) {
     for (auto it = live.begin(); it != live.end(); ++it) {
       if (it->first == key) {
-        EXPECT_TRUE(index.ErasePrehashed(key, it->second));
+        EXPECT_NE(index.ErasePrehashed(key, it->second, Keys()), FlatIndex::kEmpty);
         live.erase(it);
         return;
       }
@@ -120,14 +133,15 @@ struct Crafted {
   void Verify() {
     EXPECT_EQ(index.size(), live.size());
     for (const auto& [key, h] : live) {
-      EXPECT_NE(index.FindPrehashed(key, h), FlatIndex::kEmpty) << key;
-      EXPECT_EQ(index.FindPrehashed(key, h), index.FindPrehashedScalar(key, h)) << key;
+      EXPECT_NE(index.FindPrehashed(key, h, Keys()), FlatIndex::kEmpty) << key;
+      EXPECT_EQ(index.FindPrehashed(key, h, Keys()), index.FindPrehashedScalar(key, h, Keys()))
+          << key;
     }
     for (uint64_t home = 0; home <= kMask; home += 5) {
       for (uint64_t tag = 0; tag < 4; ++tag) {
         const uint64_t h = CraftHash(home, tag);
-        EXPECT_EQ(index.FindPrehashed(999999, h), FlatIndex::kEmpty);
-        EXPECT_EQ(index.FindPrehashedScalar(999999, h), FlatIndex::kEmpty);
+        EXPECT_EQ(index.FindPrehashed(999999, h, Keys()), FlatIndex::kEmpty);
+        EXPECT_EQ(index.FindPrehashedScalar(999999, h, Keys()), FlatIndex::kEmpty);
       }
     }
   }
@@ -208,10 +222,49 @@ TEST(FlatIndexClusterTest, TagCollisionsNeedKeyCompare) {
   t.Verify();
   // An absent key with the colliding (home, tag) walks the whole cluster.
   const uint64_t h = CraftHash(40, 7);
-  EXPECT_EQ(t.index.FindPrehashed(77, h), FlatIndex::kEmpty);
-  EXPECT_EQ(t.index.FindPrehashedScalar(77, h), FlatIndex::kEmpty);
+  EXPECT_EQ(t.index.FindPrehashed(77, h, t.Keys()), FlatIndex::kEmpty);
+  EXPECT_EQ(t.index.FindPrehashedScalar(77, h, t.Keys()), FlatIndex::kEmpty);
   t.Erase(5);
   t.Verify();
+}
+
+// Cells hold no key, so two keys whose hashes agree on all 32 cached bits
+// (natural Mix64 hashes collide so about once per 2^32 pairs: a few times
+// in a 241 k-object trace) are told apart only by reading each candidate's
+// key from the key source.
+TEST(FlatIndexClusterTest, KeysSharingAllCachedHashBitsNeedKeyCompare) {
+  const ObjectId a = 11;
+  const ObjectId b = 22;
+  const ObjectId absent = 33;
+  const uint64_t low = Mix64(a) & 0xffffffffull;
+  const uint64_t ha = Mix64(a);
+  const uint64_t hb = (Mix64(b) & ~0xffffffffull) | low;  // same low 32 bits, other high bits
+  const uint64_t habsent = (Mix64(absent) & ~0xffffffffull) | low;
+  ASSERT_NE(ha, hb);
+  const std::vector<ObjectId> keys = {a, b};  // value -> key
+  const TableKeys key_of{&keys};
+  FlatIndex simd;
+  FlatIndex scalar;
+  simd.EmplacePrehashed(ha, 0);
+  simd.EmplacePrehashed(hb, 1);
+  scalar.EmplacePrehashedScalar(ha, 0);
+  scalar.EmplacePrehashedScalar(hb, 1);
+  for (const FlatIndex* index : {&simd, &scalar}) {
+    EXPECT_EQ(index->FindPrehashed(a, ha, key_of), 0u);
+    EXPECT_EQ(index->FindPrehashed(b, hb, key_of), 1u);
+    EXPECT_EQ(index->FindPrehashed(absent, habsent, key_of), FlatIndex::kEmpty);
+    EXPECT_EQ(index->FindPrehashedScalar(a, ha, key_of), 0u);
+    EXPECT_EQ(index->FindPrehashedScalar(b, hb, key_of), 1u);
+    EXPECT_EQ(index->FindPrehashedScalar(absent, habsent, key_of), FlatIndex::kEmpty);
+  }
+  // Erasing the first key leaves the second, which the shift moved home.
+  EXPECT_EQ(simd.ErasePrehashed(a, ha, key_of), 0u);
+  EXPECT_EQ(scalar.ErasePrehashedScalar(a, ha, key_of), 0u);
+  for (const FlatIndex* index : {&simd, &scalar}) {
+    EXPECT_EQ(index->FindPrehashed(a, ha, key_of), FlatIndex::kEmpty);
+    EXPECT_EQ(index->FindPrehashed(b, hb, key_of), 1u);
+    EXPECT_EQ(index->FindPrehashedScalar(b, hb, key_of), 1u);
+  }
 }
 
 TEST(FlatIndexClusterTest, InterleavedHomesShiftOnlyEligibleEntries) {
@@ -286,8 +339,9 @@ class FuzzHarness {
       return;
     }
     const uint32_t value = next_value_++;
-    simd_.EmplacePrehashed(key, hash_fn_(key), value);
-    scalar_.EmplacePrehashedScalar(key, hash_fn_(key), value);
+    key_of_value_.push_back(key);
+    simd_.EmplacePrehashed(hash_fn_(key), value);
+    scalar_.EmplacePrehashedScalar(hash_fn_(key), value);
     reference_.emplace(key, value);
   }
 
@@ -303,15 +357,16 @@ class FuzzHarness {
         break;
       }
     }
-    EXPECT_TRUE(simd_.ErasePrehashed(key, hash_fn_(key)));
-    EXPECT_TRUE(scalar_.ErasePrehashedScalar(key, hash_fn_(key)));
+    const uint32_t value = reference_.at(key);
+    EXPECT_EQ(simd_.ErasePrehashed(key, hash_fn_(key), Keys()), value);
+    EXPECT_EQ(scalar_.ErasePrehashedScalar(key, hash_fn_(key), Keys()), value);
     reference_.erase(key);
   }
 
   void EraseAbsent() {
     const ObjectId key = key_space_ + (rng_.NextU64() % key_space_);
-    EXPECT_FALSE(simd_.ErasePrehashed(key, hash_fn_(key)));
-    EXPECT_FALSE(scalar_.ErasePrehashedScalar(key, hash_fn_(key)));
+    EXPECT_EQ(simd_.ErasePrehashed(key, hash_fn_(key), Keys()), FlatIndex::kEmpty);
+    EXPECT_EQ(scalar_.ErasePrehashedScalar(key, hash_fn_(key), Keys()), FlatIndex::kEmpty);
   }
 
   void FindRandom() {
@@ -323,10 +378,10 @@ class FuzzHarness {
     const uint64_t h = hash_fn_(key);
     const auto it = reference_.find(key);
     const uint32_t want = it == reference_.end() ? FlatIndex::kEmpty : it->second;
-    EXPECT_EQ(simd_.FindPrehashed(key, h), want) << key;
-    EXPECT_EQ(simd_.FindPrehashedScalar(key, h), want) << key;
-    EXPECT_EQ(scalar_.FindPrehashed(key, h), want) << key;
-    EXPECT_EQ(scalar_.FindPrehashedScalar(key, h), want) << key;
+    EXPECT_EQ(simd_.FindPrehashed(key, h, Keys()), want) << key;
+    EXPECT_EQ(simd_.FindPrehashedScalar(key, h, Keys()), want) << key;
+    EXPECT_EQ(scalar_.FindPrehashed(key, h, Keys()), want) << key;
+    EXPECT_EQ(scalar_.FindPrehashedScalar(key, h, Keys()), want) << key;
   }
 
   void VerifyAll() {
@@ -342,11 +397,14 @@ class FuzzHarness {
     }
   }
 
+  TableKeys Keys() const { return TableKeys{&key_of_value_}; }
+
   Rng rng_;
   HashFn hash_fn_;
   const size_t max_live_;
   const size_t key_space_ = 4096;
   uint32_t next_value_ = 0;
+  std::vector<ObjectId> key_of_value_;  // indexed by value
   FlatIndex simd_;
   FlatIndex scalar_;
   std::unordered_map<ObjectId, uint32_t> reference_;
@@ -402,7 +460,7 @@ TEST(FlatIndexFuzzTest, SlabBacklinksStayConsistent) {
       if (reference.count(key) == 0) {
         const uint32_t slot =
             slab.Allocate(key, /*size=*/1, /*stamp=*/0, static_cast<uint32_t>(h));
-        index.EmplacePrehashed(key, h, slot, &slab);
+        index.EmplacePrehashed(h, slot, &slab);
         reference.emplace(key, slot);
       }
     } else if (action < 80) {
@@ -414,7 +472,8 @@ TEST(FlatIndexFuzzTest, SlabBacklinksStayConsistent) {
           // wrong entry and surfaces as a reference mismatch below.
           index.EraseCell(slab.node(it->second).cell, &slab);
         } else {
-          EXPECT_TRUE(index.ErasePrehashed(key, h, &slab));
+          const auto slab_keys = [&slab](uint32_t v) { return slab.node(v).id; };
+          EXPECT_EQ(index.ErasePrehashed(key, h, slab_keys, &slab), it->second);
         }
         slab.Free(it->second);
         reference.erase(it);
@@ -422,14 +481,14 @@ TEST(FlatIndexFuzzTest, SlabBacklinksStayConsistent) {
     } else if (action < 99) {
       const auto it = reference.find(key);
       const uint32_t want = it == reference.end() ? FlatIndex::kEmpty : it->second;
-      ASSERT_EQ(index.FindPrehashed(key, h), want);
+      ASSERT_EQ(index.FindPrehashed(key, h, slab), want);
     } else if (reference.size() < 64) {
       index.Reserve(reference.size() * 8 + 64, &slab);  // rehash moves every backlink
     }
     if (step % 1024 == 0) {
       ASSERT_EQ(index.size(), reference.size());
       for (const auto& [k, slot] : reference) {
-        ASSERT_EQ(index.FindPrehashed(k, ClusteredHash(k)), slot);
+        ASSERT_EQ(index.FindPrehashed(k, ClusteredHash(k), slab), slot);
         ASSERT_EQ(slab.node(slot).id, k);
       }
     }
@@ -449,20 +508,21 @@ TEST(FlatIndexFuzzTest, SlabBacklinksStayConsistent) {
 TEST(FlatIndexFuzzTest, GrowthFromEmptyMatchesScalar) {
   FlatIndex simd;
   FlatIndex scalar;
+  const auto keys = [](uint32_t value) { return ObjectId{value}; };  // value == key
   for (ObjectId key = 0; key < 2000; ++key) {
     const uint64_t h = Mix64(key);
-    simd.EmplacePrehashed(key, h, static_cast<uint32_t>(key));
-    scalar.EmplacePrehashedScalar(key, h, static_cast<uint32_t>(key));
+    simd.EmplacePrehashed(h, static_cast<uint32_t>(key));
+    scalar.EmplacePrehashedScalar(h, static_cast<uint32_t>(key));
   }
   for (ObjectId key = 0; key < 2000; ++key) {
     const uint64_t h = Mix64(key);
-    ASSERT_EQ(simd.FindPrehashed(key, h), static_cast<uint32_t>(key));
-    ASSERT_EQ(scalar.FindPrehashed(key, h), static_cast<uint32_t>(key));
-    ASSERT_EQ(simd.FindPrehashedScalar(key, h), static_cast<uint32_t>(key));
+    ASSERT_EQ(simd.FindPrehashed(key, h, keys), static_cast<uint32_t>(key));
+    ASSERT_EQ(scalar.FindPrehashed(key, h, keys), static_cast<uint32_t>(key));
+    ASSERT_EQ(simd.FindPrehashedScalar(key, h, keys), static_cast<uint32_t>(key));
   }
   for (ObjectId key = 2000; key < 2100; ++key) {
-    ASSERT_EQ(simd.FindPrehashed(key, Mix64(key)), FlatIndex::kEmpty);
-    ASSERT_EQ(scalar.FindPrehashed(key, Mix64(key)), FlatIndex::kEmpty);
+    ASSERT_EQ(simd.FindPrehashed(key, Mix64(key), keys), FlatIndex::kEmpty);
+    ASSERT_EQ(scalar.FindPrehashed(key, Mix64(key), keys), FlatIndex::kEmpty);
   }
 }
 

@@ -1,7 +1,7 @@
 // Bounded-memory smoke test for the out-of-core pipeline: replays a
 // 10^7-request synthetic stream through the ReplayEngine and asserts peak
 // RSS stays far below what materializing the trace would need (10^7
-// requests are 320 MB of Request records alone, before generation
+// requests are 229 MiB of 24-byte Request records alone, before generation
 // overhead). This is the end-to-end check that no stage of the streaming
 // path — generator pre-pass, chunk decode, decode-ahead buffers, engine —
 // accumulates O(trace) state.
@@ -72,9 +72,10 @@ TEST(StreamRssSmokeTest, TenMillionRequestsInBoundedMemory) {
   GTEST_SKIP() << "sanitizer build: peak RSS " << (peak >> 20)
                << " MiB is dominated by shadow memory; bound not meaningful";
 #else
-  // Well under the 320 MB the materialized request vector alone would take;
-  // actual peak is O(chunk buffers + object population), ~100 MiB.
-  const uint64_t budget = 256ull << 20;
+  // Well under the 229 MiB the materialized request vector alone would
+  // take; actual peak is O(chunk buffers + object population), about
+  // 35 MiB (RelWithDebInfo).
+  const uint64_t budget = 128ull << 20;
   EXPECT_LT(peak, budget) << "peak RSS " << (peak >> 20) << " MiB — the streaming path is "
                           << "holding O(trace) state (materialized would be "
                           << (materialized_bytes >> 20) << " MiB)";

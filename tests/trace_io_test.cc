@@ -72,6 +72,9 @@ TEST(TraceIoBulkTest, CsvMalformedInputs) {
       {"trailing_junk", "100,GET,7,2048x\n", false},
       {"negative_size", "100,GET,7,-1\n", false},
       {"size_overflow", "100,GET,7,99999999999999999999999\n", false},
+      // A Request holds sizes up to 2^56 - 1 (kMaxRequestBytes).
+      {"size_past_request_bound", "100,GET,7,72057594037927936\n", false, "line 2: malformed row"},
+      {"size_at_request_bound", "100,GET,7,72057594037927935\n", true},
       {"blank_trailing_line", "100,GET,7,2048\n\n", true},
       // Time may not run backwards: the engines would skip the interval
       // and under-bill. Equal times are legal (SplitObjects emits them).
