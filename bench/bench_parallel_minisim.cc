@@ -1,11 +1,12 @@
 // Mini-simulation fan-out: wall-clock for one analysis window replayed
 // sequentially vs on a 4-worker thread pool (the local analogue of the
 // paper's serverless fan-out, §6.3), plus determinism cross-checks. The
-// fan-out is shown on S3-FIFO, whose grid points replay independently, and
-// on the two-level ALC bank, whose grid points replay independently over
-// shared slot ids (see alc_bank.h); LRU banks replay every grid point in
-// one pass over a shared recency timeline (see mrc_bank.h), whose window
-// time is reported alongside. On a multi-core machine the fan-out
+// fan-out is shown on S3-FIFO, whose grid points replay independently, one
+// task each, and on the two-level ALC bank, which splits each batch into
+// one contiguous grid range per worker, replayed request by request over
+// each slot's contiguous rows (see alc_bank.h); LRU banks replay every
+// grid point in one pass over a shared recency timeline (see mrc_bank.h),
+// whose window time is reported alongside. On a multi-core machine the fan-out
 // approaches #workers x for large grids; on a single core it only measures
 // the batching overhead, so the speedup is reported, not asserted.
 

@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench/harness.h"
+#include "bench/reuse_distance.h"
 #include "src/minisim/mrc_bank.h"
-#include "src/minisim/reuse_distance.h"
 #include "src/minisim/size_grid.h"
 #include "src/trace/request_source.h"
 

@@ -1,4 +1,4 @@
-#include "src/minisim/reuse_distance.h"
+#include "bench/reuse_distance.h"
 
 #include <algorithm>
 

@@ -7,10 +7,11 @@
 // distance" exactly for every access yields the exact MRC/BMC in
 // O(n log n) — the gold standard the miniature simulation (§5.2) is
 // validated against. The paper cites this family of approaches ([126-130])
-// as the alternatives to miniature simulation.
+// as the alternatives to miniature simulation. Its one user is bench_sec52's
+// exact-MRC cross-check; the simulator never runs it.
 
-#ifndef MACARON_SRC_MINISIM_REUSE_DISTANCE_H_
-#define MACARON_SRC_MINISIM_REUSE_DISTANCE_H_
+#ifndef MACARON_BENCH_REUSE_DISTANCE_H_
+#define MACARON_BENCH_REUSE_DISTANCE_H_
 
 #include <cstdint>
 #include <limits>
@@ -79,4 +80,4 @@ class ReuseDistanceAnalyzer {
 
 }  // namespace macaron
 
-#endif  // MACARON_SRC_MINISIM_REUSE_DISTANCE_H_
+#endif  // MACARON_BENCH_REUSE_DISTANCE_H_

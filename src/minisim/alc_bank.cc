@@ -1,13 +1,14 @@
 #include "src/minisim/alc_bank.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/check.h"
 
 namespace macaron {
 
 namespace {
-constexpr size_t kPrefetchAhead = 8;  // rows prefetched ahead in the replay loop
+constexpr size_t kPrefetchAhead = 8;  // requests prefetched ahead in the replay loop
 
 // Level indices into a SlotRow's per-level fields.
 constexpr int kCluster = 0;
@@ -20,6 +21,13 @@ constexpr SimTime kNoFetch = std::numeric_limits<SimTime>::min();
 // SlabNode::stamp of a slot the index maps an id to (0 once freed).
 constexpr uint64_t kLiveSlot = 1;
 
+// Slots per page of the row table. A page holds kPageSlots x grid rows:
+// slot s's rows, one per grid point, start at row (s % kPageSlots) * grid
+// of page s / kPageSlots.
+constexpr uint32_t kPageShift = 8;
+constexpr uint32_t kPageSlots = 1u << kPageShift;
+}  // namespace
+
 // One slot's state at one grid point.
 struct SlotRow {
   uint64_t size[2] = {kAbsent, kAbsent};  // resident bytes per level
@@ -28,6 +36,23 @@ struct SlotRow {
   uint32_t next[2] = {kNilNode, kNilNode};
 };
 static_assert(sizeof(SlotRow) == 40, "SlotRow should pack into 40 bytes");
+constexpr SlotRow kFreeRow{};
+
+namespace {
+
+SlotRow* SlotRows(const std::unique_ptr<SlotRow[]>* pages, uint32_t stride, uint32_t s) {
+  return pages[s >> kPageShift].get() + (s & (kPageSlots - 1)) * stride;
+}
+
+// One grid point's rows, indexed by slot. The helpers below take it by
+// value and are forced inline: for this 16-byte handle GCC 12 otherwise
+// calls Unlink, EvictToFit and Put out of line from the replay loop.
+struct GridRows {
+  const std::unique_ptr<SlotRow[]>* pages;
+  uint32_t stride;  // grid points
+  uint32_t point;
+  SlotRow& operator[](uint32_t s) const { return SlotRows(pages, stride, s)[point]; }
+};
 
 // One level's LRU list over a grid point's rows (head = MRU), with the
 // byte accounting of LruCache.
@@ -39,7 +64,7 @@ struct LevelList {
 };
 
 template <int L>
-void PushFront(SlotRow* rows, LevelList& list, uint32_t s) {
+[[gnu::always_inline]] inline void PushFront(GridRows rows, LevelList& list, uint32_t s) {
   rows[s].prev[L] = kNilNode;
   rows[s].next[L] = list.head;
   if (list.head != kNilNode) {
@@ -51,7 +76,7 @@ void PushFront(SlotRow* rows, LevelList& list, uint32_t s) {
 }
 
 template <int L>
-void Unlink(SlotRow* rows, LevelList& list, uint32_t s) {
+[[gnu::always_inline]] inline void Unlink(GridRows rows, LevelList& list, uint32_t s) {
   const uint32_t prev = rows[s].prev[L];
   const uint32_t next = rows[s].next[L];
   if (prev != kNilNode) {
@@ -67,7 +92,7 @@ void Unlink(SlotRow* rows, LevelList& list, uint32_t s) {
 }
 
 template <int L>
-void MoveToFront(SlotRow* rows, LevelList& list, uint32_t s) {
+[[gnu::always_inline]] inline void MoveToFront(GridRows rows, LevelList& list, uint32_t s) {
   if (list.head != s) {
     Unlink<L>(rows, list, s);
     PushFront<L>(rows, list, s);
@@ -77,7 +102,7 @@ void MoveToFront(SlotRow* rows, LevelList& list, uint32_t s) {
 // LruCache::EvictToFit: drops LRU entries until `incoming` more bytes fit
 // or the level is empty.
 template <int L>
-void EvictToFit(SlotRow* rows, LevelList& list, uint64_t incoming) {
+[[gnu::always_inline]] inline void EvictToFit(GridRows rows, LevelList& list, uint64_t incoming) {
   while (list.used + incoming > list.capacity && list.tail != kNilNode) {
     const uint32_t victim = list.tail;
     list.used -= rows[victim].size[L];
@@ -90,7 +115,8 @@ void EvictToFit(SlotRow* rows, LevelList& list, uint64_t incoming) {
 // evicting down (the object itself last) if it no longer fits; an absent
 // object is admitted only if it fits the capacity.
 template <int L>
-void Put(SlotRow* rows, LevelList& list, uint32_t s, uint64_t size) {
+[[gnu::always_inline]] inline void Put(GridRows rows, LevelList& list, uint32_t s,
+                                       uint64_t size) {
   SlotRow& row = rows[s];
   if (row.size[L] != kAbsent) {
     list.used = list.used - row.size[L] + size;
@@ -111,7 +137,7 @@ void Put(SlotRow* rows, LevelList& list, uint32_t s, uint64_t size) {
 }
 
 template <int L>
-void Erase(SlotRow* rows, LevelList& list, uint32_t s) {
+[[gnu::always_inline]] inline void Erase(GridRows rows, LevelList& list, uint32_t s) {
   if (rows[s].size[L] != kAbsent) {
     list.used -= rows[s].size[L];
     rows[s].size[L] = kAbsent;
@@ -125,9 +151,10 @@ uint64_t MiniCapacity(uint64_t capacity, double ratio) {
 
 }  // namespace
 
-struct AlcBank::GridPoint {
-  std::vector<SlotRow> rows;  // indexed by slot
-  LevelList level[2];         // kCluster, kOsc
+// Its own cache lines: replay tasks over neighbouring grid ranges never
+// write a shared line.
+struct alignas(64) AlcBank::GridPoint {
+  LevelList level[2];  // kCluster, kOsc
   double latency_sum_ms = 0.0;
   AlcLevelCounts counts;
 };
@@ -139,7 +166,7 @@ AlcBank::AlcBank(std::vector<uint64_t> cluster_grid, uint64_t osc_capacity, doub
       rng_(seed),
       pipeline_(
           ratio, salt, [this](const ReplayBatch& batch) { return PrepareBatch(batch); },
-          [this](const ReplayBatch& batch, size_t i) { ReplayGridPoint(batch, i); }) {
+          [this](const ReplayBatch& batch, size_t t) { ReplayGridRange(batch, t); }) {
   MACARON_CHECK(!grid_.empty());
   MACARON_CHECK(latency_ != nullptr);
   const uint64_t mini_osc = MiniCapacity(osc_capacity, ratio);
@@ -152,83 +179,89 @@ AlcBank::AlcBank(std::vector<uint64_t> cluster_grid, uint64_t osc_capacity, doub
 
 AlcBank::~AlcBank() = default;
 
+void AlcBank::SetExecution(ThreadPool* pool, bool async) {
+  pipeline_.SetExecution(pool, async);
+  workers_ = pool == nullptr ? 1 : static_cast<size_t>(std::max(pool->num_workers(), 1));
+}
+
 void AlcBank::SetOscCapacity(uint64_t osc_capacity) {
   // Resizing applies from this point in the stream: replay what came before
   // (and wait for it — the replay reads the OSC levels).
   pipeline_.Drain();
   const uint64_t mini_osc = MiniCapacity(osc_capacity, pipeline_.ratio());
-  for (GridPoint& g : points_) {
-    g.level[kOsc].capacity = mini_osc;
-    EvictToFit<kOsc>(g.rows.data(), g.level[kOsc], 0);
+  const uint32_t stride = static_cast<uint32_t>(grid_.size());
+  for (uint32_t i = 0; i < stride; ++i) {
+    points_[i].level[kOsc].capacity = mini_osc;
+    EvictToFit<kOsc>(GridRows{pages_.data(), stride, i}, points_[i].level[kOsc], 0);
   }
 }
 
-void AlcBank::ReplayGridPoint(const ReplayBatch& batch, size_t i) {
-  GridPoint& g = points_[i];
-  SlotRow* rows = g.rows.data();
-  // Level lists, counters and the latency sum live in locals for the batch
-  // and are written back once (grid points run on pool threads, and
-  // neighbouring GridPoints share cache lines). The latency sum starts from
-  // the running value, so its additions are the same, in the same order.
-  LevelList cluster = g.level[kCluster];
-  LevelList osc = g.level[kOsc];
-  AlcLevelCounts counts = g.counts;
-  double latency_sum_ms = g.latency_sum_ms;
+void AlcBank::ReplayGridRange(const ReplayBatch& batch, size_t t) {
+  // Task t of tasks_ replays grid points [lo, hi) request by request, over
+  // each request's contiguous block of rows.
+  const uint32_t stride = static_cast<uint32_t>(grid_.size());
+  const uint32_t lo = static_cast<uint32_t>(t * grid_.size() / tasks_);
+  const uint32_t hi = static_cast<uint32_t>((t + 1) * grid_.size() / tasks_);
+  const std::unique_ptr<SlotRow[]>* pages = pages_.data();
   const size_t n = batch.size();
   for (size_t k = 0; k < n; ++k) {
     if (k + kPrefetchAhead < n) {
-      __builtin_prefetch(rows + slots_[k + kPrefetchAhead]);
+      __builtin_prefetch(SlotRows(pages, stride, slots_[k + kPrefetchAhead]) + lo);
     }
     const uint32_t s = slots_[k];
-    SlotRow& row = rows[s];
     const uint64_t size = batch.sizes[k];
     const SimTime time = batch.times[k];
-    switch (batch.ops[k]) {
-      case Op::kGet: {
-        if (row.completion > time) {
-          // The object was admitted at request time but its fetch is still
-          // in flight: the duplicate access waits for that completion (the
-          // false-positive-hit correction of Fig 5b).
-          latency_sum_ms += static_cast<double>(row.completion - time);
-          ++counts.delayed_hits;
+    const Op op = batch.ops[k];
+    for (uint32_t i = lo; i < hi; ++i) {
+      const GridRows rows{pages, stride, i};
+      SlotRow& row = rows[s];
+      LevelList& cluster = points_[i].level[kCluster];
+      LevelList& osc = points_[i].level[kOsc];
+      AlcLevelCounts& counts = points_[i].counts;
+      double& latency_sum_ms = points_[i].latency_sum_ms;
+      switch (op) {
+        case Op::kGet: {
+          if (row.completion > time) {
+            // The object was admitted at request time but its fetch is still
+            // in flight: the duplicate access waits for that completion (the
+            // false-positive-hit correction of Fig 5b).
+            latency_sum_ms += static_cast<double>(row.completion - time);
+            ++counts.delayed_hits;
+            break;
+          }
+          row.completion = kNoFetch;  // an expired fetch is cleared
+          if (row.size[kCluster] != kAbsent) {
+            MoveToFront<kCluster>(rows, cluster, s);
+            latency_sum_ms += lat_cluster_[k];
+            ++counts.cluster_hits;
+            break;
+          }
+          if (row.size[kOsc] != kAbsent) {
+            MoveToFront<kOsc>(rows, osc, s);
+            latency_sum_ms += lat_osc_[k];
+            ++counts.osc_hits;
+            Put<kCluster>(rows, cluster, s, size);  // promote
+            break;
+          }
+          latency_sum_ms += lat_remote_[k];
+          ++counts.remote_misses;
+          row.completion = time + static_cast<SimTime>(lat_remote_[k]);
+          Put<kOsc>(rows, osc, s, size);
+          Put<kCluster>(rows, cluster, s, size);
           break;
         }
-        row.completion = kNoFetch;  // an expired fetch is cleared
-        if (row.size[kCluster] != kAbsent) {
-          MoveToFront<kCluster>(rows, cluster, s);
-          latency_sum_ms += lat_cluster_[k];
-          ++counts.cluster_hits;
+        case Op::kPut:
+          Put<kOsc>(rows, osc, s, size);
+          Put<kCluster>(rows, cluster, s, size);
           break;
-        }
-        if (row.size[kOsc] != kAbsent) {
-          MoveToFront<kOsc>(rows, osc, s);
-          latency_sum_ms += lat_osc_[k];
-          ++counts.osc_hits;
-          Put<kCluster>(rows, cluster, s, size);  // promote
+        case Op::kDelete:
+          Erase<kOsc>(rows, osc, s);
+          Erase<kCluster>(rows, cluster, s);
+          row.completion = kNoFetch;
           break;
-        }
-        latency_sum_ms += lat_remote_[k];
-        ++counts.remote_misses;
-        row.completion = time + static_cast<SimTime>(lat_remote_[k]);
-        Put<kOsc>(rows, osc, s, size);
-        Put<kCluster>(rows, cluster, s, size);
-        break;
       }
-      case Op::kPut:
-        Put<kOsc>(rows, osc, s, size);
-        Put<kCluster>(rows, cluster, s, size);
-        break;
-      case Op::kDelete:
-        Erase<kOsc>(rows, osc, s);
-        Erase<kCluster>(rows, cluster, s);
-        row.completion = kNoFetch;
-        break;
     }
   }
-  g.level[kCluster] = cluster;
-  g.level[kOsc] = osc;
-  g.counts = counts;
-  g.latency_sum_ms = latency_sum_ms;
 }
 
 void AlcBank::MaybeReclaimSlots() {
@@ -237,30 +270,26 @@ void AlcBank::MaybeReclaimSlots() {
   }
   // A slot is held while some grid point keeps it resident at either
   // level or has a fetch for it completing after the newest replayed time
-  // (which no later request predates).
-  const size_t slots = slab_.allocated_nodes();
-  std::vector<uint8_t> held(slots, 0);
-  for (const GridPoint& g : points_) {
-    const SlotRow* rows = g.rows.data();
-    for (size_t s = 0; s < slots; ++s) {
-      held[s] |= static_cast<uint8_t>((rows[s].size[kCluster] != kAbsent) |
-                                      (rows[s].size[kOsc] != kAbsent) |
-                                      (rows[s].completion > newest_time_));
-    }
-  }
-  std::vector<uint32_t> freed;
+  // (which no later request predates). A freed slot's rows are reset in
+  // place.
+  const uint32_t stride = static_cast<uint32_t>(grid_.size());
+  const uint32_t slots = static_cast<uint32_t>(slab_.allocated_nodes());
   for (uint32_t s = 0; s < slots; ++s) {
     SlabNode& node = slab_.node(s);
-    if (held[s] == 0 && node.stamp == kLiveSlot) {
+    if (node.stamp != kLiveSlot) {
+      continue;
+    }
+    SlotRow* rows = SlotRows(pages_.data(), stride, s);
+    bool held = false;
+    for (uint32_t i = 0; i < stride; ++i) {
+      held |= (rows[i].size[kCluster] != kAbsent) | (rows[i].size[kOsc] != kAbsent) |
+              (rows[i].completion > newest_time_);
+    }
+    if (!held) {
       index_.EraseCell(node.cell, &slab_);
       node.stamp = 0;
       slab_.Free(s);
-      freed.push_back(s);
-    }
-  }
-  for (GridPoint& g : points_) {
-    for (const uint32_t s : freed) {
-      g.rows[s] = SlotRow{};
+      std::fill_n(rows, stride, kFreeRow);
     }
   }
   live_after_scan_ = slab_.live_nodes();
@@ -273,6 +302,7 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
   // latencies: admitted GETs draw one latency per source, everything else
   // draws none and records zeros.
   const size_t n = batch.size();
+  const uint32_t stride = static_cast<uint32_t>(grid_.size());
   slots_.resize(n);
   lat_cluster_.resize(n);
   lat_osc_.resize(n);
@@ -291,6 +321,11 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
     if (s == FlatIndex::kEmpty) {
       s = slab_.Allocate(id, 0, kLiveSlot);
       index_.EmplacePrehashed(hash, s, &slab_);
+      // A reused slot's rows were reset when it was freed (its first row
+      // stands for them).
+      MACARON_CHECK(s >= pages_.size() * kPageSlots ||
+                    std::memcmp(SlotRows(pages_.data(), stride, s), &kFreeRow,
+                                sizeof(SlotRow)) == 0);
     }
     slots_[k] = s;
     if (batch.ops[k] == Op::kGet) {
@@ -301,13 +336,12 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
       lat_cluster_[k] = lat_osc_[k] = lat_remote_[k] = 0.0;
     }
   }
-  const size_t slots = slab_.allocated_nodes();
-  for (GridPoint& g : points_) {
-    if (g.rows.size() < slots) {
-      g.rows.resize(slots);
-    }
+  // New slots get their rows from fresh pages; a page never moves.
+  while (pages_.size() * kPageSlots < slab_.allocated_nodes()) {
+    pages_.push_back(std::make_unique<SlotRow[]>(kPageSlots * stride));
   }
-  return grid_.size();
+  tasks_ = std::min(workers_, grid_.size());
+  return tasks_;
 }
 
 AlcWindow AlcBank::EndWindow() {

@@ -18,31 +18,42 @@
 // batch is prepared for replay, on the calling thread, batch by batch: one
 // RNG pass in stream order, shared across grid points.
 //
-// Why each grid point still replays on its own: neither level is a stack
-// algorithm across the grid, so MrcBank's shared recency timeline does not
-// carry over: a delayed hit skips the cluster touch only at the grid
-// points whose fetch is still in flight, and each grid point's OSC sees
-// only its own cluster's misses.
+// Why each grid point still replays its own state: neither level is a
+// stack algorithm across the grid, so MrcBank's shared recency timeline
+// does not carry over: a delayed hit skips the cluster touch only at the
+// grid points whose fetch is still in flight, and each grid point's OSC
+// sees only its own cluster's misses.
 //
 // What is shared is the id lookup. When a batch is prepared, one
 // bank-wide FlatIndex + NodeSlab maps each sampled id to a dense slot, once
-// per request, and each grid point replays the batch over its own
-// slot-indexed rows with no hashing. A row (40 bytes) holds, per level
-// (cluster, OSC), the resident size (a marker when absent) and the LRU
-// prev/next slots, plus the completion time of the in-flight remote fetch
-// (a marker when none). The row kernel has the exact semantics of LruCache
-// and InflightTable: a hit moves to MRU without resizing, a miss admits
-// only what fits, a PUT that grows a resident copy past capacity evicts
-// down with the object last, SetOscCapacity evicts down, `completion >
-// now` is a delayed hit, an expired fetch is cleared, and DELETE clears
-// all three.
+// per request. A row (40 bytes) holds one slot's state at one grid point:
+// per level (cluster, OSC), the resident size (a marker when absent) and
+// the LRU prev/next slots, plus the completion time of the in-flight
+// remote fetch (a marker when none). The row kernel has the exact
+// semantics of LruCache and InflightTable: a hit moves to MRU without
+// resizing, a miss admits only what fits, a PUT that grows a resident copy
+// past capacity evicts down with the object last, SetOscCapacity evicts
+// down, `completion > now` is a delayed hit, an expired fetch is cleared,
+// and DELETE clears all three.
+//
+// Why a slot's rows sit together: every request touches its slot's row at
+// every grid point, so the rows live in one table indexed [slot][grid
+// point] and the batch is replayed request by request, each request
+// walking its slot's contiguous rows. Rows of neighbouring grid points
+// share cache lines, and so do most of the LRU neighbours a touch visits,
+// which are largely the same slots across the grid. Each grid point's
+// level lists, counters and latency sum still see the same operations and
+// floating-point additions in the same order as a replay of one grid point
+// at a time. The table is stored in pages of 256 slots, allocated as the
+// slab first needs them and never moved, so growth copies nothing and
+// leaves at most one page partly unused.
 //
 // Slot reclamation: at a batch boundary, after the previous batch's join,
 // once live slots have doubled since the last scan (and number at least
 // one batch), every slot that no grid point holds at either level and
 // whose fetches all completed by the newest replayed time goes back to the
-// slab with its rows reset. That is exact because request times never
-// decrease (a Trace invariant the MCTC writer enforces): a fetch that
+// slab with its rows reset in place. That is exact because request times
+// never decrease (a Trace invariant the MCTC writer enforces): a fetch that
 // completed by the newest replayed time is expired for every later
 // request, so a fresh slot behaves the same. The bank DCHECKs the part it
 // relies on: no request replayed after a scan predates it. Reclamation
@@ -50,17 +61,19 @@
 // one per distinct sampled id.
 //
 // Grid points share no mutable state during a replay, so the pipeline fans
-// them across an optional ThreadPool, or submits that fan-out
-// asynchronously, with bit-identical results. Slot resolution, the latency
-// draws, row growth and reclamation all run in the prepare step, after the
-// join of the batch in flight, so the slot and latency columns the replay
-// tasks read need no second buffer.
+// a batch across an optional ThreadPool as one task per pool worker, each
+// replaying a contiguous range of grid points (one task without a pool),
+// or submits that fan-out asynchronously, with bit-identical results.
+// Slot resolution, the latency draws, page allocation and reclamation all
+// run in the prepare step, after the join of the batch in flight, so the
+// slot and latency columns the replay tasks read need no second buffer.
 
 #ifndef MACARON_SRC_MINISIM_ALC_BANK_H_
 #define MACARON_SRC_MINISIM_ALC_BANK_H_
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "src/cache/flat_index.h"
@@ -74,6 +87,9 @@
 #include "src/minisim/sampled_batch_pipeline.h"
 
 namespace macaron {
+
+// One slot's state at one grid point; defined in alc_bank.cc.
+struct SlotRow;
 
 // Per-grid-point level hit counters for one window.
 struct AlcLevelCounts {
@@ -99,8 +115,10 @@ class AlcBank {
   ~AlcBank();
 
   // Execution and metrics wiring for the bank's pipeline (see
-  // SampledBatchPipeline). Curves are identical for any pool, sync or async.
-  void SetExecution(ThreadPool* pool, bool async) { pipeline_.SetExecution(pool, async); }
+  // SampledBatchPipeline). A batch splits into one replay task per pool
+  // worker (at most one per grid point). Curves are identical for any pool,
+  // sync or async.
+  void SetExecution(ThreadPool* pool, bool async);
   void set_metrics(obs::Counter* batches, obs::Counter* batch_requests) {
     pipeline_.set_metrics(batches, batch_requests);
   }
@@ -124,12 +142,13 @@ class AlcBank {
   size_t allocated_nodes() const { return slab_.allocated_nodes(); }
 
  private:
-  // Per-grid-point rows and level lists; defined in alc_bank.cc.
+  // Per-grid-point level lists, counters and latency sum; defined in
+  // alc_bank.cc.
   struct GridPoint;
 
   size_t PrepareBatch(const ReplayBatch& batch);
   void MaybeReclaimSlots();
-  void ReplayGridPoint(const ReplayBatch& batch, size_t i);
+  void ReplayGridRange(const ReplayBatch& batch, size_t t);
 
   std::vector<uint64_t> grid_;
   const LatencySampler* latency_;
@@ -146,7 +165,14 @@ class AlcBank {
   // step.
   FlatIndex index_;
   NodeSlab slab_;
+  // The row table: page p holds slots [256p, 256p + 256), each slot's rows
+  // contiguous, one per grid point.
+  std::vector<std::unique_ptr<SlotRow[]>> pages_;
   std::vector<GridPoint> points_;
+  // Pool workers, and the current batch's replay tasks (each a contiguous
+  // range of grid points).
+  size_t workers_ = 1;
+  size_t tasks_ = 1;
   // Reclamation state: live slots after the last scan, the newest request
   // time prepared so far (all of it replayed by the next join), and the
   // newest time at the last scan.

@@ -19,12 +19,14 @@
 //   * The flush. It joins the batch in flight, then runs the bank's
 //     prepare step on the calling thread, which readies the batch (slot
 //     resolution and latency draws for the ALC) and returns how many
-//     independent replay tasks it splits into: one per grid point, or one
-//     for the LRU timeline. The tasks then run inline (no pool), fan out
-//     with ParallelFor (a pool), or, with async replay, the batch is
-//     swapped into a shadow buffer and its tasks are submitted instead of
-//     joined, so replay overlaps whatever the calling thread does next (in
-//     the engines: serving shards and decoding the next chunk).
+//     independent replay tasks it splits into: one per grid point (TTL,
+//     non-LRU MRC), one for the LRU timeline, or one per pool worker, each
+//     a contiguous range of grid points (ALC). The tasks then run inline
+//     (no pool), fan out with ParallelFor (a pool), or, with async replay,
+//     the batch is swapped into a shadow buffer and its tasks are
+//     submitted instead of joined, so replay overlaps whatever the calling
+//     thread does next (in the engines: serving shards and decoding the
+//     next chunk).
 //
 // At most one batch is in flight, and its tasks finish before the next
 // prepare step runs, so bank state written by prepare needs no second

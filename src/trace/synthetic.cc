@@ -81,12 +81,21 @@ class SizeSampler {
   SizeSampler(uint64_t mean_bytes, double sigma, uint64_t max_bytes)
       : sigma_(sigma),
         mu_(std::log(static_cast<double>(mean_bytes)) - sigma * sigma / 2.0),
-        max_bytes_(max_bytes) {}
+        max_bytes_(std::min(max_bytes, kMaxRequestBytes)) {}
 
+  // Clamps in double before the cast: casting a draw at or past 2^64 is
+  // undefined, and a size past kMaxRequestBytes would wrap in Request's
+  // size field. Every double below max_bytes_ truncates to at most
+  // max_bytes_.
   uint64_t Sample(Rng& rng) const {
     const double s = rng.NextLogNormal(mu_, sigma_);
-    const uint64_t bytes = static_cast<uint64_t>(s);
-    return std::clamp<uint64_t>(bytes, kKB, max_bytes_);
+    if (s < static_cast<double>(kKB)) {
+      return kKB;
+    }
+    if (s >= static_cast<double>(max_bytes_)) {
+      return max_bytes_;
+    }
+    return static_cast<uint64_t>(s);
   }
 
  private:

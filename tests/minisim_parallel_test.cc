@@ -129,35 +129,44 @@ TEST(ParallelDeterminismTest, AlcBankBitIdenticalToSequential) {
   const auto grid = UniformSizeGrid(20'000, 2'000'000, 10);
   GroundTruthLatency truth(LatencyScenario::kCrossCloudUs);
   FittedLatencyGenerator gen(truth, 200, 1);
-  // Synchronous fan-out, then async: slot resolution, latency draws, row
-  // growth and slot reclamation run on this thread after the join of the
-  // batch in flight.
-  for (const bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async" : "sync");
-    // Same seed: each bank draws its latencies from its own Rng, in stream
-    // order, so the two sequences are identical.
-    AlcBank seq(grid, 2'000'000, 0.5, 31, &gen, 77);
-    AlcBank par(grid, 2'000'000, 0.5, 31, &gen, 77);
-    ThreadPool pool(4);
-    par.SetExecution(&pool, async);
+  const auto run = [&](AlcBank& bank) {
+    std::vector<AlcWindow> windows;
     for (size_t w = 0; w < 2; ++w) {
-      seq.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
-      par.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
+      bank.ProcessColumns(chunk, w * 20000, (w + 1) * 20000);
       if (w == 0) {
-        // Mid-stream reconfiguration flushes pending batches on both sides.
-        seq.SetOscCapacity(1'000'000);
-        par.SetOscCapacity(1'000'000);
+        // Mid-stream reconfiguration flushes pending batches.
+        bank.SetOscCapacity(1'000'000);
       }
-      const AlcWindow ws = seq.EndWindow();
-      const AlcWindow wp = par.EndWindow();
-      EXPECT_EQ(ws.sampled_gets, wp.sampled_gets);
-      ExpectCurvesIdentical(ws.alc, wp.alc);
-      ASSERT_EQ(ws.level_counts.size(), wp.level_counts.size());
-      for (size_t i = 0; i < ws.level_counts.size(); ++i) {
-        EXPECT_EQ(ws.level_counts[i].cluster_hits, wp.level_counts[i].cluster_hits);
-        EXPECT_EQ(ws.level_counts[i].osc_hits, wp.level_counts[i].osc_hits);
-        EXPECT_EQ(ws.level_counts[i].remote_misses, wp.level_counts[i].remote_misses);
-        EXPECT_EQ(ws.level_counts[i].delayed_hits, wp.level_counts[i].delayed_hits);
+      windows.push_back(bank.EndWindow());
+    }
+    return windows;
+  };
+  // Same seed: each bank draws its latencies from its own Rng, in stream
+  // order, so the sequences are identical.
+  AlcBank seq(grid, 2'000'000, 0.5, 31, &gen, 77);
+  const std::vector<AlcWindow> want = run(seq);
+  // Each pool splits the 10 grid points into one contiguous range per
+  // worker: ranges of unequal length at 3 and 4 workers, and one point per
+  // task at 16 (more workers than grid points). Synchronous fan-out, then
+  // async: slot resolution, latency draws, page allocation and slot
+  // reclamation run on this thread after the join of the batch in flight.
+  for (const int workers : {2, 3, 4, 16}) {
+    for (const bool async : {false, true}) {
+      SCOPED_TRACE(testing::Message() << workers << (async ? " workers async" : " workers sync"));
+      AlcBank par(grid, 2'000'000, 0.5, 31, &gen, 77);
+      ThreadPool pool(workers);
+      par.SetExecution(&pool, async);
+      const std::vector<AlcWindow> got = run(par);
+      for (size_t w = 0; w < want.size(); ++w) {
+        EXPECT_EQ(want[w].sampled_gets, got[w].sampled_gets);
+        ExpectCurvesIdentical(want[w].alc, got[w].alc);
+        ASSERT_EQ(want[w].level_counts.size(), got[w].level_counts.size());
+        for (size_t i = 0; i < want[w].level_counts.size(); ++i) {
+          EXPECT_EQ(want[w].level_counts[i].cluster_hits, got[w].level_counts[i].cluster_hits);
+          EXPECT_EQ(want[w].level_counts[i].osc_hits, got[w].level_counts[i].osc_hits);
+          EXPECT_EQ(want[w].level_counts[i].remote_misses, got[w].level_counts[i].remote_misses);
+          EXPECT_EQ(want[w].level_counts[i].delayed_hits, got[w].level_counts[i].delayed_hits);
+        }
       }
     }
   }

@@ -6,7 +6,7 @@
 #include "src/cache/lru_cache.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
-#include "src/minisim/reuse_distance.h"
+#include "bench/reuse_distance.h"
 
 namespace macaron {
 namespace {

@@ -176,6 +176,26 @@ TEST(GeneratorTest, ObjectSizesWithinBounds) {
   }
 }
 
+TEST(GeneratorTest, SizesPastTheRequestFieldClampToMaxRequestBytes) {
+  // Every draw lands near 2^62, past Request's 56-bit size field, and
+  // max_object_bytes does not bound it: each size must clamp to
+  // kMaxRequestBytes instead of wrapping.
+  WorkloadProfile p;
+  p.name = "huge";
+  p.duration = kHour;
+  p.mean_object_bytes = uint64_t{1} << 62;
+  p.object_size_sigma = 0.01;
+  p.max_object_bytes = UINT64_MAX;
+  p.dataset_bytes = UINT64_MAX;
+  p.get_bytes = UINT64_MAX;
+  p.put_bytes = UINT64_MAX;
+  const Trace t = GenerateTrace(p);
+  ASSERT_EQ(t.requests.size(), 6u);
+  for (const Request& r : t.requests) {
+    EXPECT_EQ(r.size, kMaxRequestBytes);
+  }
+}
+
 TEST(GeneratorTest, ObjectSizesAreStablePerObject) {
   const Trace t = GenerateTrace(ProfileByName("ibm12"));
   std::unordered_map<ObjectId, uint64_t> sizes;
