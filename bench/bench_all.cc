@@ -99,9 +99,10 @@ void WriteJson(const std::string& path, int threads, double total_seconds,
   std::fprintf(f,
                "  \"jobs\": {\"submitted\": %zu, \"unique\": %zu, \"executed\": %zu, "
                "\"store_hits\": %zu, \"peak_in_flight\": %d, \"busy_seconds\": %.3f, "
-               "\"stats_passes\": %zu},\n",
+               "\"stats_passes\": %zu, \"content_hashes\": %zu},\n",
                stats.submitted, stats.unique, stats.executed, stats.store_hits,
-               stats.peak_in_flight, stats.busy_seconds, stats.stats_passes);
+               stats.peak_in_flight, stats.busy_seconds, stats.stats_passes,
+               stats.content_hashes);
   std::fprintf(f, "  \"figures\": [\n");
   for (size_t i = 0; i < timings.size(); ++i) {
     std::fprintf(f, "    {\"name\": \"%s\", \"seconds\": %.3f, \"exit_code\": %d}%s\n",
@@ -347,10 +348,10 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "\nbench_all: %zu figures in %.2fs | threads %d | jobs: %zu submitted, "
                "%zu unique, %zu simulated, %zu from cache, peak %d in flight, "
-               "%.1fs busy, %zu trace stats passes\n",
+               "%.1fs busy, %zu trace stats passes, %zu trace content hashes\n",
                timings.size(), total, bench::SharedSweep().threads(), stats.submitted,
                stats.unique, stats.executed, stats.store_hits, stats.peak_in_flight,
-               stats.busy_seconds, stats.stats_passes);
+               stats.busy_seconds, stats.stats_passes, stats.content_hashes);
   if (json_path != "off" && !json_path.empty()) {
     WriteJson(json_path, bench::SharedSweep().threads(), total, timings, stats);
     std::fprintf(stderr, "bench_all: wrote %s\n", json_path.c_str());

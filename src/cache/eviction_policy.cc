@@ -27,6 +27,17 @@ const char* EvictionPolicyName(EvictionPolicyKind kind) {
   }
 }
 
+uint32_t EvictionCache::TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
+                                               bool* inserted) {
+  const bool hit = GetPrehashed(id, hash);
+  if (!hit) {
+    PutPrehashed(id, hash, size);
+  }
+  const uint32_t slot = SlotOfPrehashed(id, hash);
+  *inserted = !hit && slot != kNoSlot;
+  return slot;
+}
+
 namespace {
 
 // SlotOfPrehashed returns index lookups as they are: a miss is kNoSlot.
@@ -101,6 +112,11 @@ class LruPolicy final : public EvictionCache {
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
     return cache_.SlotOfPrehashed(id, hash);
   }
+  uint64_t SizeAtSlot(uint32_t slot) const override { return cache_.SizeAtSlot(slot); }
+  uint32_t TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
+                                  bool* inserted) override {
+    return cache_.TouchOrInsertPrehashed(id, hash, size, inserted);
+  }
   void PrefetchPrehashed(uint64_t hash) const override {
     cache_.PrefetchPrehashed(hash);
   }
@@ -171,6 +187,7 @@ class FifoPolicy final : public EvictionCache {
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
     return index_.FindPrehashed(id, hash, slab_);
   }
+  uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
 
   void PrefetchPrehashed(uint64_t hash) const override {
     index_.PrefetchPrehashed(hash);
@@ -287,6 +304,7 @@ class SlruPolicy final : public EvictionCache {
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
     return index_.FindPrehashed(id, hash, slab_);
   }
+  uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
 
   void PrefetchPrehashed(uint64_t hash) const override {
     index_.PrefetchPrehashed(hash);
@@ -473,6 +491,7 @@ class S3FifoPolicy final : public EvictionCache {
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
     return index_.FindPrehashed(id, hash, slab_);
   }
+  uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
 
   // Main index only: every request probes it, while the ghost table is
   // consulted only on a fresh admit (PutPrehashed pulls its lines then,

@@ -83,6 +83,20 @@ class EvictionCache {
   // an owner can keep per-entry rows in a dense array indexed by slot.
   virtual uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const = 0;
 
+  // The size stored with the entry in `slot`, which must be live (a slot
+  // SlotOfPrehashed or TouchOrInsertPrehashed returned since, not freed).
+  // Slot-less implementations return 0.
+  virtual uint64_t SizeAtSlot(uint32_t slot) const = 0;
+
+  // GetPrehashed and, on a miss, PutPrehashed, in one call: touches a
+  // resident `id` per policy or inserts it (evicting to fit, with the same
+  // callbacks). Returns the entry's slot, kNoSlot if `size` exceeds the
+  // capacity, and sets *inserted iff this call admitted the entry. The
+  // default makes those calls and SlotOfPrehashed; LRU overrides it with one
+  // index probe.
+  virtual uint32_t TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
+                                          bool* inserted);
+
   // Hints the CPU to pull the key's index lines (tag metadata + cell) into
   // cache ahead of an operation on the same hash. Purely advisory — never
   // affects results. Policies override to prefetch their primary index

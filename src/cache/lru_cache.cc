@@ -34,11 +34,28 @@ void LruCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) {
   if (size > capacity_) {
     return;  // cannot admit
   }
+  Insert(id, hash, size);
+}
+
+uint32_t LruCache::TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
+                                          bool* inserted) {
+  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
+  if (n != FlatIndex::kEmpty) {
+    lru_.MoveToFront(slab_, n);
+    *inserted = false;
+    return n;
+  }
+  *inserted = size <= capacity_;
+  return *inserted ? Insert(id, hash, size) : FlatIndex::kEmpty;
+}
+
+uint32_t LruCache::Insert(ObjectId id, uint64_t hash, uint64_t size) {
   EvictToFit(size);
   const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
   lru_.PushFront(slab_, fresh);
   index_.EmplacePrehashed(hash, fresh, &slab_);
   used_ += size;
+  return fresh;
 }
 
 bool LruCache::ErasePrehashed(ObjectId id, uint64_t hash) {

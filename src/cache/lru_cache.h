@@ -61,6 +61,12 @@ class LruCache {
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const {
     return index_.FindPrehashed(id, hash, slab_);
   }
+  // The size stored in a live slot.
+  uint64_t SizeAtSlot(uint32_t slot) const { return slab_.node(slot).size; }
+  // GetPrehashed, then PutPrehashed on a miss, with one index probe: returns
+  // the entry's slot (FlatIndex::kEmpty if `size` exceeds the capacity) and
+  // sets *inserted iff this call admitted it.
+  uint32_t TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size, bool* inserted);
 
   // Changes capacity; evicts immediately if shrinking.
   void Resize(uint64_t capacity_bytes);
@@ -81,6 +87,8 @@ class LruCache {
 
  private:
   void EvictToFit(uint64_t incoming);
+  // Admits an absent `id` that fits the capacity; returns its slot.
+  uint32_t Insert(ObjectId id, uint64_t hash, uint64_t size);
 
   uint64_t capacity_;
   uint64_t used_ = 0;

@@ -9,20 +9,36 @@
 // rewriting the survivors into fresh blocks. Billed capacity is live bytes
 // plus the garbage that packing leaves behind.
 //
-// One index serves the metadata: the replacement order (an EvictionCache
-// that never evicts on its own) holds exactly the live objects, so its
-// FlatIndex answers "is this object live?", and each live object's
-// {block, size} row sits in a dense vector indexed by the order's slab slot.
-// A hit is one probe of that index; a dead copy exists only in its block's
-// member list and dead counters until GC rewrites the block.
+// Metadata layout:
+//  * Objects. The replacement order (an EvictionCache that never evicts on
+//    its own) holds exactly the live objects, so its FlatIndex answers "is
+//    this object live?" and its slab node holds the object's size
+//    (SizeAtSlot). Each live object adds one 4-byte row, indexed by the
+//    order's slab slot: the slot of the block holding its live copy. A hit
+//    is one probe of the order's index, and so is an admission
+//    (TouchOrInsertPrehashed).
+//  * Blocks. A vector of block records indexed by block slot; a freed slot
+//    (its block collected, or closed empty) goes on a free list and the next
+//    block opened reuses it. Each block records its id, numbered in the order
+//    blocks open, so order never depends on slot reuse.
+//  * Members. Every copy placed in a block, live or dead, is its object id
+//    in one append-only member log. Only the block being filled appends, so
+//    each block's members are one run [first, first + objects) of the log.
+//    Collecting a block drops its run; once dropped entries outnumber live
+//    ones, the log is compacted in place with the runs kept in log order,
+//    so the filling block's run stays last. A dead copy exists only in its
+//    block's run and dead counters until GC rewrites the block.
+//  * GC list. A vector of due block slots, each there at most once (a
+//    per-block scheduled bit), sorted by block id when RunGc drains it: GC
+//    visits due blocks in ascending id order, which fixes which survivors
+//    repack into which new block.
 
 #ifndef MACARON_SRC_OSC_OSC_H_
 #define MACARON_SRC_OSC_OSC_H_
 
 #include <cstdint>
 #include <functional>
-#include <set>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -96,7 +112,8 @@ class ObjectStorageCache {
   // Billed bytes: everything resident in object storage.
   uint64_t stored_bytes() const { return live_bytes_ + garbage_bytes_; }
   size_t num_live_objects() const { return order_->num_entries(); }
-  size_t num_blocks() const { return blocks_.size(); }
+  // Blocks in object storage, the open one included.
+  size_t num_blocks() const { return live_blocks_; }
 
   struct OpCounts {
     uint64_t puts = 0;            // block flush writes
@@ -128,10 +145,14 @@ class ObjectStorageCache {
   const PackingConfig& config() const { return config_; }
 
   // Aborts unless the metadata agrees with itself: every object in the
-  // replacement order has a row whose block exists and lists it, per-block
+  // replacement order has a row naming a live block whose run lists it;
+  // live blocks' runs lie inside the member log without overlapping, the
+  // open block's run ends it, and the dropped-entry counter is the rest of
+  // the log; no free-list slot is live, and num_blocks() counts the live
+  // ones; the GC list holds each scheduled block once, all closed; per-block
   // live bytes (bytes - dead bytes) sum to live_bytes() and to the order's
   // used bytes, and per-block dead bytes sum to garbage_bytes(). O(live
-  // objects x objects per block + blocks); for tests, like
+  // objects x objects per block + blocks x log(blocks)); for tests, like
   // IntrusiveList::CheckConsistent.
   void CheckConsistent() const;
 
@@ -150,39 +171,49 @@ class ObjectStorageCache {
   }
 
  private:
-  // A live object's metadata, indexed by its slot in order_.
-  struct ObjectRow {
-    uint64_t block = 0;
-    uint64_t size = 0;
-  };
+  static constexpr uint32_t kNoBlock = 0xffffffffu;
 
-  struct BlockMeta {
+  struct Block {
+    uint64_t id = 0;  // opening order, from 1; 0 while the slot is free
     uint64_t bytes = 0;
     uint64_t dead_bytes = 0;
-    uint32_t objects = 0;
+    uint32_t first = 0;    // start of the block's run in members_
+    uint32_t objects = 0;  // copies placed, live or dead: the run's length
     uint32_t dead_objects = 0;
     bool open = false;
-    std::vector<ObjectId> members;
+    bool scheduled = false;  // on gc_list_
   };
 
   // Appends a copy of `id` to the open block (or to a block of its own when
-  // packing is off), flushing the block once full; returns the block's id.
-  uint64_t PlaceCopy(ObjectId id, uint64_t size);
-  // Turns a copy that just left the order into garbage in its block.
-  void MarkDead(const ObjectRow& row);
-  void MaybeScheduleGc(uint64_t block_id);
+  // packing is off), flushing the block once full; returns the block's slot.
+  uint32_t PlaceCopy(ObjectId id, uint64_t size);
+  // Takes a block slot (free list first) for a new, empty block whose run
+  // starts at the log's end.
+  uint32_t NewBlock();
+  // Returns a block's slot to the free list and drops its run, compacting
+  // the member log once dropped entries outnumber live ones.
+  void FreeBlock(uint32_t slot);
+  void CompactMembers();
+  // Turns a copy of `size` bytes in block `slot` into garbage.
+  void MarkDead(uint32_t slot, uint64_t size);
+  void MaybeScheduleGc(uint32_t slot);
 
   PackingConfig config_;
-  std::vector<ObjectRow> rows_;  // by order_ slot; valid while the slot is live
-  std::unordered_map<uint64_t, BlockMeta> blocks_;
-  // Blocks due for GC, visited in ascending block id so which survivors
-  // repack into which new block never depends on hash-table order.
-  std::set<uint64_t> gc_list_;
+  // By order_ slot: the block slot holding that object's live copy; valid
+  // while the order slot is live.
+  std::vector<uint32_t> rows_;
+  std::vector<Block> blocks_;         // by block slot
+  std::vector<uint32_t> free_blocks_;  // free block slots, reused last-in first-out
+  size_t live_blocks_ = 0;
+  std::vector<ObjectId> members_;  // the member log
+  size_t dropped_members_ = 0;     // log entries no live block's run covers
+  // Due block slots, each scheduled once; RunGc sorts them by block id.
+  std::vector<uint32_t> gc_list_;
   // Replacement ordering, holding exactly the live objects; it never evicts
   // on its own (EvictToCapacity shrinks it temporarily).
   std::unique_ptr<EvictionCache> order_;
-  uint64_t open_block_ = 0;
-  uint64_t next_block_ = 1;
+  uint32_t open_block_ = kNoBlock;
+  uint64_t next_block_id_ = 1;
   uint64_t live_bytes_ = 0;
   uint64_t garbage_bytes_ = 0;
   OpCounts ops_;

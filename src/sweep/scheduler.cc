@@ -85,7 +85,7 @@ size_t SweepScheduler::Submit(SweepJobSpec spec) {
           "sweep: named job needs an explicit trace identity (content hashing would force "
           "generation at submit time)");
     }
-    spec.trace_identity = FingerprintTraceContent(*spec.trace);
+    spec.trace_identity = ContentIdentityOf(spec.trace);
   }
   const Fingerprint key = JobFingerprint(spec.trace_identity, FingerprintEngineConfig(spec.config),
                                          static_cast<int>(spec.engine));
@@ -213,6 +213,23 @@ void SweepScheduler::Execute(const SweepJobSpec& spec, const Fingerprint& key,
   }
 }
 
+Fingerprint SweepScheduler::ContentIdentityOf(const std::shared_ptr<const Trace>& trace) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = content_identities_.find(trace.get());
+    if (it != content_identities_.end() && !it->second.trace.expired()) {
+      return it->second.identity;
+    }
+  }
+  // Hashed outside mu_: concurrent first submissions of one trace may both
+  // hash it, and agree.
+  const Fingerprint identity = FingerprintTraceContent(*trace);
+  std::lock_guard<std::mutex> lock(mu_);
+  content_identities_[trace.get()] = ContentIdentity{trace, identity};
+  ++content_hashes_;
+  return identity;
+}
+
 TraceStats SweepScheduler::StatsFor(const Fingerprint& trace_identity, const Trace& trace) {
   std::promise<TraceStats> pass;
   std::shared_future<TraceStats> stats;
@@ -274,6 +291,7 @@ SweepStats SweepScheduler::stats() const {
   s.peak_in_flight = peak_in_flight_.load(std::memory_order_relaxed);
   s.busy_seconds = busy_seconds_;
   s.stats_passes = stats_passes_;
+  s.content_hashes = content_hashes_;
   return s;
 }
 

@@ -74,7 +74,10 @@ struct SweepJobSpec {
   // Identity of the trace for the result-store key and the per-trace stats
   // memo, so equal identities must mean equal requests. Zero means
   // "derive": content hash of `trace` (named-only jobs must supply one,
-  // since hashing would force generation at submit time).
+  // since hashing would force generation at submit time). The scheduler
+  // hashes each trace object once while it lives, so a submitted trace
+  // must not change while jobs on it can run, nor before it is submitted
+  // again.
   Fingerprint trace_identity;
 
   EngineConfig config;
@@ -97,6 +100,7 @@ struct SweepStats {
   int peak_in_flight = 0;  // max jobs running concurrently
   double busy_seconds = 0.0;  // summed per-job wall time (parallel work)
   size_t stats_passes = 0;    // ComputeStats runs: one per trace among executed engine jobs
+  size_t content_hashes = 0;  // FingerprintTraceContent runs: one per live trace object
 };
 
 class SweepScheduler {
@@ -159,6 +163,8 @@ class SweepScheduler {
                const std::shared_ptr<Execution>& exec);
   // ComputeStats(trace), run at most once per trace identity.
   TraceStats StatsFor(const Fingerprint& trace_identity, const Trace& trace);
+  // FingerprintTraceContent(*trace), run at most once per live trace object.
+  Fingerprint ContentIdentityOf(const std::shared_ptr<const Trace>& trace);
 
   Options options_;
   ResultStore store_;
@@ -172,9 +178,18 @@ class SweepScheduler {
   // Trace identity (hex) -> its stats, fulfilled by the job that claimed
   // the entry; the pass itself runs outside mu_.
   std::unordered_map<std::string, std::shared_future<TraceStats>> stats_by_trace_;
+  // Content identities of traces submitted without one, by trace object.
+  // The weak_ptr never extends a trace's lifetime; once it expires (the
+  // trace freed, its address free for another) the entry is recomputed.
+  struct ContentIdentity {
+    std::weak_ptr<const Trace> trace;
+    Fingerprint identity;
+  };
+  std::unordered_map<const Trace*, ContentIdentity> content_identities_;
   size_t executed_ = 0;
   size_t store_hits_ = 0;
   size_t stats_passes_ = 0;
+  size_t content_hashes_ = 0;
   double busy_seconds_ = 0.0;
 
   std::atomic<int> in_flight_{0};

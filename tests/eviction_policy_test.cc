@@ -196,6 +196,73 @@ TEST_P(PolicyContractTest, SlotStableWhileResidentAndReportedOnEviction) {
   EXPECT_GT(evictions, 0u);
 }
 
+// TouchOrInsertPrehashed is GetPrehashed, then PutPrehashed on a miss, then
+// SlotOfPrehashed (LRU answers it with one probe): two caches of one policy,
+// one driven each way, must report the same hit, slot and eviction
+// callbacks, and SizeAtSlot must return the size admitted.
+TEST_P(PolicyContractTest, TouchOrInsertMatchesGetThenPut) {
+  auto fused = MakeEvictionCache(GetParam(), 3000);
+  auto split = MakeEvictionCache(GetParam(), 3000);
+  struct Eviction {
+    ObjectId id;
+    uint64_t size;
+    uint32_t slot;
+    bool operator==(const Eviction&) const = default;
+  };
+  std::vector<Eviction> fused_evictions;
+  std::vector<Eviction> split_evictions;
+  fused->set_evict_callback([&](ObjectId id, uint64_t size, uint32_t slot) {
+    fused_evictions.push_back({id, size, slot});
+  });
+  split->set_evict_callback([&](ObjectId id, uint64_t size, uint32_t slot) {
+    split_evictions.push_back({id, size, slot});
+  });
+  Rng rng(29);
+  ZipfSampler zipf(200, 0.7);
+  uint64_t inserts = 0;
+  uint64_t hits = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const ObjectId id = zipf.Sample(rng);
+    const uint64_t h = Mix64(id);
+    const uint64_t roll = rng.NextBounded(100);
+    // Now and then larger than the capacity, which neither call admits.
+    const uint64_t size = rng.NextBounded(500) == 0 ? 5000 : 20 + rng.NextBounded(300);
+    if (roll < 70) {
+      bool inserted = true;
+      const uint32_t slot = fused->TouchOrInsertPrehashed(id, h, size, &inserted);
+      const bool hit = split->GetPrehashed(id, h);
+      if (!hit) {
+        split->PutPrehashed(id, h, size);
+      }
+      const uint32_t split_slot = split->SlotOfPrehashed(id, h);
+      ASSERT_EQ(slot, split_slot) << "step " << step;
+      ASSERT_EQ(inserted, !hit && split_slot != EvictionCache::kNoSlot) << "step " << step;
+      if (inserted) {
+        ASSERT_EQ(fused->SizeAtSlot(slot), size) << "step " << step;
+        ++inserts;
+      } else if (hit) {
+        ASSERT_EQ(fused->SizeAtSlot(slot), split->SizeAtSlot(split_slot)) << "step " << step;
+        ++hits;
+      }
+    } else if (roll < 85) {
+      fused->PutPrehashed(id, h, size);
+      split->PutPrehashed(id, h, size);
+    } else if (roll < 97) {
+      ASSERT_EQ(fused->ErasePrehashed(id, h), split->ErasePrehashed(id, h)) << "step " << step;
+    } else {
+      const uint64_t capacity = 1000 + rng.NextBounded(4000);
+      fused->Resize(capacity);
+      split->Resize(capacity);
+    }
+    ASSERT_EQ(fused_evictions, split_evictions) << "step " << step;
+    ASSERT_EQ(fused->used_bytes(), split->used_bytes()) << "step " << step;
+    ASSERT_EQ(fused->num_entries(), split->num_entries()) << "step " << step;
+  }
+  EXPECT_GT(inserts, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_FALSE(fused_evictions.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyContractTest, testing::ValuesIn(kAllPolicies),
                          [](const testing::TestParamInfo<EvictionPolicyKind>& info) {
                            return EvictionPolicyName(info.param);

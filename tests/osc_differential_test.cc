@@ -1,20 +1,24 @@
-// Differential test: the OSC on slot-indexed rows vs the map-based OSC it
+// Differential test: the OSC on the flat core vs the map-based OSC it
 // replaced.
 //
-// ObjectStorageCache keeps each live object's {block, size} in a row
-// indexed by its replacement order's slab slot, and a dead copy only in its
-// block's member list. The reference below is the previous implementation
-// without its metrics and prehashed entry points: a std::unordered_map from
-// id to {block, size, live} beside the same order, blocks and GC list. Both
-// are driven with the same seeded operation streams (Zipf ids with reuse,
-// lognormal sizes, GET with admit-on-miss, PUT, DELETE, capacity eviction
-// to random targets, explicit flushes and GC, and re-admission of evicted
-// and deleted ids while their dead copies still sit in open or closed
-// blocks) and compared after every operation, under every replacement
-// policy, with packing on and off and at two block object limits. Both GC
-// lists are ordered sets: GC visits due blocks in ascending block id, and a
-// different visiting order repacks survivors differently, so the packed
-// cases also pin that order.
+// ObjectStorageCache keeps each live object's block slot in a row indexed
+// by its replacement order's slab slot (the size is the order's), blocks in
+// a slot array with a free list, every copy's id in one member log with a
+// run per block, and a dead copy only in its block's run. The reference
+// below is the map-based implementation without its metrics and prehashed
+// entry points: a std::unordered_map from id to {block, size, live} beside
+// the same order, a std::unordered_map of blocks each owning its member
+// vector, and a std::set GC list. Both are driven with the same seeded
+// operation streams (Zipf ids with reuse, lognormal sizes, GET with
+// admit-on-miss, PUT, DELETE, capacity eviction to random targets,
+// explicit flushes and GC, and re-admission of evicted and deleted ids
+// while their dead copies still sit in open or closed blocks) and compared
+// after every operation, under every replacement policy, with packing on
+// and off and at two block object limits; CheckConsistent checks the flat
+// layout at every step too. GC visits due blocks in ascending block id
+// (the OSC sorts its GC vector by block id, the reference's set is
+// ordered), and a different visiting order repacks survivors differently,
+// so the packed cases also pin that order.
 
 #include <gtest/gtest.h>
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/osc/osc.h"
 
 namespace macaron {
@@ -237,9 +239,15 @@ TEST(OscTest, NumLiveObjectsAndBlocks) {
   for (ObjectId id = 1; id <= 10; ++id) {
     osc.Admit(id, 10);
   }
+  EXPECT_EQ(osc.num_blocks(), 3u);  // 4 + 4 closed, 2 in the open block
   osc.FlushOpenBlock();
   EXPECT_EQ(osc.num_live_objects(), 10u);
   EXPECT_EQ(osc.num_blocks(), 3u);  // 4 + 4 + 2
+  osc.Delete(1);
+  osc.Delete(2);
+  osc.RunGc();  // the first block goes; its survivors open a fourth
+  EXPECT_EQ(osc.num_blocks(), 3u);
+  osc.CheckConsistent();
 }
 
 // --- Dead-copy re-admission (evict → re-fetch → delete) ---
@@ -381,6 +389,104 @@ TEST(OscReadmissionTest, ChurnWithRefetchHoldsGarbageInvariant) {
     }
     ASSERT_EQ(SumBlockDeadBytes(osc), osc.garbage_bytes()) << "round " << round;
     ASSERT_EQ(osc.stored_bytes(), osc.live_bytes() + osc.garbage_bytes());
+  }
+}
+
+// --- Block slots and the member log ---
+//
+// Blocks sit in reused slots and their members in runs of one log. These
+// pin the two orderings that layout depends on.
+
+// Live bytes by block must add up to live_bytes(): a survivor repacked
+// twice, or one a GC failed to visit, breaks the sum.
+uint64_t SumBlockLiveBytes(const ObjectStorageCache& osc) {
+  uint64_t live = 0;
+  for (const ObjectStorageCache::BlockDebug& b : osc.DebugBlocks()) {
+    live += b.bytes - b.dead_bytes;
+  }
+  return live;
+}
+
+TEST(OscMemberLogTest, SurvivorListedTwiceInItsBlockMovesOnce) {
+  // Object 1's dead copy and its live copy share one block, and no block is
+  // open when GC collects it, so the survivors' new block takes a slot
+  // from the free list. The GC'd block's slot must not be that slot until
+  // its member loop ends: otherwise the row of 1, repacked at its first
+  // listing, names the collected slot again at the second and 1 moves twice.
+  ObjectStorageCache osc(SmallBlocks());
+  osc.Admit(1, 10);
+  osc.Admit(2, 10);
+  osc.Delete(1);
+  osc.Admit(1, 10);  // re-admitted into the same open block
+  osc.Admit(3, 10);  // fourth member: the block flushes
+  osc.Delete(2);     // 20/40 dead: due
+  ASSERT_EQ(osc.gc_pending_blocks(), 1u);
+  osc.RunGc();
+  EXPECT_EQ(osc.live_bytes(), 20u);
+  EXPECT_EQ(osc.garbage_bytes(), 0u);
+  const std::vector<ObjectStorageCache::BlockDebug> blocks = osc.DebugBlocks();
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].objects, 2u);  // 1 and 3, once each
+  EXPECT_EQ(blocks[0].bytes, 20u);
+  EXPECT_TRUE(blocks[0].open);
+  osc.CheckConsistent();
+}
+
+TEST(OscMemberLogTest, CompactionKeepsTheFillingRunLast) {
+  // The open block reuses the lowest block slot while newer runs follow the
+  // old ones in the log; collecting two blocks then drops more entries than
+  // stay live, which compacts the log. The open block keeps filling after
+  // that, so its run must still end the log, or its next GC visits the
+  // wrong members.
+  ObjectStorageCache osc(SmallBlocks());
+  for (ObjectId id = 1; id <= 12; ++id) {
+    osc.Admit(id, 10);  // blocks A {1..4}, B {5..8}, C {9..12}
+  }
+  osc.Delete(1);
+  osc.Delete(2);
+  osc.RunGc();  // A's survivors 3 and 4 open D; A's slot goes free
+  osc.FlushOpenBlock();
+  osc.Admit(13, 10);  // E reuses A's slot
+  for (ObjectId id = 5; id <= 12; ++id) {
+    osc.Delete(id);
+  }
+  osc.RunGc();  // B and C go: 12 of 15 log entries dropped, so it compacts
+  osc.CheckConsistent();
+  EXPECT_EQ(osc.num_blocks(), 2u);  // D and the open E
+  for (ObjectId id = 14; id <= 16; ++id) {
+    osc.Admit(id, 10);  // E fills and flushes: {13..16}
+  }
+  osc.Delete(13);
+  osc.Delete(14);
+  osc.RunGc();  // E's survivors are 15 and 16, not D's members
+  EXPECT_EQ(osc.live_bytes(), 40u);
+  EXPECT_EQ(SumBlockLiveBytes(osc), osc.live_bytes());
+  EXPECT_EQ(osc.garbage_bytes(), 0u);
+  EXPECT_EQ(osc.num_blocks(), 2u);  // D {3, 4} and the open {15, 16}
+  for (ObjectId id : {3u, 4u, 15u, 16u}) {
+    EXPECT_TRUE(osc.Contains(id)) << id;
+  }
+  osc.CheckConsistent();
+}
+
+TEST(OscMemberLogTest, ChurnKeepsTheLayoutConsistent) {
+  // Many GC rounds reuse block slots and compact the log repeatedly, with
+  // and without packing.
+  for (const bool packing : {true, false}) {
+    PackingConfig cfg = SmallBlocks();
+    cfg.packing_enabled = packing;
+    ObjectStorageCache osc(cfg);
+    for (int round = 0; round < 60; ++round) {
+      for (ObjectId id = 1; id <= 16; ++id) {
+        osc.Admit(id * 7 + static_cast<ObjectId>(round % 5), 5 + (id % 4));
+      }
+      if (round % 4 == 0) {
+        osc.Delete(static_cast<ObjectId>(7 + round % 9));
+      }
+      osc.EvictToCapacity(70);
+      osc.CheckConsistent();
+      ASSERT_EQ(SumBlockLiveBytes(osc), osc.live_bytes()) << "round " << round;
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 // included.
 //
 // The policies have no slab slots: SlotOfPrehashed and their eviction
-// callbacks report EvictionCache::kNoSlot.
+// callbacks report EvictionCache::kNoSlot, and SizeAtSlot returns 0.
 
 #ifndef MACARON_TESTS_REFERENCE_CACHES_H_
 #define MACARON_TESTS_REFERENCE_CACHES_H_
@@ -264,6 +264,7 @@ class RefLruPolicy : public EvictionCache {
   bool GetPrehashed(ObjectId id, uint64_t) override { return cache_.Get(id); }
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return cache_.Contains(id); }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
+  uint64_t SizeAtSlot(uint32_t) const override { return 0; }
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override { cache_.Put(id, size); }
   bool ErasePrehashed(ObjectId id, uint64_t) override { return cache_.Erase(id); }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
@@ -295,6 +296,7 @@ class RefFifoPolicy : public EvictionCache {
   bool GetPrehashed(ObjectId id, uint64_t) override { return index_.count(id) != 0; }
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
+  uint64_t SizeAtSlot(uint32_t) const override { return 0; }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -404,6 +406,7 @@ class RefSlruPolicy : public EvictionCache {
 
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
+  uint64_t SizeAtSlot(uint32_t) const override { return 0; }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -559,6 +562,7 @@ class RefS3FifoPolicy : public EvictionCache {
 
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
+  uint64_t SizeAtSlot(uint32_t) const override { return 0; }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {

@@ -418,6 +418,42 @@ TEST(SweepSchedulerTest, OneStatsPassPerTrace) {
   }
 }
 
+// Submit hashes an in-memory trace that comes without an identity once per
+// trace object while the object lives. A freed trace's entry is never
+// reused: an equal trace allocated later, perhaps at the same address, is
+// hashed afresh and gets the same identity.
+TEST(SweepSchedulerTest, HashesEachLiveTraceOnce) {
+  sweep::SweepScheduler::Options opt;
+  opt.threads = 1;  // jobs run inline, so the scheduler holds no trace afterwards
+  sweep::SweepScheduler sched(std::move(opt));
+  const auto submit = [&](const std::shared_ptr<const Trace>& trace, Approach approach) {
+    sweep::SweepJobSpec spec;
+    spec.trace = trace;
+    spec.trace_name = trace->name;
+    spec.config = SmallConfig(approach);
+    return sched.Submit(std::move(spec));
+  };
+  auto a = std::make_shared<const Trace>(SmallTrace("hash-a", 31));
+  auto b = std::make_shared<const Trace>(SmallTrace("hash-b", 32));
+  for (const Approach approach :
+       {Approach::kRemote, Approach::kMacaronNoCluster, Approach::kRemote}) {
+    submit(a, approach);
+    submit(b, approach);
+  }
+  EXPECT_EQ(sched.stats().content_hashes, 2u);
+  EXPECT_EQ(sched.stats().unique, 4u);
+
+  std::weak_ptr<const Trace> freed = a;
+  a.reset();
+  ASSERT_TRUE(freed.expired());
+  auto again = std::make_shared<const Trace>(SmallTrace("hash-a", 31));
+  const size_t id = submit(again, Approach::kRemote);
+  EXPECT_EQ(sched.stats().content_hashes, 3u);
+  EXPECT_TRUE(sched.Metrics(id).deduplicated) << "an equal trace keeps its identity";
+  submit(b, Approach::kMacaronNoCluster);
+  EXPECT_EQ(sched.stats().content_hashes, 3u);
+}
+
 // Submit rejects a config its engine would stop the whole process for
 // (a MACARON_CHECK on a pool worker) with std::invalid_argument naming the
 // field. Nothing is queued, and the scheduler goes on serving valid jobs.
