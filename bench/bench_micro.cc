@@ -251,7 +251,7 @@ void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
   ObjectId next = 0;
   for (; next < keys; ++next) {
     const uint64_t h = Mix64(next);
-    const uint32_t slot = slab.Allocate(next, 1, 0, static_cast<uint32_t>(h));
+    const uint32_t slot = slab.Allocate(next, 1);
     index.EmplacePrehashed(h, slot, &slab);
     ring[next] = slot;
   }
@@ -263,7 +263,7 @@ void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
     index.EraseCell(slab.node(ring[pos]).cell, &slab);
     slab.Free(ring[pos]);
     const uint64_t h = Mix64(next);
-    const uint32_t slot = slab.Allocate(next, 1, 0, static_cast<uint32_t>(h));
+    const uint32_t slot = slab.Allocate(next, 1);
     index.EmplacePrehashed(h, slot, &slab);
     ring[pos] = slot;
     ++next;

@@ -113,6 +113,8 @@ class LruPolicy final : public EvictionCache {
     return cache_.SlotOfPrehashed(id, hash);
   }
   uint64_t SizeAtSlot(uint32_t slot) const override { return cache_.SizeAtSlot(slot); }
+  uint32_t TagAtSlot(uint32_t slot) const override { return cache_.TagAtSlot(slot); }
+  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { cache_.SetTagAtSlot(slot, tag); }
   uint32_t TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
                                   bool* inserted) override {
     return cache_.TouchOrInsertPrehashed(id, hash, size, inserted);
@@ -166,7 +168,7 @@ class FifoPolicy final : public EvictionCache {
       return;
     }
     EvictToFit(size);
-    const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
+    const uint32_t fresh = slab_.Allocate(id, size);
     queue_.PushFront(slab_, fresh);
     index_.EmplacePrehashed(hash, fresh, &slab_);
     used_ += size;
@@ -188,6 +190,8 @@ class FifoPolicy final : public EvictionCache {
     return index_.FindPrehashed(id, hash, slab_);
   }
   uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
+  uint32_t TagAtSlot(uint32_t slot) const override { return slab_.node(slot).tag; }
+  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { slab_.node(slot).tag = tag; }
 
   void PrefetchPrehashed(uint64_t hash) const override {
     index_.PrefetchPrehashed(hash);
@@ -264,7 +268,7 @@ class SlruPolicy final : public EvictionCache {
       SlabNode& e = slab_.node(n);
       const uint64_t old_size = e.size;
       e.size = size;
-      if (e.stamp == kProtectedSeg) {
+      if (segment_[n] == kProtectedSeg) {
         protected_bytes_ += size - old_size;
       } else {
         probation_bytes_ += size - old_size;
@@ -277,7 +281,9 @@ class SlruPolicy final : public EvictionCache {
       return;
     }
     EvictProbationToFit(size);
-    const uint32_t fresh = slab_.Allocate(id, size, kProbationSeg, static_cast<uint32_t>(hash));
+    const uint32_t fresh = slab_.Allocate(id, size);
+    segment_.resize(slab_.allocated_nodes());
+    segment_[fresh] = kProbationSeg;  // a reused slot's old segment must not survive
     probation_.PushFront(slab_, fresh);
     probation_bytes_ += size;
     index_.EmplacePrehashed(hash, fresh, &slab_);
@@ -289,7 +295,7 @@ class SlruPolicy final : public EvictionCache {
       return false;
     }
     SlabNode& e = slab_.node(n);
-    if (e.stamp == kProtectedSeg) {
+    if (segment_[n] == kProtectedSeg) {
       protected_bytes_ -= e.size;
       protected_.Remove(slab_, n);
     } else {
@@ -305,6 +311,8 @@ class SlruPolicy final : public EvictionCache {
     return index_.FindPrehashed(id, hash, slab_);
   }
   uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
+  uint32_t TagAtSlot(uint32_t slot) const override { return slab_.node(slot).tag; }
+  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { slab_.node(slot).tag = tag; }
 
   void PrefetchPrehashed(uint64_t hash) const override {
     index_.PrefetchPrehashed(hash);
@@ -348,21 +356,21 @@ class SlruPolicy final : public EvictionCache {
   }
 
  private:
-  static constexpr uint64_t kProbationSeg = 0;
-  static constexpr uint64_t kProtectedSeg = 1;
+  static constexpr uint8_t kProbationSeg = 0;
+  static constexpr uint8_t kProtectedSeg = 1;
 
   // Hit handling for a resident node: refresh within protected, or promote
   // probation -> protected.
   void Touch(uint32_t n) {
     SlabNode& e = slab_.node(n);
-    if (e.stamp == kProtectedSeg) {
+    if (segment_[n] == kProtectedSeg) {
       protected_.MoveToFront(slab_, n);
     } else {
       probation_.Remove(slab_, n);
       probation_bytes_ -= e.size;
       protected_.PushFront(slab_, n);
       protected_bytes_ += e.size;
-      e.stamp = kProtectedSeg;
+      segment_[n] = kProtectedSeg;
       DemoteProtectedOverflow();
     }
   }
@@ -381,7 +389,7 @@ class SlruPolicy final : public EvictionCache {
       protected_bytes_ -= e.size;
       probation_.PushFront(slab_, n);
       probation_bytes_ += e.size;
-      e.stamp = kProbationSeg;
+      segment_[n] = kProbationSeg;
     }
     EvictProbationToFit(0);
   }
@@ -413,7 +421,8 @@ class SlruPolicy final : public EvictionCache {
   uint64_t protected_cap_ = 0;
   uint64_t probation_bytes_ = 0;
   uint64_t protected_bytes_ = 0;
-  NodeSlab slab_;  // node stamp = segment
+  NodeSlab slab_;
+  std::vector<uint8_t> segment_;  // by slot: kProbationSeg or kProtectedSeg
   IntrusiveList probation_;  // front = MRU
   IntrusiveList protected_;
   FlatIndex index_;
@@ -431,7 +440,7 @@ class S3FifoPolicy final : public EvictionCache {
     if (n == FlatIndex::kEmpty) {
       return false;
     }
-    Bump(slab_.node(n));
+    Bump(bits_[n]);
     return true;
   }
 
@@ -442,7 +451,7 @@ class S3FifoPolicy final : public EvictionCache {
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
     const uint32_t n = index_.FindPrehashed(id, hash, slab_);
     if (n != FlatIndex::kEmpty) {
-      Bump(slab_.node(n));
+      Bump(bits_[n]);
       return;  // immutable objects: size is stable
     }
     if (size > capacity_) {
@@ -453,21 +462,20 @@ class S3FifoPolicy final : public EvictionCache {
     ghost_.PrefetchPrehashed(hash);
     EvictToFit(size);
     // The ghost table lives in the same hash domain as the main index (its
-    // inserts reuse the victim node's cached low hash bits; the table's
-    // capacity cap keeps positions a function of those bits alone).
+    // inserts reuse the victim's low hash bits, read from its index cell;
+    // the table's capacity cap keeps positions a function of those bits
+    // alone).
     const uint32_t ghost = ghost_.ErasePrehashed(id, hash, GhostKeys{&ghost_ids_});
-    if (ghost != FlatIndex::kEmpty) {
+    const bool in_main = ghost != FlatIndex::kEmpty;
+    if (in_main) {
       ghost_free_.push_back(ghost);  // stale deque entry ages out later
-      const uint32_t fresh = slab_.Allocate(id, size, kInMainBit, static_cast<uint32_t>(hash));
-      main_.PushFront(slab_, fresh);
-      main_bytes_ += size;
-      index_.EmplacePrehashed(hash, fresh, &slab_);
-    } else {
-      const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
-      small_.PushFront(slab_, fresh);
-      small_bytes_ += size;
-      index_.EmplacePrehashed(hash, fresh, &slab_);
     }
+    const uint32_t fresh = slab_.Allocate(id, size);
+    bits_.resize(slab_.allocated_nodes());
+    bits_[fresh] = in_main ? kInMainBit : 0;  // a reused slot starts afresh
+    (in_main ? main_ : small_).PushFront(slab_, fresh);
+    (in_main ? main_bytes_ : small_bytes_) += size;
+    index_.EmplacePrehashed(hash, fresh, &slab_);
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
@@ -476,7 +484,7 @@ class S3FifoPolicy final : public EvictionCache {
       return false;
     }
     SlabNode& e = slab_.node(n);
-    if (InMain(e)) {
+    if (InMain(bits_[n])) {
       main_bytes_ -= e.size;
       main_.Remove(slab_, n);
     } else {
@@ -492,6 +500,8 @@ class S3FifoPolicy final : public EvictionCache {
     return index_.FindPrehashed(id, hash, slab_);
   }
   uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
+  uint32_t TagAtSlot(uint32_t slot) const override { return slab_.node(slot).tag; }
+  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { slab_.node(slot).tag = tag; }
 
   // Main index only: every request probes it, while the ghost table is
   // consulted only on a fresh admit (PutPrehashed pulls its lines then,
@@ -539,15 +549,15 @@ class S3FifoPolicy final : public EvictionCache {
   }
 
  private:
-  // stamp layout: low bits = access frequency (capped at 3), kInMainBit set
-  // while the node sits in the main queue.
-  static constexpr uint64_t kInMainBit = 1ull << 8;
+  // Per-slot state byte (bits_): low bits = access frequency (capped at 3),
+  // kInMainBit set while the entry sits in the main queue.
+  static constexpr uint8_t kInMainBit = 1u << 7;
 
-  static uint64_t Freq(const SlabNode& e) { return e.stamp & (kInMainBit - 1); }
-  static bool InMain(const SlabNode& e) { return (e.stamp & kInMainBit) != 0; }
-  static void Bump(SlabNode& e) {
-    if (Freq(e) < 3) {
-      e.stamp += 1;  // freq lives in the low stamp bits
+  static uint8_t Freq(uint8_t bits) { return bits & (kInMainBit - 1); }
+  static bool InMain(uint8_t bits) { return (bits & kInMainBit) != 0; }
+  static void Bump(uint8_t& bits) {
+    if (Freq(bits) < 3) {
+      ++bits;  // freq lives in the low bits
     }
   }
 
@@ -574,15 +584,16 @@ class S3FifoPolicy final : public EvictionCache {
     SlabNode& e = slab_.node(n);
     small_.Remove(slab_, n);
     small_bytes_ -= e.size;
-    if (Freq(e) > 0) {
+    if (Freq(bits_[n]) > 0) {
       // Promote to main with a fresh frequency.
-      e.stamp = kInMainBit;
+      bits_[n] = kInMainBit;
       main_.PushFront(slab_, n);
       main_bytes_ += e.size;
     } else {
       const ObjectId victim_id = e.id;
       const uint64_t victim_size = e.size;
-      const uint32_t victim_hash32 = e.hash32;
+      // Read before EraseCell, whose backward shift may refill the cell.
+      const uint32_t victim_hash32 = index_.HashAtCell(e.cell);
       index_.EraseCell(e.cell, &slab_);
       slab_.Free(n);
       GhostInsert(victim_id, victim_hash32);
@@ -598,9 +609,9 @@ class S3FifoPolicy final : public EvictionCache {
       const uint32_t n = main_.tail();
       SlabNode& e = slab_.node(n);
       main_.Remove(slab_, n);
-      if (Freq(e) > 0) {
+      if (Freq(bits_[n]) > 0) {
         // Second chance: reinsert at the head with decremented frequency.
-        e.stamp -= 1;
+        --bits_[n];
         main_.PushFront(slab_, n);
         continue;
       }
@@ -654,6 +665,7 @@ class S3FifoPolicy final : public EvictionCache {
   uint64_t small_bytes_ = 0;
   uint64_t main_bytes_ = 0;
   NodeSlab slab_;
+  std::vector<uint8_t> bits_;  // by slot: frequency and kInMainBit
   IntrusiveList small_;  // front = newest
   IntrusiveList main_;
   FlatIndex index_;

@@ -55,7 +55,9 @@ const char* EvictionPolicyName(EvictionPolicyKind kind);
 class EvictionCache {
  public:
   // Eviction callbacks also receive the victim's slab slot, already freed
-  // (see SlotOfPrehashed); slot-less implementations pass kNoSlot.
+  // (see SlotOfPrehashed); slot-less implementations pass kNoSlot. Inside
+  // the callback, TagAtSlot(slot) still returns the victim's tag: a freed
+  // slot keeps it until a later admission reuses the slot.
   using EvictCallback = std::function<void(ObjectId, uint64_t size, uint32_t slot)>;
   using VisitFn = std::function<bool(ObjectId, uint64_t size)>;
 
@@ -87,6 +89,14 @@ class EvictionCache {
   // SlotOfPrehashed or TouchOrInsertPrehashed returned since, not freed).
   // Slot-less implementations return 0.
   virtual uint64_t SizeAtSlot(uint32_t slot) const = 0;
+
+  // A 32-bit word the owner keeps with the entry in `slot` (the OSC keeps
+  // the slot of the block holding the object's copy). The policy never
+  // reads or changes it: it survives hits, refreshes, promotion, demotion
+  // and second chances, and reads back 0 after an admission until the owner
+  // sets it. Slot-less implementations return 0 and ignore sets.
+  virtual uint32_t TagAtSlot(uint32_t slot) const = 0;
+  virtual void SetTagAtSlot(uint32_t slot, uint32_t tag) = 0;
 
   // GetPrehashed and, on a miss, PutPrehashed, in one call: touches a
   // resident `id` per policy or inserts it (evicting to fit, with the same

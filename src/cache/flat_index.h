@@ -162,6 +162,14 @@ class FlatIndex {
     EraseAt<kSimdDefault>(cell, slab);
   }
 
+  // The low 32 hash bits cached in the occupied `cell` (a node's backlink).
+  // Read it before EraseCell: the erase's backward shift may refill the
+  // cell with a neighbour.
+  uint32_t HashAtCell(uint32_t cell) const {
+    MACARON_DCHECK(cell < cells_.size() && cells_[cell].value != kEmpty);
+    return cells_[cell].hash32;
+  }
+
   // --- Scalar reference entry points ---
   //
   // Bit-identical scalar implementations of the probing operations, always

@@ -51,7 +51,7 @@ uint32_t LruCache::TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t s
 
 uint32_t LruCache::Insert(ObjectId id, uint64_t hash, uint64_t size) {
   EvictToFit(size);
-  const uint32_t fresh = slab_.Allocate(id, size, 0, static_cast<uint32_t>(hash));
+  const uint32_t fresh = slab_.Allocate(id, size);
   lru_.PushFront(slab_, fresh);
   index_.EmplacePrehashed(hash, fresh, &slab_);
   used_ += size;

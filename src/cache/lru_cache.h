@@ -61,8 +61,11 @@ class LruCache {
   uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const {
     return index_.FindPrehashed(id, hash, slab_);
   }
-  // The size stored in a live slot.
+  // The size stored in a live slot, and the owner's word kept with it
+  // (see EvictionCache::TagAtSlot).
   uint64_t SizeAtSlot(uint32_t slot) const { return slab_.node(slot).size; }
+  uint32_t TagAtSlot(uint32_t slot) const { return slab_.node(slot).tag; }
+  void SetTagAtSlot(uint32_t slot, uint32_t tag) { slab_.node(slot).tag = tag; }
   // GetPrehashed, then PutPrehashed on a miss, with one index probe: returns
   // the entry's slot (FlatIndex::kEmpty if `size` exceeds the capacity) and
   // sets *inserted iff this call admitted it.

@@ -12,11 +12,16 @@
 // (mini-cache state carries over, mirroring the paper's EFS-resident
 // serverless state).
 //
-// One node layout serves every policy: `stamp` holds the TTL cache's
-// last-access time, S3-FIFO's frequency + queue bit, and SLRU's segment
-// flag. Multiple IntrusiveLists may share one slab (SLRU's probation and
-// protected segments, S3-FIFO's small and main queues) because links are
-// per-node, not per-list.
+// One 32-byte node layout serves every policy: id, size, the two list
+// links, the index backlink, and `tag`, one 32-bit word that belongs to
+// the slab's owner (the OSC's block slot, the MRC timeline's slot, the ALC
+// bank's live flag); no replacement policy reads or writes it. Nodes are
+// 32-byte aligned, so two share a cache line and none straddles one. State
+// only some structures need lives beside the slab in vectors indexed by
+// slot: the TTL cache's last-access times, SLRU's segment bytes and
+// S3-FIFO's frequency/queue bytes. Multiple IntrusiveLists may share one
+// slab (SLRU's probation and protected segments, S3-FIFO's small and main
+// queues) because links are per-node, not per-list.
 
 #ifndef MACARON_SRC_CACHE_SLAB_LRU_H_
 #define MACARON_SRC_CACHE_SLAB_LRU_H_
@@ -32,19 +37,16 @@ namespace macaron {
 
 inline constexpr uint32_t kNilNode = 0xffffffffu;
 
-struct SlabNode {
+struct alignas(32) SlabNode {
   ObjectId id = 0;
   uint64_t size = 0;
-  uint64_t stamp = 0;  // policy-owned: last access (TTL), freq/queue (S3-FIFO), segment (SLRU)
   uint32_t prev = kNilNode;
   uint32_t next = kNilNode;
   uint32_t cell = kNilNode;  // maintained by a bound FlatIndex (see flat_index.h)
-  uint32_t hash32 = 0;       // low bits of the entry's index hash; lets paths
-                             // that only hold the node (e.g. S3-FIFO's ghost
-                             // insert at eviction) stay hash-recompute-free.
-                             // Fills what was struct padding, so it's free.
+  uint32_t tag = 0;          // the slab owner's word; see the header comment
 };
-static_assert(sizeof(SlabNode) == 40, "SlabNode should fill its padding exactly");
+static_assert(sizeof(SlabNode) == 32, "two nodes per cache line");
+static_assert(alignof(SlabNode) == 32, "no node straddles a cache line");
 
 // Contiguous pool of SlabNodes with freelist reuse. Slots are stable for
 // the lifetime of an entry, so FlatIndex can store them.
@@ -52,7 +54,7 @@ class NodeSlab {
  public:
   NodeSlab() = default;
 
-  uint32_t Allocate(ObjectId id, uint64_t size, uint64_t stamp = 0, uint32_t hash32 = 0) {
+  uint32_t Allocate(ObjectId id, uint64_t size, uint32_t tag = 0) {
     uint32_t idx;
     if (free_head_ != kNilNode) {
       idx = free_head_;
@@ -65,14 +67,16 @@ class NodeSlab {
     SlabNode& n = nodes_[idx];
     n.id = id;
     n.size = size;
-    n.stamp = stamp;
     n.prev = kNilNode;
     n.next = kNilNode;
-    n.hash32 = hash32;
+    n.tag = tag;
     ++live_;
     return idx;
   }
 
+  // Links the slot into the freelist and touches nothing else: until a
+  // later Allocate reuses it, the freed node keeps its id, size and tag,
+  // which is what lets an eviction callback read its victim's tag.
   void Free(uint32_t idx) {
     nodes_[idx].next = free_head_;
     free_head_ = idx;

@@ -10,7 +10,7 @@ bool TtlCache::GetPrehashed(ObjectId id, uint64_t hash, SimTime now) {
   if (n == FlatIndex::kEmpty) {
     return false;
   }
-  slab_.node(n).stamp = static_cast<uint64_t>(now);
+  last_access_[n] = now;
   order_.MoveToFront(slab_, n);
   return true;
 }
@@ -23,12 +23,13 @@ void TtlCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size, SimTime n
     used_ -= e.size;
     used_ += size;
     e.size = size;
-    e.stamp = static_cast<uint64_t>(now);
+    last_access_[n] = now;
     order_.MoveToFront(slab_, n);
     return;
   }
-  const uint32_t fresh =
-      slab_.Allocate(id, size, static_cast<uint64_t>(now), static_cast<uint32_t>(hash));
+  const uint32_t fresh = slab_.Allocate(id, size);
+  last_access_.resize(slab_.allocated_nodes());
+  last_access_[fresh] = now;  // a reused slot's old time must not survive
   order_.PushFront(slab_, fresh);
   index_.EmplacePrehashed(hash, fresh, &slab_);
   used_ += size;
@@ -47,8 +48,7 @@ bool TtlCache::ErasePrehashed(ObjectId id, uint64_t hash) {
 }
 
 void TtlCache::Expire(SimTime now) {
-  while (!order_.empty() &&
-         static_cast<SimTime>(slab_.node(order_.tail()).stamp) + ttl_ < now) {
+  while (!order_.empty() && last_access_[order_.tail()] + ttl_ < now) {
     const uint32_t victim = order_.tail();
     const ObjectId victim_id = slab_.node(victim).id;
     const uint64_t victim_size = slab_.node(victim).size;

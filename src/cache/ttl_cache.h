@@ -7,15 +7,17 @@
 // Fig 13. There is no capacity bound: object storage is elastic; the TTL is
 // the only eviction driver.
 //
-// Backed by the slab cache core (slab_lru.h): the node `stamp` field holds
-// the last-access time, and expired nodes return to the freelist for reuse,
-// so steady-state operation allocates nothing per request.
+// Backed by the slab cache core (slab_lru.h): each entry's last-access time
+// sits beside the slab in a vector indexed by slot, and expired nodes return
+// to the freelist for reuse, so steady-state operation allocates nothing per
+// request.
 
 #ifndef MACARON_SRC_CACHE_TTL_CACHE_H_
 #define MACARON_SRC_CACHE_TTL_CACHE_H_
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/cache/flat_index.h"
 #include "src/cache/slab_lru.h"
@@ -66,7 +68,8 @@ class TtlCache {
  private:
   SimDuration ttl_;
   uint64_t used_ = 0;
-  NodeSlab slab_;       // node stamp = last-access time
+  NodeSlab slab_;
+  std::vector<SimTime> last_access_;  // by slot
   IntrusiveList order_;  // front = most recently accessed
   FlatIndex index_;
   EvictCallback evict_cb_;

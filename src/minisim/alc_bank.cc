@@ -18,8 +18,8 @@ constexpr int kOsc = 1;
 constexpr uint64_t kAbsent = ~0ull;
 // Completion of a slot with no fetch in flight; never later than a request.
 constexpr SimTime kNoFetch = std::numeric_limits<SimTime>::min();
-// SlabNode::stamp of a slot the index maps an id to (0 once freed).
-constexpr uint64_t kLiveSlot = 1;
+// SlabNode::tag of a slot the index maps an id to (0 once freed).
+constexpr uint32_t kLiveSlot = 1;
 
 // Slots per page of the row table. A page holds kPageSlots x grid rows:
 // slot s's rows, one per grid point, start at row (s % kPageSlots) * grid
@@ -276,7 +276,7 @@ void AlcBank::MaybeReclaimSlots() {
   const uint32_t slots = static_cast<uint32_t>(slab_.allocated_nodes());
   for (uint32_t s = 0; s < slots; ++s) {
     SlabNode& node = slab_.node(s);
-    if (node.stamp != kLiveSlot) {
+    if (node.tag != kLiveSlot) {
       continue;
     }
     SlotRow* rows = SlotRows(pages_.data(), stride, s);
@@ -287,7 +287,7 @@ void AlcBank::MaybeReclaimSlots() {
     }
     if (!held) {
       index_.EraseCell(node.cell, &slab_);
-      node.stamp = 0;
+      node.tag = 0;
       slab_.Free(s);
       std::fill_n(rows, stride, kFreeRow);
     }

@@ -1,6 +1,7 @@
 #include "src/minisim/mrc_bank.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "src/cache/flat_index.h"
@@ -109,7 +110,7 @@ class MrcBank::LruTimeline {
              uint64_t* missed_bytes) {
     uint32_t node = index_.FindPrehashed(id, hash, slab_);
     const bool live = node != FlatIndex::kEmpty;
-    const uint64_t old_slot = live ? slab_.node(node).stamp : 0;
+    const uint64_t old_slot = live ? slab_.node(node).tag : 0;
     const uint64_t old_size = live ? slab_.node(node).size : kDeadSize;
     if (op == Op::kDelete) {
       if (live) {
@@ -135,12 +136,13 @@ class MrcBank::LruTimeline {
     // any grid point evicts — LruCache moves a refreshed entry to the front
     // first, and an admitted one is never its own victim.
     const uint64_t new_slot = slot_size_.size();
+    MACARON_CHECK(new_slot <= std::numeric_limits<uint32_t>::max());  // node tags hold slots
     if (live) {
       Kill(old_slot);
       slab_.node(node).size = size;
-      slab_.node(node).stamp = new_slot;
+      slab_.node(node).tag = static_cast<uint32_t>(new_slot);
     } else {
-      node = slab_.Allocate(id, size, new_slot);
+      node = slab_.Allocate(id, size, static_cast<uint32_t>(new_slot));
       index_.EmplacePrehashed(hash, node, &slab_);
     }
     slot_size_.push_back(size);
@@ -244,7 +246,7 @@ class MrcBank::LruTimeline {
       }
       slot_size_[kept] = size;
       slot_node_[kept] = node;
-      slab_.node(node).stamp = kept;
+      slab_.node(node).tag = static_cast<uint32_t>(kept);
       ++kept;
     }
     while (next_floor < points) {
@@ -259,7 +261,7 @@ class MrcBank::LruTimeline {
   static constexpr size_t kCompactCheckEvery = 1024;
 
   std::vector<GridPoint> grid_;
-  FlatIndex index_;  // id -> slab node; node.size and node.stamp = slot
+  FlatIndex index_;  // id -> slab node; node.size and node.tag = slot
   NodeSlab slab_;
   std::vector<uint64_t> slot_size_;
   std::vector<uint32_t> slot_node_;

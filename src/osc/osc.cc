@@ -31,7 +31,7 @@ bool ObjectStorageCache::Contains(ObjectId id) const { return order_->Contains(i
 uint32_t ObjectStorageCache::NewBlock() {
   uint32_t slot;
   if (free_blocks_.empty()) {
-    MACARON_CHECK(blocks_.size() < kNoBlock);  // rows name blocks by uint32 slot
+    MACARON_CHECK(blocks_.size() < kNoBlock);  // order tags name blocks by uint32 slot
     slot = static_cast<uint32_t>(blocks_.size());
     blocks_.emplace_back();
   } else {
@@ -123,10 +123,7 @@ void ObjectStorageCache::AdmitPrehashed(ObjectId id, uint64_t h, uint64_t size) 
     m_admits_->Inc();
   }
   live_bytes_ += size;
-  if (slot >= rows_.size()) {
-    rows_.resize(static_cast<size_t>(slot) + 1);
-  }
-  rows_[slot] = PlaceCopy(id, size);
+  order_->SetTagAtSlot(slot, PlaceCopy(id, size));
 }
 
 void ObjectStorageCache::DeletePrehashed(ObjectId id, uint64_t h) {
@@ -136,7 +133,7 @@ void ObjectStorageCache::DeletePrehashed(ObjectId id, uint64_t h) {
     return;
   }
   const uint64_t size = order_->SizeAtSlot(slot);
-  const uint32_t block = rows_[slot];
+  const uint32_t block = order_->TagAtSlot(slot);
   order_->ErasePrehashed(id, h);
   live_bytes_ -= size;
   if (m_deletes_ != nullptr) {
@@ -191,8 +188,8 @@ void ObjectStorageCache::EvictToCapacity(uint64_t target_bytes) {
     // Let the policy itself choose the victims (a temporary resize), so the
     // OSC evicts exactly what the policy's mini-cache model predicts, then
     // return the ordering structure to its unbounded lazy state. Resize
-    // only frees slots, so every victim's row is intact when read in the
-    // callback.
+    // only frees slots, and a freed slot keeps its tag until reused, so
+    // each victim's block slot is still readable in the callback.
     struct Victim {
       ObjectId id;
       uint64_t size;
@@ -200,7 +197,7 @@ void ObjectStorageCache::EvictToCapacity(uint64_t target_bytes) {
     };
     std::vector<Victim> victims;
     order_->set_evict_callback([this, &victims](ObjectId id, uint64_t size, uint32_t slot) {
-      victims.push_back(Victim{id, size, rows_[slot]});
+      victims.push_back(Victim{id, size, order_->TagAtSlot(slot)});
     });
     order_->Resize(target_bytes);
     order_->Resize(std::numeric_limits<uint64_t>::max() / 2);
@@ -240,17 +237,17 @@ void ObjectStorageCache::RunGc() {
       const uint32_t count = blocks_[slot].objects;
       for (uint32_t i = 0; i < count; ++i) {
         // A member survives iff it is live and its live copy is this one: a
-        // dead copy has no slot, and a re-admitted object's row names a
+        // dead copy has no slot, and a re-admitted object's tag names a
         // newer block.
         const ObjectId id = members_[blocks_[slot].first + i];
         const uint32_t at = order_->SlotOfPrehashed(id, Mix64(id));
-        if (at == EvictionCache::kNoSlot || rows_[at] != slot) {
+        if (at == EvictionCache::kNoSlot || order_->TagAtSlot(at) != slot) {
           continue;
         }
         // Survivor: repack into the open block without touching recency.
-        rows_[at] = PlaceCopy(id, order_->SizeAtSlot(at));
+        order_->SetTagAtSlot(at, PlaceCopy(id, order_->SizeAtSlot(at)));
       }
-      // Only now may the slot be reused: until the loop ends, a row naming
+      // Only now may the slot be reused: until the loop ends, a tag naming
       // it must mean this block, not a new one opened for the survivors.
       FreeBlock(slot);
     }
@@ -309,13 +306,12 @@ void ObjectStorageCache::CheckConsistent() const {
   for (const uint32_t slot : gc_list_) {
     MACARON_CHECK(slot < blocks_.size() && blocks_[slot].id != 0 && blocks_[slot].scheduled);
   }
-  // Objects: each live one's row names a live block whose run lists it.
+  // Objects: each live one's tag names a live block whose run lists it.
   uint64_t order_bytes = 0;
   order_->ForEachHotOrder([&](ObjectId id, uint64_t size) {
     const uint32_t slot = order_->SlotOfPrehashed(id, Mix64(id));
-    MACARON_CHECK(slot < rows_.size());
     MACARON_CHECK(order_->SizeAtSlot(slot) == size);
-    const uint32_t block_slot = rows_[slot];
+    const uint32_t block_slot = order_->TagAtSlot(slot);
     MACARON_CHECK(block_slot < blocks_.size() && blocks_[block_slot].id != 0);
     const Block& block = blocks_[block_slot];
     const auto run = members_.begin() + block.first;

@@ -12,11 +12,12 @@
 // Metadata layout:
 //  * Objects. The replacement order (an EvictionCache that never evicts on
 //    its own) holds exactly the live objects, so its FlatIndex answers "is
-//    this object live?" and its slab node holds the object's size
-//    (SizeAtSlot). Each live object adds one 4-byte row, indexed by the
-//    order's slab slot: the slot of the block holding its live copy. A hit
-//    is one probe of the order's index, and so is an admission
-//    (TouchOrInsertPrehashed).
+//    this object live?" and its 32-byte slab node holds all the object's
+//    metadata: its size (SizeAtSlot) and, in the node's owner word
+//    (TagAtSlot), the slot of the block holding its live copy. A hit is one
+//    probe of the order's index, and so is an admission
+//    (TouchOrInsertPrehashed), which writes the block slot into the node
+//    the probe just reached.
 //  * Blocks. A vector of block records indexed by block slot; a freed slot
 //    (its block collected, or closed empty) goes on a free list and the next
 //    block opened reuses it. Each block records its id, numbered in the order
@@ -73,7 +74,7 @@ class ObjectStorageCache {
   // hashed the request (the engines hash once at ingest); the plain forms
   // hash internally. `h` must be exactly Mix64(id), not any per-id hash:
   // GC and eviction reach objects by id alone and recompute Mix64 to find
-  // their rows (debug builds check it).
+  // their order slots (debug builds check it).
 
   // True if `id` is Active; touches it in the replacement order. Counts one
   // GET.
@@ -145,7 +146,7 @@ class ObjectStorageCache {
   const PackingConfig& config() const { return config_; }
 
   // Aborts unless the metadata agrees with itself: every object in the
-  // replacement order has a row naming a live block whose run lists it;
+  // replacement order has a tag naming a live block whose run lists it;
   // live blocks' runs lie inside the member log without overlapping, the
   // open block's run ends it, and the dropped-entry counter is the rest of
   // the log; no free-list slot is live, and num_blocks() counts the live
@@ -199,9 +200,6 @@ class ObjectStorageCache {
   void MaybeScheduleGc(uint32_t slot);
 
   PackingConfig config_;
-  // By order_ slot: the block slot holding that object's live copy; valid
-  // while the order slot is live.
-  std::vector<uint32_t> rows_;
   std::vector<Block> blocks_;         // by block slot
   std::vector<uint32_t> free_blocks_;  // free block slots, reused last-in first-out
   size_t live_blocks_ = 0;

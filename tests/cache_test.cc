@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +11,7 @@
 
 #include "src/cache/inflight.h"
 #include "src/cache/lru_cache.h"
+#include "src/cache/slab_lru.h"
 #include "src/cache/ttl_cache.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
@@ -166,6 +168,40 @@ TEST(LruCacheTest, StressInvariant) {
   }
 }
 
+// --- NodeSlab ---
+
+// Nodes are 32 bytes and 32-byte aligned, so none straddles a cache line;
+// the vector's over-aligned allocation must keep that through every
+// doubling (the ubsan lane's alignment check guards node accesses too).
+TEST(NodeSlabTest, NodesStay32ByteAlignedThroughGrowth) {
+  NodeSlab slab;
+  size_t growths = 0;
+  const SlabNode* first = nullptr;
+  for (ObjectId id = 0; id < 5000; ++id) {
+    const uint32_t slot = slab.Allocate(id, 1);
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(&slab.node(slot)) % 32, 0u) << slot;
+    if (&slab.node(0) != first) {  // moved to a new buffer
+      first = &slab.node(0);
+      ++growths;
+      for (uint32_t i = 0; i <= slot; ++i) {
+        ASSERT_EQ(reinterpret_cast<uintptr_t>(&slab.node(i)) % 32, 0u) << i;
+      }
+    }
+  }
+  EXPECT_GE(growths, 5u);
+}
+
+// A freed node keeps its tag until a later Allocate reuses the slot, which
+// resets it: eviction callbacks read the victim's tag after the free.
+TEST(NodeSlabTest, FreeKeepsTheTagUntilReuse) {
+  NodeSlab slab;
+  const uint32_t slot = slab.Allocate(7, 10, 42);
+  slab.Free(slot);
+  EXPECT_EQ(slab.node(slot).tag, 42u);
+  EXPECT_EQ(slab.Allocate(8, 10), slot);
+  EXPECT_EQ(slab.node(slot).tag, 0u);
+}
+
 // --- TtlCache ---
 
 TEST(TtlCacheTest, HitWithinTtl) {
@@ -237,6 +273,20 @@ TEST(TtlCacheTest, NoExpiryAtExactBoundary) {
   c.Put(1, 10, 0);
   // last_access + ttl < now triggers eviction; at == it survives.
   EXPECT_TRUE(c.Get(1, 1000));
+}
+
+// A slot freed by expiry or erase and reused by a later Put carries the new
+// entry's access time, not the old entry's.
+TEST(TtlCacheTest, ReusedSlotTakesTheNewAccessTime) {
+  TtlCache c(1000);
+  c.Put(1, 10, 0);
+  c.Put(2, 10, 5000);  // expires 1, then reuses its slot
+  EXPECT_EQ(c.allocated_nodes(), 1u);
+  EXPECT_TRUE(c.Get(2, 5500));
+  EXPECT_TRUE(c.Erase(2));
+  c.Put(3, 10, 9000);  // reuses the erased slot
+  EXPECT_EQ(c.allocated_nodes(), 1u);
+  EXPECT_TRUE(c.Get(3, 9900));
 }
 
 // --- InflightTable ---

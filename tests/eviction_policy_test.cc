@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cache/eviction_policy.h"
@@ -261,6 +262,119 @@ TEST_P(PolicyContractTest, TouchOrInsertMatchesGetThenPut) {
   EXPECT_GT(inserts, 0u);
   EXPECT_GT(hits, 0u);
   EXPECT_FALSE(fused_evictions.empty());
+}
+
+// The tag is the owner's word (the OSC keeps a block slot in it): set once
+// after admission, it must read back unchanged however the policy moves the
+// entry (hits, resizing refreshes, SLRU promotion and demotion, S3-FIFO's
+// small-to-main promotion and second chances), and inside the eviction
+// callback the freed victim's slot must still hold it, which is what the
+// OSC's EvictToCapacity reads.
+TEST_P(PolicyContractTest, TagSurvivesEveryMoveAndReadsBackInTheEvictCallback) {
+  auto cache = MakeEvictionCache(GetParam(), 3000);
+  std::unordered_map<ObjectId, uint32_t> tags;  // resident id -> tag set at admission
+  uint64_t evictions = 0;
+  cache->set_evict_callback([&](ObjectId id, uint64_t, uint32_t slot) {
+    const auto it = tags.find(id);
+    ASSERT_NE(it, tags.end()) << "evicted " << id << " was not resident";
+    EXPECT_EQ(cache->TagAtSlot(slot), it->second) << "victim " << id;
+    tags.erase(it);
+    ++evictions;
+  });
+  Rng rng(41);
+  ZipfSampler zipf(250, 0.9);
+  uint32_t next_tag = 1;  // never 0, which a zeroed node would read
+  for (int step = 0; step < 30'000; ++step) {
+    const ObjectId id = zipf.Sample(rng);
+    const uint64_t h = Mix64(id);
+    const uint64_t roll = rng.NextBounded(100);
+    const uint64_t size = 20 + rng.NextBounded(200);
+    if (roll < 60) {
+      bool inserted = false;
+      const uint32_t slot = cache->TouchOrInsertPrehashed(id, h, size, &inserted);
+      if (inserted) {
+        EXPECT_EQ(cache->TagAtSlot(slot), 0u) << "an admission starts with tag 0";
+        cache->SetTagAtSlot(slot, next_tag);
+        tags[id] = next_tag++;
+      }
+    } else if (roll < 85) {
+      const bool resident = cache->ContainsPrehashed(id, h);
+      cache->PutPrehashed(id, h, size);  // a refresh at a new size, or an admission
+      if (!resident && cache->ContainsPrehashed(id, h)) {
+        cache->SetTagAtSlot(cache->SlotOfPrehashed(id, h), next_tag);
+        tags[id] = next_tag++;
+      }
+    } else if (roll < 97) {
+      if (cache->ErasePrehashed(id, h)) {
+        tags.erase(id);
+      }
+    } else {
+      cache->Resize(1000 + rng.NextBounded(4000));
+    }
+    ASSERT_EQ(cache->num_entries(), tags.size()) << "step " << step;
+    if (step % 101 == 0) {
+      for (const auto& [resident, tag] : tags) {
+        ASSERT_EQ(cache->TagAtSlot(cache->SlotOfPrehashed(resident, Mix64(resident))), tag)
+            << "step " << step << " id " << resident;
+      }
+    }
+  }
+  EXPECT_GT(evictions, 1000u);
+}
+
+// A slot freed and reused starts with the new entry's policy state, not the
+// old entry's (SLRU's segment, S3-FIFO's frequency and queue bit): a cache
+// emptied by erasing after a churning stream, which leaves its free slots
+// with every kind of stale state, must then behave exactly like a fresh
+// cache on a stream of other ids.
+TEST_P(PolicyContractTest, ReusedSlotsStartWithFreshPolicyState) {
+  auto reused = MakeEvictionCache(GetParam(), 1000);
+  auto fresh = MakeEvictionCache(GetParam(), 1000);
+  const auto drive = [](EvictionCache& cache, ObjectId first_id, uint64_t seed) {
+    Rng rng(seed);
+    ZipfSampler zipf(60, 0.9);
+    for (int step = 0; step < 3000; ++step) {
+      const ObjectId id = first_id + zipf.Sample(rng);
+      const uint64_t size = 50 + rng.NextBounded(100);
+      if (rng.NextBounded(4) == 0) {
+        cache.Put(id, size);
+      } else if (!cache.Get(id)) {
+        cache.Put(id, size);
+      }
+    }
+  };
+  drive(*reused, 0, 5);
+  std::vector<ObjectId> residents;
+  reused->ForEachEvictOrder([&](ObjectId id, uint64_t) {
+    residents.push_back(id);
+    return true;
+  });
+  for (const ObjectId id : residents) {
+    ASSERT_TRUE(reused->Erase(id));
+  }
+  ASSERT_EQ(reused->used_bytes(), 0u);
+  std::vector<std::pair<ObjectId, uint64_t>> reused_evictions;
+  std::vector<std::pair<ObjectId, uint64_t>> fresh_evictions;
+  reused->set_evict_callback(
+      [&](ObjectId id, uint64_t size, uint32_t) { reused_evictions.emplace_back(id, size); });
+  fresh->set_evict_callback(
+      [&](ObjectId id, uint64_t size, uint32_t) { fresh_evictions.emplace_back(id, size); });
+  drive(*reused, 1000, 6);
+  drive(*fresh, 1000, 6);
+  EXPECT_EQ(reused_evictions, fresh_evictions);
+  EXPECT_GT(fresh_evictions.size(), 100u);
+  EXPECT_EQ(reused->used_bytes(), fresh->used_bytes());
+  std::vector<ObjectId> reused_order;
+  std::vector<ObjectId> fresh_order;
+  reused->ForEachEvictOrder([&](ObjectId id, uint64_t) {
+    reused_order.push_back(id);
+    return true;
+  });
+  fresh->ForEachEvictOrder([&](ObjectId id, uint64_t) {
+    fresh_order.push_back(id);
+    return true;
+  });
+  EXPECT_EQ(reused_order, fresh_order);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyContractTest, testing::ValuesIn(kAllPolicies),

@@ -458,8 +458,7 @@ TEST(FlatIndexFuzzTest, SlabBacklinksStayConsistent) {
     const uint64_t h = ClusteredHash(key);
     if (action < 50) {
       if (reference.count(key) == 0) {
-        const uint32_t slot =
-            slab.Allocate(key, /*size=*/1, /*stamp=*/0, static_cast<uint32_t>(h));
+        const uint32_t slot = slab.Allocate(key, /*size=*/1);
         index.EmplacePrehashed(h, slot, &slab);
         reference.emplace(key, slot);
       }

@@ -10,7 +10,8 @@
 // included.
 //
 // The policies have no slab slots: SlotOfPrehashed and their eviction
-// callbacks report EvictionCache::kNoSlot, and SizeAtSlot returns 0.
+// callbacks report EvictionCache::kNoSlot, SizeAtSlot and TagAtSlot return
+// 0, and SetTagAtSlot ignores its tag.
 
 #ifndef MACARON_TESTS_REFERENCE_CACHES_H_
 #define MACARON_TESTS_REFERENCE_CACHES_H_
@@ -265,6 +266,8 @@ class RefLruPolicy : public EvictionCache {
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return cache_.Contains(id); }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   uint64_t SizeAtSlot(uint32_t) const override { return 0; }
+  uint32_t TagAtSlot(uint32_t) const override { return 0; }
+  void SetTagAtSlot(uint32_t, uint32_t) override {}
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override { cache_.Put(id, size); }
   bool ErasePrehashed(ObjectId id, uint64_t) override { return cache_.Erase(id); }
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
@@ -297,6 +300,8 @@ class RefFifoPolicy : public EvictionCache {
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   uint64_t SizeAtSlot(uint32_t) const override { return 0; }
+  uint32_t TagAtSlot(uint32_t) const override { return 0; }
+  void SetTagAtSlot(uint32_t, uint32_t) override {}
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -407,6 +412,8 @@ class RefSlruPolicy : public EvictionCache {
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   uint64_t SizeAtSlot(uint32_t) const override { return 0; }
+  uint32_t TagAtSlot(uint32_t) const override { return 0; }
+  void SetTagAtSlot(uint32_t, uint32_t) override {}
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
@@ -563,6 +570,8 @@ class RefS3FifoPolicy : public EvictionCache {
   bool ContainsPrehashed(ObjectId id, uint64_t) const override { return index_.count(id) != 0; }
   uint32_t SlotOfPrehashed(ObjectId, uint64_t) const override { return kNoSlot; }
   uint64_t SizeAtSlot(uint32_t) const override { return 0; }
+  uint32_t TagAtSlot(uint32_t) const override { return 0; }
+  void SetTagAtSlot(uint32_t, uint32_t) override {}
   MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override { return RefReplay(*this, batch); }
 
   void PutPrehashed(ObjectId id, uint64_t, uint64_t size) override {
