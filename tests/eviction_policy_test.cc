@@ -343,13 +343,16 @@ TEST_P(PolicyContractTest, ReusedSlotsStartWithFreshPolicyState) {
       }
     }
   };
+  const auto evict_order = [](const EvictionCache& cache) {
+    std::vector<ObjectId> order;
+    cache.ForEachEvictOrder([&](ObjectId id, uint64_t) {
+      order.push_back(id);
+      return true;
+    });
+    return order;
+  };
   drive(*reused, 0, 5);
-  std::vector<ObjectId> residents;
-  reused->ForEachEvictOrder([&](ObjectId id, uint64_t) {
-    residents.push_back(id);
-    return true;
-  });
-  for (const ObjectId id : residents) {
+  for (const ObjectId id : evict_order(*reused)) {
     ASSERT_TRUE(reused->Erase(id));
   }
   ASSERT_EQ(reused->used_bytes(), 0u);
@@ -364,17 +367,7 @@ TEST_P(PolicyContractTest, ReusedSlotsStartWithFreshPolicyState) {
   EXPECT_EQ(reused_evictions, fresh_evictions);
   EXPECT_GT(fresh_evictions.size(), 100u);
   EXPECT_EQ(reused->used_bytes(), fresh->used_bytes());
-  std::vector<ObjectId> reused_order;
-  std::vector<ObjectId> fresh_order;
-  reused->ForEachEvictOrder([&](ObjectId id, uint64_t) {
-    reused_order.push_back(id);
-    return true;
-  });
-  fresh->ForEachEvictOrder([&](ObjectId id, uint64_t) {
-    fresh_order.push_back(id);
-    return true;
-  });
-  EXPECT_EQ(reused_order, fresh_order);
+  EXPECT_EQ(evict_order(*reused), evict_order(*fresh));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyContractTest, testing::ValuesIn(kAllPolicies),
