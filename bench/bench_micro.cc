@@ -15,7 +15,7 @@
 #include "src/cache/flat_index.h"
 #include "src/cache/lru_cache.h"
 #include "src/cache/simd.h"
-#include "src/cache/slab_lru.h"
+#include "src/cache/slab_table.h"
 #include "src/cache/ttl_cache.h"
 #include "src/common/hash.h"
 #include "src/cloudsim/latency.h"
@@ -244,28 +244,19 @@ BENCHMARK(BM_FlatIndexProbeMiss)->Arg(1 << 14)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_FlatIndexProbeEvictErase(benchmark::State& state) {
   const size_t keys = static_cast<size_t>(state.range(0));
-  NodeSlab slab;
-  FlatIndex index;
-  index.Reserve(keys);
+  SlabTable table;
   std::vector<uint32_t> ring(keys);  // slab slot of each live key
   ObjectId next = 0;
   for (; next < keys; ++next) {
-    const uint64_t h = Mix64(next);
-    const uint32_t slot = slab.Allocate(next, 1);
-    index.EmplacePrehashed(h, slot, &slab);
-    ring[next] = slot;
+    ring[next] = table.Insert(next, Mix64(next), 1);
   }
   for (auto _ : state) {
     // One eviction + one admission, as the policies' miss paths do it: the
     // victim is already known (here via the ring, there via the recency
     // list), so the erase is backlink-direct with zero probing.
     const size_t pos = next % keys;
-    index.EraseCell(slab.node(ring[pos]).cell, &slab);
-    slab.Free(ring[pos]);
-    const uint64_t h = Mix64(next);
-    const uint32_t slot = slab.Allocate(next, 1);
-    index.EmplacePrehashed(h, slot, &slab);
-    ring[pos] = slot;
+    table.Remove(ring[pos]);
+    ring[pos] = table.Insert(next, Mix64(next), 1);
     ++next;
   }
   state.SetItemsProcessed(state.iterations());

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <utility>
+#include <vector>
 
 #include "src/cache/flat_index.h"
 #include "src/cache/lru_cache.h"
-#include "src/cache/replay_batch.h"
 #include "src/cache/slab_lru.h"
 #include "src/common/check.h"
 
@@ -40,124 +41,40 @@ uint32_t EvictionCache::TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint6
 
 namespace {
 
-// SlotOfPrehashed returns index lookups as they are: a miss is kNoSlot.
-static_assert(FlatIndex::kEmpty == EvictionCache::kNoSlot);
-
-// All policies share the slab cache core (slab_lru.h): entries are NodeSlab
-// slots threaded onto IntrusiveLists, looked up through a FlatIndex. The
-// policies reproduce the exact semantics (eviction order, callback
-// sequence) of the original std::list + std::unordered_map implementations;
-// the differential test suite pins this.
-
-// Mini-sim batch replay over SoA columns, instantiated per concrete policy
-// (every policy class is final, so the Get/Put/Erase calls below bind
-// statically — no virtual dispatch inside the loop). This is the analyzer's
-// hottest code: one sampled request is replayed against dozens of grid
-// points, and the batch's hash column means none of them rehashes.
-// Each iteration also prefetches the index lines for the request
-// kPrefetchAhead slots ahead (through the policy's statically-bound
-// PrefetchPrehashed), overlapping the next probes' random loads with the
-// current request's work. Eight requests ahead is far enough to cover an
-// L2 miss at a few ns per request but close enough that the lines are
-// still resident when their request arrives.
-constexpr size_t kPrefetchAhead = 8;
-
-template <typename CachePolicy>
-EvictionCache::MiniSimStats ReplayKernel(CachePolicy& cache, const ReplayBatch& batch) {
-  EvictionCache::MiniSimStats stats;
-  const size_t n = batch.size();
-  for (size_t k = 0; k < n; ++k) {
-    if (k + kPrefetchAhead < n) {
-      cache.PrefetchPrehashed(batch.hashes[k + kPrefetchAhead]);
+// The walk SLRU and S3-FIFO share over their two queues: eviction order is
+// the cold queue (probation, small) back to front, then the warm one
+// (protected, main); hot order is the warm queue front to back, then the
+// cold one. Stops at the first false.
+void WalkTwoQueues(const NodeSlab& slab, const IntrusiveList& cold, const IntrusiveList& warm,
+                   bool evict_order, const EvictionCache::VisitFn& fn) {
+  bool keep_going = true;
+  const auto visit = [&](ObjectId id, uint64_t size) { return keep_going = fn(id, size); };
+  for (const IntrusiveList* queue : {evict_order ? &cold : &warm, evict_order ? &warm : &cold}) {
+    if (evict_order) {
+      queue->ForEachBackToFront(slab, visit);
+    } else {
+      queue->ForEachFrontToBack(slab, visit);
     }
-    const ObjectId id = batch.ids[k];
-    const uint64_t hash = batch.hashes[k];
-    switch (batch.ops[k]) {
-      case Op::kGet:
-        if (!cache.GetPrehashed(id, hash)) {
-          ++stats.misses;
-          stats.missed_bytes += batch.sizes[k];
-          cache.PutPrehashed(id, hash, batch.sizes[k]);  // admit on miss
-        }
-        break;
-      case Op::kPut:
-        cache.PutPrehashed(id, hash, batch.sizes[k]);
-        break;
-      case Op::kDelete:
-        cache.ErasePrehashed(id, hash);
-        break;
+    if (!keep_going) {
+      return;
     }
   }
-  return stats;
 }
-
-// --- LRU: delegates to LruCache ---
-
-class LruPolicy final : public EvictionCache {
- public:
-  explicit LruPolicy(uint64_t capacity) : cache_(capacity) {}
-
-  bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    return cache_.GetPrehashed(id, hash);
-  }
-  bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return cache_.ContainsPrehashed(id, hash);
-  }
-  void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    cache_.PutPrehashed(id, hash, size);
-  }
-  bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    return cache_.ErasePrehashed(id, hash);
-  }
-  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return cache_.SlotOfPrehashed(id, hash);
-  }
-  uint64_t SizeAtSlot(uint32_t slot) const override { return cache_.SizeAtSlot(slot); }
-  uint32_t TagAtSlot(uint32_t slot) const override { return cache_.TagAtSlot(slot); }
-  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { cache_.SetTagAtSlot(slot, tag); }
-  uint32_t TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
-                                  bool* inserted) override {
-    return cache_.TouchOrInsertPrehashed(id, hash, size, inserted);
-  }
-  void PrefetchPrehashed(uint64_t hash) const override {
-    cache_.PrefetchPrehashed(hash);
-  }
-  void Resize(uint64_t capacity) override { cache_.Resize(capacity); }
-  uint64_t capacity() const override { return cache_.capacity(); }
-  uint64_t used_bytes() const override { return cache_.used_bytes(); }
-  size_t num_entries() const override { return cache_.num_entries(); }
-  size_t allocated_nodes() const override { return cache_.allocated_nodes(); }
-  void set_evict_callback(EvictCallback cb) override {
-    cache_.set_evict_callback(std::move(cb));
-  }
-  void ForEachEvictOrder(const VisitFn& fn) const override { cache_.ForEachLruToMru(fn); }
-  void ForEachHotOrder(const VisitFn& fn) const override { cache_.ForEachMruToLru(fn); }
-  EvictionPolicyKind kind() const override { return EvictionPolicyKind::kLru; }
-  MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override {
-    return ReplayKernel(cache_, batch);
-  }
-
- private:
-  LruCache cache_;
-};
 
 // --- FIFO: insertion order, no promotion ---
 
-class FifoPolicy final : public EvictionCache {
+class FifoPolicy final : public SlabPolicy<FifoPolicy> {
  public:
-  explicit FifoPolicy(uint64_t capacity) : capacity_(capacity) {}
+  explicit FifoPolicy(uint64_t capacity) : SlabPolicy(capacity) {}
 
   bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
-  }
-  bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
+    return table_.Find(id, hash) != kNoSlot;
   }
 
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n != FlatIndex::kEmpty) {
-      SlabNode& e = slab_.node(n);
+    const uint32_t n = table_.Find(id, hash);
+    if (n != kNoSlot) {
+      SlabNode& e = table_.node(n);
       used_ -= e.size;
       used_ += size;
       e.size = size;  // refresh size, keep position
@@ -168,33 +85,17 @@ class FifoPolicy final : public EvictionCache {
       return;
     }
     EvictToFit(size);
-    const uint32_t fresh = slab_.Allocate(id, size);
-    queue_.PushFront(slab_, fresh);
-    index_.EmplacePrehashed(hash, fresh, &slab_);
-    used_ += size;
+    queue_.PushFront(table_.slab(), Admit(id, hash, size));
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n == FlatIndex::kEmpty) {
+    const uint32_t n = table_.Find(id, hash);
+    if (n == kNoSlot) {
       return false;
     }
-    used_ -= slab_.node(n).size;
-    queue_.Remove(slab_, n);
-    index_.EraseCell(slab_.node(n).cell, &slab_);
-    slab_.Free(n);
+    queue_.Remove(table_.slab(), n);
+    Drop(n);
     return true;
-  }
-
-  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash, slab_);
-  }
-  uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
-  uint32_t TagAtSlot(uint32_t slot) const override { return slab_.node(slot).tag; }
-  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { slab_.node(slot).tag = tag; }
-
-  void PrefetchPrehashed(uint64_t hash) const override {
-    index_.PrefetchPrehashed(hash);
   }
 
   void Resize(uint64_t capacity) override {
@@ -202,76 +103,48 @@ class FifoPolicy final : public EvictionCache {
     EvictToFit(0);
   }
 
-  uint64_t capacity() const override { return capacity_; }
-  uint64_t used_bytes() const override { return used_; }
-  size_t num_entries() const override { return index_.size(); }
-  size_t allocated_nodes() const override { return slab_.allocated_nodes(); }
-  void set_evict_callback(EvictCallback cb) override { evict_cb_ = std::move(cb); }
-
   void ForEachEvictOrder(const VisitFn& fn) const override {
-    queue_.ForEachBackToFront(slab_, fn);
+    queue_.ForEachBackToFront(table_.slab(), fn);
   }
   void ForEachHotOrder(const VisitFn& fn) const override {
-    queue_.ForEachFrontToBack(slab_, fn);
+    queue_.ForEachFrontToBack(table_.slab(), fn);
   }
   EvictionPolicyKind kind() const override { return EvictionPolicyKind::kFifo; }
-  MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override {
-    return ReplayKernel(*this, batch);
-  }
 
  private:
   void EvictToFit(uint64_t incoming) {
     while (used_ + incoming > capacity_ && !queue_.empty()) {
-      const uint32_t victim = queue_.tail();
-      const ObjectId victim_id = slab_.node(victim).id;
-      const uint64_t victim_size = slab_.node(victim).size;
-      queue_.Remove(slab_, victim);
-      index_.EraseCell(slab_.node(victim).cell, &slab_);
-      slab_.Free(victim);
-      used_ -= victim_size;
-      if (evict_cb_) {
-        evict_cb_(victim_id, victim_size, victim);
-      }
+      EvictTail(queue_);
     }
   }
 
-  uint64_t capacity_;
-  uint64_t used_ = 0;
-  NodeSlab slab_;
   IntrusiveList queue_;  // front = newest
-  FlatIndex index_;
-  EvictCallback evict_cb_;
 };
 
 // --- SLRU: probationary (20%) + protected (80%) segments ---
 
-class SlruPolicy final : public EvictionCache {
+class SlruPolicy final : public SlabPolicy<SlruPolicy> {
  public:
-  explicit SlruPolicy(uint64_t capacity) { SetCapacity(capacity); }
+  explicit SlruPolicy(uint64_t capacity) : SlabPolicy(capacity) { SetCapacity(capacity); }
 
   bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n == FlatIndex::kEmpty) {
+    const uint32_t n = table_.Find(id, hash);
+    if (n == kNoSlot) {
       return false;
     }
     Touch(n);
     return true;
   }
 
-  bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
-  }
-
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n != FlatIndex::kEmpty) {
-      SlabNode& e = slab_.node(n);
+    const uint32_t n = table_.Find(id, hash);
+    if (n != kNoSlot) {
+      SlabNode& e = table_.node(n);
       const uint64_t old_size = e.size;
       e.size = size;
+      used_ += size - old_size;
       if (segment_[n] == kProtectedSeg) {
         protected_bytes_ += size - old_size;
-      } else {
-        probation_bytes_ += size - old_size;
       }
       Touch(n);
       EvictProbationToFit(0);
@@ -281,41 +154,25 @@ class SlruPolicy final : public EvictionCache {
       return;
     }
     EvictProbationToFit(size);
-    const uint32_t fresh = slab_.Allocate(id, size);
-    segment_.resize(slab_.allocated_nodes());
+    const uint32_t fresh = Admit(id, hash, size);
+    segment_.resize(table_.allocated_nodes());
     segment_[fresh] = kProbationSeg;  // a reused slot's old segment must not survive
-    probation_.PushFront(slab_, fresh);
-    probation_bytes_ += size;
-    index_.EmplacePrehashed(hash, fresh, &slab_);
+    probation_.PushFront(table_.slab(), fresh);
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n == FlatIndex::kEmpty) {
+    const uint32_t n = table_.Find(id, hash);
+    if (n == kNoSlot) {
       return false;
     }
-    SlabNode& e = slab_.node(n);
     if (segment_[n] == kProtectedSeg) {
-      protected_bytes_ -= e.size;
-      protected_.Remove(slab_, n);
+      protected_bytes_ -= table_.node(n).size;
+      protected_.Remove(table_.slab(), n);
     } else {
-      probation_bytes_ -= e.size;
-      probation_.Remove(slab_, n);
+      probation_.Remove(table_.slab(), n);
     }
-    index_.EraseCell(e.cell, &slab_);
-    slab_.Free(n);
+    Drop(n);
     return true;
-  }
-
-  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash, slab_);
-  }
-  uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
-  uint32_t TagAtSlot(uint32_t slot) const override { return slab_.node(slot).tag; }
-  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { slab_.node(slot).tag = tag; }
-
-  void PrefetchPrehashed(uint64_t hash) const override {
-    index_.PrefetchPrehashed(hash);
   }
 
   void Resize(uint64_t capacity) override {
@@ -324,36 +181,13 @@ class SlruPolicy final : public EvictionCache {
     EvictProbationToFit(0);
   }
 
-  uint64_t capacity() const override { return capacity_; }
-  uint64_t used_bytes() const override { return probation_bytes_ + protected_bytes_; }
-  size_t num_entries() const override { return index_.size(); }
-  size_t allocated_nodes() const override { return slab_.allocated_nodes(); }
-  void set_evict_callback(EvictCallback cb) override { evict_cb_ = std::move(cb); }
-
   void ForEachEvictOrder(const VisitFn& fn) const override {
-    bool keep_going = true;
-    probation_.ForEachBackToFront(slab_, [&](ObjectId id, uint64_t size) {
-      keep_going = fn(id, size);
-      return keep_going;
-    });
-    if (keep_going) {
-      protected_.ForEachBackToFront(slab_, fn);
-    }
+    WalkTwoQueues(table_.slab(), probation_, protected_, /*evict_order=*/true, fn);
   }
   void ForEachHotOrder(const VisitFn& fn) const override {
-    bool keep_going = true;
-    protected_.ForEachFrontToBack(slab_, [&](ObjectId id, uint64_t size) {
-      keep_going = fn(id, size);
-      return keep_going;
-    });
-    if (keep_going) {
-      probation_.ForEachFrontToBack(slab_, fn);
-    }
+    WalkTwoQueues(table_.slab(), probation_, protected_, /*evict_order=*/false, fn);
   }
   EvictionPolicyKind kind() const override { return EvictionPolicyKind::kSlru; }
-  MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override {
-    return ReplayKernel(*this, batch);
-  }
 
  private:
   static constexpr uint8_t kProbationSeg = 0;
@@ -362,14 +196,12 @@ class SlruPolicy final : public EvictionCache {
   // Hit handling for a resident node: refresh within protected, or promote
   // probation -> protected.
   void Touch(uint32_t n) {
-    SlabNode& e = slab_.node(n);
     if (segment_[n] == kProtectedSeg) {
-      protected_.MoveToFront(slab_, n);
+      protected_.MoveToFront(table_.slab(), n);
     } else {
-      probation_.Remove(slab_, n);
-      probation_bytes_ -= e.size;
-      protected_.PushFront(slab_, n);
-      protected_bytes_ += e.size;
+      probation_.Remove(table_.slab(), n);
+      protected_.PushFront(table_.slab(), n);
+      protected_bytes_ += table_.node(n).size;
       segment_[n] = kProtectedSeg;
       DemoteProtectedOverflow();
     }
@@ -384,73 +216,50 @@ class SlruPolicy final : public EvictionCache {
   void DemoteProtectedOverflow() {
     while (protected_bytes_ > protected_cap_ && !protected_.empty()) {
       const uint32_t n = protected_.tail();
-      SlabNode& e = slab_.node(n);
-      protected_.Remove(slab_, n);
-      protected_bytes_ -= e.size;
-      probation_.PushFront(slab_, n);
-      probation_bytes_ += e.size;
+      protected_.Remove(table_.slab(), n);
+      protected_bytes_ -= table_.node(n).size;
+      probation_.PushFront(table_.slab(), n);
       segment_[n] = kProbationSeg;
     }
     EvictProbationToFit(0);
   }
 
   void EvictProbationToFit(uint64_t incoming) {
-    while (used_bytes() + incoming > capacity_ && !probation_.empty()) {
-      EvictBack(probation_, probation_bytes_);
+    while (used_ + incoming > capacity_ && !probation_.empty()) {
+      EvictTail(probation_);
     }
     // Degenerate case: everything sits in protected and still over budget.
-    while (used_bytes() + incoming > capacity_ && !protected_.empty()) {
-      EvictBack(protected_, protected_bytes_);
+    while (used_ + incoming > capacity_ && !protected_.empty()) {
+      protected_bytes_ -= table_.node(protected_.tail()).size;
+      EvictTail(protected_);
     }
   }
 
-  void EvictBack(IntrusiveList& list, uint64_t& segment_bytes) {
-    const uint32_t victim = list.tail();
-    const ObjectId victim_id = slab_.node(victim).id;
-    const uint64_t victim_size = slab_.node(victim).size;
-    list.Remove(slab_, victim);
-    segment_bytes -= victim_size;
-    index_.EraseCell(slab_.node(victim).cell, &slab_);
-    slab_.Free(victim);
-    if (evict_cb_) {
-      evict_cb_(victim_id, victim_size, victim);
-    }
-  }
-
-  uint64_t capacity_ = 0;
   uint64_t protected_cap_ = 0;
-  uint64_t probation_bytes_ = 0;
-  uint64_t protected_bytes_ = 0;
-  NodeSlab slab_;
+  uint64_t protected_bytes_ = 0;  // used_ less the probation segment's bytes
   std::vector<uint8_t> segment_;  // by slot: kProbationSeg or kProtectedSeg
   IntrusiveList probation_;  // front = MRU
   IntrusiveList protected_;
-  FlatIndex index_;
-  EvictCallback evict_cb_;
 };
 
 // --- S3-FIFO (simplified): small FIFO + main FIFO + ghost table ---
 
-class S3FifoPolicy final : public EvictionCache {
+class S3FifoPolicy final : public SlabPolicy<S3FifoPolicy> {
  public:
-  explicit S3FifoPolicy(uint64_t capacity) { SetCapacity(capacity); }
+  explicit S3FifoPolicy(uint64_t capacity) : SlabPolicy(capacity) { SetCapacity(capacity); }
 
   bool GetPrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n == FlatIndex::kEmpty) {
+    const uint32_t n = table_.Find(id, hash);
+    if (n == kNoSlot) {
       return false;
     }
     Bump(bits_[n]);
     return true;
   }
 
-  bool ContainsPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash, slab_) != FlatIndex::kEmpty;
-  }
-
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n != FlatIndex::kEmpty) {
+    const uint32_t n = table_.Find(id, hash);
+    if (n != kNoSlot) {
       Bump(bits_[n]);
       return;  // immutable objects: size is stable
     }
@@ -470,46 +279,28 @@ class S3FifoPolicy final : public EvictionCache {
     if (in_main) {
       ghost_free_.push_back(ghost);  // stale deque entry ages out later
     }
-    const uint32_t fresh = slab_.Allocate(id, size);
-    bits_.resize(slab_.allocated_nodes());
+    const uint32_t fresh = Admit(id, hash, size);
+    bits_.resize(table_.allocated_nodes());
     bits_[fresh] = in_main ? kInMainBit : 0;  // a reused slot starts afresh
-    (in_main ? main_ : small_).PushFront(slab_, fresh);
-    (in_main ? main_bytes_ : small_bytes_) += size;
-    index_.EmplacePrehashed(hash, fresh, &slab_);
+    (in_main ? main_ : small_).PushFront(table_.slab(), fresh);
+    if (!in_main) {
+      small_bytes_ += size;
+    }
   }
 
   bool ErasePrehashed(ObjectId id, uint64_t hash) override {
-    const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-    if (n == FlatIndex::kEmpty) {
+    const uint32_t n = table_.Find(id, hash);
+    if (n == kNoSlot) {
       return false;
     }
-    SlabNode& e = slab_.node(n);
     if (InMain(bits_[n])) {
-      main_bytes_ -= e.size;
-      main_.Remove(slab_, n);
+      main_.Remove(table_.slab(), n);
     } else {
-      small_bytes_ -= e.size;
-      small_.Remove(slab_, n);
+      small_bytes_ -= table_.node(n).size;
+      small_.Remove(table_.slab(), n);
     }
-    index_.EraseCell(e.cell, &slab_);
-    slab_.Free(n);
+    Drop(n);
     return true;
-  }
-
-  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const override {
-    return index_.FindPrehashed(id, hash, slab_);
-  }
-  uint64_t SizeAtSlot(uint32_t slot) const override { return slab_.node(slot).size; }
-  uint32_t TagAtSlot(uint32_t slot) const override { return slab_.node(slot).tag; }
-  void SetTagAtSlot(uint32_t slot, uint32_t tag) override { slab_.node(slot).tag = tag; }
-
-  // Main index only: every request probes it, while the ghost table is
-  // consulted only on a fresh admit (PutPrehashed pulls its lines then,
-  // with the eviction work as lead time). Prefetching both here was
-  // measurably slower — four streams ahead of every request evict more
-  // than they hide.
-  void PrefetchPrehashed(uint64_t hash) const override {
-    index_.PrefetchPrehashed(hash);
   }
 
   void Resize(uint64_t capacity) override {
@@ -517,36 +308,13 @@ class S3FifoPolicy final : public EvictionCache {
     EvictToFit(0);
   }
 
-  uint64_t capacity() const override { return capacity_; }
-  uint64_t used_bytes() const override { return small_bytes_ + main_bytes_; }
-  size_t num_entries() const override { return index_.size(); }
-  size_t allocated_nodes() const override { return slab_.allocated_nodes(); }
-  void set_evict_callback(EvictCallback cb) override { evict_cb_ = std::move(cb); }
-
   void ForEachEvictOrder(const VisitFn& fn) const override {
-    bool keep_going = true;
-    small_.ForEachBackToFront(slab_, [&](ObjectId id, uint64_t size) {
-      keep_going = fn(id, size);
-      return keep_going;
-    });
-    if (keep_going) {
-      main_.ForEachBackToFront(slab_, fn);
-    }
+    WalkTwoQueues(table_.slab(), small_, main_, /*evict_order=*/true, fn);
   }
   void ForEachHotOrder(const VisitFn& fn) const override {
-    bool keep_going = true;
-    main_.ForEachFrontToBack(slab_, [&](ObjectId id, uint64_t size) {
-      keep_going = fn(id, size);
-      return keep_going;
-    });
-    if (keep_going) {
-      small_.ForEachFrontToBack(slab_, fn);
-    }
+    WalkTwoQueues(table_.slab(), small_, main_, /*evict_order=*/false, fn);
   }
   EvictionPolicyKind kind() const override { return EvictionPolicyKind::kS3Fifo; }
-  MiniSimStats ReplayMiniSim(const ReplayBatch& batch) override {
-    return ReplayKernel(*this, batch);
-  }
 
  private:
   // Per-slot state byte (bits_): low bits = access frequency (capped at 3),
@@ -567,7 +335,7 @@ class S3FifoPolicy final : public EvictionCache {
   }
 
   void EvictToFit(uint64_t incoming) {
-    while (used_bytes() + incoming > capacity_ && num_entries() > 0) {
+    while (used_ + incoming > capacity_ && num_entries() > 0) {
       if (small_bytes_ > small_cap_ && !small_.empty()) {
         EvictSmall();
       } else if (!main_.empty()) {
@@ -581,50 +349,30 @@ class S3FifoPolicy final : public EvictionCache {
   void EvictSmall() {
     MACARON_CHECK(!small_.empty());
     const uint32_t n = small_.tail();
-    SlabNode& e = slab_.node(n);
-    small_.Remove(slab_, n);
-    small_bytes_ -= e.size;
+    small_.Remove(table_.slab(), n);
+    small_bytes_ -= table_.node(n).size;
     if (Freq(bits_[n]) > 0) {
       // Promote to main with a fresh frequency.
       bits_[n] = kInMainBit;
-      main_.PushFront(slab_, n);
-      main_bytes_ += e.size;
+      main_.PushFront(table_.slab(), n);
     } else {
-      const ObjectId victim_id = e.id;
-      const uint64_t victim_size = e.size;
-      // Read before EraseCell, whose backward shift may refill the cell.
-      const uint32_t victim_hash32 = index_.HashAtCell(e.cell);
-      index_.EraseCell(e.cell, &slab_);
-      slab_.Free(n);
-      GhostInsert(victim_id, victim_hash32);
-      if (evict_cb_) {
-        evict_cb_(victim_id, victim_size, n);
-      }
+      const uint32_t victim_hash32 = table_.Hash32(n);  // before Remove refills the cell
+      Drop(n);
+      GhostInsert(table_.node(n).id, victim_hash32);
+      Notify(n);
     }
   }
 
   void EvictMain() {
     MACARON_CHECK(!main_.empty());
-    for (;;) {
+    // Second chance: an entry with a positive frequency goes back to the
+    // head with the frequency decremented.
+    while (Freq(bits_[main_.tail()]) > 0) {
       const uint32_t n = main_.tail();
-      SlabNode& e = slab_.node(n);
-      main_.Remove(slab_, n);
-      if (Freq(bits_[n]) > 0) {
-        // Second chance: reinsert at the head with decremented frequency.
-        --bits_[n];
-        main_.PushFront(slab_, n);
-        continue;
-      }
-      const ObjectId victim_id = e.id;
-      const uint64_t victim_size = e.size;
-      main_bytes_ -= victim_size;
-      index_.EraseCell(e.cell, &slab_);
-      slab_.Free(n);
-      if (evict_cb_) {
-        evict_cb_(victim_id, victim_size, n);
-      }
-      return;
+      --bits_[n];
+      main_.MoveToFront(table_.slab(), n);
     }
+    EvictTail(main_);
   }
 
   // The ghost table's key source: its values name ghost_ids_ slots.
@@ -660,20 +408,15 @@ class S3FifoPolicy final : public EvictionCache {
     }
   }
 
-  uint64_t capacity_ = 0;
   uint64_t small_cap_ = 0;
   uint64_t small_bytes_ = 0;
-  uint64_t main_bytes_ = 0;
-  NodeSlab slab_;
   std::vector<uint8_t> bits_;  // by slot: frequency and kInMainBit
   IntrusiveList small_;  // front = newest
   IntrusiveList main_;
-  FlatIndex index_;
   FlatIndex ghost_;                   // ghost id -> ghost_ids_ slot
   std::vector<ObjectId> ghost_ids_;   // the ghost ids, keyed by ghost_ values
   std::vector<uint32_t> ghost_free_;  // ghost_ids_ slots no ghost holds
   std::deque<std::pair<ObjectId, uint32_t>> ghost_order_;  // (id, low hash bits)
-  EvictCallback evict_cb_;
 };
 
 }  // namespace
@@ -682,7 +425,7 @@ std::unique_ptr<EvictionCache> MakeEvictionCache(EvictionPolicyKind kind,
                                                  uint64_t capacity_bytes) {
   switch (kind) {
     case EvictionPolicyKind::kLru:
-      return std::make_unique<LruPolicy>(capacity_bytes);
+      return std::make_unique<LruCache>(capacity_bytes);
     case EvictionPolicyKind::kFifo:
       return std::make_unique<FifoPolicy>(capacity_bytes);
     case EvictionPolicyKind::kSlru:

@@ -29,16 +29,18 @@
 #ifndef MACARON_SRC_CACHE_EVICTION_POLICY_H_
 #define MACARON_SRC_CACHE_EVICTION_POLICY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
+#include "src/cache/replay_batch.h"
+#include "src/cache/slab_table.h"
 #include "src/common/hash.h"
 #include "src/trace/request.h"
 
 namespace macaron {
-
-struct ReplayBatch;
 
 enum class EvictionPolicyKind {
   kLru,
@@ -49,9 +51,9 @@ enum class EvictionPolicyKind {
 
 const char* EvictionPolicyName(EvictionPolicyKind kind);
 
-// The contract shared by all policies. Semantics mirror LruCache: Get
-// touches (policy-defined), Put inserts or refreshes and evicts to fit,
-// objects larger than the capacity are not admitted.
+// The contract shared by all policies: Get touches (policy-defined), Put
+// inserts or refreshes and evicts to fit, objects larger than the capacity
+// are not admitted.
 class EvictionCache {
  public:
   // Eviction callbacks also receive the victim's slab slot, already freed
@@ -109,10 +111,8 @@ class EvictionCache {
 
   // Hints the CPU to pull the key's index lines (tag metadata + cell) into
   // cache ahead of an operation on the same hash. Purely advisory — never
-  // affects results. Policies override to prefetch their primary index
-  // (S3-FIFO also pulls its ghost table); the replay loops call this for
-  // request i+k while processing request i to hide the index's random-load
-  // latency.
+  // affects results. The replay loops call this for request i+k while
+  // processing request i to hide the index's random-load latency.
   virtual void PrefetchPrehashed(uint64_t) const {}
 
   virtual uint64_t capacity() const = 0;
@@ -145,7 +145,109 @@ class EvictionCache {
   virtual MiniSimStats ReplayMiniSim(const ReplayBatch& batch) = 0;
 };
 
-// Factory. Capacity in bytes.
+// SlotOfPrehashed returns the table's lookups as they are: a miss is kNoSlot.
+static_assert(SlabTable::kNone == EvictionCache::kNoSlot);
+
+// The base of the four policies (LruCache, and FIFO, SLRU and S3-FIFO in
+// eviction_policy.cc). Entries live in one SlabTable (slab_table.h) threaded
+// by the policy's IntrusiveLists; the members that read only the table, the
+// capacity or the byte count are implemented here once. P is the final
+// policy class, so ReplayMiniSim's loop calls P's members directly. The
+// policies reproduce the exact semantics (eviction order, callback
+// sequence) of the original std::list + std::unordered_map implementations;
+// the differential test suite pins this.
+template <typename P>
+class SlabPolicy : public EvictionCache {
+ public:
+  bool ContainsPrehashed(ObjectId id, uint64_t hash) const final {
+    return table_.Find(id, hash) != kNoSlot;
+  }
+  uint32_t SlotOfPrehashed(ObjectId id, uint64_t hash) const final { return table_.Find(id, hash); }
+  uint64_t SizeAtSlot(uint32_t slot) const final { return table_.node(slot).size; }
+  uint32_t TagAtSlot(uint32_t slot) const final { return table_.node(slot).tag; }
+  void SetTagAtSlot(uint32_t slot, uint32_t tag) final { table_.node(slot).tag = tag; }
+  // The main index only: every request probes it, while S3-FIFO consults
+  // its ghost table only on a fresh admit (and pulls its lines then, with
+  // the eviction work as lead time). Prefetching both here was measurably
+  // slower: four streams ahead of every request evict more than they hide.
+  void PrefetchPrehashed(uint64_t hash) const final { table_.Prefetch(hash); }
+  uint64_t capacity() const final { return capacity_; }
+  uint64_t used_bytes() const final { return used_; }
+  size_t num_entries() const final { return table_.size(); }
+  size_t allocated_nodes() const final { return table_.allocated_nodes(); }
+  void set_evict_callback(EvictCallback cb) final { evict_cb_ = std::move(cb); }
+
+  // This is the analyzer's hottest code: one sampled request is replayed
+  // against dozens of grid points, and the batch's hash column means none
+  // of them rehashes. Each iteration prefetches the index lines of the
+  // request kPrefetchAhead rows ahead (replay_batch.h).
+  MiniSimStats ReplayMiniSim(const ReplayBatch& batch) final {
+    P& cache = static_cast<P&>(*this);
+    MiniSimStats stats;
+    const size_t n = batch.size();
+    for (size_t k = 0; k < n; ++k) {
+      if (k + kPrefetchAhead < n) {
+        cache.PrefetchPrehashed(batch.hashes[k + kPrefetchAhead]);
+      }
+      const ObjectId id = batch.ids[k];
+      const uint64_t hash = batch.hashes[k];
+      switch (batch.ops[k]) {
+        case Op::kGet:
+          if (!cache.GetPrehashed(id, hash)) {
+            ++stats.misses;
+            stats.missed_bytes += batch.sizes[k];
+            cache.PutPrehashed(id, hash, batch.sizes[k]);  // admit on miss
+          }
+          break;
+        case Op::kPut:
+          cache.PutPrehashed(id, hash, batch.sizes[k]);
+          break;
+        case Op::kDelete:
+          cache.ErasePrehashed(id, hash);
+          break;
+      }
+    }
+    return stats;
+  }
+
+ protected:
+  explicit SlabPolicy(uint64_t capacity) : capacity_(capacity) {}
+
+  // Admits an absent `id` into the table and counts its bytes; the caller
+  // links the returned slot into a queue.
+  uint32_t Admit(ObjectId id, uint64_t hash, uint64_t size) {
+    used_ += size;
+    return table_.Insert(id, hash, size);
+  }
+  // Gives back the bytes of `slot`, already unlinked from its queue, and
+  // removes it from the table.
+  void Drop(uint32_t slot) {
+    used_ -= table_.node(slot).size;
+    table_.Remove(slot);
+  }
+  // Reports the dropped `slot` to the eviction callback: a freed node keeps
+  // its id, size and tag until a later admission reuses it.
+  void Notify(uint32_t slot) const {
+    if (evict_cb_) {
+      const SlabNode& victim = table_.node(slot);
+      evict_cb_(victim.id, victim.size, slot);
+    }
+  }
+  // Evicts the tail of `queue`.
+  void EvictTail(IntrusiveList& queue) {
+    const uint32_t victim = queue.tail();
+    queue.Remove(table_.slab(), victim);
+    Drop(victim);
+    Notify(victim);
+  }
+
+  SlabTable table_;
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  EvictCallback evict_cb_;
+};
+
+// Factory. Capacity in bytes; kLru makes an LruCache.
 std::unique_ptr<EvictionCache> MakeEvictionCache(EvictionPolicyKind kind,
                                                  uint64_t capacity_bytes);
 

@@ -5,27 +5,27 @@
 namespace macaron {
 
 bool LruCache::GetPrehashed(ObjectId id, uint64_t hash) {
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n == FlatIndex::kEmpty) {
+  const uint32_t n = table_.Find(id, hash);
+  if (n == kNoSlot) {
     return false;
   }
-  lru_.MoveToFront(slab_, n);
+  lru_.MoveToFront(table_.slab(), n);
   return true;
 }
 
 uint64_t LruCache::SizeOf(ObjectId id) const {
-  const uint32_t n = index_.FindPrehashed(id, Mix64(id), slab_);
-  return n == FlatIndex::kEmpty ? 0 : slab_.node(n).size;
+  const uint32_t n = table_.Find(id, Mix64(id));
+  return n == kNoSlot ? 0 : table_.node(n).size;
 }
 
 void LruCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) {
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n != FlatIndex::kEmpty) {
-    SlabNode& e = slab_.node(n);
+  const uint32_t n = table_.Find(id, hash);
+  if (n != kNoSlot) {
+    SlabNode& e = table_.node(n);
     used_ -= e.size;
     used_ += size;
     e.size = size;
-    lru_.MoveToFront(slab_, n);
+    lru_.MoveToFront(table_.slab(), n);
     if (used_ > capacity_) {
       EvictToFit(0);
     }
@@ -39,34 +39,30 @@ void LruCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size) {
 
 uint32_t LruCache::TouchOrInsertPrehashed(ObjectId id, uint64_t hash, uint64_t size,
                                           bool* inserted) {
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n != FlatIndex::kEmpty) {
-    lru_.MoveToFront(slab_, n);
+  const uint32_t n = table_.Find(id, hash);
+  if (n != kNoSlot) {
+    lru_.MoveToFront(table_.slab(), n);
     *inserted = false;
     return n;
   }
   *inserted = size <= capacity_;
-  return *inserted ? Insert(id, hash, size) : FlatIndex::kEmpty;
+  return *inserted ? Insert(id, hash, size) : kNoSlot;
 }
 
 uint32_t LruCache::Insert(ObjectId id, uint64_t hash, uint64_t size) {
   EvictToFit(size);
-  const uint32_t fresh = slab_.Allocate(id, size);
-  lru_.PushFront(slab_, fresh);
-  index_.EmplacePrehashed(hash, fresh, &slab_);
-  used_ += size;
+  const uint32_t fresh = Admit(id, hash, size);
+  lru_.PushFront(table_.slab(), fresh);
   return fresh;
 }
 
 bool LruCache::ErasePrehashed(ObjectId id, uint64_t hash) {
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n == FlatIndex::kEmpty) {
+  const uint32_t n = table_.Find(id, hash);
+  if (n == kNoSlot) {
     return false;
   }
-  used_ -= slab_.node(n).size;
-  lru_.Remove(slab_, n);
-  index_.EraseCell(slab_.node(n).cell, &slab_);
-  slab_.Free(n);
+  lru_.Remove(table_.slab(), n);
+  Drop(n);
   return true;
 }
 
@@ -77,26 +73,9 @@ void LruCache::Resize(uint64_t capacity_bytes) {
 
 void LruCache::EvictToFit(uint64_t incoming) {
   while (used_ + incoming > capacity_ && !lru_.empty()) {
-    const uint32_t victim = lru_.tail();
-    const ObjectId victim_id = slab_.node(victim).id;
-    const uint64_t victim_size = slab_.node(victim).size;
-    lru_.Remove(slab_, victim);
-    index_.EraseCell(slab_.node(victim).cell, &slab_);
-    slab_.Free(victim);
-    used_ -= victim_size;
-    if (evict_cb_) {
-      evict_cb_(victim_id, victim_size, victim);
-    }
+    EvictTail(lru_);
   }
   MACARON_CHECK(used_ + incoming <= capacity_ || lru_.empty());
-}
-
-void LruCache::ForEachMruToLru(const std::function<bool(ObjectId, uint64_t)>& fn) const {
-  lru_.ForEachFrontToBack(slab_, fn);
-}
-
-void LruCache::ForEachLruToMru(const std::function<bool(ObjectId, uint64_t)>& fn) const {
-  lru_.ForEachBackToFront(slab_, fn);
 }
 
 }  // namespace macaron

@@ -25,6 +25,13 @@
 
 namespace macaron {
 
+// How many rows ahead the replay loops (SlabPolicy::ReplayMiniSim, the
+// banks' replays, the engines' shard batch loop) prefetch index lines.
+// Eight requests ahead is far enough to cover an L2 miss at a few ns per
+// request but close enough that the lines are still resident when their
+// request arrives.
+inline constexpr size_t kPrefetchAhead = 8;
+
 struct ReplayBatch {
   std::vector<ObjectId> ids;
   std::vector<uint64_t> hashes;

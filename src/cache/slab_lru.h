@@ -10,7 +10,8 @@
 // cache that has reached its steady-state population performs zero heap
 // allocations per request; the slab persists across analysis windows
 // (mini-cache state carries over, mirroring the paper's EFS-resident
-// serverless state).
+// serverless state). Owners hold a slab through a SlabTable
+// (slab_table.h), which binds it to its FlatIndex.
 //
 // One 32-byte node layout serves every policy: id, size, the two list
 // links, the index backlink, and `tag`, one 32-bit word that belongs to
@@ -86,8 +87,6 @@ class NodeSlab {
 
   SlabNode& node(uint32_t idx) { return nodes_[idx]; }
   const SlabNode& node(uint32_t idx) const { return nodes_[idx]; }
-
-  void Reserve(size_t n) { nodes_.reserve(n); }
 
   // Live entries currently allocated out of the slab.
   size_t live_nodes() const { return live_; }

@@ -6,58 +6,54 @@ namespace macaron {
 
 bool TtlCache::GetPrehashed(ObjectId id, uint64_t hash, SimTime now) {
   Expire(now);
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n == FlatIndex::kEmpty) {
+  const uint32_t n = table_.Find(id, hash);
+  if (n == SlabTable::kNone) {
     return false;
   }
   last_access_[n] = now;
-  order_.MoveToFront(slab_, n);
+  order_.MoveToFront(table_.slab(), n);
   return true;
 }
 
 void TtlCache::PutPrehashed(ObjectId id, uint64_t hash, uint64_t size, SimTime now) {
   Expire(now);
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n != FlatIndex::kEmpty) {
-    SlabNode& e = slab_.node(n);
+  const uint32_t n = table_.Find(id, hash);
+  if (n != SlabTable::kNone) {
+    SlabNode& e = table_.node(n);
     used_ -= e.size;
     used_ += size;
     e.size = size;
     last_access_[n] = now;
-    order_.MoveToFront(slab_, n);
+    order_.MoveToFront(table_.slab(), n);
     return;
   }
-  const uint32_t fresh = slab_.Allocate(id, size);
-  last_access_.resize(slab_.allocated_nodes());
+  const uint32_t fresh = table_.Insert(id, hash, size);
+  last_access_.resize(table_.allocated_nodes());
   last_access_[fresh] = now;  // a reused slot's old time must not survive
-  order_.PushFront(slab_, fresh);
-  index_.EmplacePrehashed(hash, fresh, &slab_);
+  order_.PushFront(table_.slab(), fresh);
   used_ += size;
 }
 
 bool TtlCache::ErasePrehashed(ObjectId id, uint64_t hash) {
-  const uint32_t n = index_.FindPrehashed(id, hash, slab_);
-  if (n == FlatIndex::kEmpty) {
+  const uint32_t n = table_.Find(id, hash);
+  if (n == SlabTable::kNone) {
     return false;
   }
-  used_ -= slab_.node(n).size;
-  order_.Remove(slab_, n);
-  index_.EraseCell(slab_.node(n).cell, &slab_);
-  slab_.Free(n);
+  used_ -= table_.node(n).size;
+  order_.Remove(table_.slab(), n);
+  table_.Remove(n);
   return true;
 }
 
 void TtlCache::Expire(SimTime now) {
   while (!order_.empty() && last_access_[order_.tail()] + ttl_ < now) {
     const uint32_t victim = order_.tail();
-    const ObjectId victim_id = slab_.node(victim).id;
-    const uint64_t victim_size = slab_.node(victim).size;
-    order_.Remove(slab_, victim);
-    index_.EraseCell(slab_.node(victim).cell, &slab_);
-    slab_.Free(victim);
-    used_ -= victim_size;
+    const SlabNode& v = table_.node(victim);  // a freed node keeps its id and size
+    order_.Remove(table_.slab(), victim);
+    table_.Remove(victim);
+    used_ -= v.size;
     if (evict_cb_) {
-      evict_cb_(victim_id, victim_size);
+      evict_cb_(v.id, v.size);
     }
   }
 }

@@ -7,10 +7,10 @@
 // Fig 13. There is no capacity bound: object storage is elastic; the TTL is
 // the only eviction driver.
 //
-// Backed by the slab cache core (slab_lru.h): each entry's last-access time
-// sits beside the slab in a vector indexed by slot, and expired nodes return
-// to the freelist for reuse, so steady-state operation allocates nothing per
-// request.
+// Backed by the slab cache core (slab_table.h): each entry's last-access
+// time sits beside the slab in a vector indexed by slot, and expired nodes
+// return to the freelist for reuse, so steady-state operation allocates
+// nothing per request.
 
 #ifndef MACARON_SRC_CACHE_TTL_CACHE_H_
 #define MACARON_SRC_CACHE_TTL_CACHE_H_
@@ -19,8 +19,8 @@
 #include <functional>
 #include <vector>
 
-#include "src/cache/flat_index.h"
 #include "src/cache/slab_lru.h"
+#include "src/cache/slab_table.h"
 #include "src/common/hash.h"
 #include "src/common/sim_time.h"
 #include "src/trace/request.h"
@@ -42,13 +42,13 @@ class TtlCache {
   // Removes `id` if present.
   bool Erase(ObjectId id) { return ErasePrehashed(id, Mix64(id)); }
 
-  // Prehashed fast path; same consistency rule as LruCache — one instance,
-  // one hash per id across all calls.
+  // Prehashed fast path; same consistency rule as every slab cache (see
+  // flat_index.h) — one instance, one hash per id across all calls.
   bool GetPrehashed(ObjectId id, uint64_t hash, SimTime now);
   void PutPrehashed(ObjectId id, uint64_t hash, uint64_t size, SimTime now);
   bool ErasePrehashed(ObjectId id, uint64_t hash);
   // Hints the CPU to pull `hash`'s index lines; see FlatIndex::Prefetch.
-  void PrefetchPrehashed(uint64_t hash) const { index_.PrefetchPrehashed(hash); }
+  void PrefetchPrehashed(uint64_t hash) const { table_.Prefetch(hash); }
 
   // Evicts every entry whose last access is older than now - ttl. Called
   // lazily by Get/Put and explicitly at window boundaries.
@@ -59,19 +59,18 @@ class TtlCache {
 
   SimDuration ttl() const { return ttl_; }
   uint64_t used_bytes() const { return used_; }
-  size_t num_entries() const { return index_.size(); }
+  size_t num_entries() const { return table_.size(); }
   // Slab slots ever materialized (live + freelist).
-  size_t allocated_nodes() const { return slab_.allocated_nodes(); }
+  size_t allocated_nodes() const { return table_.allocated_nodes(); }
 
   void set_evict_callback(EvictCallback cb) { evict_cb_ = std::move(cb); }
 
  private:
   SimDuration ttl_;
   uint64_t used_ = 0;
-  NodeSlab slab_;
+  SlabTable table_;
   std::vector<SimTime> last_access_;  // by slot
   IntrusiveList order_;  // front = most recently accessed
-  FlatIndex index_;
   EvictCallback evict_cb_;
 };
 

@@ -95,28 +95,4 @@ double PercentileTracker::Mean() const {
   return sum / static_cast<double>(samples_.size());
 }
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)), counts_(upper_bounds_.size() + 1, 0) {
-  MACARON_CHECK(std::is_sorted(upper_bounds_.begin(), upper_bounds_.end()));
-}
-
-void Histogram::Add(double x) {
-  const auto it = std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), x);
-  counts_[static_cast<size_t>(it - upper_bounds_.begin())]++;
-  ++total_;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  MACARON_CHECK(upper_bounds_ == other.upper_bounds_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
-double Histogram::UpperBound(size_t i) const {
-  MACARON_CHECK(i < upper_bounds_.size());
-  return upper_bounds_[i];
-}
-
 }  // namespace macaron

@@ -1,5 +1,5 @@
-// Statistics accumulators used across the simulator: streaming moments,
-// percentile tracking, and fixed-bucket histograms.
+// Statistics accumulators used across the simulator: streaming moments and
+// percentile tracking.
 
 #ifndef MACARON_SRC_COMMON_STATS_H_
 #define MACARON_SRC_COMMON_STATS_H_
@@ -58,28 +58,6 @@ class PercentileTracker {
 
  private:
   std::vector<double> samples_;
-};
-
-// Histogram over fixed, caller-supplied bucket upper bounds. The final
-// implicit bucket is unbounded.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void Add(double x);
-  // Adds `other`'s bucket counts into this histogram; bucket bounds must
-  // match exactly (same construction parameters).
-  void Merge(const Histogram& other);
-  uint64_t total() const { return total_; }
-  // Count in bucket i; bucket upper_bounds.size() is the overflow bucket.
-  uint64_t BucketCount(size_t i) const { return counts_[i]; }
-  size_t NumBuckets() const { return counts_.size(); }
-  double UpperBound(size_t i) const;
-
- private:
-  std::vector<double> upper_bounds_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace macaron

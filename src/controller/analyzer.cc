@@ -9,6 +9,17 @@
 
 namespace macaron {
 
+namespace {
+// ALC smoothing: performance decisions use the *recent* access pattern
+// (§5.2 uses the latest window; at low request rates a single window is too
+// noisy, so the analyzer keeps a strongly recency-weighted average, with
+// about a 2-hour half-life).
+constexpr double kAlcDecayPerDay = 0.00025;
+// Serverless runtime model: seconds = base + per_request * sampled requests.
+constexpr double kLambdaBaseSeconds = 0.5;
+constexpr double kLambdaSecondsPerRequest = 1e-4;
+}  // namespace
+
 void DecayedScalarAverage::Add(double value, double weight, double elapsed_days) {
   const double decay = std::pow(decay_per_day_, elapsed_days);
   weighted_sum_ = weighted_sum_ * decay + value * weight;
@@ -23,7 +34,7 @@ WorkloadAnalyzer::WorkloadAnalyzer(const AnalyzerConfig& config, const LatencySa
                 config.sampling_ratio, /*salt=*/config.seed, config.policy),
       mrc_avg_(config.decay_per_day),
       bmc_avg_(config.decay_per_day),
-      alc_avg_(config.alc_decay_per_day),
+      alc_avg_(kAlcDecayPerDay),
       reads_avg_(config.decay_per_day),
       writes_avg_(config.decay_per_day),
       object_bytes_avg_(config.decay_per_day),
@@ -146,7 +157,7 @@ AnalyzerReport WorkloadAnalyzer::EndWindow(SimDuration elapsed) {
   const double sampled =
       static_cast<double>(report.window_requests) * config_.sampling_ratio;
   const double per_function_seconds =
-      config_.lambda_base_seconds + config_.lambda_seconds_per_request * sampled;
+      kLambdaBaseSeconds + kLambdaSecondsPerRequest * sampled;
   int functions = config_.num_minicaches;
   if (alc_bank_ != nullptr) {
     functions += config_.num_minicaches;

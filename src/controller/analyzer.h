@@ -59,11 +59,6 @@ struct AnalyzerConfig {
   uint64_t max_capacity_bytes = 0;  // the workload's total data size estimate
   double decay_per_day = 0.2;       // gamma^(1 day); 1.0 disables decay
   bool enable_alc = false;
-  // ALC smoothing: performance decisions use the *recent* access pattern
-  // (§5.2 uses the latest window; at low request rates a single window is
-  // too noisy, so we keep a strongly recency-weighted average — the default
-  // corresponds to a ~2-hour half-life).
-  double alc_decay_per_day = 0.00025;
   bool enable_ttl = false;
   SimDuration max_ttl = 7 * kDay;
   uint64_t seed = 42;
@@ -74,9 +69,6 @@ struct AnalyzerConfig {
   // pool the banks are wired to via SetExecution, so analyzer and serving
   // shards draw from one budget instead of oversubscribing the machine.
   int threads = 1;
-  // Serverless runtime model: seconds = base + per_request * sampled reqs.
-  double lambda_base_seconds = 0.5;
-  double lambda_seconds_per_request = 1e-4;
 };
 
 // What the controller consumes each window.

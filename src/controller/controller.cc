@@ -8,6 +8,13 @@
 
 namespace macaron {
 
+namespace {
+// Cluster spend is capped at this fraction of the expected per-window data
+// cost, so the latency tier stays proportionate to the workload's bill (§7.5
+// reports the cache cluster adding ~30% on top of Macaron's cost).
+constexpr double kClusterBudgetFraction = 0.3;
+}  // namespace
+
 MacaronController::MacaronController(const ControllerConfig& config, const PriceBook& prices,
                                      const LatencySampler* latency)
     : config_(config), prices_(prices), analyzer_(config.analyzer, latency) {
@@ -139,7 +146,7 @@ ReconfigDecision MacaronController::Reconfigure(SimTime now, uint64_t garbage_by
       const double node_cost_per_window =
           prices_.cache_node_per_hour * DurationHours(config_.window);
       if (node_cost_per_window > 0.0) {
-        const double budget_nodes = config_.cluster_budget_fraction *
+        const double budget_nodes = kClusterBudgetFraction *
                                     d.cost_curve.y(d.cost_curve.ArgMin()) /
                                     node_cost_per_window;
         cd.nodes = std::min<size_t>(

@@ -45,10 +45,6 @@ struct ControllerConfig {
   // runs an identical whole-node slice. 1 = unsharded (no rounding).
   size_t cluster_shards = 1;
   double cluster_latency_target_ms = 0.0;  // replica-equivalent latency
-  // Cap cluster spend at this fraction of the expected per-window data cost
-  // so the latency tier stays proportionate to the workload's bill (§7.5
-  // reports the cache cluster adding ~30% on top of Macaron's cost).
-  double cluster_budget_fraction = 0.3;
 
   // Packing parameters (for the op-cost term of the expected-cost model).
   bool packing_enabled = true;

@@ -8,8 +8,6 @@
 namespace macaron {
 
 namespace {
-constexpr size_t kPrefetchAhead = 8;  // requests prefetched ahead in the replay loop
-
 // Level indices into a SlotRow's per-level fields.
 constexpr int kCluster = 0;
 constexpr int kOsc = 1;
@@ -265,7 +263,7 @@ void AlcBank::ReplayGridRange(const ReplayBatch& batch, size_t t) {
 }
 
 void AlcBank::MaybeReclaimSlots() {
-  if (slab_.live_nodes() < std::max(2 * live_after_scan_, SampledBatchPipeline::kBatchCapacity)) {
+  if (table_.size() < std::max(2 * live_after_scan_, SampledBatchPipeline::kBatchCapacity)) {
     return;
   }
   // A slot is held while some grid point keeps it resident at either
@@ -273,9 +271,9 @@ void AlcBank::MaybeReclaimSlots() {
   // (which no later request predates). A freed slot's rows are reset in
   // place.
   const uint32_t stride = static_cast<uint32_t>(grid_.size());
-  const uint32_t slots = static_cast<uint32_t>(slab_.allocated_nodes());
+  const uint32_t slots = static_cast<uint32_t>(table_.allocated_nodes());
   for (uint32_t s = 0; s < slots; ++s) {
-    SlabNode& node = slab_.node(s);
+    SlabNode& node = table_.node(s);
     if (node.tag != kLiveSlot) {
       continue;
     }
@@ -286,13 +284,12 @@ void AlcBank::MaybeReclaimSlots() {
               (rows[i].completion > newest_time_);
     }
     if (!held) {
-      index_.EraseCell(node.cell, &slab_);
       node.tag = 0;
-      slab_.Free(s);
+      table_.Remove(s);
       std::fill_n(rows, stride, kFreeRow);
     }
   }
-  live_after_scan_ = slab_.live_nodes();
+  live_after_scan_ = table_.size();
   scan_time_ = newest_time_;
 }
 
@@ -309,7 +306,7 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
   lat_remote_.resize(n);
   for (size_t k = 0; k < n; ++k) {
     if (k + kPrefetchAhead < n) {
-      index_.PrefetchPrehashed(batch.hashes[k + kPrefetchAhead]);
+      table_.Prefetch(batch.hashes[k + kPrefetchAhead]);
     }
     const uint64_t size = batch.sizes[k];
     MACARON_CHECK(size != kAbsent);
@@ -317,10 +314,9 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
     newest_time_ = std::max(newest_time_, batch.times[k]);
     const ObjectId id = batch.ids[k];
     const uint64_t hash = batch.hashes[k];
-    uint32_t s = index_.FindPrehashed(id, hash, slab_);
-    if (s == FlatIndex::kEmpty) {
-      s = slab_.Allocate(id, 0, kLiveSlot);
-      index_.EmplacePrehashed(hash, s, &slab_);
+    uint32_t s = table_.Find(id, hash);
+    if (s == SlabTable::kNone) {
+      s = table_.Insert(id, hash, 0, kLiveSlot);
       // A reused slot's rows were reset when it was freed (its first row
       // stands for them).
       MACARON_CHECK(s >= pages_.size() * kPageSlots ||
@@ -337,7 +333,7 @@ size_t AlcBank::PrepareBatch(const ReplayBatch& batch) {
     }
   }
   // New slots get their rows from fresh pages; a page never moves.
-  while (pages_.size() * kPageSlots < slab_.allocated_nodes()) {
+  while (pages_.size() * kPageSlots < table_.allocated_nodes()) {
     pages_.push_back(std::make_unique<SlotRow[]>(kPageSlots * stride));
   }
   tasks_ = std::min(workers_, grid_.size());

@@ -25,8 +25,8 @@
 // sees only its own cluster's misses.
 //
 // What is shared is the id lookup. When a batch is prepared, one
-// bank-wide FlatIndex + NodeSlab maps each sampled id to a dense slot, once
-// per request. A row (40 bytes) holds one slot's state at one grid point:
+// bank-wide SlabTable maps each sampled id to a dense slot, once per
+// request. A row (40 bytes) holds one slot's state at one grid point:
 // per level (cluster, OSC), the resident size (a marker when absent) and
 // the LRU prev/next slots, plus the completion time of the in-flight
 // remote fetch (a marker when none). The row kernel has the exact
@@ -76,9 +76,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/cache/flat_index.h"
 #include "src/cache/replay_batch.h"
-#include "src/cache/slab_lru.h"
+#include "src/cache/slab_table.h"
 #include "src/cloudsim/latency.h"
 #include "src/common/curve.h"
 #include "src/common/rng.h"
@@ -139,7 +138,7 @@ class AlcBank {
   // object it tracks, each with one row per grid point. Reclamation (see
   // file comment) recycles slots, so this stops growing once the tracked
   // population does.
-  size_t allocated_nodes() const { return slab_.allocated_nodes(); }
+  size_t allocated_nodes() const { return table_.allocated_nodes(); }
 
  private:
   // Per-grid-point level lists, counters and latency sum; defined in
@@ -163,8 +162,7 @@ class AlcBank {
   std::vector<double> lat_remote_;
   // id -> slot, in the sampler's hash domain; touched only by the prepare
   // step.
-  FlatIndex index_;
-  NodeSlab slab_;
+  SlabTable table_;
   // The row table: page p holds slots [256p, 256p + 256), each slot's rows
   // contiguous, one per grid point.
   std::vector<std::unique_ptr<SlotRow[]>> pages_;

@@ -4,17 +4,10 @@
 #include <limits>
 #include <numeric>
 
-#include "src/cache/flat_index.h"
-#include "src/cache/slab_lru.h"
+#include "src/cache/slab_table.h"
 #include "src/common/check.h"
 
 namespace macaron {
-
-namespace {
-// How far ahead the timeline replay prefetches index lines, as in the
-// per-grid ReplayKernel (eviction_policy.cc).
-constexpr size_t kPrefetchAhead = 8;
-}  // namespace
 
 // The shared recency timeline of the one-pass LRU replay (see file
 // comment). Slots hold each touch's size and slab node, oldest touch
@@ -38,7 +31,7 @@ class MrcBank::LruTimeline {
     const size_t n = batch.size();
     for (size_t k = 0; k < n; ++k) {
       if (k + kPrefetchAhead < n) {
-        index_.PrefetchPrehashed(batch.hashes[k + kPrefetchAhead]);
+        table_.Prefetch(batch.hashes[k + kPrefetchAhead]);
       }
       if (!Apply(batch.ids[k], batch.hashes[k], batch.sizes[k], batch.ops[k], misses,
                  missed_bytes)) {
@@ -58,7 +51,7 @@ class MrcBank::LruTimeline {
       auto cache = MakeEvictionCache(EvictionPolicyKind::kLru, g.cap);
       for (size_t slot = g.floor; slot < slot_size_.size(); ++slot) {
         if (slot_size_[slot] <= g.cap) {  // live and fits: resident, oldest first
-          const ObjectId id = slab_.node(slot_node_[slot]).id;
+          const ObjectId id = table_.node(slot_node_[slot]).id;
           cache->PutPrehashed(id, sampler.Hash(id), slot_size_[slot]);
         }
       }
@@ -68,7 +61,7 @@ class MrcBank::LruTimeline {
     return caches;
   }
 
-  size_t allocated_nodes() const { return slab_.allocated_nodes(); }
+  size_t allocated_nodes() const { return table_.allocated_nodes(); }
   uint64_t compactions() const { return compactions_; }
 
  private:
@@ -108,10 +101,10 @@ class MrcBank::LruTimeline {
   // change) for a GET the timeline cannot represent.
   bool Apply(ObjectId id, uint64_t hash, uint64_t size, Op op, uint64_t* misses,
              uint64_t* missed_bytes) {
-    uint32_t node = index_.FindPrehashed(id, hash, slab_);
-    const bool live = node != FlatIndex::kEmpty;
-    const uint64_t old_slot = live ? slab_.node(node).tag : 0;
-    const uint64_t old_size = live ? slab_.node(node).size : kDeadSize;
+    uint32_t node = table_.Find(id, hash);
+    const bool live = node != SlabTable::kNone;
+    const uint64_t old_slot = live ? table_.node(node).tag : 0;
+    const uint64_t old_size = live ? table_.node(node).size : kDeadSize;
     if (op == Op::kDelete) {
       if (live) {
         for (GridPoint& g : grid_) {
@@ -120,8 +113,7 @@ class MrcBank::LruTimeline {
           }
         }
         Kill(old_slot);
-        index_.EraseCell(slab_.node(node).cell, &slab_);
-        slab_.Free(node);
+        table_.Remove(node);
       }
       return true;
     }
@@ -139,11 +131,10 @@ class MrcBank::LruTimeline {
     MACARON_CHECK(new_slot <= std::numeric_limits<uint32_t>::max());  // node tags hold slots
     if (live) {
       Kill(old_slot);
-      slab_.node(node).size = size;
-      slab_.node(node).tag = static_cast<uint32_t>(new_slot);
+      table_.node(node).size = size;
+      table_.node(node).tag = static_cast<uint32_t>(new_slot);
     } else {
-      node = slab_.Allocate(id, size, static_cast<uint32_t>(new_slot));
-      index_.EmplacePrehashed(hash, node, &slab_);
+      node = table_.Insert(id, hash, size, static_cast<uint32_t>(new_slot));
     }
     slot_size_.push_back(size);
     slot_node_.push_back(node);
@@ -195,7 +186,7 @@ class MrcBank::LruTimeline {
   // amortized.
   void MaybeCompact() {
     const uint64_t slots = slot_size_.size();
-    uint64_t reclaimable = slots - index_.size();
+    uint64_t reclaimable = slots - table_.size();
     uint64_t lowest_floor = slots;
     for (const GridPoint& g : grid_) {
       lowest_floor = std::min(lowest_floor, g.floor);
@@ -240,13 +231,12 @@ class MrcBank::LruTimeline {
                                [&](const GridPoint& g) { return g.cap < size; }) -
           grid_.begin());
       if (first_fit == points || slot < suffix_floor[first_fit]) {
-        index_.EraseCell(slab_.node(node).cell, &slab_);
-        slab_.Free(node);
+        table_.Remove(node);
         continue;
       }
       slot_size_[kept] = size;
       slot_node_[kept] = node;
-      slab_.node(node).tag = static_cast<uint32_t>(kept);
+      table_.node(node).tag = static_cast<uint32_t>(kept);
       ++kept;
     }
     while (next_floor < points) {
@@ -261,8 +251,7 @@ class MrcBank::LruTimeline {
   static constexpr size_t kCompactCheckEvery = 1024;
 
   std::vector<GridPoint> grid_;
-  FlatIndex index_;  // id -> slab node; node.size and node.tag = slot
-  NodeSlab slab_;
+  SlabTable table_;  // id -> slab node; node.size, and node.tag = slot
   std::vector<uint64_t> slot_size_;
   std::vector<uint32_t> slot_node_;
   uint64_t compactions_ = 0;

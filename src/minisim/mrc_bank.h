@@ -22,8 +22,8 @@
 // happens at such a touch, so each mini-cache's recency list is a
 // subsequence of one global order — the order of each live object's last
 // GET or PUT. The bank keeps that order as an append-only timeline (a touch
-// kills the object's old slot and appends a new one; one FlatIndex+NodeSlab
-// maps id -> size and slot), and per grid point i only its mini capacity
+// kills the object's old slot and appends a new one; one SlabTable maps
+// id -> size and slot), and per grid point i only its mini capacity
 // cap_i, its used bytes and an eviction floor_i. The exactness argument:
 //   * Grid point i holds exactly the live timeline entries at or above
 //     floor_i whose size fits cap_i. Its LRU tail is the lowest such entry,

@@ -6,10 +6,6 @@
 
 namespace macaron {
 
-namespace {
-constexpr size_t kPrefetchAhead = 8;  // see ReplayKernel (eviction_policy.cc)
-}  // namespace
-
 std::vector<SimDuration> StandardTtlGrid(SimDuration max_ttl) {
   std::vector<SimDuration> grid;
   grid.push_back(1 * kHour);
@@ -40,11 +36,10 @@ TtlBank::TtlBank(std::vector<SimDuration> ttl_grid, double ratio, uint64_t salt)
 
 void TtlBank::Advance(Entry& e, SimTime now) {
   if (now > e.last_update) {
-    // Integrate resident bytes over [last_update, now). Expiry within the
-    // interval is applied first at its effective boundary by TtlCache's
-    // lazy Expire; the integral uses the pre-expiry value which slightly
-    // overestimates — acceptable at window granularity, and symmetric
-    // across TTLs.
+    // Integrate resident bytes over [last_update, now). Expire(now) runs
+    // first, so an entry that expired inside the interval counts as absent
+    // for all of it: the integral slightly underestimates — acceptable at
+    // window granularity, and symmetric across TTLs.
     e.cache.Expire(now);
     e.byte_time += static_cast<double>(e.cache.used_bytes()) *
                    static_cast<double>(now - e.last_update);

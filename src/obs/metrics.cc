@@ -4,8 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "src/common/check.h"
-
 namespace macaron {
 namespace obs {
 
@@ -34,67 +32,22 @@ const MetricsRegistry::Entry* MetricsRegistry::Find(std::string_view component,
 
 Counter* MetricsRegistry::counter(std::string_view component, std::string_view name) {
   if (const Entry* e = Find(component, name)) {
-    MACARON_CHECK(e->kind == Kind::kCounter);
     return &counters_[e->index];
   }
   counters_.emplace_back();
-  entries_.push_back(
-      {std::string(component), std::string(name), Kind::kCounter, counters_.size() - 1});
+  entries_.push_back({std::string(component), std::string(name), counters_.size() - 1});
   return &counters_.back();
-}
-
-StreamingStats* MetricsRegistry::stats(std::string_view component, std::string_view name) {
-  if (const Entry* e = Find(component, name)) {
-    MACARON_CHECK(e->kind == Kind::kStats);
-    return &stats_[e->index];
-  }
-  stats_.emplace_back();
-  entries_.push_back(
-      {std::string(component), std::string(name), Kind::kStats, stats_.size() - 1});
-  return &stats_.back();
-}
-
-Histogram* MetricsRegistry::histogram(std::string_view component, std::string_view name,
-                                      std::vector<double> upper_bounds) {
-  if (const Entry* e = Find(component, name)) {
-    MACARON_CHECK(e->kind == Kind::kHistogram);
-    return &histograms_[e->index];
-  }
-  histograms_.emplace_back(std::move(upper_bounds));
-  entries_.push_back(
-      {std::string(component), std::string(name), Kind::kHistogram, histograms_.size() - 1});
-  return &histograms_.back();
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const Entry& e : other.entries_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        counter(e.component, e.name)->Inc(other.counters_[e.index].value());
-        break;
-      case Kind::kStats:
-        stats(e.component, e.name)->Merge(other.stats_[e.index]);
-        break;
-      case Kind::kHistogram: {
-        const Histogram& src = other.histograms_[e.index];
-        std::vector<double> bounds;
-        bounds.reserve(src.NumBuckets() - 1);
-        for (size_t b = 0; b + 1 < src.NumBuckets(); ++b) {
-          bounds.push_back(src.UpperBound(b));
-        }
-        histogram(e.component, e.name, std::move(bounds))->Merge(src);
-        break;
-      }
-    }
+    counter(e.component, e.name)->Inc(other.counters_[e.index].value());
   }
 }
 
 uint64_t MetricsRegistry::CounterValue(std::string_view component, std::string_view name) const {
   const Entry* e = Find(component, name);
-  if (e == nullptr || e->kind != Kind::kCounter) {
-    return 0;
-  }
-  return counters_[e->index].value();
+  return e == nullptr ? 0 : counters_[e->index].value();
 }
 
 std::string MetricsRegistry::Json() const {
@@ -122,38 +75,9 @@ std::string MetricsRegistry::Json() const {
       if (e.component != components[ci]) {
         continue;
       }
-      AppendF(&out, "%s\n    \"%s\": ", first ? "" : ",", e.name.c_str());
+      AppendF(&out, "%s\n    \"%s\": %" PRIu64, first ? "" : ",", e.name.c_str(),
+              counters_[e.index].value());
       first = false;
-      switch (e.kind) {
-        case Kind::kCounter:
-          AppendF(&out, "%" PRIu64, counters_[e.index].value());
-          break;
-        case Kind::kStats: {
-          const StreamingStats& s = stats_[e.index];
-          AppendF(&out,
-                  "{\"count\": %" PRIu64
-                  ", \"mean\": %.17g, \"min\": %.17g, \"max\": %.17g, \"stddev\": %.17g}",
-                  s.count(), s.mean(), s.count() == 0 ? 0.0 : s.min(),
-                  s.count() == 0 ? 0.0 : s.max(), s.stddev());
-          break;
-        }
-        case Kind::kHistogram: {
-          const Histogram& h = histograms_[e.index];
-          AppendF(&out, "{\"total\": %" PRIu64 ", \"buckets\": [", h.total());
-          for (size_t b = 0; b < h.NumBuckets(); ++b) {
-            if (b > 0) {
-              out += ", ";
-            }
-            if (b + 1 < h.NumBuckets()) {
-              AppendF(&out, "[%.17g, %" PRIu64 "]", h.UpperBound(b), h.BucketCount(b));
-            } else {
-              AppendF(&out, "[null, %" PRIu64 "]", h.BucketCount(b));
-            }
-          }
-          out += "]}";
-          break;
-        }
-      }
     }
     out += "\n  }";
   }

@@ -2,10 +2,10 @@
 //
 // Components (OSC packing/GC, cluster routing/priming, in-flight coalescing,
 // mini-sim bank replay, controller) expose RegisterMetrics hooks that fetch
-// named Counter/StreamingStats/Histogram slots from a MetricsRegistry. When
-// no registry is wired (the default for every simulation), every component
-// holds null sink pointers and each instrumentation site is a single
-// predictable null check — no allocation, no output, no behavioural change.
+// named Counters from a MetricsRegistry. When no registry is wired (the
+// default for every simulation), every component holds null sink pointers
+// and each instrumentation site is a single predictable null check — no
+// allocation, no output, no behavioural change.
 // The registry is per-run and single-writer by construction: the engines run
 // one request stream on one thread, and the mini-sim banks only touch their
 // counters at batch boundaries on the calling thread, so no atomics are
@@ -24,8 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/stats.h"
-
 namespace macaron {
 namespace obs {
 
@@ -42,13 +40,10 @@ class Counter {
 
 class MetricsRegistry {
  public:
-  // Fetch-or-create a metric slot. Re-registering the same
-  // (component, name) returns the existing slot; the kind must match.
-  // Returned pointers stay valid for the registry's lifetime (deque-backed).
+  // Fetch-or-create a counter. Re-registering the same (component, name)
+  // returns the existing counter. Returned pointers stay valid for the
+  // registry's lifetime (deque-backed).
   Counter* counter(std::string_view component, std::string_view name);
-  StreamingStats* stats(std::string_view component, std::string_view name);
-  Histogram* histogram(std::string_view component, std::string_view name,
-                       std::vector<double> upper_bounds);
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
@@ -56,38 +51,31 @@ class MetricsRegistry {
   // Reads back a counter's value, or 0 if never registered (test helper).
   uint64_t CounterValue(std::string_view component, std::string_view name) const;
 
-  // Folds `other` into this registry: counters add, stats merge (Welford
-  // combine), histograms add bucket counts (bucket bounds must match).
-  // Metrics absent here are created in `other`'s registration order, so
-  // folding per-shard registries that registered identical components in
-  // identical order preserves the unsharded registry's Json() layout. The
-  // sharded engines call this once per shard, in shard order, after the run
-  // completes — deterministic regardless of how many threads replayed.
+  // Folds `other` into this registry: counters add. Counters absent here are
+  // created in `other`'s registration order, so folding per-shard registries
+  // that registered identical components in identical order preserves the
+  // unsharded registry's Json() layout. The sharded engines call this once
+  // per shard, in shard order, after the run completes — deterministic
+  // regardless of how many threads replayed.
   void MergeFrom(const MetricsRegistry& other);
 
-  // One JSON document: { "component": { "metric": ... } }. Counters render
-  // as integers, stats as {count, mean, min, max, stddev}, histograms as
-  // {total, buckets: [[upper_bound, count], ...]} with a final null bound
-  // for the overflow bucket. Deterministic (registration order).
+  // One JSON document: { "component": { "metric": count } }. Deterministic
+  // (registration order).
   std::string Json() const;
 
  private:
-  enum class Kind { kCounter, kStats, kHistogram };
   struct Entry {
     std::string component;
     std::string name;
-    Kind kind;
-    size_t index;  // into the per-kind store below
+    size_t index;  // into counters_
   };
 
   const Entry* Find(std::string_view component, std::string_view name) const;
 
   // Registration is rare (a handful of sites per run), so a linear scan
-  // beats maintaining a map. Deques keep metric addresses stable.
+  // beats maintaining a map. A deque keeps counter addresses stable.
   std::vector<Entry> entries_;
   std::deque<Counter> counters_;
-  std::deque<StreamingStats> stats_;
-  std::deque<Histogram> histograms_;
 };
 
 }  // namespace obs

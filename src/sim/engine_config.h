@@ -54,6 +54,10 @@ inline bool UsesController(Approach a) {
   return IsMacaronController(a) || IsElasticClusterCache(a);
 }
 
+// Consecutive windows the admission-bypass extension waits for (see
+// EngineConfig::enable_admission_bypass).
+inline constexpr int kAdmissionBypassWindows = 3;
+
 struct EngineConfig {
   Approach approach = Approach::kMacaronNoCluster;
   PriceBook prices = PriceBook::Aws(DeploymentScenario::kCrossCloud);
@@ -133,9 +137,9 @@ struct EngineConfig {
   // Extension (beyond the paper): when the optimizer repeatedly selects the
   // minimum candidate capacity — i.e. caching is not paying for itself —
   // stop admitting objects into the OSC (saving packing PUTs and capacity)
-  // until the optimizer asks for a larger cache again.
+  // until the optimizer asks for a larger cache again, after
+  // kAdmissionBypassWindows such windows in a row.
   bool enable_admission_bypass = false;
-  int admission_bypass_windows = 3;
 
   // Total-data-size hint for the mini-cache grid; 0 = derive from the trace.
   uint64_t dataset_bytes_hint = 0;

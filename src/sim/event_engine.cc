@@ -90,10 +90,7 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
         }
         return;
       }
-      ++sh.remote_fetches;
-      sh.egress_bytes += size;
-      sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
-      sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+      ChargeRemoteFetch(sh, size);
       const double lat = fitted_.SampleMs(DataSource::kRemoteLake, size, sh.rng);
       if (cfg_.measure_latency) {
         sh.latency_ms.Add(kClientHopMs + lat);

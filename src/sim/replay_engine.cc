@@ -104,10 +104,7 @@ void Runner::RecordLatency(Shard& sh, DataSource source, uint64_t size) {
 }
 
 void Runner::GetRemote(Shard& sh, uint64_t size) {
-  ++sh.remote_fetches;
-  sh.egress_bytes += size;
-  sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
-  sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+  ChargeRemoteFetch(sh, size);
   RecordLatency(sh, DataSource::kRemoteLake, size);
 }
 
@@ -124,10 +121,7 @@ void Runner::GetEcpc(Shard& sh, ObjectId id, uint64_t size, uint64_t h) {
     RecordLatency(sh, cluster_hit_source_, size);
     return;
   }
-  ++sh.remote_fetches;
-  sh.egress_bytes += size;
-  sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
-  sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+  ChargeRemoteFetch(sh, size);
   RecordLatency(sh, DataSource::kRemoteLake, size);
   sh.cluster->PutHashed(id, h, size);
 }
@@ -159,10 +153,7 @@ void Runner::GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uin
     }
     return;
   }
-  ++sh.remote_fetches;
-  sh.egress_bytes += size;
-  sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
-  sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+  ChargeRemoteFetch(sh, size);
   const double lat = fitted_.SampleMs(DataSource::kRemoteLake, size, sh.rng);
   if (cfg_.measure_latency) {
     sh.latency_ms.Add(lat);
@@ -313,7 +304,7 @@ void Runner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
     } else {
       min_capacity_streak_ = 0;
     }
-    admission_bypass_ = min_capacity_streak_ >= cfg_.admission_bypass_windows;
+    admission_bypass_ = min_capacity_streak_ >= kAdmissionBypassWindows;
   }
 }
 

@@ -140,6 +140,15 @@ class ShardedRuntime {
   // Advances the shard's cost integrals to `t`.
   void Integrate(Shard& sh, SimTime t);
 
+  // Bills one fetch of `size` bytes from the remote data lake: the fetch
+  // count, its egress bytes and dollars, and one GET op.
+  void ChargeRemoteFetch(Shard& sh, uint64_t size) {
+    ++sh.remote_fetches;
+    sh.egress_bytes += size;
+    sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
+    sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+  }
+
   // Applies the shard's share of `d` at `now`: evict the OSC to its share,
   // then resize the cluster slice and prime new nodes if enable_priming;
   // in TTL mode, set the TTL and collect garbage.
@@ -204,11 +213,9 @@ class ShardedRuntime {
 template <typename Handler>
 void ShardedRuntime::ServeBatch(Shard& sh, Handler&& handle) {
   const ReplayBatch& b = sh.batch;
-  // Prefetch distance for the OSC order index / TTL shadow of upcoming
-  // requests; see ReplayKernel (eviction_policy.cc) for the rationale. The
-  // cluster is skipped: reaching its per-node index would duplicate ring
-  // routing here.
-  constexpr size_t kPrefetchAhead = 8;
+  // Prefetches the OSC order index / TTL shadow of the request
+  // kPrefetchAhead rows ahead (replay_batch.h). The cluster is skipped:
+  // reaching its per-node index would duplicate ring routing here.
   const size_t n = b.size();
   for (size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n) {

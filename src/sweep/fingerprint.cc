@@ -85,7 +85,7 @@ Fingerprint FingerprintEngineConfig(const EngineConfig& c) {
   MixPacking(h, c.packing);
   h.MixBool(c.enable_priming);
   h.MixBool(c.enable_admission_bypass);
-  h.MixI32(c.admission_bypass_windows);
+  h.MixI32(kAdmissionBypassWindows);  // a constant, mixed so warm stores keep their keys
   h.MixU64(c.dataset_bytes_hint);
   h.MixU64(c.min_minicache_bytes);
   h.MixF64(c.infra_scale);

@@ -203,7 +203,7 @@ TEST(CacheDifferentialTest, LruCacheWithChangingSizes) {
   EXPECT_EQ(flat_evicted, ref_evicted);
 
   EventLog flat_order;
-  flat.ForEachLruToMru([&](ObjectId id, uint64_t size) {
+  flat.ForEachEvictOrder([&](ObjectId id, uint64_t size) {
     flat_order.emplace_back(id, size);
     return true;
   });

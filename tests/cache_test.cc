@@ -122,13 +122,13 @@ TEST(LruCacheTest, IterationOrders) {
   c.Put(2, 10);
   c.Put(3, 10);
   std::vector<ObjectId> mru;
-  c.ForEachMruToLru([&](ObjectId id, uint64_t) {
+  c.ForEachHotOrder([&](ObjectId id, uint64_t) {
     mru.push_back(id);
     return true;
   });
   EXPECT_EQ(mru, (std::vector<ObjectId>{3, 2, 1}));
   std::vector<ObjectId> lru;
-  c.ForEachLruToMru([&](ObjectId id, uint64_t) {
+  c.ForEachEvictOrder([&](ObjectId id, uint64_t) {
     lru.push_back(id);
     return true;
   });
@@ -140,7 +140,7 @@ TEST(LruCacheTest, IterationEarlyStop) {
   c.Put(1, 10);
   c.Put(2, 10);
   int visited = 0;
-  c.ForEachMruToLru([&](ObjectId, uint64_t) {
+  c.ForEachHotOrder([&](ObjectId, uint64_t) {
     ++visited;
     return false;
   });
@@ -153,7 +153,7 @@ TEST(LruCacheTest, GetPromotes) {
   c.Put(2, 10);
   c.Get(1);
   std::vector<ObjectId> mru;
-  c.ForEachMruToLru([&](ObjectId id, uint64_t) {
+  c.ForEachHotOrder([&](ObjectId id, uint64_t) {
     mru.push_back(id);
     return true;
   });

@@ -338,19 +338,6 @@ TEST(PercentileTrackerTest, AppendToEmptyTakesTheBuffer) {
   EXPECT_EQ(src.count(), 0u);
 }
 
-TEST(HistogramTest, Bucketing) {
-  Histogram h({10.0, 20.0, 30.0});
-  h.Add(5.0);
-  h.Add(10.0);  // boundary goes to first bucket (<= bound)
-  h.Add(15.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(2), 0u);
-  EXPECT_EQ(h.BucketCount(3), 1u);  // overflow
-}
-
 // --- Curve ---
 
 TEST(CurveTest, InterpolationAndClamping) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -119,23 +120,60 @@ TEST_P(PolicyContractTest, EvictOrderMatchesActualEvictions) {
     predicted.push_back(id);
     return predicted.size() < 5;
   });
+  // S3-FIFO promotes re-accessed entries out of the small queue during
+  // eviction, so its static listing is an approximation: its victims need
+  // only come from the cold prefix of the listing, taken before the squeeze.
+  std::vector<ObjectId> cold_prefix;
+  cache->ForEachEvictOrder([&](ObjectId id, uint64_t) {
+    cold_prefix.push_back(id);
+    return cold_prefix.size() < 15;
+  });
+  ASSERT_EQ(cold_prefix.size(), 15u);
   std::vector<ObjectId> actual;
   cache->set_evict_callback([&](ObjectId id, uint64_t, uint32_t) { actual.push_back(id); });
   cache->Resize(1500);  // force 5 evictions of 100 bytes each
   ASSERT_GE(actual.size(), 5u);
   if (GetParam() == EvictionPolicyKind::kS3Fifo) {
-    // S3-FIFO promotes re-accessed entries out of the small queue during
-    // eviction, so the static listing is an approximation: only require
-    // that actual victims come from the cold prefix of the listing.
-    std::vector<ObjectId> cold_prefix;
-    cache->ForEachEvictOrder([&](ObjectId id, uint64_t) {
-      cold_prefix.push_back(id);
-      return cold_prefix.size() < 15;
-    });
+    for (const ObjectId victim : actual) {
+      EXPECT_NE(std::find(cold_prefix.begin(), cold_prefix.end(), victim), cold_prefix.end())
+          << "victim " << victim;
+    }
     return;
   }
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(actual[i], predicted[i]) << EvictionPolicyName(GetParam()) << " pos " << i;
+  }
+}
+
+// Both walks stop at the visitor's first false, also inside the first queue
+// of the two-queue policies (SLRU's probation and protected segments,
+// S3-FIFO's small and main queues): a visitor that returns false on its
+// k-th call is called exactly k times.
+TEST_P(PolicyContractTest, WalksStopAtTheFirstFalse) {
+  auto cache = MakeEvictionCache(GetParam(), 1000);
+  for (ObjectId id = 0; id < 10; ++id) {
+    cache->Put(id, 100);
+  }
+  for (ObjectId id = 0; id < 10; id += 2) {
+    cache->Get(id);  // SLRU protects these; S3-FIFO promotes them on eviction
+  }
+  for (ObjectId id = 10; id < 14; ++id) {
+    cache->Put(id, 100);
+  }
+  const size_t n = cache->num_entries();
+  ASSERT_GE(n, 8u);
+  for (const bool evict_order : {true, false}) {
+    for (size_t k = 1; k <= n; ++k) {
+      size_t calls = 0;
+      const EvictionCache::VisitFn stop_at_k = [&](ObjectId, uint64_t) { return ++calls < k; };
+      if (evict_order) {
+        cache->ForEachEvictOrder(stop_at_k);
+      } else {
+        cache->ForEachHotOrder(stop_at_k);
+      }
+      EXPECT_EQ(calls, k) << EvictionPolicyName(GetParam()) << (evict_order ? " evict" : " hot")
+                          << " order, k = " << k;
+    }
   }
 }
 

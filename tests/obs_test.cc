@@ -86,23 +86,6 @@ TEST(MetricsRegistryTest, JsonGoldenGroupsByComponentInRegistrationOrder) {
             "}\n");
 }
 
-TEST(MetricsRegistryTest, StatsAndHistogramRender) {
-  obs::MetricsRegistry reg;
-  StreamingStats* s = reg.stats("analyzer", "window_bytes");
-  s->Add(1.0);
-  s->Add(3.0);
-  Histogram* h = reg.histogram("osc", "object_bytes", {10.0, 100.0});
-  h->Add(5.0);
-  h->Add(500.0);
-  const std::string json = reg.Json();
-  EXPECT_NE(json.find("\"window_bytes\": {\"count\": 2, \"mean\": 2,"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"object_bytes\": {\"total\": 2, \"buckets\": "
-                      "[[10, 1], [100, 0], [null, 1]]}"),
-            std::string::npos)
-      << json;
-}
-
 // --- Curve summaries ---
 
 TEST(SummarizeCurveTest, ExtremesAndChosenPoint) {

@@ -232,8 +232,8 @@ namespace reference_detail {
 // useful differential oracle for the hash-once path: any disagreement with
 // the slab caches means the prehashed plumbing changed semantics.
 
-// Mirrors the production ReplayKernel (eviction_policy.cc) over the seed
-// semantics: GET admits on miss and counts misses/missed bytes.
+// Mirrors the production SlabPolicy::ReplayMiniSim (eviction_policy.h) over
+// the seed semantics: GET admits on miss and counts misses/missed bytes.
 inline EvictionCache::MiniSimStats RefReplay(EvictionCache& cache, const ReplayBatch& batch) {
   EvictionCache::MiniSimStats stats;
   const size_t n = batch.size();
