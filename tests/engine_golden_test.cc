@@ -10,7 +10,10 @@
 // Matrix: the replay engine under every approach and the event engine under
 // the three it supports, each at num_shards {1, 4}, without and with one
 // mid-trace price shock, on sharded_engine_test's Zipf and delete-heavy
-// traces, with two shard workers and the async analyzer on.
+// traces, with two shard workers and the async analyzer on. Then the
+// replay engine's admission bypass (rows labelled replay-bypass): macaron
+// and macaron+cc at 0.1% egress, where the bypass engages on both traces
+// (at 1% it never does), each at num_shards {1, 4} without a shock.
 //
 // A change meant to move outputs updates the golden file in the same
 // commit, so the diff shows which runs moved. On a mismatch the test prints
@@ -98,18 +101,23 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
+EngineConfig BypassConfig(Approach a, int shards, bool bypass) {
+  EngineConfig cfg = Config(a, shards, /*shock=*/false);
+  cfg.prices = cfg.prices.WithEgressScale(0.001);
+  cfg.enable_admission_bypass = bypass;
+  return cfg;
+}
+
 template <typename Engine>
-std::string GoldenLine(const char* engine, Approach a, int shards, bool shock,
-                       const Trace& t) {
-  EngineConfig cfg = Config(a, shards, shock);
+std::string GoldenLine(const char* label, EngineConfig cfg, const Trace& t) {
   obs::DecisionTrace decisions;
   obs::MetricsRegistry metrics;
   cfg.decision_trace = &decisions;
   cfg.metrics = &metrics;
   const RunResult r = Engine(cfg).Run(t);
   std::ostringstream line;
-  line << engine << ' ' << ApproachName(a) << " shards=" << shards
-       << " shock=" << (shock ? 1 : 0) << ' ' << t.name
+  line << label << ' ' << ApproachName(cfg.approach) << " shards=" << cfg.num_shards
+       << " shock=" << (cfg.price_shocks.empty() ? 0 : 1) << ' ' << t.name
        << " result=" << Hex(Fnv1a(SerializeRunResult(r)))
        << " decisions=" << Hex(Fnv1a(DecisionTraceJsonl(decisions)))
        << " metrics=" << Hex(Fnv1a(metrics.Json()));
@@ -123,16 +131,28 @@ std::vector<std::string> ComputeMatrix() {
       Approach::kFlashEcpc,        Approach::kStaticCapacity, Approach::kStaticTtl};
   const Approach kEventApproaches[] = {Approach::kMacaronNoCluster, Approach::kMacaron,
                                        Approach::kMacaronTtl};
+  const Trace traces[] = {ZipfTrace(), DeleteHeavyTrace()};
   std::vector<std::string> lines;
-  for (const Trace& t : {ZipfTrace(), DeleteHeavyTrace()}) {
+  for (const Trace& t : traces) {
     for (int shards : {1, 4}) {
       for (bool shock : {false, true}) {
         for (Approach a : kReplayApproaches) {
-          lines.push_back(GoldenLine<ReplayEngine>("replay", a, shards, shock, t));
+          lines.push_back(GoldenLine<ReplayEngine>("replay", Config(a, shards, shock), t));
         }
         for (Approach a : kEventApproaches) {
-          lines.push_back(GoldenLine<EventEngine>("event", a, shards, shock, t));
+          lines.push_back(GoldenLine<EventEngine>("event", Config(a, shards, shock), t));
         }
+      }
+    }
+  }
+  for (const Trace& t : traces) {
+    for (int shards : {1, 4}) {
+      for (Approach a : {Approach::kMacaronNoCluster, Approach::kMacaron}) {
+        lines.push_back(
+            GoldenLine<ReplayEngine>("replay-bypass", BypassConfig(a, shards, true), t));
+        // A row equal to the same run without the bypass would pin nothing.
+        EXPECT_NE(lines.back(), GoldenLine<ReplayEngine>("replay-bypass",
+                                                         BypassConfig(a, shards, false), t));
       }
     }
   }
