@@ -1,6 +1,5 @@
 #include "src/sim/event_engine.h"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -20,8 +19,8 @@ constexpr double kClientHopMs = 0.3;
 // reconfiguration applies are shard-local events, drained before every
 // request and at every boundary. Timeline entries for applied
 // reconfigurations are recorded at their apply times when the decision is
-// scheduled and stably sorted once at the end, reproducing the single
-// global event queue's apply order bit-for-bit at any thread count.
+// scheduled, and the runtime's Finalize stably sorts them, reproducing the
+// single global event queue's apply order bit-for-bit at any thread count.
 class EventRunner final : public ShardedRuntime {
  public:
   EventRunner(const EngineConfig& cfg, RequestSource& source)
@@ -69,17 +68,10 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
         }
         return;
       }
-      if (sh.osc->LookupPrehashed(id, h)) {
-        ++sh.osc_hits;
-        if (sh.ttl_shadow != nullptr) {
-          sh.ttl_shadow->GetPrehashed(id, h, time);
-        }
+      if (OscHit(sh, time, id, h, size)) {
         if (cfg_.measure_latency) {
           sh.latency_ms.Add(kClientHopMs +
                             fitted_.SampleMs(DataSource::kOsc, size, sh.rng));
-        }
-        if (sh.cluster != nullptr) {
-          sh.cluster->PutHashed(id, h, size);
         }
         return;
       }
@@ -107,43 +99,22 @@ void EventRunner::HandleRequest(Shard& sh, SimTime time, ObjectId id, uint64_t s
           return;  // superseded: object deleted/evicted/expired mid-flight
         }
         Integrate(*p, now);
-        p->osc->AdmitPrehashed(id, h, size);
-        if (p->ttl_shadow != nullptr) {
-          p->ttl_shadow->PutPrehashed(id, h, size, now);
-        }
-        if (p->cluster != nullptr) {
-          p->cluster->PutHashed(id, h, size);
-        }
+        Admit(*p, now, id, h, size);
       });
       return;
     }
     case Op::kPut:
-      sh.osc->AdmitPrehashed(id, h, size);
-      if (sh.ttl_shadow != nullptr) {
-        sh.ttl_shadow->PutPrehashed(id, h, size, time);
-      }
-      if (sh.cluster != nullptr) {
-        sh.cluster->PutHashed(id, h, size);
-      }
-      return;
+      return Admit(sh, time, id, h, size);
     case Op::kDelete:
-      sh.osc->DeletePrehashed(id, h);
-      if (sh.ttl_shadow != nullptr) {
-        sh.ttl_shadow->ErasePrehashed(id, h);
-      }
-      if (sh.cluster != nullptr) {
-        sh.cluster->DeleteHashed(id, h);
-      }
-      sh.inflight.ErasePrehashed(id, h);
-      return;
+      return Forget(sh, id, h);
   }
 }
 
 void EventRunner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
   // Reconfiguration is applied only after the pipeline completes; requests
   // continue to be served meanwhile (§7.7: no downtime). Each shard
-  // schedules its local apply; timeline entries are recorded here at the
-  // apply time and sorted into apply order in FinishRun (sharded queues
+  // schedules its local apply; the decision is recorded here at the apply
+  // time, and Finalize sorts the timelines into apply order (sharded queues
   // have no global "first apply runs first" ordering to piggyback on).
   const SimTime apply_at = t + static_cast<SimTime>(d.reconfig_seconds * 1000.0);
   const auto decision = std::make_shared<const ReconfigDecision>(d);
@@ -152,39 +123,13 @@ void EventRunner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
     queues_[static_cast<size_t>(sh.index)].Schedule(
         apply_at, [this, p, decision](SimTime now) { ApplyShardDecision(*p, now, *decision); });
   }
-  if (cfg_.approach == Approach::kMacaronTtl) {
-    result_.ttl_timeline.emplace_back(apply_at, d.ttl);
-    return;
-  }
-  result_.osc_capacity_timeline.emplace_back(apply_at, d.osc_capacity);
-  if (shards_[0].cluster != nullptr) {
-    result_.cluster_nodes_timeline.emplace_back(apply_at, d.cluster_nodes);
-  }
+  RecordDecision(apply_at, d);
 }
 
 void EventRunner::FinishRun() {
   // Late events (admissions, a final scheduled apply) still run, as with the
   // single global queue.
   pool_.ParallelFor(queues_.size(), [&](size_t s) { queues_[s].RunAll(); });
-
-  // Timeline entries were appended at scheduling time; apply order is time
-  // order with scheduling order breaking ties (the global queue's tie rule).
-  const auto by_time = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::stable_sort(result_.osc_capacity_timeline.begin(),
-                   result_.osc_capacity_timeline.end(), by_time);
-  std::stable_sort(result_.cluster_nodes_timeline.begin(),
-                   result_.cluster_nodes_timeline.end(), by_time);
-  std::stable_sort(result_.ttl_timeline.begin(), result_.ttl_timeline.end(), by_time);
-  for (const auto& [at, capacity] : result_.osc_capacity_timeline) {
-    if (result_.first_optimized_capacity == 0) {
-      result_.first_optimized_capacity = capacity;
-    }
-  }
-  for (const auto& [at, ttl] : result_.ttl_timeline) {
-    if (result_.first_optimized_ttl == 0) {
-      result_.first_optimized_ttl = static_cast<SimDuration>(ttl);
-    }
-  }
 }
 
 }  // namespace

@@ -51,9 +51,10 @@ std::string RunResult::Summary() const {
 
 namespace {
 
-// The replay engine's policy on the shared runtime (sharded_runtime.h):
-// per-approach request paths, admission at request time, and decisions
-// applied at the boundary that takes them.
+// The replay engine's policy on the shared runtime (sharded_runtime.h): one
+// request handler per approach family, picked once per shard batch,
+// admission at request time, and decisions applied at the boundary that
+// takes them.
 class Runner final : public ShardedRuntime {
  public:
   Runner(const EngineConfig& cfg, RequestSource& source) : ShardedRuntime(cfg, source) {
@@ -63,31 +64,38 @@ class Runner final : public ShardedRuntime {
   }
 
  private:
-  void ServeShard(Shard& sh) override {
+  // Request fields arrive as columns straight from the shard batch; no
+  // Request struct is materialized on the replay path. `h` is Mix64(id),
+  // computed once at ingest and reused by every cache level.
+  using Handler = void (Runner::*)(Shard&, SimTime, ObjectId, uint64_t, Op, uint64_t);
+  template <Handler kHandle>
+  void Serve(Shard& sh) {
     ServeBatch(sh, [this](Shard& s, SimTime time, ObjectId id, uint64_t size, Op op,
-                          uint64_t h) { ProcessRequest(s, time, id, size, op, h); });
+                          uint64_t h) { (this->*kHandle)(s, time, id, size, op, h); });
+  }
+  void ServeShard(Shard& sh) override {
+    switch (cfg_.approach) {
+      case Approach::kRemote:
+        return Serve<&Runner::ServeRemote>(sh);
+      case Approach::kReplicated:
+        return Serve<&Runner::ServeReplicated>(sh);
+      case Approach::kEcpc:
+      case Approach::kFlashEcpc:
+        return Serve<&Runner::ServeEcpc>(sh);
+      default:
+        return Serve<&Runner::ServeMacaron>(sh);
+    }
   }
   void MaintainShard(Shard& sh, SimTime t) override;
   void ApplyDecision(SimTime t, const ReconfigDecision& d) override;
 
-  // Request fields arrive as columns straight from the shard batch; no
-  // Request struct is materialized on the replay path. `h` is Mix64(id),
-  // computed once at ingest and reused by every cache level.
-  void ProcessRequest(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h);
+  // Write-through: a PUT to the remote lake (free ingress, identical across
+  // approaches) is not metered; each handler meters only cache-side effects.
+  void ServeRemote(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h);
+  void ServeReplicated(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h);
+  void ServeEcpc(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h);
+  void ServeMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h);
   void RecordLatency(Shard& sh, DataSource source, uint64_t size);
-  size_t TotalClusterNodes() const {
-    size_t total = 0;
-    for (const Shard& sh : shards_) {
-      total += sh.cluster->num_nodes();
-    }
-    return total;
-  }
-
-  // Per-approach GET paths.
-  void GetRemote(Shard& sh, uint64_t size);
-  void GetReplicated(Shard& sh, uint64_t size);
-  void GetEcpc(Shard& sh, ObjectId id, uint64_t size, uint64_t h);
-  void GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uint64_t h);
 
   DataSource cluster_hit_source_ = DataSource::kCacheCluster;
   // Admission-bypass extension state. Written only at window boundaries
@@ -103,30 +111,74 @@ void Runner::RecordLatency(Shard& sh, DataSource source, uint64_t size) {
   sh.latency_ms.Add(fitted_.SampleMs(source, size, sh.rng));
 }
 
-void Runner::GetRemote(Shard& sh, uint64_t size) {
-  ChargeRemoteFetch(sh, size);
-  RecordLatency(sh, DataSource::kRemoteLake, size);
+void Runner::ServeRemote(Shard& sh, SimTime time, ObjectId, uint64_t size, Op op, uint64_t) {
+  Integrate(sh, time);
+  if (op == Op::kGet) {
+    ++sh.gets;
+    ChargeRemoteFetch(sh, size);
+    RecordLatency(sh, DataSource::kRemoteLake, size);
+  }
 }
 
-void Runner::GetReplicated(Shard& sh, uint64_t size) {
-  // All reads are served by the local replica.
-  ++sh.osc_hits;
-  sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
-  RecordLatency(sh, DataSource::kOsc, size);
-}
-
-void Runner::GetEcpc(Shard& sh, ObjectId id, uint64_t size, uint64_t h) {
-  if (sh.cluster->GetHashed(id, h)) {
-    ++sh.cluster_hits;
-    RecordLatency(sh, cluster_hit_source_, size);
+void Runner::ServeReplicated(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op,
+                             uint64_t) {
+  Integrate(sh, time);
+  if (op == Op::kDelete) {
+    if (sh.seen.erase(id) > 0) {
+      sh.known_dataset_bytes -= std::min(sh.known_dataset_bytes, size);
+    }
     return;
   }
-  ChargeRemoteFetch(sh, size);
-  RecordLatency(sh, DataSource::kRemoteLake, size);
+  if (sh.seen.insert(id).second) {
+    sh.known_dataset_bytes += size;
+    // Replication must transfer every byte of the (growing) dataset once,
+    // dark data included: first-touch bytes proxy the dataset growth rate
+    // the paper bills sync egress on (§7.1).
+    const double sync_bytes = static_cast<double>(size) / (1.0 - cfg_.dark_data_fraction);
+    sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(static_cast<uint64_t>(sync_bytes)));
+    sh.egress_bytes += static_cast<uint64_t>(sync_bytes);
+  }
+  if (op == Op::kGet) {
+    // All reads are served by the local replica.
+    ++sh.gets;
+    ++sh.osc_hits;
+    sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
+    RecordLatency(sh, DataSource::kOsc, size);
+  }
+}
+
+void Runner::ServeEcpc(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op, uint64_t h) {
+  Integrate(sh, time);
+  if (op == Op::kDelete) {
+    sh.cluster->DeleteHashed(id, h);
+    return;
+  }
+  if (op == Op::kGet) {
+    ++sh.gets;
+    if (sh.cluster->GetHashed(id, h)) {
+      ++sh.cluster_hits;
+      RecordLatency(sh, cluster_hit_source_, size);
+      return;
+    }
+    ChargeRemoteFetch(sh, size);
+    RecordLatency(sh, DataSource::kRemoteLake, size);
+  }
   sh.cluster->PutHashed(id, h, size);
 }
 
-void Runner::GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uint64_t h) {
+void Runner::ServeMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op,
+                          uint64_t h) {
+  Integrate(sh, time);
+  // The bypass skips the OSC and, with it, the TTL shadow. Only a capacity
+  // decision engages the bypass, so it never does for macaron-ttl, and
+  // static TTL has no controller: a bypassed shard has no TTL shadow.
+  if (op == Op::kPut) {
+    return Admit(sh, time, id, h, size, !admission_bypass_);
+  }
+  if (op == Op::kDelete) {
+    return Forget(sh, id, h);
+  }
+  ++sh.gets;
   // A fetch still in flight means the object is not yet actually available,
   // even though it was admitted to cache metadata at request time: the
   // duplicate access is delayed until the fetch completes (§5.2).
@@ -142,15 +194,8 @@ void Runner::GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uin
     RecordLatency(sh, DataSource::kCacheCluster, size);
     return;
   }
-  if (sh.osc->LookupPrehashed(id, h)) {
-    ++sh.osc_hits;
-    if (sh.ttl_shadow != nullptr) {
-      sh.ttl_shadow->GetPrehashed(id, h, time);
-    }
+  if (OscHit(sh, time, id, h, size)) {
     RecordLatency(sh, DataSource::kOsc, size);
-    if (sh.cluster != nullptr) {
-      sh.cluster->PutHashed(id, h, size);  // promote
-    }
     return;
   }
   ChargeRemoteFetch(sh, size);
@@ -159,102 +204,7 @@ void Runner::GetMacaron(Shard& sh, SimTime time, ObjectId id, uint64_t size, uin
     sh.latency_ms.Add(lat);
   }
   sh.inflight.InsertPrehashed(id, h, time + static_cast<SimTime>(lat) + 1);
-  if (!admission_bypass_) {
-    sh.osc->AdmitPrehashed(id, h, size);
-    if (sh.ttl_shadow != nullptr) {
-      sh.ttl_shadow->PutPrehashed(id, h, size, time);
-    }
-  }
-  if (sh.cluster != nullptr) {
-    sh.cluster->PutHashed(id, h, size);
-  }
-}
-
-void Runner::ProcessRequest(Shard& sh, SimTime time, ObjectId id, uint64_t size, Op op,
-                            uint64_t h) {
-  Integrate(sh, time);
-  if (cfg_.approach == Approach::kReplicated && (op == Op::kGet || op == Op::kPut)) {
-    if (sh.seen.insert(id).second) {
-      sh.known_dataset_bytes += size;
-      // Replication must transfer every byte of the (growing) dataset once,
-      // dark data included: first-touch bytes proxy the dataset growth rate
-      // the paper bills sync egress on (§7.1).
-      const double sync_bytes =
-          static_cast<double>(size) / (1.0 - cfg_.dark_data_fraction);
-      sh.costs.Add(CostCategory::kEgress,
-                   prices_.EgressCost(static_cast<uint64_t>(sync_bytes)));
-      sh.egress_bytes += static_cast<uint64_t>(sync_bytes);
-    }
-  }
-  switch (op) {
-    case Op::kGet:
-      ++sh.gets;
-      switch (cfg_.approach) {
-        case Approach::kRemote:
-          GetRemote(sh, size);
-          break;
-        case Approach::kReplicated:
-          GetReplicated(sh, size);
-          break;
-        case Approach::kEcpc:
-        case Approach::kFlashEcpc:
-          GetEcpc(sh, id, size, h);
-          break;
-        default:
-          GetMacaron(sh, time, id, size, h);
-          break;
-      }
-      break;
-    case Op::kPut:
-      // Write-through: the PUT to the remote lake (free ingress, identical
-      // across approaches) is excluded; only cache-side effects are metered.
-      switch (cfg_.approach) {
-        case Approach::kRemote:
-        case Approach::kReplicated:
-          break;
-        case Approach::kEcpc:
-        case Approach::kFlashEcpc:
-          sh.cluster->PutHashed(id, h, size);
-          break;
-        default:
-          if (!admission_bypass_) {
-            sh.osc->AdmitPrehashed(id, h, size);
-          }
-          if (sh.ttl_shadow != nullptr) {
-            sh.ttl_shadow->PutPrehashed(id, h, size, time);
-          }
-          if (sh.cluster != nullptr) {
-            sh.cluster->PutHashed(id, h, size);
-          }
-          break;
-      }
-      break;
-    case Op::kDelete:
-      switch (cfg_.approach) {
-        case Approach::kRemote:
-          break;
-        case Approach::kReplicated:
-          if (sh.seen.erase(id) > 0) {
-            sh.known_dataset_bytes -= std::min(sh.known_dataset_bytes, size);
-          }
-          break;
-        case Approach::kEcpc:
-        case Approach::kFlashEcpc:
-          sh.cluster->DeleteHashed(id, h);
-          break;
-        default:
-          sh.osc->DeletePrehashed(id, h);
-          if (sh.ttl_shadow != nullptr) {
-            sh.ttl_shadow->ErasePrehashed(id, h);
-          }
-          if (sh.cluster != nullptr) {
-            sh.cluster->DeleteHashed(id, h);
-          }
-          sh.inflight.ErasePrehashed(id, h);
-          break;
-      }
-      break;
-  }
+  Admit(sh, time, id, h, size, !admission_bypass_);
 }
 
 void Runner::MaintainShard(Shard& sh, SimTime t) {
@@ -274,28 +224,16 @@ void Runner::ApplyDecision(SimTime t, const ReconfigDecision& d) {
     pool_.ParallelFor(shards_.size(), [&](size_t s) {
       shards_[s].cluster->Resize(ShareOf(total, num_shards_, static_cast<int>(s)));
     });
-    result_.cluster_nodes_timeline.emplace_back(t, TotalClusterNodes());
+    result_.cluster_nodes_timeline.emplace_back(t, total);
     return;
   }
   pool_.ParallelFor(shards_.size(), [&](size_t s) { ApplyShardDecision(shards_[s], t, d); });
-  if (cfg_.approach == Approach::kMacaronTtl) {
-    if (result_.first_optimized_ttl == 0) {
-      result_.first_optimized_ttl = d.ttl;
-    }
-    result_.ttl_timeline.emplace_back(t, d.ttl);
-    return;
-  }
-  if (result_.first_optimized_capacity == 0) {
-    result_.first_optimized_capacity = d.osc_capacity;
-  }
-  result_.osc_capacity_timeline.emplace_back(t, d.osc_capacity);
-  if (shards_[0].cluster != nullptr) {
-    result_.cluster_nodes_timeline.emplace_back(t, TotalClusterNodes());
-  }
+  RecordDecision(t, d);
   // Admission-bypass extension: engage when even the best cache
   // configuration is predicted to cost at least as much per window
   // as serving everything remotely (no capacity, no packing PUTs).
-  if (cfg_.enable_admission_bypass && !d.cost_curve.empty()) {
+  if (cfg_.enable_admission_bypass && cfg_.approach != Approach::kMacaronTtl &&
+      !d.cost_curve.empty()) {
     const double best_with_cache = d.cost_curve.y(d.cost_curve.ArgMin());
     const double no_cache_egress = prices_.EgressCost(
         static_cast<uint64_t>(d.expected_window_get_bytes));

@@ -280,27 +280,19 @@ void ShardedRuntime::ChargeOscOps(Shard& sh) {
 void ShardedRuntime::FlushDataIntegrals(Shard& sh) {
   // Mirrors Finalize's per-shard conversion exactly (same formulas, same
   // addition order) so that the no-shock single-flush path is bit-identical
-  // to the historical Finalize-only accounting.
-  if (sh.osc != nullptr) {
-    const double gb_months = sh.osc_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth);
-    sh.costs.Add(CostCategory::kCapacity, gb_months * prices_.object_storage_per_gb_month);
-    sh.osc_byte_ms_flushed += sh.osc_byte_ms;
-    sh.osc_byte_ms = 0.0;
-  }
+  // to the historical Finalize-only accounting. The approaches that store
+  // nothing add zero dollars.
+  sh.costs.Add(CostCategory::kCapacity, StorageCostUsd(sh.stored_byte_ms));
   if (cfg_.approach == Approach::kReplicated) {
-    const double gb_months = sh.replica_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth);
-    sh.costs.Add(CostCategory::kCapacity, gb_months * prices_.object_storage_per_gb_month);
-    sh.replica_byte_ms_flushed += sh.replica_byte_ms;
-    sh.replica_byte_ms = 0.0;
     // Retention churn: the dataset turns over every `retention`; replaced
-    // data must be synchronized to the replica.
-    const double churn_bytes = sh.churn_byte_ms / static_cast<double>(cfg_.retention);
-    sh.costs.Add(CostCategory::kEgress,
-                 prices_.EgressCost(static_cast<uint64_t>(churn_bytes)));
-    sh.egress_bytes += static_cast<uint64_t>(churn_bytes);
-    sh.churn_byte_ms = 0.0;
-    // Replica GET op costs are charged inline.
+    // data must be synchronized to the replica. Replica GET op costs are
+    // charged inline.
+    const uint64_t churn_bytes = ChurnBytes(sh);
+    sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(churn_bytes));
+    sh.egress_bytes += churn_bytes;
   }
+  sh.stored_byte_ms_flushed += sh.stored_byte_ms;
+  sh.stored_byte_ms = 0.0;
   // node_ms is deliberately not flushed: node rates are infrastructure
   // prices, which shocks never touch.
 }
@@ -329,16 +321,7 @@ double ShardedRuntime::RealizedDataCostUsd() const {
   for (const Shard& sh : shards_) {
     total += sh.costs.Get(CostCategory::kEgress) + sh.costs.Get(CostCategory::kCapacity) +
              sh.costs.Get(CostCategory::kOperation);
-    if (sh.osc != nullptr) {
-      total += sh.osc_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth) *
-               prices_.object_storage_per_gb_month;
-    }
-    if (cfg_.approach == Approach::kReplicated) {
-      total += sh.replica_byte_ms / 1.0e9 / static_cast<double>(kBillingMonth) *
-                   prices_.object_storage_per_gb_month +
-               prices_.EgressCost(static_cast<uint64_t>(
-                   sh.churn_byte_ms / static_cast<double>(cfg_.retention)));
-    }
+    total += StorageCostUsd(sh.stored_byte_ms) + prices_.EgressCost(ChurnBytes(sh));
   }
   return total;
 }
@@ -413,24 +396,50 @@ void ShardedRuntime::WindowBoundary(SimTime t) {
   }
 }
 
+void ShardedRuntime::RecordDecision(SimTime at, const ReconfigDecision& d) {
+  if (cfg_.approach == Approach::kMacaronTtl) {
+    result_.ttl_timeline.emplace_back(at, d.ttl);
+    return;
+  }
+  result_.osc_capacity_timeline.emplace_back(at, d.osc_capacity);
+  if (shards_[0].cluster != nullptr) {
+    result_.cluster_nodes_timeline.emplace_back(at, d.cluster_nodes);
+  }
+}
+
 void ShardedRuntime::Finalize() {
   const SimTime end = info_.end_time;
   const SimDuration span = std::max<SimDuration>(end, 1);
 
+  // Decisions were recorded when taken (replay) or scheduled (event); apply
+  // order is time order with recording order breaking ties (the single
+  // global event queue's tie rule), and the first optimized values are the
+  // first nonzero ones in that order.
+  const auto by_time = [](const auto& a, const auto& b) { return a.first < b.first; };
+  std::stable_sort(result_.osc_capacity_timeline.begin(), result_.osc_capacity_timeline.end(),
+                   by_time);
+  std::stable_sort(result_.cluster_nodes_timeline.begin(),
+                   result_.cluster_nodes_timeline.end(), by_time);
+  std::stable_sort(result_.ttl_timeline.begin(), result_.ttl_timeline.end(), by_time);
+  for (const auto& [at, capacity] : result_.osc_capacity_timeline) {
+    if (result_.first_optimized_capacity == 0) {
+      result_.first_optimized_capacity = capacity;
+    }
+  }
+  for (const auto& [at, ttl] : result_.ttl_timeline) {
+    if (result_.first_optimized_ttl == 0) {
+      result_.first_optimized_ttl = ttl;
+    }
+  }
+
   // Convert per-shard integrals into per-shard costs (still shard-local, so
   // a single shard reproduces the unsharded addition sequence exactly).
-  // Without price shocks this is the only flush, and the *_flushed lifetime
-  // totals equal the raw integrals bit for bit.
-  double osc_byte_ms_total = 0.0;
-  double replica_byte_ms_total = 0.0;
+  // Without price shocks this is the only flush, and the flushed lifetime
+  // total equals the raw integral bit for bit.
+  double stored_byte_ms_total = 0.0;
   for (Shard& sh : shards_) {
     FlushDataIntegrals(sh);
-    if (sh.osc != nullptr) {
-      osc_byte_ms_total += sh.osc_byte_ms_flushed;
-    }
-    if (cfg_.approach == Approach::kReplicated) {
-      replica_byte_ms_total += sh.replica_byte_ms_flushed;
-    }
+    stored_byte_ms_total += sh.stored_byte_ms_flushed;
     if (sh.cluster != nullptr) {
       const double node_hours = sh.node_ms / static_cast<double>(kHour);
       sh.costs.Add(CostCategory::kClusterNodes, node_hours * node_price_per_hour_);
@@ -452,12 +461,7 @@ void ShardedRuntime::Finalize() {
     result_.egress_bytes += sh.egress_bytes;
     result_.latency_ms.Append(std::move(sh.latency_ms));
   }
-  if (shards_[0].osc != nullptr) {
-    result_.mean_stored_bytes = osc_byte_ms_total / static_cast<double>(span);
-  }
-  if (cfg_.approach == Approach::kReplicated) {
-    result_.mean_stored_bytes = replica_byte_ms_total / static_cast<double>(span);
-  }
+  result_.mean_stored_bytes = stored_byte_ms_total / static_cast<double>(span);
   if (IsMacaronFamily() || IsElasticClusterCache(cfg_.approach)) {
     // One r5.xlarge hosting the controller and OSC manager.
     result_.costs.Add(CostCategory::kInfra, prices_.VmCost(span));

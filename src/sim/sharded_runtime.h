@@ -89,18 +89,17 @@ class ShardedRuntime {
     // Integration state. Each integral accumulates a piecewise-constant
     // function that only changes at this shard's own event times, so the
     // per-shard integrals are exact (not an approximation of the global
-    // ones) and sum to the unsharded values. When a price shock lands, the
-    // price-sensitive integrals are flushed into `costs` at the old rates
-    // and reset (the *_flushed lifetime totals keep mean_stored_bytes
-    // exact); without shocks the single flush happens in Finalize, which
-    // reproduces the historical addition sequence bit for bit.
+    // ones) and sum to the unsharded values. `stored_byte_ms` is the
+    // resident bytes of the OSC or, for the replicated baseline, of the
+    // replica (whose churn egress is billed from the same integral). When a
+    // price shock lands it is flushed into `costs` at the old rates and reset
+    // (the flushed lifetime total keeps mean_stored_bytes exact); without
+    // shocks the single flush happens in Finalize, which reproduces the
+    // historical addition sequence bit for bit.
     SimTime last_integrate = 0;
-    double osc_byte_ms = 0.0;      // object-storage resident bytes * ms
-    double replica_byte_ms = 0.0;  // replica dataset bytes * ms
-    double node_ms = 0.0;          // cache/ECPC node count * ms
-    double churn_byte_ms = 0.0;    // replica dataset bytes * ms (churn egress)
-    double osc_byte_ms_flushed = 0.0;
-    double replica_byte_ms_flushed = 0.0;
+    double stored_byte_ms = 0.0;  // resident bytes * ms
+    double node_ms = 0.0;         // cache/ECPC node count * ms
+    double stored_byte_ms_flushed = 0.0;
 
     // Per-shard metrics registry (allocated only when the run has a
     // metrics sink); folded into the engine sink after the run.
@@ -125,7 +124,7 @@ class ShardedRuntime {
   virtual void MaintainShard(Shard& sh, SimTime t);
   // Acts on an optimized decision taken at boundary `t`, shards idle.
   virtual void ApplyDecision(SimTime t, const ReconfigDecision& d) = 0;
-  // After the last boundary, before the merge.
+  // After the last boundary, before Finalize sorts the timelines and merges.
   virtual void FinishRun() {}
 
   // --- Shared pieces for the policies ---
@@ -148,6 +147,23 @@ class ShardedRuntime {
     sh.costs.Add(CostCategory::kEgress, prices_.EgressCost(size));
     sh.costs.Add(CostCategory::kOperation, prices_.GetCost(1));
   }
+
+  // The Macaron family's cache effects, one copy for both engines; each
+  // keeps the call order the output bytes depend on. OscHit serves a GET
+  // from the OSC if it holds `id`: counts the hit, touches the TTL shadow and
+  // promotes into the cluster slice (false on a miss). Admit puts `id` into
+  // the OSC and TTL shadow when `to_osc`, then into the cluster slice.
+  // Forget drops `id` from the OSC, TTL shadow, cluster slice and in-flight
+  // table.
+  bool OscHit(Shard& sh, SimTime now, ObjectId id, uint64_t h, uint64_t size);
+  void Admit(Shard& sh, SimTime now, ObjectId id, uint64_t h, uint64_t size,
+             bool to_osc = true);
+  void Forget(Shard& sh, ObjectId id, uint64_t h);
+
+  // Records a Macaron decision applied at `at` in the run's timelines
+  // (Finalize sorts them into apply order and derives the first optimized
+  // capacity and TTL).
+  void RecordDecision(SimTime at, const ReconfigDecision& d);
 
   // Applies the shard's share of `d` at `now`: evict the OSC to its share,
   // then resize the cluster slice and prime new nodes if enable_priming;
@@ -183,6 +199,17 @@ class ShardedRuntime {
   void ReplaySegment(const ReplayBatch& chunk, size_t begin, size_t end);
   void WindowBoundary(SimTime t);
   void ChargeOscOps(Shard& sh);
+  // Capacity dollars of `byte_ms` resident byte-milliseconds at the active
+  // rate, and the replica's churn bytes for the shard's unflushed integral.
+  double StorageCostUsd(double byte_ms) const {
+    return byte_ms / 1.0e9 / static_cast<double>(kBillingMonth) *
+           prices_.object_storage_per_gb_month;
+  }
+  uint64_t ChurnBytes(const Shard& sh) const {
+    return cfg_.approach == Approach::kReplicated
+               ? static_cast<uint64_t>(sh.stored_byte_ms / static_cast<double>(cfg_.retention))
+               : 0;
+  }
   // Price-shock support: bills a shard's price-sensitive integrals (and any
   // pending OSC ops) at the currently active rates and resets them, then
   // swaps the book. Only ever called at window boundaries (shards idle).
@@ -237,18 +264,55 @@ inline void ShardedRuntime::Integrate(Shard& sh, SimTime t) {
   }
   const double dt = static_cast<double>(t - sh.last_integrate);
   if (sh.osc != nullptr) {
-    sh.osc_byte_ms += static_cast<double>(sh.osc->stored_bytes()) * dt;
-  }
-  if (cfg_.approach == Approach::kReplicated) {
-    const double replica_bytes =
-        static_cast<double>(sh.known_dataset_bytes) / (1.0 - cfg_.dark_data_fraction);
-    sh.replica_byte_ms += replica_bytes * dt;
-    sh.churn_byte_ms += replica_bytes * dt;
+    sh.stored_byte_ms += static_cast<double>(sh.osc->stored_bytes()) * dt;
+  } else if (sh.known_dataset_bytes != 0) {
+    // The replica holds the dataset seen so far, inflated by dark data.
+    sh.stored_byte_ms += static_cast<double>(sh.known_dataset_bytes) /
+                         (1.0 - cfg_.dark_data_fraction) * dt;
   }
   if (sh.cluster != nullptr) {
     sh.node_ms += static_cast<double>(sh.cluster->num_nodes()) * dt;
   }
   sh.last_integrate = t;
+}
+
+inline bool ShardedRuntime::OscHit(Shard& sh, SimTime now, ObjectId id, uint64_t h,
+                                   uint64_t size) {
+  if (!sh.osc->LookupPrehashed(id, h)) {
+    return false;
+  }
+  ++sh.osc_hits;
+  if (sh.ttl_shadow != nullptr) {
+    sh.ttl_shadow->GetPrehashed(id, h, now);
+  }
+  if (sh.cluster != nullptr) {
+    sh.cluster->PutHashed(id, h, size);  // promote
+  }
+  return true;
+}
+
+inline void ShardedRuntime::Admit(Shard& sh, SimTime now, ObjectId id, uint64_t h,
+                                  uint64_t size, bool to_osc) {
+  if (to_osc) {
+    sh.osc->AdmitPrehashed(id, h, size);
+    if (sh.ttl_shadow != nullptr) {
+      sh.ttl_shadow->PutPrehashed(id, h, size, now);
+    }
+  }
+  if (sh.cluster != nullptr) {
+    sh.cluster->PutHashed(id, h, size);
+  }
+}
+
+inline void ShardedRuntime::Forget(Shard& sh, ObjectId id, uint64_t h) {
+  sh.osc->DeletePrehashed(id, h);
+  if (sh.ttl_shadow != nullptr) {
+    sh.ttl_shadow->ErasePrehashed(id, h);
+  }
+  if (sh.cluster != nullptr) {
+    sh.cluster->DeleteHashed(id, h);
+  }
+  sh.inflight.ErasePrehashed(id, h);
 }
 
 }  // namespace macaron
