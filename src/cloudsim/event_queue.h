@@ -31,8 +31,6 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
   SimTime now() const { return now_; }
-  // Time of the earliest pending event; only valid when !empty().
-  SimTime PeekTime() const { return heap_.front().time; }
 
  private:
   struct Event {

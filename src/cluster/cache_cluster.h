@@ -55,8 +55,6 @@ class CacheCluster {
   uint64_t Prime(const ObjectStorageCache& osc, const std::vector<uint32_t>& new_nodes);
 
   size_t num_nodes() const { return nodes_.size(); }
-  uint64_t node_capacity() const { return node_capacity_; }
-  uint64_t total_capacity() const { return node_capacity_ * num_nodes(); }
   uint64_t used_bytes() const;
 
   // Attaches routing/priming counters ("cluster" component); nullptr (the

@@ -15,16 +15,6 @@ Curve::Curve(std::vector<double> xs, std::vector<double> ys)
   }
 }
 
-Curve Curve::FromFunction(const std::vector<double>& xs,
-                          const std::function<double(double)>& fn) {
-  std::vector<double> ys;
-  ys.reserve(xs.size());
-  for (double x : xs) {
-    ys.push_back(fn(x));
-  }
-  return Curve(xs, std::move(ys));
-}
-
 double Curve::Value(double x) const {
   MACARON_CHECK(!xs_.empty());
   if (x <= xs_.front()) {

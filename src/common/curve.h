@@ -6,8 +6,8 @@
 #ifndef MACARON_SRC_COMMON_CURVE_H_
 #define MACARON_SRC_COMMON_CURVE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace macaron {
@@ -18,16 +18,12 @@ class Curve {
   Curve() = default;
   Curve(std::vector<double> xs, std::vector<double> ys);
 
-  static Curve FromFunction(const std::vector<double>& xs,
-                            const std::function<double(double)>& fn);
-
   bool empty() const { return xs_.empty(); }
   size_t size() const { return xs_.size(); }
   const std::vector<double>& xs() const { return xs_; }
   const std::vector<double>& ys() const { return ys_; }
   double x(size_t i) const { return xs_[i]; }
   double y(size_t i) const { return ys_[i]; }
-  void set_y(size_t i, double v) { ys_[i] = v; }
 
   // Linear interpolation; clamps outside the x range.
   double Value(double x) const;

@@ -83,27 +83,6 @@ double Rng::NextNormal(double mean, double stddev) {
   return mean + stddev * z;
 }
 
-uint64_t Rng::NextPoisson(double mean) {
-  MACARON_CHECK(mean >= 0);
-  if (mean == 0) {
-    return 0;
-  }
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= NextDouble();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction; adequate for workload
-  // generation at large request rates.
-  const double x = NextNormal(mean, std::sqrt(mean));
-  return x <= 0.0 ? 0 : static_cast<uint64_t>(x + 0.5);
-}
-
 double Rng::NextLogNormal(double mu, double sigma) {
   return std::exp(NextNormal(mu, sigma));
 }

@@ -84,17 +84,8 @@ class Rng {
   // Normal(mean, stddev) via Box-Muller (no cached spare; stays stateless).
   double NextNormal(double mean, double stddev);
 
-  // Poisson(mean); Knuth for small means, normal approximation for large.
-  uint64_t NextPoisson(double mean);
-
   // Log-normal such that the underlying normal has the given mu/sigma.
   double NextLogNormal(double mu, double sigma);
-
-  // A derived generator, deterministic in (this generator's seed, salt).
-  Rng Fork(uint64_t salt) const {
-    uint64_t s = state_[0] ^ (salt * 0x9e3779b97f4a7c15ull) ^ state_[3];
-    return Rng(s);
-  }
 
  private:
   // Marsaglia-Tsang acceptance loop for shape >= 1, returning d * v (the

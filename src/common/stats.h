@@ -14,7 +14,6 @@ namespace macaron {
 class StreamingStats {
  public:
   void Add(double x);
-  void Merge(const StreamingStats& other);
 
   uint64_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }

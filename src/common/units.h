@@ -29,11 +29,6 @@ inline constexpr double BytesToGB(uint64_t bytes) {
   return static_cast<double>(bytes) / static_cast<double>(kGB);
 }
 
-// Converts a byte count to binary gibibytes, for memory sizing output.
-inline constexpr double BytesToGiB(uint64_t bytes) {
-  return static_cast<double>(bytes) / static_cast<double>(kGiB);
-}
-
 }  // namespace macaron
 
 #endif  // MACARON_SRC_COMMON_UNITS_H_

@@ -14,7 +14,6 @@ ObjectStorageCache::ObjectStorageCache(const PackingConfig& config)
       order_(MakeEvictionCache(config.policy, std::numeric_limits<uint64_t>::max() / 2)) {
   MACARON_CHECK(config.block_bytes > 0);
   MACARON_CHECK(config.max_objects_per_block > 0);
-  MACARON_CHECK(config.gc_dead_fraction > 0.0 && config.gc_dead_fraction <= 1.0);
 }
 
 bool ObjectStorageCache::LookupPrehashed(ObjectId id, uint64_t h) {
@@ -158,7 +157,7 @@ void ObjectStorageCache::MaybeScheduleGc(uint32_t slot) {
   }
   const double dead_fraction =
       static_cast<double>(block.dead_bytes) / static_cast<double>(block.bytes);
-  if (dead_fraction >= config_.gc_dead_fraction) {
+  if (dead_fraction >= kGcDeadFraction) {
     block.scheduled = true;
     gc_list_.push_back(slot);
   }

@@ -53,13 +53,14 @@ class Counter;
 class MetricsRegistry;
 }  // namespace obs
 
+// GC a closed block once dead bytes reach this fraction of its bytes.
+inline constexpr double kGcDeadFraction = 0.5;
+
 struct PackingConfig {
   uint64_t block_bytes = 16ull * 1000 * 1000;
   uint32_t max_objects_per_block = 40;
   // Replacement policy ordering lazy eviction (LRU by default, §4.2).
   EvictionPolicyKind policy = EvictionPolicyKind::kLru;
-  // GC a closed block once dead bytes reach this fraction of its bytes.
-  double gc_dead_fraction = 0.5;
   // Disable packing entirely (one PUT per object) for the §7.4 ablation.
   bool packing_enabled = true;
 };

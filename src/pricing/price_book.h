@@ -66,9 +66,6 @@ struct PriceBook {
   double GetCost(uint64_t n) const { return static_cast<double>(n) * get_per_request; }
   double PutCost(uint64_t n) const { return static_cast<double>(n) * put_per_request; }
   double VmCost(SimDuration d) const { return vm_per_hour * DurationHours(d); }
-  double CacheNodeCost(uint64_t nodes, SimDuration d) const {
-    return cache_node_per_hour * static_cast<double>(nodes) * DurationHours(d);
-  }
   double LambdaCost(double gb_seconds) const { return lambda_per_gb_second * gb_seconds; }
 
   // Storage-equals-egress break-even horizon: how long storing a byte costs

@@ -54,8 +54,6 @@ class PriceSchedule {
   double StorageCostOver(uint64_t bytes, SimTime from, SimTime to) const;
 
   size_t num_epochs() const { return books_.size(); }
-  SimTime epoch_start(size_t i) const { return starts_[i]; }
-  const PriceBook& epoch_book(size_t i) const { return books_[i]; }
   bool constant() const { return books_.size() == 1; }
 
  private:

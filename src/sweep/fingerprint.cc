@@ -53,7 +53,7 @@ void MixPacking(FingerprintHasher& h, const PackingConfig& p) {
   h.MixU64(p.block_bytes);
   h.MixU64(p.max_objects_per_block);
   h.MixI32(static_cast<int32_t>(p.policy));
-  h.MixF64(p.gc_dead_fraction);
+  h.MixF64(kGcDeadFraction);
   h.MixBool(p.packing_enabled);
 }
 

@@ -21,15 +21,4 @@ size_t SpatialSampler::CompactAdmitted(const ObjectId* ids, size_t n, uint32_t* 
   return macaron::CompactAdmitted(ids, n, salt_, threshold_, idx, hash);
 }
 
-Trace SampleTrace(const Trace& trace, const SpatialSampler& sampler) {
-  Trace out;
-  out.name = trace.name + "-sampled";
-  for (const Request& r : trace.requests) {
-    if (sampler.Admit(r.id)) {
-      out.requests.push_back(r);
-    }
-  }
-  return out;
-}
-
 }  // namespace macaron

@@ -51,9 +51,6 @@ class SpatialSampler {
   uint64_t threshold_;
 };
 
-// Returns the subset of `trace` admitted by the sampler.
-Trace SampleTrace(const Trace& trace, const SpatialSampler& sampler);
-
 }  // namespace macaron
 
 #endif  // MACARON_SRC_TRACE_SAMPLER_H_

@@ -195,11 +195,5 @@ TEST(EventQueueTest, RunNextMovesTheCallbackOut) {
   EXPECT_EQ(copies, 0);
 }
 
-TEST(EventQueueTest, PeekTime) {
-  EventQueue q;
-  q.Schedule(42, [](SimTime) {});
-  EXPECT_EQ(q.PeekTime(), 42);
-}
-
 }  // namespace
 }  // namespace macaron

@@ -115,39 +115,6 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(s.stddev(), 3.0, 0.05);
 }
 
-TEST(RngTest, PoissonSmallMean) {
-  Rng rng(23);
-  StreamingStats s;
-  for (int i = 0; i < 50000; ++i) {
-    s.Add(static_cast<double>(rng.NextPoisson(3.0)));
-  }
-  EXPECT_NEAR(s.mean(), 3.0, 0.05);
-}
-
-TEST(RngTest, PoissonLargeMeanUsesApproximation) {
-  Rng rng(29);
-  StreamingStats s;
-  for (int i = 0; i < 20000; ++i) {
-    s.Add(static_cast<double>(rng.NextPoisson(100.0)));
-  }
-  EXPECT_NEAR(s.mean(), 100.0, 1.0);
-}
-
-TEST(RngTest, PoissonZeroMean) {
-  Rng rng(1);
-  EXPECT_EQ(rng.NextPoisson(0.0), 0u);
-}
-
-TEST(RngTest, ForkIsDeterministicAndIndependent) {
-  Rng a(5);
-  Rng b(5);
-  Rng fa = a.Fork(1);
-  Rng fb = b.Fork(1);
-  EXPECT_EQ(fa.NextU64(), fb.NextU64());
-  Rng fc = a.Fork(2);
-  EXPECT_NE(fa.NextU64(), fc.NextU64());
-}
-
 // --- Zipf ---
 
 TEST(ZipfTest, RanksInRange) {
@@ -279,22 +246,6 @@ TEST(StreamingStatsTest, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(StreamingStatsTest, MergeMatchesCombined) {
-  StreamingStats a;
-  StreamingStats b;
-  StreamingStats all;
-  Rng rng(67);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.NextNormal(0, 1);
-    (i % 2 == 0 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(PercentileTrackerTest, Quantiles) {
   PercentileTracker p;
   for (int i = 1; i <= 100; ++i) {
@@ -375,11 +326,6 @@ TEST(CurveTest, ScaledAndPlus) {
   EXPECT_DOUBLE_EQ(sum.y(1), 24.0);
 }
 
-TEST(CurveTest, FromFunction) {
-  const Curve c = Curve::FromFunction({1.0, 2.0, 3.0}, [](double x) { return x * x; });
-  EXPECT_DOUBLE_EQ(c.y(2), 9.0);
-}
-
 TEST(DecayedCurveAverageTest, NoDecayIsWeightedAverage) {
   DecayedCurveAverage avg(1.0);
   avg.Add(Curve({1.0}, {10.0}), 1.0, 0.0);
@@ -424,7 +370,6 @@ TEST(HashTest, Mix64IsDeterministicAndSpreads) {
 
 TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(BytesToGB(1'000'000'000ull), 1.0);
-  EXPECT_DOUBLE_EQ(BytesToGiB(kGiB), 1.0);
   EXPECT_EQ(kTB, 1000ull * kGB);
 }
 

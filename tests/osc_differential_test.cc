@@ -251,7 +251,7 @@ class MapObjectStorageCache {
     }
     const double dead_fraction =
         static_cast<double>(it->second.dead_bytes) / static_cast<double>(it->second.bytes);
-    if (dead_fraction >= config_.gc_dead_fraction) {
+    if (dead_fraction >= kGcDeadFraction) {
       gc_list_.insert(block_id);
     }
   }

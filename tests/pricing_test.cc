@@ -113,7 +113,6 @@ TEST(PriceBookTest, VmAndLambdaCosts) {
   const PriceBook p = PriceBook::Aws(DeploymentScenario::kCrossCloud);
   EXPECT_NEAR(p.VmCost(10 * kHour), 2.52, 1e-9);
   EXPECT_NEAR(p.LambdaCost(1000.0), 0.0166667, 1e-6);
-  EXPECT_NEAR(p.CacheNodeCost(4, kHour), 4 * 0.252, 1e-9);
 }
 
 TEST(CostMeterTest, AddAndTotal) {

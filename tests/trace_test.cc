@@ -498,23 +498,6 @@ TEST(SamplerTest, DifferentSaltsDiffer) {
   EXPECT_GT(differ, 300);
 }
 
-TEST(SamplerTest, SampleTracePreservesPerObjectSequences) {
-  Trace t;
-  for (int i = 0; i < 1000; ++i) {
-    t.requests.push_back({i, static_cast<ObjectId>(i % 50), 100, Op::kGet});
-  }
-  const SpatialSampler s(0.3, 5);
-  const Trace out = SampleTrace(t, s);
-  // Every admitted object keeps all its requests: 1000/50 = 20 per object.
-  std::unordered_map<ObjectId, int> counts;
-  for (const Request& r : out.requests) {
-    counts[r.id]++;
-  }
-  for (const auto& [id, c] : counts) {
-    EXPECT_EQ(c, 20) << id;
-  }
-}
-
 // --- Concatenation ---
 
 TEST(ConcatTest, TimesShiftAndIdsRemap) {
