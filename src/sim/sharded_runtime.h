@@ -20,11 +20,14 @@
 // controller observation order, RNG streams and the boundary sequence, so
 // streamed and materialized replays of the same stream are bit-identical.
 //
-// The runtime owns set-up, billing, the shard partition and batch loop, the
-// window-boundary phases, the per-shard decision apply, the merge and the
-// run loop. An engine supplies only its policy: a per-request handler, bound
-// at compile time through ServeBatch, plus per-window hooks for
-// boundary maintenance, decisions and the end of the run.
+// The runtime owns set-up, billing (one storage integral per shard), the
+// Macaron family's cache effects (OscHit, Admit, Forget), the shard
+// partition and batch loop, the window-boundary phases, the per-shard
+// decision apply, decision recording, the merge and the run loop; Finalize
+// sorts the decision timelines into apply order before the merge. An engine
+// supplies only its policy: a per-request handler, bound at compile time
+// through ServeBatch, plus per-window hooks for boundary maintenance,
+// decisions and the end of the run.
 
 #ifndef MACARON_SRC_SIM_SHARDED_RUNTIME_H_
 #define MACARON_SRC_SIM_SHARDED_RUNTIME_H_
