@@ -471,6 +471,20 @@ std::unique_ptr<ColumnarTraceSource> ColumnarTraceSource::Open(const std::string
       !ReadU64Le(p, end, &s.unique_get_bytes)) {
     return fail("short stats block");
   }
+  // Set-up sizes buffers from these counts (latency samples from num_gets,
+  // each shard's OSC slab from unique_objects), so each is bounded by the
+  // record count the directory has already bounded by the file. The sums
+  // are checked term by term so a forged count cannot wrap them.
+  if (s.num_requests != num_requests) {
+    return fail("stats num_requests does not match the record count");
+  }
+  if (s.num_gets > num_requests || s.num_puts > num_requests - s.num_gets ||
+      s.num_deletes != num_requests - s.num_gets - s.num_puts) {
+    return fail("stats op counts do not sum to num_requests");
+  }
+  if (s.unique_objects > s.num_gets + s.num_puts) {
+    return fail("stats unique_objects exceeds num_gets + num_puts");
+  }
   if (!ReadU64Le(p, end, &f64)) {
     return fail("short stats block");
   }

@@ -135,9 +135,10 @@ struct CraftedChunk {
 };
 
 // A structurally valid MCTC file around `data`, the chunk bytes: correct
-// header, a footer declaring `chunks` with a matching record total, and a
-// trailer whose checksum covers that footer — so Open can only object to
-// the directory itself, and FillNext only to the chunks.
+// header, a footer declaring `chunks` with a matching record total (and
+// stats that count every record as a GET), and a trailer whose checksum
+// covers that footer — so Open can only object to the directory itself,
+// and FillNext only to the chunks.
 std::string CraftMctc(const std::string& data, const std::vector<CraftedChunk>& chunks) {
   std::string file = "MCTC";
   file.append("\x02\x00\x00\x00", 4);
@@ -155,8 +156,10 @@ std::string CraftMctc(const std::string& data, const std::vector<CraftedChunk>& 
   AppendU64(footer, records);  // num_requests
   AppendU64(footer, chunks.empty() ? 0 : static_cast<uint64_t>(chunks.front().min_time));
   AppendU64(footer, chunks.empty() ? 0 : static_cast<uint64_t>(chunks.back().max_time));
-  for (int i = 0; i < 13; ++i) {
-    AppendU64(footer, 0);  // TraceStats
+  AppendU64(footer, records);  // TraceStats: num_requests, num_gets
+  AppendU64(footer, records);
+  for (int i = 0; i < 11; ++i) {
+    AppendU64(footer, 0);  // the rest of TraceStats
   }
   AppendU64(footer, 0);  // empty name
   file += footer;
@@ -754,6 +757,68 @@ TEST(ColumnarIoTest, OpenRejectsForgedTimeSpan) {
           << error;
     }
   }
+  std::remove(path.c_str());
+}
+
+// Set-up sizes buffers from the footer's stats (latency samples from
+// num_gets, each shard's OSC slab from unique_objects), so Open bounds them
+// by the record count. A 2,000-request file declaring 2^50 GETs, footer
+// checksum recomputed, used to open and make ReplayEngine::Run throw
+// std::bad_alloc from Setup. Each forged field fails by name, including
+// counts chosen so the op-count sum wraps to num_requests.
+TEST(ColumnarIoTest, OpenRejectsForgedStats) {
+  const Trace t = MakeTrace(2000);
+  const std::string path = TempPath("stats.mctc");
+  ASSERT_TRUE(WriteTraceColumnar(t, path, nullptr, /*chunk_records=*/128));
+  const std::string original = ReadFileBytes(path);
+  const MctcLayout layout = LayoutOf(original);
+  std::string error;
+  const auto source = ColumnarTraceSource::Open(path, &error);
+  ASSERT_NE(source, nullptr) << error;
+  const TraceStats s = source->Info().stats;
+  ASSERT_GT(s.num_puts, 0u);
+  ASSERT_GT(s.num_deletes, 0u);
+  const size_t stats = layout.footer_begin + 8 + 48 * layout.chunks.size() + 24;
+  const size_t requests = stats, gets = stats + 8, puts = stats + 16, deletes = stats + 24,
+               unique = stats + 48;
+  ASSERT_EQ(GetU64(original, requests), 2000u);
+  ASSERT_EQ(GetU64(original, unique), s.unique_objects);
+  const auto open_forged = [&](const std::vector<std::pair<size_t, uint64_t>>& fields) {
+    std::string bytes = original;
+    for (const auto& [at, v] : fields) {
+      PutU64(bytes, at, v);
+    }
+    Reseal(bytes, layout);
+    WriteFileBytes(path, bytes);
+    error.clear();
+    return ColumnarTraceSource::Open(path, &error) != nullptr;
+  };
+  struct Forgery {
+    std::vector<std::pair<size_t, uint64_t>> fields;
+    const char* error;
+  };
+  const char* kCount = "stats num_requests does not match the record count";
+  const char* kOps = "stats op counts do not sum to num_requests";
+  const char* kUnique = "stats unique_objects exceeds num_gets + num_puts";
+  const std::vector<Forgery> forgeries = {
+      {{{requests, 2001}}, kCount},
+      {{{requests, 1999}}, kCount},
+      {{{gets, 1ull << 50}}, kOps},
+      {{{gets, s.num_gets + 1}}, kOps},
+      {{{deletes, s.num_deletes - 1}}, kOps},
+      // Two that wrap the 64-bit sum gets + puts + deletes to num_requests.
+      {{{gets, ~0ull}, {puts, s.num_gets + s.num_puts + 1}}, kOps},
+      {{{deletes, ~0ull}, {puts, s.num_puts + s.num_deletes + 1}}, kOps},
+      {{{unique, s.num_gets + s.num_puts + 1}}, kUnique},
+      {{{unique, 1ull << 63}}, kUnique},
+  };
+  for (size_t i = 0; i < forgeries.size(); ++i) {
+    EXPECT_FALSE(open_forged(forgeries[i].fields)) << "forgery " << i;
+    EXPECT_NE(error.find(forgeries[i].error), std::string::npos) << "forgery " << i << ": " << error;
+  }
+  // The bounds are bounds: counts that still sum and fit open.
+  EXPECT_TRUE(open_forged({{unique, s.num_gets + s.num_puts}})) << error;
+  EXPECT_TRUE(open_forged({{gets, s.num_gets - 1}, {puts, s.num_puts + 1}})) << error;
   std::remove(path.c_str());
 }
 
