@@ -10,13 +10,20 @@
 // of every block), and keeps every live block of at least 64 KiB with its
 // size and caller frames, taken with backtrace() so no frame pointers are
 // needed. A block freed after the live-heap peak, but allocated before it,
-// is kept too. At exit it writes the blocks live at the peak, then the
-// process's memory map so the script can symbolize the frames. Without
-// HEAP_PEAK_OUT it counts and writes nothing.
+// is kept too. At exit it writes the process's peak RSS and minor faults
+// (getrusage), the blocks live at the peak, then the process's memory map
+// so the script can symbolize the frames. Without HEAP_PEAK_OUT it counts
+// and writes nothing.
+//
+// Live heap and residency differ both ways: a hole that a freed block
+// leaves in a malloc arena stays resident though no live block covers it,
+// and a block reserved in full counts here in full though only its
+// touched pages are resident. The report carries both.
 
 #include <execinfo.h>
 #include <fcntl.h>
 #include <malloc.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -123,10 +130,15 @@ __attribute__((destructor)) void Report() {
     return;
   }
   busy = true;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
   Lock();
-  char line[128];
-  const int n = snprintf(line, sizeof line, "# peak_live_bytes %lld threshold %zu lost %zu\n",
-                         static_cast<long long>(peak_bytes), kLargeBytes, n_lost);
+  char line[192];
+  const int n = snprintf(line, sizeof line,
+                         "# peak_live_bytes %lld threshold %zu lost %zu\n"
+                         "# peak_rss_kib %ld minor_faults %ld\n",
+                         static_cast<long long>(peak_bytes), kLargeBytes, n_lost,
+                         usage.ru_maxrss, usage.ru_minflt);
   (void)!write(fd, line, n);
   for (size_t i = 0; i < n_live; ++i) {
     if (live[i].seq <= peak_seq) {

@@ -4,6 +4,11 @@
     HEAP_PEAK_OUT=peak.txt LD_PRELOAD=build/bench/libheap_peak.so prog ...
     python3 scripts/heap_peak.py peak.txt [--root DIR] [--depth N]
 
+The first line gives the live-heap peak beside the process's peak RSS and
+minor page faults: arena holes count toward RSS but not live heap, and a
+reservation counts toward live heap in full but toward RSS only as far as
+it was touched.
+
 Each block is charged to the first frame, innermost inlined call first,
 whose source file lies under --root (default: this repository), so a
 vector grown in src/osc/osc.cc is charged to osc.cc, not to the standard
@@ -21,11 +26,14 @@ import sys
 
 
 def load(path):
-    peak, blocks, maps = 0, [], []
+    peak, rss_kib, faults, blocks, maps = 0, 0, 0, [], []
     in_maps = False
     for line in pathlib.Path(path).read_text().splitlines():
         if line.startswith("# peak_live_bytes"):
             peak = int(line.split()[2])
+        elif line.startswith("# peak_rss_kib"):
+            f = line.split()
+            rss_kib, faults = int(f[2]), int(f[4])
         elif line == "# maps":
             in_maps = True
         elif in_maps:
@@ -36,7 +44,7 @@ def load(path):
         elif line.startswith("block "):
             f = line.split()
             blocks.append((int(f[1]), [int(a, 16) for a in f[2:]]))
-    return peak, blocks, maps
+    return peak, rss_kib, faults, blocks, maps
 
 
 def locate(addr, maps):
@@ -82,7 +90,7 @@ def main():
     ap.add_argument("--root", default=str(pathlib.Path(__file__).resolve().parent.parent))
     ap.add_argument("--depth", type=int, default=1, help="repository frames per site")
     args = ap.parse_args()
-    peak, blocks, maps = load(args.report)
+    peak, rss_kib, faults, blocks, maps = load(args.report)
     if not blocks:
         sys.exit(f"{args.report}: no block at the peak")
     names = symbolize(blocks, maps)
@@ -95,7 +103,8 @@ def main():
         sites[site][0] += size
         sites[site][1] += 1
     listed = sum(size for size, _ in blocks)
-    print(f"peak live heap {peak / 2**20:.1f} MiB; {len(blocks)} blocks of >= 64 KiB "
+    print(f"peak live heap {peak / 2**20:.1f} MiB; peak RSS {rss_kib / 2**10:.1f} MiB, "
+          f"{faults} minor faults; {len(blocks)} blocks of >= 64 KiB "
           f"hold {listed / 2**20:.1f} MiB")
     for site, (size, count) in sorted(sites.items(), key=lambda kv: -kv[1][0]):
         print(f"{size / 2**20:9.1f} MiB {count:6d}  {site}")
