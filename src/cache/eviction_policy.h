@@ -121,6 +121,10 @@ class EvictionCache {
   // Slab slots ever materialized (live + freelist); stops growing once the
   // cache reaches steady state (see slab_lru.h).
   virtual size_t allocated_nodes() const = 0;
+  // Sizes the slab for `nodes` entries at once (NodeSlab::Reserve), for an
+  // owner that knows its population up front. Slot-less implementations
+  // ignore it.
+  virtual void ReserveNodes(size_t) {}
 
   virtual void set_evict_callback(EvictCallback cb) = 0;
 
@@ -175,6 +179,7 @@ class SlabPolicy : public EvictionCache {
   uint64_t used_bytes() const final { return used_; }
   size_t num_entries() const final { return table_.size(); }
   size_t allocated_nodes() const final { return table_.allocated_nodes(); }
+  void ReserveNodes(size_t nodes) final { table_.slab().Reserve(nodes); }
   void set_evict_callback(EvictCallback cb) final { evict_cb_ = std::move(cb); }
 
   // This is the analyzer's hottest code: one sampled request is replayed

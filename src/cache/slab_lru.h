@@ -27,6 +27,7 @@
 #ifndef MACARON_SRC_CACHE_SLAB_LRU_H_
 #define MACARON_SRC_CACHE_SLAB_LRU_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -84,6 +85,11 @@ class NodeSlab {
     MACARON_DCHECK(live_ > 0);
     --live_;
   }
+
+  // Sizes the array for `nodes` slots in one allocation, so the first
+  // `nodes` Allocates move no node and copy nothing; past that the slab
+  // regrows by doubling. Slots never written cost address space only.
+  void Reserve(size_t nodes) { nodes_.reserve(std::min<size_t>(nodes, kNilNode)); }
 
   SlabNode& node(uint32_t idx) { return nodes_[idx]; }
   const SlabNode& node(uint32_t idx) const { return nodes_[idx]; }

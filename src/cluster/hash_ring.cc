@@ -46,6 +46,23 @@ void HashRing::RemoveNodes(std::span<const uint32_t> node_ids) {
   RebuildBuckets();
 }
 
+double HashRing::HashShare(uint32_t node_id) const {
+  if (ring_.size() == 1) {
+    return ring_.front().second == node_id ? 1.0 : 0.0;
+  }
+  // Entry i owns the hashes in (position i - 1, position i]; entry 0's arc
+  // wraps past the last entry, which the unsigned difference gives. A
+  // duplicate position's later entry owns nothing, as routing has it.
+  double owned = 0.0;
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    if (ring_[i].second == node_id) {
+      const uint64_t prev = ring_[i == 0 ? ring_.size() - 1 : i - 1].first;
+      owned += static_cast<double>(ring_[i].first - prev);
+    }
+  }
+  return owned / 0x1p64;
+}
+
 void HashRing::RebuildBuckets() {
   first_.clear();
   if (ring_.empty()) {

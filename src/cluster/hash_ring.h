@@ -59,6 +59,11 @@ class HashRing {
   bool empty() const { return ring_.empty(); }
   size_t num_nodes() const { return num_nodes_; }
 
+  // Fraction of the 64-bit hash space that routes to `node_id` (0 for a
+  // non-member): the share of uniformly hashed ids it can expect. Virtual
+  // replicas leave members' shares uneven. O(ring entries).
+  double HashShare(uint32_t node_id) const;
+
  private:
   void RebuildBuckets();
 

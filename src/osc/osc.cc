@@ -9,11 +9,12 @@
 
 namespace macaron {
 
-ObjectStorageCache::ObjectStorageCache(const PackingConfig& config)
+ObjectStorageCache::ObjectStorageCache(const PackingConfig& config, size_t expected_objects)
     : config_(config),
       order_(MakeEvictionCache(config.policy, std::numeric_limits<uint64_t>::max() / 2)) {
   MACARON_CHECK(config.block_bytes > 0);
   MACARON_CHECK(config.max_objects_per_block > 0);
+  order_->ReserveNodes(expected_objects);
 }
 
 bool ObjectStorageCache::LookupPrehashed(ObjectId id, uint64_t h) {
@@ -55,7 +56,8 @@ void ObjectStorageCache::FreeBlock(uint32_t slot) {
 
 void ObjectStorageCache::CompactMembers() {
   // Runs move down in log order, so none is overwritten before it moves and
-  // the filling block's run, the newest, stays last.
+  // the filling block's run, the newest, stays last. A run may start and
+  // end on different pages, so it moves id by id.
   std::vector<std::pair<uint32_t, uint32_t>> runs;  // (first, block slot)
   runs.reserve(live_blocks_);
   for (uint32_t slot = 0; slot < blocks_.size(); ++slot) {
@@ -68,13 +70,14 @@ void ObjectStorageCache::CompactMembers() {
   for (const auto& [first, slot] : runs) {
     Block& block = blocks_[slot];
     if (first != out) {
-      std::copy(members_.begin() + first, members_.begin() + first + block.objects,
-                members_.begin() + out);
+      for (uint32_t i = 0; i < block.objects; ++i) {
+        members_[out + i] = members_[first + i];
+      }
     }
     block.first = out;
     out += block.objects;
   }
-  members_.resize(out);
+  members_.Truncate(out);
   dropped_members_ = 0;
 }
 
@@ -188,29 +191,22 @@ void ObjectStorageCache::EvictToCapacity(uint64_t target_bytes) {
     // OSC evicts exactly what the policy's mini-cache model predicts, then
     // return the ordering structure to its unbounded lazy state. Resize
     // only frees slots, and a freed slot keeps its tag until reused, so
-    // each victim's block slot is still readable in the callback.
-    struct Victim {
-      ObjectId id;
-      uint64_t size;
-      uint32_t block;
-    };
-    std::vector<Victim> victims;
-    order_->set_evict_callback([this, &victims](ObjectId id, uint64_t size, uint32_t slot) {
-      victims.push_back(Victim{id, size, order_->TagAtSlot(slot)});
+    // each victim's block slot is still readable in the callback, which
+    // marks the victim dead there and then. Neither MarkDead nor the
+    // observer touches the order.
+    order_->set_evict_callback([this](ObjectId id, uint64_t size, uint32_t slot) {
+      live_bytes_ -= size;
+      MarkDead(order_->TagAtSlot(slot), size);
+      if (m_evictions_ != nullptr) {
+        m_evictions_->Inc();
+      }
+      if (evict_observer_) {
+        evict_observer_(id);
+      }
     });
     order_->Resize(target_bytes);
     order_->Resize(std::numeric_limits<uint64_t>::max() / 2);
     order_->set_evict_callback(nullptr);
-    if (m_evictions_ != nullptr) {
-      m_evictions_->Inc(victims.size());
-    }
-    for (const Victim& victim : victims) {
-      live_bytes_ -= victim.size;
-      MarkDead(victim.block, victim.size);
-      if (evict_observer_) {
-        evict_observer_(victim.id);
-      }
-    }
   }
   RunGc();
 }
@@ -225,7 +221,7 @@ void ObjectStorageCache::RunGc() {
     std::sort(batch.begin(), batch.end(),
               [this](uint32_t a, uint32_t b) { return blocks_[a].id < blocks_[b].id; });
     for (const uint32_t slot : batch) {
-      // PlaceCopy below may grow blocks_ and members_: index, don't hold.
+      // PlaceCopy below may grow blocks_: index, don't hold.
       MACARON_DCHECK(blocks_[slot].id != 0 && !blocks_[slot].open && blocks_[slot].scheduled);
       ++ops_.gc_block_reads;
       if (m_gc_blocks_ != nullptr) {
@@ -288,6 +284,8 @@ void ObjectStorageCache::CheckConsistent() const {
     MACARON_CHECK(runs[i - 1].second <= runs[i].first);  // no two runs overlap
   }
   MACARON_CHECK(dropped_members_ == members_.size() - run_members);
+  // No page lies wholly past the log's end.
+  MACARON_CHECK(members_.pages() == (members_.size() + kMemberPageIds - 1) / kMemberPageIds);
   if (open_block_ != kNoBlock) {
     MACARON_CHECK(open_block_ < blocks_.size() && blocks_[open_block_].id != 0);
     // The filling block's run ends the log, so its next append extends it.
@@ -313,8 +311,11 @@ void ObjectStorageCache::CheckConsistent() const {
     const uint32_t block_slot = order_->TagAtSlot(slot);
     MACARON_CHECK(block_slot < blocks_.size() && blocks_[block_slot].id != 0);
     const Block& block = blocks_[block_slot];
-    const auto run = members_.begin() + block.first;
-    MACARON_CHECK(std::find(run, run + block.objects, id) != run + block.objects);
+    bool listed = false;
+    for (uint32_t i = 0; i < block.objects && !listed; ++i) {
+      listed = members_[block.first + i] == id;
+    }
+    MACARON_CHECK(listed);
     order_bytes += size;
     return true;
   });
@@ -330,7 +331,7 @@ std::vector<ObjectStorageCache::BlockDebug> ObjectStorageCache::DebugBlocks() co
   for (const Block& block : blocks_) {
     if (block.id != 0) {
       out.push_back(BlockDebug{block.bytes, block.dead_bytes, block.objects,
-                               block.dead_objects, block.open});
+                               block.dead_objects, block.open, block.id, block.first});
     }
   }
   return out;

@@ -25,10 +25,13 @@
 //  * Members. Every copy placed in a block, live or dead, is its object id
 //    in one append-only member log. Only the block being filled appends, so
 //    each block's members are one run [first, first + objects) of the log.
-//    Collecting a block drops its run; once dropped entries outnumber live
-//    ones, the log is compacted in place with the runs kept in log order,
-//    so the filling block's run stays last. A dead copy exists only in its
-//    block's run and dead counters until GC rewrites the block.
+//    The log lives in fixed pages of kMemberPageIds ids that never move, so
+//    an append never copies it; a run may span pages. Collecting a block
+//    drops its run; once dropped entries outnumber live ones, the log is
+//    compacted in place with the runs kept in log order, so the filling
+//    block's run stays last, and the pages past its new end are freed. A
+//    dead copy exists only in its block's run and dead counters until GC
+//    rewrites the block.
 //  * GC list. A vector of due block slots, each there at most once (a
 //    per-block scheduled bit), sorted by block id when RunGc drains it: GC
 //    visits due blocks in ascending id order, which fixes which survivors
@@ -37,6 +40,7 @@
 #ifndef MACARON_SRC_OSC_OSC_H_
 #define MACARON_SRC_OSC_OSC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,7 +71,14 @@ struct PackingConfig {
 
 class ObjectStorageCache {
  public:
-  explicit ObjectStorageCache(const PackingConfig& config);
+  // Ids per member-log page (64 KiB).
+  static constexpr size_t kMemberPageIds = 8192;
+
+  // `expected_objects` sizes the replacement order's slab once: the engines
+  // pass the number of the trace's unique objects each shard can expect to
+  // own, since the OSC caches everything during observation. An OSC that
+  // holds more at once regrows as it would unreserved.
+  explicit ObjectStorageCache(const PackingConfig& config, size_t expected_objects = 0);
 
   // --- Request path ---
   //
@@ -135,6 +146,8 @@ class ObjectStorageCache {
     uint32_t objects = 0;
     uint32_t dead_objects = 0;
     bool open = false;
+    uint64_t id = 0;     // opening order
+    uint32_t first = 0;  // start of the block's run in the member log
   };
   std::vector<BlockDebug> DebugBlocks() const;
   size_t gc_pending_blocks() const { return gc_list_.size(); }
@@ -149,13 +162,13 @@ class ObjectStorageCache {
   // Aborts unless the metadata agrees with itself: every object in the
   // replacement order has a tag naming a live block whose run lists it;
   // live blocks' runs lie inside the member log without overlapping, the
-  // open block's run ends it, and the dropped-entry counter is the rest of
-  // the log; no free-list slot is live, and num_blocks() counts the live
-  // ones; the GC list holds each scheduled block once, all closed; per-block
-  // live bytes (bytes - dead bytes) sum to live_bytes() and to the order's
-  // used bytes, and per-block dead bytes sum to garbage_bytes(). O(live
-  // objects x objects per block + blocks x log(blocks)); for tests, like
-  // IntrusiveList::CheckConsistent.
+  // open block's run ends it, the dropped-entry counter is the rest of the
+  // log, and no page lies wholly past its end; no free-list slot is live,
+  // and num_blocks() counts the live ones; the GC list holds each scheduled
+  // block once, all closed; per-block live bytes (bytes - dead bytes) sum to
+  // live_bytes() and to the order's used bytes, and per-block dead bytes sum
+  // to garbage_bytes(). O(live objects x objects per block + blocks x
+  // log(blocks)); for tests, like IntrusiveList::CheckConsistent.
   void CheckConsistent() const;
 
   // Attaches packing/GC counters ("osc" component); nullptr (the default)
@@ -163,11 +176,12 @@ class ObjectStorageCache {
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
   // Observer invoked once per object evicted by EvictToCapacity (lazy
-  // capacity eviction), before GC runs. The engines use it to invalidate
-  // in-flight fill entries for evicted objects (inflight.h): a fill whose
-  // target was evicted must not coalesce later requests. Deletes are not
-  // reported (the caller initiated those itself); GC rewrites never touch
-  // live objects. nullptr (the default) disables.
+  // capacity eviction), in eviction order as each victim is marked dead,
+  // before GC runs. The engines use it to invalidate in-flight fill entries
+  // for evicted objects (inflight.h): a fill whose target was evicted must
+  // not coalesce later requests. Deletes are not reported (the caller
+  // initiated those itself); GC rewrites never touch live objects. nullptr
+  // (the default) disables.
   void set_evict_observer(std::function<void(ObjectId)> observer) {
     evict_observer_ = std::move(observer);
   }
@@ -184,6 +198,34 @@ class ObjectStorageCache {
     uint32_t dead_objects = 0;
     bool open = false;
     bool scheduled = false;  // on gc_list_
+  };
+
+  // The member log's storage: ids in fixed pages that never move. A log
+  // index is a page number and an offset, so the log never needs one
+  // contiguous buffer, and a long log carries no doubling slack.
+  class MemberLog {
+   public:
+    size_t size() const { return size_; }
+    size_t pages() const { return pages_.size(); }
+    ObjectId& operator[](size_t i) { return pages_[i / kMemberPageIds][i % kMemberPageIds]; }
+    ObjectId operator[](size_t i) const {
+      return pages_[i / kMemberPageIds][i % kMemberPageIds];
+    }
+    void push_back(ObjectId id) {
+      if (size_ == pages_.size() * kMemberPageIds) {
+        pages_.push_back(std::make_unique_for_overwrite<ObjectId[]>(kMemberPageIds));
+      }
+      (*this)[size_++] = id;
+    }
+    // Cuts the log to its first `n` entries and frees the pages past them.
+    void Truncate(size_t n) {
+      size_ = n;
+      pages_.resize((n + kMemberPageIds - 1) / kMemberPageIds);
+    }
+
+   private:
+    std::vector<std::unique_ptr<ObjectId[]>> pages_;
+    size_t size_ = 0;
   };
 
   // Appends a copy of `id` to the open block (or to a block of its own when
@@ -204,8 +246,8 @@ class ObjectStorageCache {
   std::vector<Block> blocks_;         // by block slot
   std::vector<uint32_t> free_blocks_;  // free block slots, reused last-in first-out
   size_t live_blocks_ = 0;
-  std::vector<ObjectId> members_;  // the member log
-  size_t dropped_members_ = 0;     // log entries no live block's run covers
+  MemberLog members_;
+  size_t dropped_members_ = 0;  // log entries no live block's run covers
   // Due block slots, each scheduled once; RunGc sorts them by block id.
   std::vector<uint32_t> gc_list_;
   // Replacement ordering, holding exactly the live objects; it never evicts

@@ -1,6 +1,7 @@
 #include "src/sim/sharded_runtime.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 
 #include "src/common/check.h"
@@ -75,6 +76,12 @@ void ShardedRuntime::Setup() {
   // Both engines add exactly one latency sample per GET (a cluster, OSC or
   // delayed hit, or a remote fetch), so each shard's buffer is sized once
   // for its even share of the trace's GETs instead of growing by doubling.
+  // Likewise each shard's OSC reserves its order's slab for the trace's
+  // unique objects it can expect to own, which it may hold all at once: the
+  // controller caches everything during observation. Objects route by hash,
+  // so that is the shard's hash share of them (not an even share: the
+  // largest of four shards owns 31%), plus four standard deviations of that
+  // binomial count so a shard near its expectation does not regrow.
   const uint64_t latency_share =
       cfg_.measure_latency ? (stats.num_gets + static_cast<uint64_t>(num_shards_) - 1) /
                                  static_cast<uint64_t>(num_shards_)
@@ -89,7 +96,9 @@ void ShardedRuntime::Setup() {
     sh.rng = Rng((cfg_.seed ^ 0x5eed) ^
                  (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(s)));
     if (IsMacaronFamily()) {
-      sh.osc = std::make_unique<ObjectStorageCache>(cfg_.packing);
+      const double objects = static_cast<double>(stats.unique_objects) * router_.HashShare(s);
+      sh.osc = std::make_unique<ObjectStorageCache>(
+          cfg_.packing, static_cast<size_t>(objects + 4.0 * std::sqrt(objects)));
       if (UsesTtlEviction()) {
         const SimDuration initial_ttl = cfg_.approach == Approach::kStaticTtl
                                             ? cfg_.static_ttl

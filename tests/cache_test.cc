@@ -12,6 +12,7 @@
 #include "src/cache/inflight.h"
 #include "src/cache/lru_cache.h"
 #include "src/cache/slab_lru.h"
+#include "src/cache/slab_table.h"
 #include "src/cache/ttl_cache.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
@@ -200,6 +201,45 @@ TEST(NodeSlabTest, FreeKeepsTheTagUntilReuse) {
   EXPECT_EQ(slab.node(slot).tag, 42u);
   EXPECT_EQ(slab.Allocate(8, 10), slot);
   EXPECT_EQ(slab.node(slot).tag, 0u);
+}
+
+// A reservation of n nodes (what each shard's OSC makes for its share of
+// the trace's objects) is one allocation: the first n admissions move no
+// node, so growth copies nothing. Admitting past n regrows the slab, and
+// every node must come through the copy with its id, size, list links,
+// tag and index backlink intact.
+TEST(NodeSlabTest, ReservedSlabMovesNoNodeUntilFull) {
+  constexpr uint32_t kReserved = 1000;
+  SlabTable table;
+  IntrusiveList list;
+  table.slab().Reserve(kReserved);
+  const SlabNode* base = &table.node(table.Insert(0, Mix64(0), 1, 0));
+  list.PushFront(table.slab(), 0);
+  const auto admit = [&](ObjectId id) {
+    const uint32_t slot = table.Insert(id, Mix64(id), id + 1, static_cast<uint32_t>(3 * id));
+    list.PushFront(table.slab(), slot);
+    return slot;
+  };
+  for (ObjectId id = 1; id < kReserved; ++id) {
+    const uint32_t slot = admit(id);
+    ASSERT_EQ(slot, id);
+    ASSERT_EQ(&table.node(0), base) << "moved at admission " << id;
+    ASSERT_EQ(&table.node(slot), base + slot);
+  }
+  for (ObjectId id = kReserved; id < 2 * kReserved; ++id) {
+    admit(id);
+  }
+  EXPECT_NE(&table.node(0), base);  // regrown past the reservation
+  ASSERT_EQ(list.CheckConsistent(table.slab()), 2 * kReserved);
+  for (uint32_t slot = 0; slot < 2 * kReserved; ++slot) {
+    const SlabNode& n = table.node(slot);
+    ASSERT_EQ(n.id, slot);
+    ASSERT_EQ(n.size, slot + 1u);
+    ASSERT_EQ(n.tag, 3 * slot);
+    ASSERT_EQ(n.next, slot == 0 ? kNilNode : slot - 1);  // front = newest
+    ASSERT_EQ(n.prev, slot + 1 == 2 * kReserved ? kNilNode : slot + 1);
+    ASSERT_EQ(table.Find(slot, Mix64(slot)), slot);
+  }
 }
 
 // --- TtlCache ---

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -58,6 +59,41 @@ TEST(HashRingTest, LoadRoughlyBalanced) {
     EXPECT_GT(c, total / 4 / 2) << node;   // within 2x of fair share
     EXPECT_LT(c, total / 4 * 2) << node;
   }
+}
+
+// HashShare is the fraction of the hash space a member's arcs cover, so the
+// members' shares sum to one and predict where uniformly hashed ids route.
+// The sharded runtime sizes each shard's OSC slab from it; at 64 replicas
+// the four shards' shares are far from even.
+TEST(HashRingTest, HashSharePredictsRouting) {
+  HashRing one_entry(/*virtual_replicas=*/1);
+  one_entry.AddNode(7);
+  EXPECT_EQ(one_entry.HashShare(7), 1.0);
+  EXPECT_EQ(one_entry.HashShare(8), 0.0);
+  HashRing single;
+  single.AddNode(7);
+  EXPECT_NEAR(single.HashShare(7), 1.0, 1e-12);
+
+  HashRing ring;
+  const std::vector<uint32_t> nodes = {0, 1, 2, 3};
+  ring.AddNodes(nodes);
+  constexpr int kIds = 400000;
+  std::vector<int> routed(nodes.size(), 0);
+  for (ObjectId id = 0; id < static_cast<ObjectId>(kIds); ++id) {
+    ++routed[ring.Route(id)];
+  }
+  double sum = 0.0;
+  double largest = 0.0;
+  for (const uint32_t n : nodes) {
+    const double share = ring.HashShare(n);
+    sum += share;
+    largest = std::max(largest, share);
+    const double expected = share * kIds;
+    EXPECT_NEAR(routed[n], expected, 5 * std::sqrt(expected)) << "node " << n;
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-12);
+  EXPECT_GT(largest, 0.3);  // an even split would under-reserve this shard
+  EXPECT_EQ(ring.HashShare(4), 0.0);
 }
 
 TEST(HashRingTest, AddingNodeMovesMinimalShare) {

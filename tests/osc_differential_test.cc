@@ -438,6 +438,135 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.max_objects_per_block);
     });
 
+// The member log across its pages. The streams above never fill one
+// 8,192-id page, so this one first admits 24,000 objects, which spreads
+// the log over three pages, then churns them: GETs with admit-on-miss and
+// deletes over all ids, re-admissions of dead ids, small capacity
+// evictions, flushes and GC, and checks that compaction moved runs to
+// other pages and that GC later collected a block whose run had moved,
+// reading its members back across the page boundary. Counters and the evict
+// observer are compared at every step; the full state (CheckConsistent
+// included) every 512 steps and after every step that ran GC. The OSC
+// reserves its slab for half the objects, so it also regrows once.
+void RunPagedLogDifferential(EvictionPolicyKind policy, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << EvictionPolicyName(policy) << " seed=" << seed);
+  constexpr uint64_t kFill = 24'000;
+  constexpr uint64_t kObjects = 30'000;
+  constexpr uint64_t kPage = ObjectStorageCache::kMemberPageIds;
+  PackingConfig cfg;
+  cfg.policy = policy;
+  ObjectStorageCache osc(cfg, /*expected_objects=*/kFill / 2);
+  MapObjectStorageCache ref(cfg);
+  std::vector<ObjectId> osc_evicted;
+  std::vector<ObjectId> ref_evicted;
+  osc.set_evict_observer([&](ObjectId id) { osc_evicted.push_back(id); });
+  ref.set_evict_observer([&](ObjectId id) { ref_evicted.push_back(id); });
+  Rng rng(seed);
+  const auto draw_size = [&rng] { return 1 + rng.NextBounded(200); };
+  const auto runs = [&osc] {
+    std::unordered_map<uint64_t, uint32_t> first;  // block id -> run start
+    for (const ObjectStorageCache::BlockDebug& b : osc.DebugBlocks()) {
+      first.emplace(b.id, b.first);
+    }
+    return first;
+  };
+
+  for (ObjectId id = 1; id <= kFill; ++id) {
+    const uint64_t size = draw_size();
+    osc.Admit(id, size);
+    ref.Admit(id, size);
+  }
+  ExpectSameState(osc, ref, 0);
+  uint64_t log_end = 0;
+  for (const ObjectStorageCache::BlockDebug& b : osc.DebugBlocks()) {
+    log_end = std::max<uint64_t>(log_end, b.first + b.objects);
+  }
+  ASSERT_GT(log_end, 2 * kPage) << "the log must span three pages";
+
+  std::vector<ObjectId> dead;
+  std::set<uint64_t> moved;  // blocks whose run compaction moved to another page
+  bool collected_after_move = false;
+  for (uint64_t step = 1; step <= 3'000; ++step) {
+    const ObjectId id = 1 + rng.NextBounded(kObjects);
+    const uint64_t roll = rng.NextBounded(100);
+    const bool runs_gc = roll >= 60 && roll < 72;
+    std::unordered_map<uint64_t, uint32_t> before;
+    if (runs_gc) {
+      before = runs();
+    }
+    if (roll < 30) {
+      const bool hit = osc.LookupPrehashed(id, Mix64(id));
+      ASSERT_EQ(hit, ref.Lookup(id)) << "step " << step;
+      if (!hit) {
+        const uint64_t size = draw_size();
+        osc.Admit(id, size);
+        ref.Admit(id, size);
+      }
+    } else if (roll < 50) {
+      if (ref.Contains(id)) {
+        dead.push_back(id);
+      }
+      osc.Delete(id);
+      ref.Delete(id);
+    } else if (roll < 57) {
+      if (!dead.empty()) {
+        const ObjectId back = dead[rng.NextBounded(dead.size())];
+        const uint64_t size = draw_size();
+        osc.Admit(back, size);
+        ref.Admit(back, size);
+      }
+    } else if (roll < 60) {
+      osc.FlushOpenBlock();
+      ref.FlushOpenBlock();
+    } else if (roll < 68) {
+      const uint64_t target = ref.live_bytes() - ref.live_bytes() / 64;
+      osc.EvictToCapacity(target);
+      ref.EvictToCapacity(target);
+    } else if (roll < 72) {
+      osc.RunGc();
+      ref.RunGc();
+    } else {
+      ASSERT_EQ(osc.Contains(id), ref.Contains(id)) << "step " << step;
+    }
+    ASSERT_EQ(osc_evicted, ref_evicted) << "evict observer at step " << step;
+    dead.insert(dead.end(), osc_evicted.begin(), osc_evicted.end());
+    osc_evicted.clear();
+    ref_evicted.clear();
+    ASSERT_EQ(osc.live_bytes(), ref.live_bytes()) << "step " << step;
+    ASSERT_EQ(osc.garbage_bytes(), ref.garbage_bytes()) << "step " << step;
+    ASSERT_EQ(osc.num_blocks(), ref.num_blocks()) << "step " << step;
+    if (runs_gc) {
+      const std::unordered_map<uint64_t, uint32_t> after = runs();
+      for (const auto& [block, first] : before) {
+        const auto it = after.find(block);
+        if (it == after.end()) {
+          collected_after_move |= moved.count(block) != 0;
+        } else if (it->second / kPage != first / kPage) {
+          moved.insert(block);
+        }
+      }
+    }
+    if (runs_gc || step % 512 == 0) {
+      ExpectSameState(osc, ref, step);
+    }
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_FALSE(moved.empty()) << "no compaction moved a run to another page";
+  EXPECT_TRUE(collected_after_move) << "GC never collected a block whose run moved";
+  ExpectSameState(osc, ref, 0);
+  EXPECT_EQ(HotOrder(osc), HotOrder(ref));
+}
+
+TEST(OscDifferentialTest, MemberLogAcrossPages) {
+  for (const EvictionPolicyKind policy :
+       {EvictionPolicyKind::kLru, EvictionPolicyKind::kFifo, EvictionPolicyKind::kSlru,
+        EvictionPolicyKind::kS3Fifo}) {
+    RunPagedLogDifferential(policy, 21);
+  }
+}
+
 // Re-admission into the very block that holds the dead copy, then GC of
 // that block: the member list names the id twice and only the live copy
 // may be rewritten.
